@@ -11,19 +11,32 @@ inverse energy the mask leaves in that frequency (eps-regularized), which
 equalizes per-frequency convergence; with every node observed it reduces
 exactly to the unnormalized update.
 """
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, neighbors
+from .graphs import Graph, _frozen, neighbors
 from .signals import Observation
 
 NORMALIZATION_EPS = 1e-8
 
 
+def _check_projector(b: np.ndarray) -> None:
+    if np.max(np.abs(b - b.T), initial=0.0) > 1e-8:
+        raise ValueError("band projector must be symmetric")
+    if np.max(np.abs(b @ b - b), initial=0.0) > 1e-8:
+        raise ValueError("band projector must be idempotent")
+
+
 @dataclass(frozen=True, eq=False)
 class AdaptiveFilterState:
-    """Running estimate plus the precomputed operators of one filter."""
+    """Running estimate plus the precomputed operators of one filter.
+
+    The operators are checked once, at construction, and stored read-only;
+    the step functions derive each next state from them without checking
+    again.
+    """
     estimate: np.ndarray
     step_size: float
     band_projector: np.ndarray
@@ -33,12 +46,18 @@ class AdaptiveFilterState:
     def __post_init__(self):
         if self.step_size < 0.0:
             raise ValueError("step_size must be >= 0")
-        b = np.asarray(self.band_projector, dtype=np.float64)
-        if np.max(np.abs(b - b.T), initial=0.0) > 1e-8:
-            raise ValueError("band projector must be symmetric")
-        if np.max(np.abs(b @ b - b), initial=0.0) > 1e-8:
-            raise ValueError("band projector must be idempotent")
+        for name in ("band_projector", "normalization_cache", "norm_operator"):
+            op = getattr(self, name)
+            if op is not None:
+                object.__setattr__(self, name, _frozen(op))
+        _check_projector(self.band_projector)
         object.__setattr__(self, "estimate", np.asarray(self.estimate, dtype=np.float64).copy())
+
+    def _with_estimate(self, estimate: np.ndarray) -> "AdaptiveFilterState":
+        """The next state: a new estimate sharing these validated operators."""
+        nxt = copy.copy(self)
+        object.__setattr__(nxt, "estimate", estimate)
+        return nxt
 
 
 def make_band_projector(basis, band_size: int) -> np.ndarray:
@@ -102,7 +121,7 @@ def glms_step(state: AdaptiveFilterState, obs: Observation, observed=None) -> Ad
     """One least-mean-squares correction along the band projector."""
     innovation = _masked_innovation(state, obs, observed)
     new_estimate = state.estimate + state.step_size * (state.band_projector @ innovation)
-    return replace(state, estimate=new_estimate)
+    return state._with_estimate(new_estimate)
 
 
 def gnlms_step(state: AdaptiveFilterState, obs: Observation, observed=None) -> AdaptiveFilterState:
@@ -111,7 +130,7 @@ def gnlms_step(state: AdaptiveFilterState, obs: Observation, observed=None) -> A
         raise ValueError("state has no normalization cache; use gnlms_init")
     innovation = _masked_innovation(state, obs, observed)
     new_estimate = state.estimate + state.step_size * (state.norm_operator @ innovation)
-    return replace(state, estimate=new_estimate)
+    return state._with_estimate(new_estimate)
 
 
 def last_value_step(estimate: np.ndarray, obs: Observation) -> np.ndarray:
@@ -127,8 +146,16 @@ def neighbor_mean_step(estimate: np.ndarray, obs: Observation, g: Graph) -> np.n
     """
     estimate = np.asarray(estimate, dtype=np.float64)
     out = np.where(obs.observed, obs.values, estimate)
-    for i in np.flatnonzero(~obs.observed):
-        vals = [obs.values[j] for j in neighbors(g, int(i)) if obs.observed[j]]
-        if vals:
-            out[i] = float(np.mean(vals))
+    observed = obs.observed.tolist()
+    by_count = {}
+    for i in np.flatnonzero(~obs.observed).tolist():
+        nbrs = [j for j in neighbors(g, i) if observed[j]]
+        if nbrs:
+            by_count.setdefault(len(nbrs), []).append((i, nbrs))
+    # One 2-D mean per neighbor count: numpy sums each row exactly as it
+    # sums a 1-D array of the same values, so every mean is bit-identical
+    # to np.mean over that node's neighbor list.
+    for rows in by_count.values():
+        nodes, nbrs = zip(*rows)
+        out[list(nodes)] = obs.values[np.array(nbrs)].mean(axis=1)
     return out

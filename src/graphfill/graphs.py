@@ -43,6 +43,14 @@ class Graph:
             raise ValueError("adjacency entries must be nonnegative")
         object.__setattr__(self, "adjacency", _frozen(a))
 
+    def adjacency_lists(self) -> tuple:
+        """Per node, the ascending tuple of indices j with A[i, j] != 0."""
+        cached = getattr(self, "_adjacency_lists_cache", None)
+        if cached is None:
+            cached = tuple(tuple(np.flatnonzero(row).tolist()) for row in self.adjacency)
+            object.__setattr__(self, "_adjacency_lists_cache", cached)
+        return cached
+
 
 @dataclass(frozen=True, eq=False)
 class GftBasis:
@@ -149,7 +157,7 @@ def neighbors(g: Graph, i: int) -> list:
     """Indices j with A[i, j] != 0, ascending."""
     if not (0 <= i < g.n_nodes):
         raise ValueError(f"node index {i} out of range for n={g.n_nodes}")
-    return [int(j) for j in np.flatnonzero(g.adjacency[i]) if j != i]
+    return list(g.adjacency_lists()[i])
 
 
 def haversine_km(p: tuple, q: tuple) -> float:

@@ -133,6 +133,13 @@ def estimate_tokens(text: str) -> int:
 
 
 def _resolve_backend(cfg: PredictorConfig, backend):
+    """Return ``(callable, external)``.
+
+    External backends (remote, or supplied by the caller) are timed and
+    may wait on I/O, so several tasks run on a thread pool. The built-in
+    mock is pure Python: a pool would only add overhead, and timing it
+    would make mock transcripts nondeterministic.
+    """
     if backend is not None:
         return backend, True
     if cfg.backend == "mock":
@@ -150,6 +157,7 @@ def _entry(task: NodeTask, pair, completion, result: PredictionResult) -> dict:
         "parsed": result.value,
         "attempts": result.attempts,
         "fallback": result.fallback,
+        "latency_ms": result.backend_latency,
     }
 
 
@@ -243,11 +251,13 @@ def predict_batch(tasks, cfg: PredictorConfig, backend=None, with_transcript: bo
 
     Args:
         tasks: Nonempty list of tasks sharing one time index.
-        cfg: Backend selection, retry cap, and concurrency bound.
+        cfg: Backend selection, retry cap, and concurrency bound. The
+            bound applies to the remote backend and to a caller-supplied
+            one; the built-in mock runs inline.
         backend: Optional callable ``(system_text, user_text, tasks) -> str``
             overriding the configured backend (used by tests and stubs).
         with_transcript: Also return one transcript entry per task
-            (prompt, completion, parsed value, attempt count).
+            (prompt, completion, parsed value, attempt count, latency).
 
     Each task consumes at most ``max_retries + 1`` backend calls; a task
     still failing after that yields its previous value, flagged as a
@@ -261,14 +271,14 @@ def predict_batch(tasks, cfg: PredictorConfig, backend=None, with_transcript: bo
     if any(task.t != t0 for task in tasks):
         raise ValueError("all tasks in a batch must share the same time index")
 
-    resolved, timed = _resolve_backend(cfg, backend)
+    resolved, external = _resolve_backend(cfg, backend)
     if cfg.multi_task_prompt:
-        pairs = _predict_joint(tasks, cfg, resolved, timed)
-    elif len(tasks) == 1 or cfg.max_concurrency == 1:
-        pairs = [_predict_one(task, cfg, resolved, timed) for task in tasks]
+        pairs = _predict_joint(tasks, cfg, resolved, external)
+    elif not external or len(tasks) == 1 or cfg.max_concurrency == 1:
+        pairs = [_predict_one(task, cfg, resolved, external) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=min(cfg.max_concurrency, len(tasks))) as pool:
-            pairs = list(pool.map(lambda task: _predict_one(task, cfg, resolved, timed), tasks))
+            pairs = list(pool.map(lambda task: _predict_one(task, cfg, resolved, external), tasks))
     results = [r for r, _ in pairs]
     if with_transcript:
         return results, [e for _, e in pairs]

@@ -94,10 +94,6 @@ def render_system_prompt() -> str:
     return SYSTEM_PROMPT
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}f}"
-
-
 def render_user_prompt(tasks) -> str:
     """Render one user-role prompt covering the given tasks.
 
@@ -115,12 +111,13 @@ def render_user_prompt(tasks) -> str:
         if task.precision != precision:
             raise ValueError("all tasks in one prompt must share the same precision")
 
+    fmt = f"{{:.{precision}f}}".format
     parts = [_USER_HEADER.format(p=precision)]
     for task in tasks:
-        nbrs = ", ".join(_fmt(v, precision) for v in task.neighbor_values)
+        nbrs = ", ".join(map(fmt, task.neighbor_values))
         parts.append(
             f" Time {task.t}, Entity index: {task.node}."
-            f" Previous: {_fmt(task.previous, precision)}, Neighbors: [{nbrs}]."
+            f" Previous: {fmt(task.previous)}, Neighbors: [{nbrs}]."
         )
     return "".join(parts)
 

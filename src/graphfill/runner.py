@@ -211,6 +211,7 @@ def _step_estimate(ctx, cfg, model, filt, x_prev, k, backend, transcript):
                         "parsed": float(x_prev[i]),
                         "attempts": 0,
                         "fallback": True,
+                        "latency_ms": 0.0,
                     }
                 )
     if dispatch:

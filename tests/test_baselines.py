@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from helpers import random_connected_graph, spectral_fixture
 
+from graphfill import baselines
 from graphfill.baselines import (
     AdaptiveFilterState,
     bandlimit_for_energy,
@@ -14,7 +15,7 @@ from graphfill.baselines import (
     make_band_projector,
     neighbor_mean_step,
 )
-from graphfill.graphs import build_graph, gft, laplacian
+from graphfill.graphs import build_graph, gft, laplacian, neighbors
 from graphfill.signals import Observation, ObservationModel, observe, sample_mask
 
 
@@ -52,6 +53,28 @@ class TestBandProjector:
         with pytest.raises(ValueError, match="idempotent"):
             AdaptiveFilterState(estimate=np.zeros(2), step_size=0.5,
                                 band_projector=np.array([[2.0, 0.0], [0.0, 2.0]]))
+
+    def test_state_operators_read_only(self):
+        _, basis, _ = fixed_signal_fixture()
+        state = gnlms_init(basis, 4, mu=0.5, estimate=np.zeros(20), observed=np.ones(20, dtype=bool))
+        for op in (state.band_projector, state.normalization_cache, state.norm_operator):
+            with pytest.raises(ValueError, match="read-only"):
+                op[0] = 1.0
+
+    def test_steps_do_not_recheck_projector(self, monkeypatch):
+        checks = []
+        check = baselines._check_projector
+        monkeypatch.setattr(baselines, "_check_projector", lambda b: checks.append(1) or check(b))
+        _, basis, x_g = fixed_signal_fixture()
+        model = sample_mask(20, 0.7, seed=5)
+        glms_state = glms_init(basis, 4, mu=0.5, estimate=np.zeros(20))
+        gnlms_state = gnlms_init(basis, 4, mu=0.5, estimate=np.zeros(20), observed=model.observed)
+        assert len(checks) == 2
+        for t in range(50):
+            obs = observe(x_g, model, t=t)
+            glms_state = glms_step(glms_state, obs)
+            gnlms_state = gnlms_step(gnlms_state, obs)
+        assert len(checks) == 2
 
     def test_bandlimit_for_energy(self):
         _, basis, signal = spectral_fixture(n=20, band=5, t_steps=50, seed=2)
@@ -182,3 +205,27 @@ class TestNaiveBaselines:
         a = neighbor_mean_step(prev, obs, g)
         b = neighbor_mean_step(prev, obs, g)
         assert np.array_equal(a, b)
+
+    def test_neighbor_mean_matches_list_mean_reference(self):
+        def reference(estimate, obs, g):
+            out = np.where(obs.observed, obs.values, estimate)
+            for i in np.flatnonzero(~obs.observed):
+                vals = [obs.values[j] for j in neighbors(g, int(i)) if obs.observed[j]]
+                if vals:
+                    out[i] = float(np.mean(vals))
+            return out
+
+        rng = np.random.default_rng(41)
+        n = 60
+        edges = [(0, j, 1.0) for j in range(1, 13)]  # hub 0 gets 12 observed neighbors
+        edges += [(i, j, float(rng.uniform(0.1, 2.0)))
+                  for i in range(1, n - 1) for j in range(i + 1, n - 1) if rng.random() < 0.15]
+        g = build_graph(n, edges)  # node n - 1 is isolated
+        observed = rng.random(n) < 0.6
+        observed[0] = observed[n - 1] = False
+        observed[1:13] = True
+        for t in range(20):
+            values = np.where(observed, rng.normal(0.0, 10.0 ** rng.integers(-2, 4), size=n), np.nan)
+            obs = Observation(t=t, values=values, observed=observed)
+            prev = rng.normal(size=n)
+            assert np.array_equal(neighbor_mean_step(prev, obs, g), reference(prev, obs, g))

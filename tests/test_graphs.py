@@ -190,6 +190,24 @@ class TestNeighbors:
             for j in neighbors(g, i):
                 assert i in neighbors(g, j)
 
+    def test_matches_adjacency_row_scan(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 9, 40):
+            edges = [(i, j, float(rng.uniform(0.01, 3.0)))
+                     for i in range(n - 1) for j in range(i + 1, n - 1) if rng.random() < 0.3]
+            g = build_graph(n, edges)  # node n - 1 is isolated
+            for i in range(n):
+                expected = [int(j) for j in np.flatnonzero(g.adjacency[i]) if j != i]
+                assert neighbors(g, i) == expected
+            assert neighbors(g, n - 1) == []
+
+    def test_adjacency_lists_cached_and_immutable(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        assert g.adjacency_lists() is g.adjacency_lists()
+        assert g.adjacency_lists() == ((1,), (0, 2), (1,))
+        neighbors(g, 1).append(99)  # the returned list is the caller's copy
+        assert neighbors(g, 1) == [0, 2]
+
 
 def brute_force_knn(pts, k):
     """All-pairs oracle: per node, the k closest points by (distance, index)."""

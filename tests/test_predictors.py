@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from graphfill import predictors
 from graphfill.predictors import (
     PredictorConfig,
     TransportError,
@@ -121,6 +122,19 @@ class TestRetrySemantics:
         assert [r.node for r in results] == [0, 1, 2, 3, 4]
         assert [r.value for r in results] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
+    def test_builtin_mock_runs_inline(self, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("thread pool built")
+
+        monkeypatch.setattr(predictors, "ThreadPoolExecutor", NoPool)
+        cfg = PredictorConfig(backend="mock", max_concurrency=4)
+        tasks = [task_for(node=i, previous=float(i)) for i in range(6)]
+        results = predict_batch(tasks, cfg)
+        assert [r.value for r in results] == [mock_predict(task) for task in tasks]
+        with pytest.raises(AssertionError, match="thread pool built"):
+            predict_batch(tasks, cfg, backend=ScriptedBackend(["1.0"]))
+
     def test_transcript_entries(self):
         backend = ScriptedBackend(["NaN", "3.5"])
         cfg = PredictorConfig(backend="mock", max_retries=2, max_concurrency=1)
@@ -131,6 +145,7 @@ class TestRetrySemantics:
         assert entries[0]["completion"] == "3.5"
         assert entries[0]["attempts"] == 2
         assert "Entity index: 4" in entries[0]["prompt"]
+        assert entries[0]["latency_ms"] == results[0].backend_latency > 0.0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

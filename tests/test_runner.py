@@ -205,7 +205,7 @@ class TestArtifacts:
             entries = [json.loads(line) for line in fh]
         assert entries, "transcript should not be empty"
         sample = entries[0]
-        assert {"t", "node", "prompt", "completion", "parsed", "attempts"} <= set(sample)
+        assert {"t", "node", "prompt", "completion", "parsed", "attempts", "latency_ms"} <= set(sample)
 
     def test_config_snapshot_embedded(self, fixture_paths):
         edge_path, signal_path = fixture_paths
