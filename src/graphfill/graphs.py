@@ -11,6 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0088
+# kNN screening: elements per row block (bounds each temporary to 128 KB),
+# and the relative and absolute slack kept above each row's k-th smallest term.
+_SCREEN_BLOCK_ELEMENTS = 1 << 14
+_SCREEN_MARGIN = 1e-9
+_SCREEN_FLOOR = 1e-300
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -35,7 +40,7 @@ class Graph:
         a = np.asarray(self.adjacency, dtype=np.float64)
         if a.shape != (self.n_nodes, self.n_nodes):
             raise ValueError(f"adjacency shape {a.shape} does not match n_nodes={self.n_nodes}")
-        if not np.allclose(a, a.T, rtol=0.0, atol=0.0):
+        if not np.array_equal(a, a.T):
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0.0):
             raise ValueError("adjacency diagonal must be zero (no self-loops)")
@@ -196,21 +201,26 @@ def knn_graph(coords, k: int, bandwidth: float | None = None) -> Graph:
         raise ValueError(f"k={k} requires at least k+1={k + 1} points, got {n}")
     if bandwidth is not None and bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
+    for i, p in enumerate(pts):
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            raise ValueError(f"node {i} has non-finite coordinates {p}")
 
-    dist = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = haversine_km(pts[i], pts[j])
-            dist[i, j] = d
-            dist[j, i] = d
+    dist = {}  # (i, j) with i < j -> haversine_km(pts[i], pts[j])
+
+    def pair_dist(i, j):
+        key = (i, j) if i < j else (j, i)
+        d = dist.get(key)
+        if d is None:
+            d = dist[key] = haversine_km(pts[key[0]], pts[key[1]])
+        return d
 
     selected = set()
     knn_dists = []
-    for i in range(n):
-        order = sorted((j for j in range(n) if j != i), key=lambda j: (dist[i, j], j))
+    for i, candidates in _knn_candidates(pts, k):
+        order = sorted(candidates, key=lambda j: (pair_dist(i, j), j))
         for j in order[:k]:
             selected.add((min(i, j), max(i, j)))
-            knn_dists.append(dist[i, j])
+            knn_dists.append(pair_dist(i, j))
 
     if bandwidth is None:
         med = float(np.median(knn_dists))
@@ -221,6 +231,32 @@ def knn_graph(coords, k: int, bandwidth: float | None = None) -> Graph:
         w = math.exp(-dist[i, j] ** 2 / (2.0 * bandwidth**2))
         edges.append((i, j, w))
     return build_graph(n, edges, coordinates=pts)
+
+
+def _knn_candidates(pts, k: int):
+    """Yield ``(i, candidates)``: a superset of node i's k nearest neighbors.
+
+    Screens with the haversine inner term ``sin^2(dlat/2) + cos(lat_i)
+    cos(lat_j) sin^2(dlon/2)``, which is monotone in distance, computed in
+    row blocks with numpy. These terms may differ from the ones
+    ``haversine_km`` computes in the last bits, so every j within a small
+    margin of the row's k-th smallest term is kept; ranking the survivors
+    by ``haversine_km`` then gives exactly the all-pairs result.
+    """
+    lat, lon = np.radians(np.array([p[:2] for p in pts], dtype=np.float64)).T
+    cos_lat = np.cos(lat)
+    n = lat.shape[0]
+    rows = max(1, _SCREEN_BLOCK_ELEMENTS // n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        s_lat = np.sin((lat[None, :] - lat[start:stop, None]) / 2.0)
+        s_lon = np.sin((lon[None, :] - lon[start:stop, None]) / 2.0)
+        a = s_lat * s_lat + cos_lat[start:stop, None] * cos_lat[None, :] * (s_lon * s_lon)
+        a[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        kth = np.partition(a, k - 1, axis=1)[:, k - 1]
+        keep = a <= (kth * (1.0 + _SCREEN_MARGIN) + _SCREEN_FLOOR)[:, None]
+        for r in range(stop - start):
+            yield start + r, np.flatnonzero(keep[r]).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
+        """Build a config from nested dicts, as loaded from JSON.
+
+        Raises:
+            ValueError: on a key no config section defines (named by its
+                dotted path) or a section that is not an object.
+        """
         payload = dict(payload)
+        _check_keys(cls, payload, "")
         kwargs = {}
         for name, sub in (
             ("graph", GraphConfig),
@@ -105,11 +112,22 @@ class RunConfig:
             ("predictor", PredictorConfig),
         ):
             if name in payload:
-                kwargs[name] = sub(**payload.pop(name))
+                section = payload.pop(name)
+                if not isinstance(section, dict):
+                    raise ValueError(f"config key '{name}' must be an object")
+                _check_keys(sub, section, f"{name}.")
+                kwargs[name] = sub(**section)
         kwargs.update(payload)
         if "baselines" in kwargs:
             kwargs["baselines"] = tuple(kwargs["baselines"])
         return cls(**kwargs)
+
+
+def _check_keys(cls, payload: dict, prefix: str) -> None:
+    known = {f.name for f in dataclasses.fields(cls)}
+    for key in payload:
+        if key not in known:
+            raise ValueError(f"unknown config key '{prefix}{key}'")
 
 
 def load_config(path) -> RunConfig:

@@ -152,15 +152,19 @@ def train_filter(
     n_steps = min(cfg.max_iters, data.shape[1])
     if n_steps == cfg.max_iters:
         stop_reason = "max-iters"
+    u = basis.eigenvectors
     for t in range(n_steps):
         col = data[:, t]
         obs = observe(col, obs_model, t)
         x_in = np.where(obs.observed, obs.values, fill)
-        x_tilde = graph_convolve(basis, h, x_in)
+        # graph_convolve + mae_gradient with U^T x_in and x_tilde computed once
+        z = u.T @ x_in
+        x_tilde = u @ (h * z)
         loss = mae(col, x_tilde)
         trace.append(loss)
 
-        h = h - cfg.learning_rate * mae_gradient(basis, h, x_in, col)
+        grad = (u.T @ np.sign(x_tilde - col)) * z / n
+        h = h - cfg.learning_rate * grad
         if not np.all(np.isfinite(h)):
             raise FilterDivergenceError(t, trace)
 

@@ -98,6 +98,20 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"observaton": {"ratio": 0.5}}, "observaton"),
+            ({"train": {"learnig_rate": 0.1}}, "train.learnig_rate"),
+        ],
+    )
+    def test_config_typo_named_error(self, tmp_path, capsys, overrides, path):
+        cfg_path = run_config_file(tmp_path, **overrides)
+        rc = main(["run", "--config", cfg_path])
+        assert rc == 2
+        assert f"error: unknown config key '{path}'" in capsys.readouterr().err
+
+
 class TestTrainFilter:
     def test_exports_filter_json(self, tmp_path, capsys):
         cfg_path = run_config_file(tmp_path)

@@ -279,6 +279,80 @@ class TestKnnGraph:
         assert np.all(weights > 0) and np.all(weights <= 1.0)
 
 
+def seed_knn_graph(coords, k, bandwidth=None):
+    """All-pairs reference: the original dense-distance kNN construction."""
+    pts = [tuple(map(float, c)) for c in coords]
+    n = len(pts)
+    dist = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = haversine_km(pts[i], pts[j])
+            dist[i, j] = d
+            dist[j, i] = d
+    selected = set()
+    knn_dists = []
+    for i in range(n):
+        order = sorted((j for j in range(n) if j != i), key=lambda j: (dist[i, j], j))
+        for j in order[:k]:
+            selected.add((min(i, j), max(i, j)))
+            knn_dists.append(dist[i, j])
+    if bandwidth is None:
+        med = float(np.median(knn_dists))
+        bandwidth = med if med > 0.0 else 1.0
+    edges = [(i, j, math.exp(-dist[i, j] ** 2 / (2.0 * bandwidth**2))) for (i, j) in sorted(selected)]
+    return build_graph(n, edges, coordinates=pts)
+
+
+def assert_matches_seed(pts, k, bandwidth=None):
+    expected = seed_knn_graph(pts, k, bandwidth).adjacency
+    actual = knn_graph(pts, k, bandwidth).adjacency
+    assert np.array_equal(actual, expected), (len(pts), k, bandwidth)
+
+
+class TestKnnGraphBitIdentity:
+    """The screened kNN must reproduce the all-pairs adjacency bit for bit."""
+
+    @pytest.mark.parametrize("bandwidth", [None, 350.0])
+    def test_random_points(self, bandwidth):
+        rng = np.random.default_rng(61)
+        n = 300
+        pts = [(float(lat), float(lon)) for lat, lon in zip(rng.uniform(25, 50, n), rng.uniform(-125, -65, n))]
+        for k in (1, 8, n - 1):
+            assert_matches_seed(pts, k, bandwidth)
+
+    def test_coincident_points(self):
+        rng = np.random.default_rng(62)
+        sites = rng.uniform(-20, 20, size=(12, 2))
+        pts = [tuple(map(float, sites[s])) for s in rng.integers(0, 12, size=60)]
+        for k in (1, 4, 9):
+            assert_matches_seed(pts, k, bandwidth=500.0)
+
+    @pytest.mark.parametrize("bandwidth", [None, 40.0])
+    def test_lattice_ties_break_by_index(self, bandwidth):
+        pts = [(40.0 + 0.25 * r, -100.0 + 0.25 * c) for r in range(16) for c in range(16)]
+        for k in (2, 4, 8):
+            assert_matches_seed(pts, k, bandwidth)
+
+    def test_distances_equal_to_the_last_bits(self):
+        # Points one ulp apart in longitude, listed farthest first: their
+        # distances from node 0 differ in the last bits or collapse to ties,
+        # so screening with numpy must not decide the ranking.
+        for base in (0.3, 0.0123, 2.7):
+            cluster = [(45.0, base + m * math.ulp(base)) for m in range(40)][::-1]
+            pts = [(45.0, 0.0)] + cluster + [(44.0 + 0.37 * r, 0.5 + 0.41 * r) for r in range(10)]
+            for k in (1, 3, 5, 10):
+                assert_matches_seed(pts, k, bandwidth=100.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        pts = [(0.0, 0.0), (1.0, 1.0), (bad, 2.0), (3.0, 3.0)]
+        with pytest.raises(ValueError, match="node 2"):
+            knn_graph(pts, k=1, bandwidth=10.0)
+        pts[2] = (2.0, bad)
+        with pytest.raises(ValueError, match="node 2"):
+            knn_graph(pts, k=1, bandwidth=10.0)
+
+
 class TestFileInterfaces:
     def test_edge_list_round_trip(self, tmp_path):
         path = tmp_path / "edges.csv"

@@ -255,6 +255,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="nodes"):
             prepare_run(cfg)
 
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"observaton": {"ratio": 0.5}}, "observaton"),
+            ({"train": {"learnig_rate": 0.1}}, "train.learnig_rate"),
+            ({"graph": {"source": "edges", "edgelist": "x.csv"}}, "graph.edgelist"),
+            ({"predictor": {"backend": "mock", "retries": 3}}, "predictor.retries"),
+        ],
+    )
+    def test_unknown_key_named_by_dotted_path(self, fixture_paths, overrides, path):
+        edge_path, signal_path = fixture_paths
+        with pytest.raises(ValueError, match=f"unknown config key '{path}'"):
+            base_config(edge_path, signal_path, **overrides)
+
+    def test_section_must_be_an_object(self, fixture_paths):
+        edge_path, signal_path = fixture_paths
+        with pytest.raises(ValueError, match="config key 'train' must be an object"):
+            base_config(edge_path, signal_path, train=[0.1])
+
     def test_config_round_trip(self, fixture_paths):
         edge_path, signal_path = fixture_paths
         cfg = base_config(edge_path, signal_path)

@@ -1,10 +1,12 @@
 """Tests for graph convolution, MAE loss/gradient, training, and denoising."""
+from collections import deque
+
 import numpy as np
 import pytest
 from helpers import bandlimited_signal, random_connected_graph, spectral_fixture
 
 from graphfill.graphs import gft, laplacian
-from graphfill.signals import TimeVaryingSignal, observe, sample_mask
+from graphfill.signals import TimeVaryingSignal, augment_by_concatenation, observe, sample_mask
 from graphfill.spectral import (
     FilterDivergenceError,
     SpectralFilter,
@@ -213,6 +215,59 @@ class TestTrainFilter:
         with np.errstate(over="ignore"), pytest.raises(FilterDivergenceError) as err:
             train_filter(basis, signal, model, cfg)
         assert err.value.trace.size >= 1
+
+
+def seed_train_filter(basis, train_signal, obs_model, cfg):
+    """Reference trainer: one graph_convolve for the loss, one mae_gradient per step."""
+    data = augment_by_concatenation(train_signal, cfg.augment_copies).values
+    fill = train_signal.values.mean(axis=1)
+    h = np.ones(basis.n_nodes, dtype=np.float64)
+    trace = []
+    window = deque(maxlen=cfg.window)
+    best = np.inf
+    streak = 0
+    n_steps = min(cfg.max_iters, data.shape[1])
+    stop_reason = "max-iters" if n_steps == cfg.max_iters else "samples-exhausted"
+    for t in range(n_steps):
+        col = data[:, t]
+        x_in = corrupted_input(col, obs_model, t, fill)
+        loss = mae(col, graph_convolve(basis, h, x_in))
+        trace.append(loss)
+        h = h - cfg.learning_rate * mae_gradient(basis, h, x_in, col)
+        window.append(loss)
+        if len(window) < cfg.window:
+            continue
+        running = float(np.mean(window))
+        if running < best - cfg.tol:
+            best = running
+            streak = 0
+        else:
+            streak += 1
+            if streak >= cfg.patience:
+                stop_reason = "early-stop"
+                break
+    return h, np.asarray(trace), stop_reason
+
+
+class TestTrainFilterBitIdentity:
+    @pytest.mark.parametrize(
+        "cfg, reason",
+        [
+            (TrainConfig(learning_rate=0.2, max_iters=2000, patience=20, tol=0.0, augment_copies=10,
+                         window=30), "early-stop"),
+            (TrainConfig(learning_rate=0.2, max_iters=250, patience=1000, tol=0.0, augment_copies=2,
+                         window=50), "max-iters"),
+        ],
+    )
+    def test_matches_convolve_plus_gradient_reference(self, cfg, reason):
+        _, basis, signal = spectral_fixture(n=200, band=10, t_steps=300, seed=31)
+        model = sample_mask(200, 0.7, seed=5, noise_variance=0.2)
+        gains, trace, stop_reason = seed_train_filter(basis, signal, model, cfg)
+        result = train_filter(basis, signal, model, cfg)
+        assert stop_reason == reason
+        assert result.stop_reason == stop_reason
+        assert np.array_equal(result.filter.gains, gains)
+        assert np.array_equal(result.mae_trace, trace)
 
 
 class TestDenoise:
