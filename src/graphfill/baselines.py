@@ -110,27 +110,25 @@ def gnlms_init(
     )
 
 
-def _masked_innovation(state: AdaptiveFilterState, obs: Observation, observed) -> np.ndarray:
+def _lms_step(state: AdaptiveFilterState, obs: Observation, observed, operator) -> AdaptiveFilterState:
+    """``x_hat + mu * operator @ (masked innovation)``, as the next state."""
     observed = obs.observed if observed is None else np.asarray(observed, dtype=bool)
     if obs.values.shape != state.estimate.shape:
         raise ValueError("observation length does not match filter state")
-    return np.where(observed, obs.values - state.estimate, 0.0)
+    innovation = np.where(observed, obs.values - state.estimate, 0.0)
+    return state._with_estimate(state.estimate + state.step_size * (operator @ innovation))
 
 
 def glms_step(state: AdaptiveFilterState, obs: Observation, observed=None) -> AdaptiveFilterState:
     """One least-mean-squares correction along the band projector."""
-    innovation = _masked_innovation(state, obs, observed)
-    new_estimate = state.estimate + state.step_size * (state.band_projector @ innovation)
-    return state._with_estimate(new_estimate)
+    return _lms_step(state, obs, observed, state.band_projector)
 
 
 def gnlms_step(state: AdaptiveFilterState, obs: Observation, observed=None) -> AdaptiveFilterState:
     """Same correction with the innovation rescaled per frequency."""
     if state.norm_operator is None:
         raise ValueError("state has no normalization cache; use gnlms_init")
-    innovation = _masked_innovation(state, obs, observed)
-    new_estimate = state.estimate + state.step_size * (state.norm_operator @ innovation)
-    return state._with_estimate(new_estimate)
+    return _lms_step(state, obs, observed, state.norm_operator)
 
 
 def last_value_step(estimate: np.ndarray, obs: Observation) -> np.ndarray:

@@ -4,35 +4,49 @@ import json
 import sys
 
 from .metrics import RunReport, format_aggregate, render_markdown_table
-from .prompts import build_task, render_system_prompt, render_user_prompt
-from .runner import RunConfig, execute_run, init_estimate, prepare_run, run_online
-from .signals import observe, sample_mask
-from .spectral import FilterDivergenceError, denoise, save_filter_json, train_filter
+from .prompts import render_system_prompt, render_user_prompt
+from .runner import (
+    RunConfig,
+    execute_run,
+    init_estimate,
+    mask_and_train,
+    observe_step,
+    prepare_run,
+    run_online,
+    step_tasks,
+)
+from .spectral import FilterDivergenceError, save_filter_json
+
+
+# argparse dest -> dotted config path of the value it overrides.
+OVERRIDES = {
+    "backend": "predictor.backend",
+    "seed": "observation.seed",
+    "ratio": "observation.ratio",
+    "noise_variance": "observation.noise_variance",
+    "t_split": "t_split",
+    "repeats": "repeats",
+    "precision": "precision",
+    "output_dir": "output_dir",
+    "transcript": "transcript",
+    "baselines": "baselines",
+}
 
 
 def _load_with_overrides(args) -> RunConfig:
     with open(args.config, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if getattr(args, "backend", None):
-        payload.setdefault("predictor", {})["backend"] = args.backend
-    if getattr(args, "seed", None) is not None:
-        payload.setdefault("observation", {})["seed"] = args.seed
-    if getattr(args, "ratio", None) is not None:
-        payload.setdefault("observation", {})["ratio"] = args.ratio
-    if getattr(args, "noise_variance", None) is not None:
-        payload.setdefault("observation", {})["noise_variance"] = args.noise_variance
-    if getattr(args, "t_split", None) is not None:
-        payload["t_split"] = args.t_split
-    if getattr(args, "repeats", None) is not None:
-        payload["repeats"] = args.repeats
-    if getattr(args, "precision", None) is not None:
-        payload["precision"] = args.precision
-    if getattr(args, "output_dir", None) is not None:
-        payload["output_dir"] = args.output_dir
-    if getattr(args, "transcript", False):
-        payload["transcript"] = True
-    if getattr(args, "baselines", None) is not None:
-        payload["baselines"] = [b for b in args.baselines.split(",") if b]
+    if not isinstance(payload, dict):
+        raise ValueError("config must be an object")
+    for dest, path in OVERRIDES.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        section, _, key = path.rpartition(".")
+        target = payload.setdefault(section, {}) if section else payload
+        if not isinstance(target, dict):
+            raise ValueError(f"config key '{section}' must be an object")
+        target[key] = value
     return RunConfig.from_dict(payload)
 
 
@@ -46,17 +60,31 @@ def _add_common_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--repeats", type=int)
     p.add_argument("--precision", type=int)
     p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--transcript", action="store_true", help="log prompts and completions")
-    p.add_argument("--baselines", help="comma-separated baseline names")
+    p.add_argument("--transcript", action="store_const", const=True, help="log prompts and completions")
+    p.add_argument("--baselines", type=lambda text: [b for b in text.split(",") if b],
+                   help="comma-separated baseline names")
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_with_overrides(args)
-    report = run_online(cfg)
+def _print_aggregates(report) -> None:
     for name, metrics in report.method_aggregates.items():
         print(
             f"{name}: RMSE {format_aggregate(metrics['rmse'])}  MAE {format_aggregate(metrics['mae'])}"
         )
+
+
+def _write_text(text: str, out, what: str) -> None:
+    """Write ``text`` to the file ``out``, or to standard output without one."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"{what} written to {out}")
+    else:
+        sys.stdout.write(text)
+
+
+def _cmd_run(args) -> int:
+    cfg = _load_with_overrides(args)
+    _print_aggregates(run_online(cfg))
     if cfg.output_dir:
         print(f"artifacts written to {cfg.output_dir}")
     return 0
@@ -64,11 +92,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_train_filter(args) -> int:
     cfg = _load_with_overrides(args)
-    ctx = prepare_run(cfg)
-    model = sample_mask(
-        ctx.graph.n_nodes, cfg.observation.ratio, cfg.observation.seed, cfg.observation.noise_variance
-    )
-    result = train_filter(ctx.basis, ctx.train_signal, model, cfg.train)
+    _, result = mask_and_train(prepare_run(cfg), cfg, cfg.observation.seed)
     save_filter_json(args.out, result, cfg.train)
     final = result.mae_trace[-1] if result.mae_trace.size else float("nan")
     print(f"trained {result.mae_trace.size} steps ({result.stop_reason}), final MAE {final:.6f}")
@@ -77,40 +101,18 @@ def _cmd_train_filter(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    cfg = _load_with_overrides(args)
-    if not cfg.baselines:
-        raise ValueError("no baselines selected (set 'baselines' in the config or --baselines)")
-    execution = execute_run(cfg, with_primary=False)
-    for name, metrics in execution.report.method_aggregates.items():
-        print(
-            f"{name}: RMSE {format_aggregate(metrics['rmse'])}  MAE {format_aggregate(metrics['mae'])}"
-        )
+    _print_aggregates(execute_run(_load_with_overrides(args), with_primary=False).report)
     return 0
 
 
 def _cmd_render_prompts(args) -> int:
     cfg = _load_with_overrides(args)
     ctx = prepare_run(cfg)
-    model = sample_mask(
-        ctx.graph.n_nodes, cfg.observation.ratio, cfg.observation.seed, cfg.observation.noise_variance
-    )
-    result = train_filter(ctx.basis, ctx.train_signal, model, cfg.train)
+    model, result = mask_and_train(ctx, cfg, cfg.observation.seed)
     x_prev = init_estimate(ctx.train_signal, model)
-    t_abs = ctx.test_signal.t0
-    obs = observe(ctx.test_signal.values[:, 0], model, t_abs)
-    o_tilde = denoise(result.filter, ctx.basis, obs, x_prev)
-
-    lines = [render_system_prompt()]
-    for i in model.missing_indices:
-        task = build_task(int(i), t_abs, float(x_prev[i]), o_tilde, ctx.graph, model, cfg.precision)
-        lines.append(render_user_prompt([task]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"prompts written to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _, tasks = step_tasks(ctx, cfg, model, result.filter, x_prev, observe_step(ctx, model, 0))
+    lines = [render_system_prompt()] + [render_user_prompt([task]) for task in tasks]
+    _write_text("\n".join(lines) + "\n", args.out, "prompts")
     return 0
 
 
@@ -120,12 +122,7 @@ def _cmd_report(args) -> int:
         with open(path, encoding="utf-8") as fh:
             reports.append(RunReport.from_dict(json.load(fh)))
     text = render_markdown_table(reports, "rmse") + "\n" + render_markdown_table(reports, "mae")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"merged table written to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_text(text, args.out, "merged table")
     return 0
 
 

@@ -18,8 +18,8 @@ _SCREEN_MARGIN = 1e-9
 _SCREEN_FLOOR = 1e-300
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
+def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -272,6 +272,15 @@ def _looks_like_header(row) -> bool:
     return False
 
 
+def _data_rows(path):
+    """Yield ``(row number, stripped non-empty cells)``, skipping blank rows and a header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        for r, row in enumerate(csv.reader(fh)):
+            row = [c.strip() for c in row if c.strip() != ""]
+            if row and not (r == 0 and _looks_like_header(row)):
+                yield r, row
+
+
 def load_edge_list_csv(path, n: int | None = None) -> Graph:
     """Load a graph from a CSV edge list ``src,dst[,weight]`` (0-based).
 
@@ -280,19 +289,12 @@ def load_edge_list_csv(path, n: int | None = None) -> Graph:
     """
     edges = []
     max_idx = -1
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for r, row in enumerate(reader):
-            row = [c.strip() for c in row if c.strip() != ""]
-            if not row:
-                continue
-            if r == 0 and _looks_like_header(row):
-                continue
-            if len(row) not in (2, 3):
-                raise ValueError(f"{path}: row {r + 1}: expected 2 or 3 columns, got {len(row)}")
-            i, j = int(row[0]), int(row[1])
-            max_idx = max(max_idx, i, j)
-            edges.append((i, j, float(row[2])) if len(row) == 3 else (i, j))
+    for r, row in _data_rows(path):
+        if len(row) not in (2, 3):
+            raise ValueError(f"{path}: row {r + 1}: expected 2 or 3 columns, got {len(row)}")
+        i, j = int(row[0]), int(row[1])
+        max_idx = max(max_idx, i, j)
+        edges.append((i, j, float(row[2])) if len(row) == 3 else (i, j))
     if n is None:
         if max_idx < 0:
             raise ValueError(f"{path}: empty edge list and no node count given")
@@ -306,20 +308,13 @@ def load_coordinates_csv(path) -> list:
     Node ids must form the contiguous range 0..n-1.
     """
     entries = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for r, row in enumerate(reader):
-            row = [c.strip() for c in row if c.strip() != ""]
-            if not row:
-                continue
-            if r == 0 and _looks_like_header(row):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: row {r + 1}: expected node_id,lat,lon")
-            node = int(row[0])
-            if node in entries:
-                raise ValueError(f"{path}: duplicate node id {node}")
-            entries[node] = (float(row[1]), float(row[2]))
+    for r, row in _data_rows(path):
+        if len(row) != 3:
+            raise ValueError(f"{path}: row {r + 1}: expected node_id,lat,lon")
+        node = int(row[0])
+        if node in entries:
+            raise ValueError(f"{path}: duplicate node id {node}")
+        entries[node] = (float(row[1]), float(row[2]))
     if not entries:
         raise ValueError(f"{path}: no coordinate rows")
     n = len(entries)

@@ -5,8 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import mae  # noqa: F401  (re-exported alongside rmse)
-
 
 def rmse(x_g: np.ndarray, x_hat: np.ndarray) -> float:
     """Root mean squared error sqrt((1/N) sum (x_g - x_hat)^2)."""

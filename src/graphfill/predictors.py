@@ -148,11 +148,12 @@ def _resolve_backend(cfg: PredictorConfig, backend):
     return (lambda system_text, user_text, tasks: remote_complete(system_text, user_text, cfg)), True
 
 
-def _entry(task: NodeTask, pair, completion, result: PredictionResult) -> dict:
+def transcript_entry(task: NodeTask, prompt, completion, result: PredictionResult) -> dict:
+    """One transcript line: the prompt and completion text (None when not sent) and the result."""
     return {
         "t": task.t,
         "node": task.node,
-        "prompt": pair.user_text,
+        "prompt": prompt,
         "completion": completion,
         "parsed": result.value,
         "attempts": result.attempts,
@@ -161,52 +162,17 @@ def _entry(task: NodeTask, pair, completion, result: PredictionResult) -> dict:
     }
 
 
-def _predict_one(task: NodeTask, cfg: PredictorConfig, backend, timed: bool) -> tuple:
-    elapsed_ms = 0.0
-    attempts = 0
-    completion = None
-    pair = None
-    for _ in range(cfg.max_retries + 1):
-        attempts += 1
-        pair = build_prompt([task])
-        start = time.perf_counter()
-        try:
-            completion = backend(pair.system_text, pair.user_text, [task])
-            values = parse_completion(completion, expected_count=1, precision=task.precision)
-        except TransportError:
-            completion = None
-            if timed:
-                elapsed_ms += (time.perf_counter() - start) * 1000.0
-            continue
-        except CompletionParseError:
-            if timed:
-                elapsed_ms += (time.perf_counter() - start) * 1000.0
-            continue
-        if timed:
-            elapsed_ms += (time.perf_counter() - start) * 1000.0
-        result = PredictionResult(
-            node=task.node, t=task.t, value=values[0], attempts=attempts, backend_latency=elapsed_ms
-        )
-        return result, _entry(task, pair, completion, result)
-    result = PredictionResult(
-        node=task.node,
-        t=task.t,
-        value=task.previous,
-        attempts=attempts,
-        backend_latency=elapsed_ms,
-        fallback=True,
-    )
-    return result, _entry(task, pair, completion, result)
+def _attempt_group(tasks, cfg: PredictorConfig, backend, timed: bool) -> list:
+    """Up to ``max_retries + 1`` attempts at one prompt covering ``tasks``.
 
-
-def _predict_joint(tasks, cfg: PredictorConfig, backend, timed: bool) -> list:
-    """One prompt covering every task; parse count must match exactly."""
+    The parsed count must match ``len(tasks)`` exactly; once every attempt
+    has failed, each task keeps its previous value, flagged as a fallback.
+    Returns one ``(result, entry)`` per task, with the backend time split
+    evenly across the tasks.
+    """
     elapsed_ms = 0.0
-    attempts = 0
-    completion = None
-    pair = None
-    for _ in range(cfg.max_retries + 1):
-        attempts += 1
+    completion = values = None
+    for attempts in range(1, cfg.max_retries + 2):
         pair = build_prompt(tasks)
         start = time.perf_counter()
         try:
@@ -214,35 +180,20 @@ def _predict_joint(tasks, cfg: PredictorConfig, backend, timed: bool) -> list:
             values = parse_completion(completion, expected_count=len(tasks), precision=tasks[0].precision)
         except TransportError:
             completion = None
-            if timed:
-                elapsed_ms += (time.perf_counter() - start) * 1000.0
-            continue
         except CompletionParseError:
-            if timed:
-                elapsed_ms += (time.perf_counter() - start) * 1000.0
-            continue
+            pass
         if timed:
             elapsed_ms += (time.perf_counter() - start) * 1000.0
-        per_task = elapsed_ms / len(tasks)
-        out = []
-        for task, v in zip(tasks, values):
-            result = PredictionResult(
-                node=task.node, t=task.t, value=v, attempts=attempts, backend_latency=per_task
-            )
-            out.append((result, _entry(task, pair, completion, result)))
-        return out
-    per_task = elapsed_ms / len(tasks)
+        if values is not None:
+            break
+    fallback = values is None
+    if fallback:
+        values = [task.previous for task in tasks]
+    latency = elapsed_ms / len(tasks)
     out = []
-    for task in tasks:
-        result = PredictionResult(
-            node=task.node,
-            t=task.t,
-            value=task.previous,
-            attempts=attempts,
-            backend_latency=per_task,
-            fallback=True,
-        )
-        out.append((result, _entry(task, pair, completion, result)))
+    for task, value in zip(tasks, values):
+        result = PredictionResult(task.node, task.t, value, attempts, latency, fallback)
+        out.append((result, transcript_entry(task, pair.user_text, completion, result)))
     return out
 
 
@@ -272,14 +223,13 @@ def predict_batch(tasks, cfg: PredictorConfig, backend=None, with_transcript: bo
         raise ValueError("all tasks in a batch must share the same time index")
 
     resolved, external = _resolve_backend(cfg, backend)
-    if cfg.multi_task_prompt:
-        pairs = _predict_joint(tasks, cfg, resolved, external)
-    elif not external or len(tasks) == 1 or cfg.max_concurrency == 1:
-        pairs = [_predict_one(task, cfg, resolved, external) for task in tasks]
+    groups = [tasks] if cfg.multi_task_prompt else [[task] for task in tasks]
+    if external and len(groups) > 1 and cfg.max_concurrency > 1:
+        with ThreadPoolExecutor(max_workers=min(cfg.max_concurrency, len(groups))) as pool:
+            outs = list(pool.map(lambda group: _attempt_group(group, cfg, resolved, external), groups))
     else:
-        with ThreadPoolExecutor(max_workers=min(cfg.max_concurrency, len(tasks))) as pool:
-            pairs = list(pool.map(lambda task: _predict_one(task, cfg, resolved, external), tasks))
-    results = [r for r, _ in pairs]
+        outs = [_attempt_group(group, cfg, resolved, external) for group in groups]
+    results = [r for out in outs for r, _ in out]
     if with_transcript:
-        return results, [e for _, e in pairs]
+        return results, [e for out in outs for _, e in out]
     return results

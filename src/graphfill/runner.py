@@ -7,9 +7,12 @@ missing node becomes a text prediction task, the predictor fills it, and
 the assembled estimate feeds the next step. Baselines consume the exact
 same observation stream. Repeats rerun everything with derived seeds.
 """
+import contextlib
 import dataclasses
 import json
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,13 +20,39 @@ import numpy as np
 from . import baselines as bl
 from .graphs import Graph, GftBasis, gft, knn_graph, laplacian, load_coordinates_csv, load_edge_list_csv
 from .metrics import RunReport, aggregate, emit_report, rmse
-from .predictors import PredictorConfig, estimate_tokens, predict_batch, validate_predictor_config
+from .predictors import (
+    PredictionResult,
+    PredictorConfig,
+    estimate_tokens,
+    predict_batch,
+    transcript_entry,
+    validate_predictor_config,
+)
 from .prompts import build_task
 from .signals import ObservationModel, TimeVaryingSignal, load_signal_csv, observe, sample_mask, split
 from .spectral import TrainConfig, TrainResult, denoise, mae, save_filter_json, train_filter
 
 PRIMARY_METHOD = "graphfill"
-BASELINE_NAMES = ("glms", "gnlms", "last_value", "neighbor_mean")
+
+
+def _fresh_copy(basis, band, mu, x0, observed):
+    return np.array(x0, dtype=np.float64)
+
+
+# Baseline name -> (init(basis, band, mu, x0, observed), step(state, obs, graph)).
+# Each entry looks ``bl.<fn>`` up at call time, so wrappers installed on the module see every call.
+BASELINES = {
+    "glms": (
+        lambda basis, band, mu, x0, observed: bl.glms_init(basis, band, mu, x0),
+        lambda state, obs, g: bl.glms_step(state, obs),
+    ),
+    "gnlms": (
+        lambda basis, band, mu, x0, observed: bl.gnlms_init(basis, band, mu, x0, observed),
+        lambda state, obs, g: bl.gnlms_step(state, obs),
+    ),
+    "last_value": (_fresh_copy, lambda state, obs, g: bl.last_value_step(state, obs)),
+    "neighbor_mean": (_fresh_copy, lambda state, obs, g: bl.neighbor_mean_step(state, obs, g)),
+}
 
 
 @dataclass(frozen=True)
@@ -63,14 +92,13 @@ class RunConfig:
     observation: ObservationConfig = field(default_factory=ObservationConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    baselines: tuple = ()
+    baselines: tuple[str, ...] = ()
     baseline_step_size: float = 0.5
     baseline_band_energy: float = 0.9
     repeats: int = 1
     output_dir: str | None = None
     precision: int = 1
     adopt_raw_observed: bool = False
-    history_depth: int = 1
     checkpoint_every: int = 100
     transcript: bool = False
 
@@ -79,11 +107,9 @@ class RunConfig:
             raise ValueError("repeats must be >= 1")
         if self.precision < 0:
             raise ValueError("precision must be >= 0")
-        if self.history_depth != 1:
-            raise ValueError("only history_depth=1 is supported")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        unknown = set(self.baselines) - set(BASELINE_NAMES)
+        unknown = set(self.baselines) - set(BASELINES)
         if unknown:
             raise ValueError(f"unknown baselines: {sorted(unknown)}")
         object.__setattr__(self, "baselines", tuple(self.baselines))
@@ -98,36 +124,49 @@ class RunConfig:
         """Build a config from nested dicts, as loaded from JSON.
 
         Raises:
-            ValueError: on a key no config section defines (named by its
-                dotted path) or a section that is not an object.
+            ValueError: on a key no config section defines, a section that
+                is not an object, or a value of the wrong type, each named
+                by its dotted path.
         """
-        payload = dict(payload)
-        _check_keys(cls, payload, "")
-        kwargs = {}
-        for name, sub in (
-            ("graph", GraphConfig),
-            ("signal", SignalConfig),
-            ("observation", ObservationConfig),
-            ("train", TrainConfig),
-            ("predictor", PredictorConfig),
-        ):
-            if name in payload:
-                section = payload.pop(name)
-                if not isinstance(section, dict):
-                    raise ValueError(f"config key '{name}' must be an object")
-                _check_keys(sub, section, f"{name}.")
-                kwargs[name] = sub(**section)
-        kwargs.update(payload)
-        if "baselines" in kwargs:
-            kwargs["baselines"] = tuple(kwargs["baselines"])
-        return cls(**kwargs)
+        return _from_json(cls, payload, "")
 
 
-def _check_keys(cls, payload: dict, prefix: str) -> None:
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in payload:
-        if key not in known:
-            raise ValueError(f"unknown config key '{prefix}{key}'")
+# Field type -> (name in errors, test of a JSON value). A float field takes
+# an int; no numeric field takes a bool.
+_VALUE_TYPES = {
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    type(None): ("null", lambda v: v is None),
+    tuple[str, ...]: (
+        "a list of strings",
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
+    ),
+}
+
+
+def _from_json(cls, payload, prefix: str):
+    """Build dataclass ``cls`` from a JSON object, checking every key and value type."""
+    if not isinstance(payload, dict):
+        where = f"config key '{prefix[:-1]}'" if prefix else "config"
+        raise ValueError(f"{where} must be an object")
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in payload.items():
+        path = prefix + key
+        if key not in fields:
+            raise ValueError(f"unknown config key '{path}'")
+        tp = fields[key]
+        if dataclasses.is_dataclass(tp):
+            value = _from_json(tp, value, path + ".")
+        else:
+            accepted = typing.get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
+            if not any(_VALUE_TYPES[tp][1](value) for tp in accepted):
+                expected = " or ".join(_VALUE_TYPES[tp][0] for tp in accepted)
+                raise ValueError(f"config key '{path}' must be {expected}, got {value!r}")
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def load_config(path) -> RunConfig:
@@ -189,49 +228,57 @@ def init_estimate(train_signal: TimeVaryingSignal, obs_model: ObservationModel) 
 
 @dataclass(eq=False)
 class RepeatResult:
+    """``scores``: method -> (4, horizon) per-step mae, rmse, and both over the missing nodes.
+
+    Without the primary method, ``train_result`` is None and ``trajectory`` has no rows.
+    """
     seed: int
     model: ObservationModel
-    train_result: TrainResult
+    train_result: TrainResult | None
     trajectory: np.ndarray
-    per_t_mae: np.ndarray
-    per_t_rmse: np.ndarray
-    per_t_mae_missing: np.ndarray
-    per_t_rmse_missing: np.ndarray
-    baseline_per_t: dict
+    scores: dict
     token_estimate: int
     transcript: list
 
 
-def _step_estimate(ctx, cfg, model, filt, x_prev, k, backend, transcript):
-    """Advance the primary estimate by one test step; returns (x_hat, tokens)."""
-    t_abs = ctx.test_signal.t0 + k
-    obs = observe(ctx.test_signal.values[:, k], model, t_abs)
+def mask_and_train(ctx: RunContext, cfg: RunConfig, seed: int, train: bool = True) -> tuple:
+    """Sample the observation mask for ``seed``; returns ``(model, TrainResult or None)``."""
+    model = sample_mask(ctx.graph.n_nodes, cfg.observation.ratio, seed, cfg.observation.noise_variance)
+    return model, train_filter(ctx.basis, ctx.train_signal, model, cfg.train) if train else None
+
+
+def observe_step(ctx: RunContext, model: ObservationModel, k: int):
+    """The masked noisy observation of test step ``k``."""
+    return observe(ctx.test_signal.values[:, k], model, ctx.test_signal.t0 + k)
+
+
+def step_tasks(ctx: RunContext, cfg: RunConfig, model, filt, x_prev, obs) -> tuple:
+    """Denoise one observation; returns it and one task per missing node."""
     o_tilde = denoise(filt, ctx.basis, obs, x_prev)
+    tasks = [
+        build_task(int(i), obs.t, float(x_prev[i]), o_tilde, ctx.graph, model, cfg.precision)
+        for i in model.missing_indices
+    ]
+    return o_tilde, tasks
+
+
+def _step_estimate(ctx, cfg, model, filt, x_prev, obs, backend, transcript):
+    """Advance the primary estimate by one test step; returns (x_hat, tokens)."""
+    o_tilde, tasks = step_tasks(ctx, cfg, model, filt, x_prev, obs)
     base = obs.values if cfg.adopt_raw_observed else o_tilde
     x_hat = np.where(model.observed, base, 0.0)
 
     tokens = 0
     dispatch = []
-    for i in model.missing_indices:
-        task = build_task(int(i), t_abs, float(x_prev[i]), o_tilde, ctx.graph, model, cfg.precision)
+    for task in tasks:
         if task.neighbor_values:
             dispatch.append(task)
         else:
             # No observed neighbor to describe: persist without a backend call.
-            x_hat[i] = x_prev[i]
+            x_hat[task.node] = task.previous
             if transcript is not None:
-                transcript.append(
-                    {
-                        "t": t_abs,
-                        "node": int(i),
-                        "prompt": None,
-                        "completion": None,
-                        "parsed": float(x_prev[i]),
-                        "attempts": 0,
-                        "fallback": True,
-                        "latency_ms": 0.0,
-                    }
-                )
+                result = PredictionResult(task.node, task.t, task.previous, attempts=0, fallback=True)
+                transcript.append(transcript_entry(task, None, None, result))
     if dispatch:
         results, entries = predict_batch(dispatch, cfg.predictor, backend=backend, with_transcript=True)
         for result, entry in zip(results, entries):
@@ -242,36 +289,16 @@ def _step_estimate(ctx, cfg, model, filt, x_prev, k, backend, transcript):
     return x_hat, tokens
 
 
-def _init_baseline_states(ctx, cfg, model, x0):
-    states = {}
-    if not cfg.baselines:
-        return states, None
-    band = bl.bandlimit_for_energy(ctx.basis, ctx.train_signal.values, cfg.baseline_band_energy)
-    for name in cfg.baselines:
-        if name == "glms":
-            states[name] = bl.glms_init(ctx.basis, band, cfg.baseline_step_size, x0)
-        elif name == "gnlms":
-            states[name] = bl.gnlms_init(ctx.basis, band, cfg.baseline_step_size, x0, model.observed)
-        else:
-            states[name] = np.array(x0, dtype=np.float64)
-    return states, band
-
-
-def _step_baselines(ctx, states, obs):
-    for name, state in states.items():
-        if name == "glms":
-            states[name] = bl.glms_step(state, obs)
-        elif name == "gnlms":
-            states[name] = bl.gnlms_step(state, obs)
-        elif name == "last_value":
-            states[name] = bl.last_value_step(state, obs)
-        elif name == "neighbor_mean":
-            states[name] = bl.neighbor_mean_step(state, obs, ctx.graph)
-    return states
-
-
 def _baseline_estimate(state):
     return state.estimate if isinstance(state, bl.AdaptiveFilterState) else state
+
+
+def _score(col, est, missing) -> tuple:
+    """mae, rmse, and both over the missing nodes (0 when no node is missing)."""
+    if not missing.size:
+        return mae(col, est), rmse(col, est), 0.0, 0.0
+    col_m, est_m = col[missing], est[missing]
+    return mae(col, est), rmse(col, est), mae(col_m, est_m), rmse(col_m, est_m)
 
 
 def run_repeat(
@@ -283,109 +310,99 @@ def run_repeat(
     start_estimate: np.ndarray | None = None,
     checkpoint_dir=None,
     repeat_index: int = 0,
+    with_primary: bool = True,
 ) -> RepeatResult:
-    """Train, then walk the test horizon from ``start_step`` sequentially."""
-    model = sample_mask(
-        ctx.graph.n_nodes, cfg.observation.ratio, seed, cfg.observation.noise_variance
-    )
-    train_result = train_filter(ctx.basis, ctx.train_signal, model, cfg.train)
-    filt = train_result.filter
+    """Train, then walk the test horizon from ``start_step`` sequentially.
 
+    Each step's observation feeds the primary method and every selected
+    baseline. Without the primary method only the baselines run: nothing
+    is trained, dispatched or checkpointed.
+    """
+    model, train_result = mask_and_train(ctx, cfg, seed, train=with_primary)
+    checkpoint_dir = checkpoint_dir if with_primary else None
     x_prev = init_estimate(ctx.train_signal, model) if start_estimate is None else np.asarray(
         start_estimate, dtype=np.float64
     )
     n_steps = ctx.test_signal.n_steps
     horizon = n_steps - start_step
-    trajectory = np.zeros((ctx.graph.n_nodes, horizon))
-    per_t_mae = np.zeros(horizon)
-    per_t_rmse = np.zeros(horizon)
-    per_t_mae_missing = np.zeros(horizon)
-    per_t_rmse_missing = np.zeros(horizon)
+    trajectory = np.zeros((ctx.graph.n_nodes if with_primary else 0, horizon))
     transcript = [] if cfg.transcript else None
     tokens = 0
 
-    baseline_states, band = _init_baseline_states(ctx, cfg, model, x_prev)
-    baseline_per_t = {name: (np.zeros(horizon), np.zeros(horizon)) for name in baseline_states}
+    states = {}
+    if cfg.baselines:
+        band = bl.bandlimit_for_energy(ctx.basis, ctx.train_signal.values, cfg.baseline_band_energy)
+        ctx.derived.setdefault("baseline_band_size", band)
+        for name in cfg.baselines:
+            init = BASELINES[name][0]
+            states[name] = init(ctx.basis, band, cfg.baseline_step_size, x_prev, model.observed)
+    methods = ([PRIMARY_METHOD] if with_primary else []) + list(states)
+    scores = {name: np.zeros((4, horizon)) for name in methods}
     missing = model.missing_indices
 
     completed = 0
     try:
         for offset, k in enumerate(range(start_step, n_steps)):
             col = ctx.test_signal.values[:, k]
-            x_hat, step_tokens = _step_estimate(ctx, cfg, model, filt, x_prev, k, backend, transcript)
-            tokens += step_tokens
-            trajectory[:, offset] = x_hat
-            per_t_mae[offset] = mae(col, x_hat)
-            per_t_rmse[offset] = rmse(col, x_hat)
-            if missing.size:
-                per_t_mae_missing[offset] = mae(col[missing], x_hat[missing])
-                per_t_rmse_missing[offset] = rmse(col[missing], x_hat[missing])
+            obs = observe_step(ctx, model, k)
+            estimates = {}
+            if with_primary:
+                x_hat, step_tokens = _step_estimate(
+                    ctx, cfg, model, train_result.filter, x_prev, obs, backend, transcript
+                )
+                tokens += step_tokens
+                trajectory[:, offset] = x_hat
+                estimates[PRIMARY_METHOD] = x_hat
+            for name, state in states.items():
+                states[name] = BASELINES[name][1](state, obs, ctx.graph)
+                estimates[name] = _baseline_estimate(states[name])
+            for name, est in estimates.items():
+                scores[name][:, offset] = _score(col, est, missing)
 
-            if baseline_states:
-                obs = observe(col, model, ctx.test_signal.t0 + k)
-                baseline_states = _step_baselines(ctx, baseline_states, obs)
-                for name, state in baseline_states.items():
-                    est = _baseline_estimate(state)
-                    baseline_per_t[name][0][offset] = mae(col, est)
-                    baseline_per_t[name][1][offset] = rmse(col, est)
-
-            x_prev = x_hat
             completed = offset + 1
+            if with_primary:
+                x_prev = x_hat
             if checkpoint_dir is not None and (k + 1) % cfg.checkpoint_every == 0 and (k + 1) < n_steps:
-                _write_checkpoint(checkpoint_dir, repeat_index, seed, k + 1, x_hat)
+                _write_state(checkpoint_dir, f"step{k + 1:06d}", repeat_index, seed, k + 1, x_prev)
     except BaseException:
         # Persist the partial trace so an aborted run can be inspected or resumed.
         if checkpoint_dir is not None:
-            _write_abort_state(
-                checkpoint_dir, repeat_index, seed, start_step + completed, x_prev, per_t_mae[:completed]
-            )
+            _write_state(checkpoint_dir, "aborted", repeat_index, seed, start_step + completed, x_prev,
+                         per_t_mae=[float(v) for v in scores[PRIMARY_METHOD][0, :completed]])
         raise
 
-    result = RepeatResult(
+    return RepeatResult(
         seed=seed,
         model=model,
         train_result=train_result,
         trajectory=trajectory,
-        per_t_mae=per_t_mae,
-        per_t_rmse=per_t_rmse,
-        per_t_mae_missing=per_t_mae_missing,
-        per_t_rmse_missing=per_t_rmse_missing,
-        baseline_per_t=baseline_per_t,
+        scores=scores,
         token_estimate=tokens,
         transcript=transcript if transcript is not None else [],
     )
-    if band is not None:
-        ctx.derived.setdefault("baseline_band_size", band)
-    return result
 
 
-def _write_checkpoint(checkpoint_dir, repeat_index, seed, k_next, estimate):
+def _write_state(checkpoint_dir, name, repeat_index, seed, k_next, estimate, **extra):
+    """Write ``repeat<i>_<name>.json`` through a temporary file, so a crash never leaves it truncated."""
     os.makedirs(checkpoint_dir, exist_ok=True)
     payload = {
         "repeat": repeat_index,
         "seed": seed,
         "k_next": int(k_next),
         "estimate": [float(v) for v in estimate],
+        **extra,
     }
-    path = os.path.join(checkpoint_dir, f"repeat{repeat_index}_step{k_next:06d}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-
-
-def _write_abort_state(checkpoint_dir, repeat_index, seed, k_next, estimate, mae_so_far):
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    payload = {
-        "repeat": repeat_index,
-        "seed": seed,
-        "k_next": int(k_next),
-        "estimate": [float(v) for v in estimate],
-        "per_t_mae": [float(v) for v in mae_so_far],
-    }
-    path = os.path.join(checkpoint_dir, f"repeat{repeat_index}_aborted.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    path = os.path.join(checkpoint_dir, f"repeat{repeat_index}_{name}.json")
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> tuple:
@@ -420,93 +437,40 @@ def execute_run(cfg: RunConfig, backend=None, with_primary: bool = True) -> RunE
     """Run all repeats and assemble the report (no files written)."""
     if with_primary:
         validate_predictor_config(cfg.predictor)
+    elif not cfg.baselines:
+        raise ValueError("no baselines selected (set 'baselines' in the config or --baselines)")
     ctx = prepare_run(cfg)
     checkpoint_dir = os.path.join(cfg.output_dir, "checkpoints") if cfg.output_dir else None
-
-    results = []
-    for r in range(cfg.repeats):
-        seed = cfg.observation.seed + r
-        if with_primary:
-            results.append(
-                run_repeat(
-                    ctx, cfg, seed, backend=backend, checkpoint_dir=checkpoint_dir, repeat_index=r
-                )
-            )
-        else:
-            results.append(_run_baselines_only(ctx, cfg, seed))
-
-    report = _assemble_report(ctx, cfg, results, with_primary)
-    return RunExecution(report=report, repeats=results, context=ctx)
+    results = [
+        run_repeat(ctx, cfg, cfg.observation.seed + r, backend=backend, checkpoint_dir=checkpoint_dir,
+                   repeat_index=r, with_primary=with_primary)
+        for r in range(cfg.repeats)
+    ]
+    lead = PRIMARY_METHOD if with_primary else cfg.baselines[0]
+    return RunExecution(report=_assemble_report(ctx, cfg, results, lead), repeats=results, context=ctx)
 
 
-def _run_baselines_only(ctx: RunContext, cfg: RunConfig, seed: int) -> RepeatResult:
-    if not cfg.baselines:
-        raise ValueError("no baselines selected")
-    model = sample_mask(
-        ctx.graph.n_nodes, cfg.observation.ratio, seed, cfg.observation.noise_variance
-    )
-    x0 = init_estimate(ctx.train_signal, model)
-    baseline_states, band = _init_baseline_states(ctx, cfg, model, x0)
-    n_steps = ctx.test_signal.n_steps
-    baseline_per_t = {name: (np.zeros(n_steps), np.zeros(n_steps)) for name in baseline_states}
-    for k in range(n_steps):
-        col = ctx.test_signal.values[:, k]
-        obs = observe(col, model, ctx.test_signal.t0 + k)
-        baseline_states = _step_baselines(ctx, baseline_states, obs)
-        for name, state in baseline_states.items():
-            est = _baseline_estimate(state)
-            baseline_per_t[name][0][k] = mae(col, est)
-            baseline_per_t[name][1][k] = rmse(col, est)
-    if band is not None:
-        ctx.derived.setdefault("baseline_band_size", band)
-    lead = cfg.baselines[0]
-    zeros = np.zeros(n_steps)
-    return RepeatResult(
-        seed=seed,
-        model=model,
-        train_result=None,
-        trajectory=np.zeros((0, 0)),
-        per_t_mae=baseline_per_t[lead][0],
-        per_t_rmse=baseline_per_t[lead][1],
-        per_t_mae_missing=zeros,
-        per_t_rmse_missing=zeros,
-        baseline_per_t=baseline_per_t,
-        token_estimate=0,
-        transcript=[],
-    )
+def _assemble_report(ctx, cfg, results, lead: str) -> RunReport:
+    def over_repeats(name, row):
+        return aggregate([float(r.scores[name][row].mean()) for r in results])
 
-
-def _assemble_report(ctx, cfg, results, with_primary: bool) -> RunReport:
-    method = PRIMARY_METHOD if with_primary else cfg.baselines[0]
-    per_t_mae = np.mean([r.per_t_mae for r in results], axis=0)
-    per_t_rmse = np.mean([r.per_t_rmse for r in results], axis=0)
-
-    method_aggregates = {}
-    if with_primary:
-        method_aggregates[PRIMARY_METHOD] = {
-            "mae": aggregate([float(r.per_t_mae.mean()) for r in results]),
-            "rmse": aggregate([float(r.per_t_rmse.mean()) for r in results]),
-        }
-    for name in cfg.baselines:
-        method_aggregates[name] = {
-            "mae": aggregate([float(r.baseline_per_t[name][0].mean()) for r in results]),
-            "rmse": aggregate([float(r.baseline_per_t[name][1].mean()) for r in results]),
-        }
-
+    method_aggregates = {
+        name: {"mae": over_repeats(name, 0), "rmse": over_repeats(name, 1)}
+        for name in results[0].scores
+    }
     snapshot = cfg.to_dict()
     snapshot["derived"] = dict(ctx.derived)
-    if with_primary:
-        snapshot["derived"]["train_stop_reasons"] = [r.train_result.stop_reason for r in results]
-
-    lead = method_aggregates[method]
+    snapshot["derived"]["train_stop_reasons"] = [
+        r.train_result.stop_reason for r in results if r.train_result is not None
+    ]
     return RunReport(
-        method=method,
-        per_t_mae=per_t_mae,
-        per_t_rmse=per_t_rmse,
-        aggregate_mae=lead["mae"],
-        aggregate_rmse=lead["rmse"],
-        aggregate_mae_missing=aggregate([float(r.per_t_mae_missing.mean()) for r in results]),
-        aggregate_rmse_missing=aggregate([float(r.per_t_rmse_missing.mean()) for r in results]),
+        method=lead,
+        per_t_mae=np.mean([r.scores[lead][0] for r in results], axis=0),
+        per_t_rmse=np.mean([r.scores[lead][1] for r in results], axis=0),
+        aggregate_mae=method_aggregates[lead]["mae"],
+        aggregate_rmse=method_aggregates[lead]["rmse"],
+        aggregate_mae_missing=over_repeats(lead, 2),
+        aggregate_rmse_missing=over_repeats(lead, 3),
         method_aggregates=method_aggregates,
         config_snapshot=snapshot,
         transcript_path=None,
@@ -530,11 +494,9 @@ def _write_artifacts(cfg: RunConfig, execution: RunExecution) -> RunReport:
         json.dump(cfg.to_dict(), fh, indent=2)
         fh.write("\n")
     for r, result in enumerate(execution.repeats):
-        if result.train_result is not None:
-            save_filter_json(os.path.join(out, f"filter_repeat{r}.json"), result.train_result, cfg.train)
+        save_filter_json(os.path.join(out, f"filter_repeat{r}.json"), result.train_result, cfg.train)
 
     report = execution.report
-    transcript_path = None
     if cfg.transcript:
         transcript_path = os.path.join(out, "transcript.jsonl")
         with open(transcript_path, "w", encoding="utf-8") as fh:

@@ -11,11 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+from .graphs import _frozen
 
 
 @dataclass(frozen=True, eq=False)

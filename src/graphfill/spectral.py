@@ -7,13 +7,14 @@ by the run's observation model so the filter learns the test-time noise
 and masking. Gains start at all-ones (the identity filter) and are frozen
 after training.
 """
+import dataclasses
 import json
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GftBasis
+from .graphs import GftBasis, _frozen
 from .signals import ObservationModel, Observation, TimeVaryingSignal, augment_by_concatenation, observe
 
 
@@ -38,9 +39,7 @@ class SpectralFilter:
             raise ValueError("gains must be a 1-D vector")
         if not np.all(np.isfinite(g)):
             raise ValueError("gains must be finite")
-        g = g.copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "gains", g)
+        object.__setattr__(self, "gains", _frozen(g))
 
 
 @dataclass(frozen=True)
@@ -211,14 +210,7 @@ def save_filter_json(path, result: TrainResult, cfg: TrainConfig) -> None:
     payload = {
         "basis_ref": result.filter.basis_ref,
         "gains": [float(g) for g in result.filter.gains],
-        "train_config": {
-            "learning_rate": cfg.learning_rate,
-            "max_iters": cfg.max_iters,
-            "patience": cfg.patience,
-            "tol": cfg.tol,
-            "augment_copies": cfg.augment_copies,
-            "window": cfg.window,
-        },
+        "train_config": dataclasses.asdict(cfg),
         "final_mae": final_mae,
         "stop_reason": result.stop_reason,
     }

@@ -99,17 +99,46 @@ class TestRun:
 
 
     @pytest.mark.parametrize(
-        "overrides, path",
+        "overrides, message",
         [
-            ({"observaton": {"ratio": 0.5}}, "observaton"),
-            ({"train": {"learnig_rate": 0.1}}, "train.learnig_rate"),
+            ({"observaton": {"ratio": 0.5}}, "unknown config key 'observaton'"),
+            ({"train": {"learnig_rate": 0.1}}, "unknown config key 'train.learnig_rate'"),
+            ({"train": {"learning_rate": "0.1"}}, "config key 'train.learning_rate' must be a number"),
         ],
+        ids=["overrides0-observaton", "overrides1-train.learnig_rate", "overrides2-train.learning_rate"],
     )
-    def test_config_typo_named_error(self, tmp_path, capsys, overrides, path):
+    def test_config_typo_named_error(self, tmp_path, capsys, overrides, message):
         cfg_path = run_config_file(tmp_path, **overrides)
         rc = main(["run", "--config", cfg_path])
         assert rc == 2
-        assert f"error: unknown config key '{path}'" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "baseline", "train-filter", "render-prompts"])
+    def test_override_into_non_object_section_named_error(self, tmp_path, capsys, command):
+        cfg_path = run_config_file(tmp_path, observation=[0.5])
+        rc = main([command, "--config", cfg_path, "--seed", "3"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: config key 'observation' must be an object" in err
+        assert "Traceback" not in err
+
+    def test_flags_reach_their_config_keys(self, tmp_path, capsys):
+        cfg_path = run_config_file(tmp_path)
+        out_dir = tmp_path / "flags"
+        rc = main(
+            [
+                "run", "--config", cfg_path, "--seed", "5", "--ratio", "0.6", "--noise-variance", "0.3",
+                "--t-split", "30", "--repeats", "2", "--precision", "2", "--output-dir", str(out_dir),
+                "--transcript", "--baselines", "glms,,gnlms", "--backend", "mock",
+            ]
+        )
+        assert rc == 0
+        written = json.loads((out_dir / "config.json").read_text())
+        assert written["observation"] == {"ratio": 0.6, "seed": 5, "noise_variance": 0.3}
+        assert (written["t_split"], written["repeats"], written["precision"]) == (30, 2, 2)
+        assert written["output_dir"] == str(out_dir) and written["transcript"] is True
+        assert written["baselines"] == ["glms", "gnlms"]
+        assert written["predictor"]["backend"] == "mock"
 
 
 class TestTrainFilter:

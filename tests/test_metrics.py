@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphfill.metrics import RunReport, aggregate, emit_report, mae, render_markdown_table, rmse
+from graphfill.metrics import RunReport, aggregate, emit_report, render_markdown_table, rmse
+from graphfill.spectral import mae
 
 DATA = Path(__file__).parent / "data"
 

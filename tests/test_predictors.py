@@ -2,6 +2,7 @@
 import json
 import threading
 import time
+import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -135,7 +136,7 @@ class TestRetrySemantics:
         with pytest.raises(AssertionError, match="thread pool built"):
             predict_batch(tasks, cfg, backend=ScriptedBackend(["1.0"]))
 
-    def test_transcript_entries(self):
+    def test_transcript_entries(self, monkeypatch):
         backend = ScriptedBackend(["NaN", "3.5"])
         cfg = PredictorConfig(backend="mock", max_retries=2, max_concurrency=1)
         results, entries = predict_batch(
@@ -146,6 +147,21 @@ class TestRetrySemantics:
         assert entries[0]["attempts"] == 2
         assert "Entity index: 4" in entries[0]["prompt"]
         assert entries[0]["latency_ms"] == results[0].backend_latency > 0.0
+
+        # Joint mode: one prompt, one entry per task, its latency split evenly.
+        # A clock that advances one second per reading makes each attempt 1000 ms.
+        ticks = iter(range(1000))
+        monkeypatch.setattr(predictors, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        backend = ScriptedBackend(["1.0", "1.0 2.0 3.0"])
+        cfg = PredictorConfig(backend="mock", max_retries=2, multi_task_prompt=True)
+        tasks = [task_for(node=i, t=11) for i in (4, 7, 9)]
+        results, entries = predict_batch(tasks, cfg, backend=backend, with_transcript=True)
+        assert [e["node"] for e in entries] == [4, 7, 9]
+        assert [e["parsed"] for e in entries] == [1.0, 2.0, 3.0]
+        assert {e["attempts"] for e in entries} == {2}
+        assert {e["prompt"] for e in entries} == {entries[0]["prompt"]}
+        assert [e["latency_ms"] for e in entries] == [r.backend_latency for r in results]
+        assert [r.backend_latency for r in results] == [2000.0 / 3] * 3
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,15 @@
 import glob
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 from helpers import write_run_fixture
 
+from graphfill import baselines as bl
+from graphfill import runner
+from graphfill.metrics import rmse
 from graphfill.runner import (
     RunConfig,
     execute_run,
@@ -16,7 +20,7 @@ from graphfill.runner import (
     run_online,
 )
 from graphfill.signals import ObservationModel, TimeVaryingSignal, observe, sample_mask
-from graphfill.spectral import denoise
+from graphfill.spectral import denoise, mae
 
 
 def base_config(edge_path, signal_path, **overrides):
@@ -188,6 +192,33 @@ class TestCheckpointReplay:
         assert k_next == 50
         assert np.array_equal(tail, original[:, 50:])
 
+    def test_failed_write_leaves_earlier_checkpoint_intact(self, fixture_paths, tmp_path, monkeypatch):
+        edge_path, signal_path = fixture_paths
+        clean = str(tmp_path / "clean")
+        execute_run(base_config(edge_path, signal_path, baselines=[], output_dir=clean, checkpoint_every=25))
+        out = str(tmp_path / "crashed")
+        cfg = base_config(edge_path, signal_path, baselines=[], output_dir=out, checkpoint_every=25)
+        real_dump = json.dump
+        calls = {"n": 0}
+
+        def dump_failing_second_write(obj, fh, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                fh.write('{"repeat": 0, "se')
+                raise OSError("disk full")
+            return real_dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(runner.json, "dump", dump_failing_second_write)
+        with pytest.raises(OSError, match="disk full"):
+            execute_run(cfg)
+        ckpt_dir = os.path.join(out, "checkpoints")
+        assert sorted(os.listdir(ckpt_dir)) == ["repeat0_aborted.json", "repeat0_step000025.json"]
+        name = "repeat0_step000025.json"
+        with open(os.path.join(ckpt_dir, name), "rb") as fh, open(os.path.join(clean, "checkpoints", name), "rb") as ref:
+            assert fh.read() == ref.read()
+        with open(os.path.join(ckpt_dir, "repeat0_aborted.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["k_next"] == 50
+
 
 class TestArtifacts:
     def test_run_directory_layout(self, fixture_paths, tmp_path):
@@ -224,6 +255,48 @@ class TestBaselinesOnly:
         assert set(execution.report.method_aggregates) == {"glms", "gnlms", "last_value"}
         assert execution.report.method == "glms"
 
+    def test_report_carries_lead_baseline_missing_errors(self, fixture_paths):
+        edge_path, signal_path = fixture_paths
+        cfg = base_config(edge_path, signal_path, baselines=["glms", "last_value"])
+        report = execute_run(cfg, with_primary=False).report
+
+        ctx = prepare_run(cfg)
+        model = sample_mask(ctx.graph.n_nodes, 0.7, 11, 0.2)
+        band = bl.bandlimit_for_energy(ctx.basis, ctx.train_signal.values, cfg.baseline_band_energy)
+        state = bl.glms_init(ctx.basis, band, cfg.baseline_step_size, init_estimate(ctx.train_signal, model))
+        missing = model.missing_indices
+        maes, rmses = [], []
+        for k in range(ctx.test_signal.n_steps):
+            col = ctx.test_signal.values[:, k]
+            state = bl.glms_step(state, observe(col, model, ctx.test_signal.t0 + k))
+            maes.append(mae(col[missing], state.estimate[missing]))
+            rmses.append(rmse(col[missing], state.estimate[missing]))
+        assert report.aggregate_mae_missing == (float(np.mean(maes)), 0.0)
+        assert report.aggregate_rmse_missing == (float(np.mean(rmses)), 0.0)
+        assert report.aggregate_mae_missing[0] > 0.0
+
+    def test_aggregates_equal_full_run_baselines(self, fixture_paths):
+        edge_path, signal_path = fixture_paths
+        cfg = base_config(
+            edge_path, signal_path, baselines=["glms", "gnlms", "last_value", "neighbor_mean"], repeats=2
+        )
+        full = execute_run(cfg).report.method_aggregates
+        only = execute_run(cfg, with_primary=False).report.method_aggregates
+        assert only == {name: full[name] for name in cfg.baselines}
+
+    def test_baseline_only_never_trains_or_dispatches(self, fixture_paths, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a baseline-only run must not train or dispatch")
+
+        monkeypatch.setattr(runner, "train_filter", forbidden)
+        monkeypatch.setattr(runner, "predict_batch", forbidden)
+        edge_path, signal_path = fixture_paths
+        out = tmp_path / "out"
+        cfg = base_config(edge_path, signal_path, baselines=["glms"], output_dir=str(out), checkpoint_every=10)
+        execution = execute_run(cfg, with_primary=False)
+        assert execution.repeats[0].train_result is None
+        assert not (out / "checkpoints").exists()
+
     def test_baseline_only_requires_selection(self, fixture_paths):
         edge_path, signal_path = fixture_paths
         cfg = base_config(edge_path, signal_path, baselines=[])
@@ -236,11 +309,6 @@ class TestConfigValidation:
         edge_path, signal_path = fixture_paths
         with pytest.raises(ValueError, match="unknown baselines"):
             base_config(edge_path, signal_path, baselines=["gcn"])
-
-    def test_history_depth_above_one_rejected(self, fixture_paths):
-        edge_path, signal_path = fixture_paths
-        with pytest.raises(ValueError, match="history_depth"):
-            base_config(edge_path, signal_path, history_depth=2)
 
     def test_signal_graph_size_mismatch(self, tmp_path):
         edge_path, _, _, _ = write_run_fixture(tmp_path, n=10, t_steps=20)
@@ -262,6 +330,7 @@ class TestConfigValidation:
             ({"train": {"learnig_rate": 0.1}}, "train.learnig_rate"),
             ({"graph": {"source": "edges", "edgelist": "x.csv"}}, "graph.edgelist"),
             ({"predictor": {"backend": "mock", "retries": 3}}, "predictor.retries"),
+            ({"history_depth": 2}, "history_depth"),
         ],
     )
     def test_unknown_key_named_by_dotted_path(self, fixture_paths, overrides, path):
@@ -273,6 +342,39 @@ class TestConfigValidation:
         edge_path, signal_path = fixture_paths
         with pytest.raises(ValueError, match="config key 'train' must be an object"):
             base_config(edge_path, signal_path, train=[0.1])
+        with pytest.raises(ValueError, match="config must be an object"):
+            RunConfig.from_dict([["t_split", 2]])
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"train": {"learning_rate": "0.1"}}, "'train.learning_rate' must be a number, got '0.1'"),
+            ({"train": {"learning_rate": True}}, "'train.learning_rate' must be a number, got True"),
+            ({"repeats": "2"}, "'repeats' must be an integer, got '2'"),
+            ({"repeats": 2.0}, "'repeats' must be an integer, got 2.0"),
+            ({"observation": {"seed": False}}, "'observation.seed' must be an integer, got False"),
+            ({"graph": {"source": "edges", "n_nodes": "30"}}, "'graph.n_nodes' must be an integer or null"),
+            ({"adopt_raw_observed": 1}, "'adopt_raw_observed' must be a boolean, got 1"),
+            ({"predictor": {"backend": None}}, "'predictor.backend' must be a string, got None"),
+            ({"baselines": "glms"}, "'baselines' must be a list of strings, got 'glms'"),
+            ({"baselines": ["glms", 3]}, "'baselines' must be a list of strings"),
+        ],
+    )
+    def test_wrong_value_type_named_by_dotted_path(self, fixture_paths, overrides, message):
+        edge_path, signal_path = fixture_paths
+        with pytest.raises(ValueError, match=re.escape(f"config key {message}")):
+            base_config(edge_path, signal_path, **overrides)
+
+    def test_int_for_float_and_null_for_optional_accepted(self, fixture_paths):
+        edge_path, signal_path = fixture_paths
+        cfg = base_config(
+            edge_path,
+            signal_path,
+            graph={"source": "edges", "edge_list": edge_path, "n_nodes": None, "bandwidth": None},
+            observation={"ratio": 1, "seed": 11, "noise_variance": 0},
+            output_dir=None,
+        )
+        assert cfg.observation.ratio == 1 and cfg.graph.n_nodes is None
 
     def test_config_round_trip(self, fixture_paths):
         edge_path, signal_path = fixture_paths
