@@ -3,6 +3,7 @@ import argparse
 import json
 import sys
 
+from .files import atomic_write
 from .metrics import RunReport, format_aggregate, render_markdown_table
 from .prompts import render_system_prompt, render_user_prompt
 from .runner import (
@@ -75,7 +76,7 @@ def _print_aggregates(report) -> None:
 def _write_text(text: str, out, what: str) -> None:
     """Write ``text`` to the file ``out``, or to standard output without one."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with atomic_write(out) as fh:
             fh.write(text)
         print(f"{what} written to {out}")
     else:

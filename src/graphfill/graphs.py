@@ -273,12 +273,27 @@ def _looks_like_header(row) -> bool:
 
 
 def _data_rows(path):
-    """Yield ``(row number, stripped non-empty cells)``, skipping blank rows and a header."""
+    """Yield ``(row number, stripped cells)``, skipping blank rows and a header.
+
+    Trailing empty cells are dropped; an empty cell before the last
+    non-empty one is kept, so it fails to parse instead of shifting the
+    cells after it into its column.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         for r, row in enumerate(csv.reader(fh)):
-            row = [c.strip() for c in row if c.strip() != ""]
-            if row and not (r == 0 and _looks_like_header(row)):
+            row = [c.strip() for c in row]
+            while row and row[-1] == "":
+                row.pop()
+            if row and not (r == 0 and _looks_like_header([c for c in row if c])):
                 yield r, row
+
+
+def _cell(path, r: int, c: int, row, parse, what: str):
+    """Parse ``row[c]`` with ``parse``; a bad cell raises a ValueError naming the file, row and column."""
+    try:
+        return parse(row[c])
+    except ValueError:
+        raise ValueError(f"{path}: row {r + 1}, column {c + 1}: cannot parse {row[c]!r} as {what}") from None
 
 
 def load_edge_list_csv(path, n: int | None = None) -> Graph:
@@ -292,9 +307,9 @@ def load_edge_list_csv(path, n: int | None = None) -> Graph:
     for r, row in _data_rows(path):
         if len(row) not in (2, 3):
             raise ValueError(f"{path}: row {r + 1}: expected 2 or 3 columns, got {len(row)}")
-        i, j = int(row[0]), int(row[1])
+        i, j = _cell(path, r, 0, row, int, "a node index"), _cell(path, r, 1, row, int, "a node index")
         max_idx = max(max_idx, i, j)
-        edges.append((i, j, float(row[2])) if len(row) == 3 else (i, j))
+        edges.append((i, j, _cell(path, r, 2, row, float, "a weight")) if len(row) == 3 else (i, j))
     if n is None:
         if max_idx < 0:
             raise ValueError(f"{path}: empty edge list and no node count given")
@@ -311,10 +326,10 @@ def load_coordinates_csv(path) -> list:
     for r, row in _data_rows(path):
         if len(row) != 3:
             raise ValueError(f"{path}: row {r + 1}: expected node_id,lat,lon")
-        node = int(row[0])
+        node = _cell(path, r, 0, row, int, "a node id")
         if node in entries:
             raise ValueError(f"{path}: duplicate node id {node}")
-        entries[node] = (float(row[1]), float(row[2]))
+        entries[node] = (_cell(path, r, 1, row, float, "a latitude"), _cell(path, r, 2, row, float, "a longitude"))
     if not entries:
         raise ValueError(f"{path}: no coordinate rows")
     n = len(entries)

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import atomic_write
+
 
 def rmse(x_g: np.ndarray, x_hat: np.ndarray) -> float:
     """Root mean squared error sqrt((1/N) sum (x_g - x_hat)^2)."""
@@ -143,18 +145,18 @@ def render_markdown_table(reports, metric: str = "rmse") -> str:
 def emit_report(report: RunReport, fmt: str, path) -> None:
     """Write a report file: full JSON, per-step CSV, or a markdown table."""
     if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
     elif fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "mae", "rmse"])
             for k, (m, r) in enumerate(zip(report.per_t_mae, report.per_t_rmse)):
                 writer.writerow([k, repr(float(m)), repr(float(r))])
     elif fmt == "markdown-table":
         text = render_markdown_table([report], "rmse") + "\n" + render_markdown_table([report], "mae")
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(text)
     else:
         raise ValueError(f"unknown report format {fmt!r}")

@@ -7,13 +7,16 @@ local mock that averages the previous estimate with the neighbor mean.
 concurrency, parses the completion, retries failures up to a cap, and
 falls back to temporal persistence when the cap is exhausted.
 """
+import http.client
+import json
 import math
 import os
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import requests
 
 from .prompts import CompletionParseError, NodeTask, build_prompt, parse_completion
 
@@ -55,10 +58,13 @@ class PredictorConfig:
 def validate_predictor_config(cfg: PredictorConfig) -> None:
     """Fail fast on unusable remote configuration, before any network call."""
     if cfg.backend == "remote":
-        if not cfg.resolved_endpoint():
+        endpoint = cfg.resolved_endpoint()
+        if not endpoint:
             raise ValueError(
                 f"remote backend needs an endpoint URL (config endpoint_url or ${ENDPOINT_ENV})"
             )
+        if urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
+            raise ValueError(f"remote endpoint {endpoint!r} must be an http:// or https:// URL")
         if not os.environ.get(API_KEY_ENV):
             raise ValueError(f"remote backend needs credentials in ${API_KEY_ENV}")
 
@@ -94,6 +100,9 @@ def _mock_backend(system_text: str, user_text: str, tasks) -> str:
 def remote_complete(system_text: str, user_text: str, cfg: PredictorConfig) -> str:
     """One chat-completions call; returns the first choice's text content.
 
+    Each call opens its own connection: ``urllib.request`` sends
+    ``Connection: close`` and keeps no pool.
+
     Raises:
         TransportError: on timeout, connection failure, HTTP >= 400, or a
             response body without ``choices[0].message.content``. Retrying
@@ -112,14 +121,19 @@ def remote_complete(system_text: str, user_text: str, cfg: PredictorConfig) -> s
             {"role": "user", "content": user_text},
         ],
     }
-    try:
-        resp = requests.post(url, json=body, headers=headers, timeout=cfg.request_timeout)
-    except requests.RequestException as exc:
+    request = urllib.request.Request(url, data=json.dumps(body).encode(), headers=headers, method="POST")
+    try:  # the outer handler also covers a failure while reading an error body
+        try:
+            with urllib.request.urlopen(request, timeout=cfg.request_timeout) as resp:
+                data = resp.read()
+        except urllib.error.HTTPError as exc:  # also an OSError, so it is caught first
+            with exc:
+                excerpt = exc.read(200).decode("utf-8", "replace")
+            raise TransportError(f"HTTP {exc.code} from {url}: {excerpt}") from exc
+    except (OSError, http.client.HTTPException) as exc:
         raise TransportError(f"request to {url} failed: {exc}") from exc
-    if resp.status_code >= 400:
-        raise TransportError(f"HTTP {resp.status_code} from {url}: {resp.text[:200]}")
     try:
-        content = resp.json()["choices"][0]["message"]["content"]
+        content = json.loads(data)["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise TransportError(f"malformed response body from {url}: {exc}") from exc
     if not isinstance(content, str):

@@ -7,7 +7,6 @@ missing node becomes a text prediction task, the predictor fills it, and
 the assembled estimate feeds the next step. Baselines consume the exact
 same observation stream. Repeats rerun everything with derived seeds.
 """
-import contextlib
 import dataclasses
 import json
 import os
@@ -18,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines as bl
+from .files import atomic_write
 from .graphs import Graph, GftBasis, gft, knn_graph, laplacian, load_coordinates_csv, load_edge_list_csv
 from .metrics import RunReport, aggregate, emit_report, rmse
 from .predictors import (
@@ -392,17 +392,9 @@ def _write_state(checkpoint_dir, name, repeat_index, seed, k_next, estimate, **e
         "estimate": [float(v) for v in estimate],
         **extra,
     }
-    path = os.path.join(checkpoint_dir, f"repeat{repeat_index}_{name}.json")
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with atomic_write(os.path.join(checkpoint_dir, f"repeat{repeat_index}_{name}.json")) as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
 
 
 def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> tuple:
@@ -490,7 +482,7 @@ def run_online(cfg: RunConfig, backend=None) -> RunReport:
 def _write_artifacts(cfg: RunConfig, execution: RunExecution) -> RunReport:
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out, "config.json")) as fh:
         json.dump(cfg.to_dict(), fh, indent=2)
         fh.write("\n")
     for r, result in enumerate(execution.repeats):
@@ -499,7 +491,7 @@ def _write_artifacts(cfg: RunConfig, execution: RunExecution) -> RunReport:
     report = execution.report
     if cfg.transcript:
         transcript_path = os.path.join(out, "transcript.jsonl")
-        with open(transcript_path, "w", encoding="utf-8") as fh:
+        with atomic_write(transcript_path) as fh:
             for r, result in enumerate(execution.repeats):
                 for entry in result.transcript:
                     fh.write(json.dumps({"repeat": r, **entry}) + "\n")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import atomic_write
 from .graphs import GftBasis, _frozen
 from .signals import ObservationModel, Observation, TimeVaryingSignal, augment_by_concatenation, observe
 
@@ -214,7 +215,7 @@ def save_filter_json(path, result: TrainResult, cfg: TrainConfig) -> None:
         "final_mae": final_mae,
         "stop_reason": result.stop_reason,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 

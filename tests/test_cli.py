@@ -73,6 +73,19 @@ class TestRun:
         assert rc != 0
         assert "credentials" in capsys.readouterr().err
 
+    def test_malformed_edge_list_cell_named_error(self, tmp_path, capsys):
+        cfg_path = run_config_file(tmp_path)
+        edge_path = json.loads(Path(cfg_path).read_text())["graph"]["edge_list"]
+        rows = Path(edge_path).read_text().splitlines()
+        rows[2] = "2.5," + rows[2].split(",", 1)[1]
+        Path(edge_path).write_text("\n".join(rows) + "\n")
+        rc = main(["run", "--config", cfg_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{edge_path}: row 3, column 1: cannot parse '2.5' as a node index" in err
+        assert "Traceback" not in err
+
     def test_output_dir_artifacts(self, tmp_path, capsys):
         out_dir = str(tmp_path / "out")
         cfg_path = run_config_file(tmp_path, output_dir=out_dir)

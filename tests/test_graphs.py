@@ -364,7 +364,7 @@ class TestFileInterfaces:
 
     def test_edge_list_no_header_no_weight(self, tmp_path):
         path = tmp_path / "edges.csv"
-        path.write_text("0,1\n1,2\n")
+        path.write_text("0,1\n1,2,\n\n")
         g = load_edge_list_csv(path, n=4)
         assert g.n_nodes == 4
         assert g.adjacency[0, 1] == 1.0
@@ -380,3 +380,35 @@ class TestFileInterfaces:
         path.write_text("0,1.0,2.0\n2,3.0,4.0\n")
         with pytest.raises(ValueError, match="node ids"):
             load_coordinates_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("src,dst\n0,1\n2.5,1\n", "row 3, column 1: cannot parse '2.5' as a node index"),
+            ("0,1\n1,x\n", "row 2, column 2: cannot parse 'x' as a node index"),
+            ("0,1,1.0\n1,2,heavy\n", "row 2, column 3: cannot parse 'heavy' as a weight"),
+            ("0,1\n0,,2\n", "row 2, column 2: cannot parse '' as a node index"),
+            ("0,,2\n", "row 1, column 2: cannot parse '' as a node index"),
+        ],
+    )
+    def test_edge_list_bad_cell_names_file_and_row(self, tmp_path, text, expected):
+        path = tmp_path / "edges.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_edge_list_csv(path)
+        assert str(info.value) == f"{path}: {expected}"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("node_id,lat,lon\n0,47.5,-122.2\n1.0,47.6,-122.3\n", "row 3, column 1: cannot parse '1.0' as a node id"),
+            ("0,47.5,-122.2\n1,abc,-122.3\n", "row 2, column 2: cannot parse 'abc' as a latitude"),
+            ("0,47.5,-122.2\n1,47.6,W122\n", "row 2, column 3: cannot parse 'W122' as a longitude"),
+        ],
+    )
+    def test_coordinates_bad_cell_names_file_and_row(self, tmp_path, text, expected):
+        path = tmp_path / "coords.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_coordinates_csv(path)
+        assert str(info.value) == f"{path}: {expected}"

@@ -1,5 +1,9 @@
 """Tests for the prediction backends, batching, retry, and the wire client."""
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 import types
@@ -207,6 +211,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="endpoint"):
             validate_predictor_config(cfg)
 
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:8080/v1", "ftp://127.0.0.1/v1"])
+    def test_remote_endpoint_without_http_scheme_fails_fast(self, monkeypatch, endpoint):
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        cfg = PredictorConfig(backend="remote", endpoint_url=endpoint)
+        with pytest.raises(ValueError, match="must be an http:// or https:// URL"):
+            validate_predictor_config(cfg)
+
     def test_temperature_zero_default(self):
         assert PredictorConfig().temperature == 0.0
 
@@ -216,96 +227,166 @@ class TestConfigValidation:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    """Chat-completions stub. It speaks HTTP/1.1, so a client that kept
+    connections alive could reuse them; ``connections`` counts accepted ones."""
+
+    protocol_version = "HTTP/1.1"
     behavior = "echo"
     seen = []
+    connections = 0
+
+    def setup(self):
+        super().setup()
+        type(self).connections += 1
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
-        type(self).seen.append((self.path, body))
-        if type(self).behavior == "echo":
-            payload = {"choices": [{"message": {"content": "42.0"}}]}
-            data = json.dumps(payload).encode()
+        type(self).seen.append((self.path, body, self.headers))
+        behavior = type(self).behavior
+        if behavior == "echo":
+            self._send(200, json.dumps({"choices": [{"message": {"content": "42.0"}}]}).encode())
+        elif behavior == "rate-limit":
+            self._send(429, b"")
+        elif behavior == "http500":
+            self._send(500, b'{"error": "upstream exploded"}' + b"x" * 300)
+        elif behavior == "malformed":
+            self._send(200, b'{"unexpected": true}')
+        elif behavior == "non-text":
+            self._send(200, json.dumps({"choices": [{"message": {"content": 42.0}}]}).encode())
+        elif behavior == "truncated":
             self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
+            self.send_header("Content-Length", "100")
             self.end_headers()
-            self.wfile.write(data)
-        elif type(self).behavior == "rate-limit":
-            self.send_response(429)
-            self.end_headers()
-        elif type(self).behavior == "malformed":
-            data = b'{"unexpected": true}'
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-        elif type(self).behavior == "slow":
+            self.wfile.write(b'{"choices": [')
+            self.close_connection = True
+        elif behavior == "hang-up":
+            self.close_connection = True
+        elif behavior == "slow":
             time.sleep(1.0)
-            self.send_response(200)
-            self.end_headers()
+            self._send(200, b"")
+
+    def _send(self, status, data):
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
 
     def log_message(self, *args):
         pass
 
 
 @pytest.fixture
-def stub_server():
+def stub_server(monkeypatch):
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key")
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _StubHandler.seen = []
+    _StubHandler.connections = 0
     yield server, f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
+    assert not thread.is_alive()
 
 
 class TestRemoteComplete:
-    def test_echo_stub(self, stub_server, monkeypatch):
+    def test_echo_stub(self, stub_server):
         _, url = stub_server
-        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
         _StubHandler.behavior = "echo"
         cfg = PredictorConfig(backend="remote", endpoint_url=url, model_name="stub-model")
         out = remote_complete("sys text", "user text", cfg)
         assert out == "42.0"
-        path, body = _StubHandler.seen[-1]
+        path, body, headers = _StubHandler.seen[-1]
         assert path == "/chat/completions"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer test-key"
         assert body["model"] == "stub-model"
         assert body["temperature"] == 0.0
         assert body["messages"][0] == {"role": "system", "content": "sys text"}
         assert body["messages"][1] == {"role": "user", "content": "user text"}
 
-    def test_http_429_is_transport_error_without_internal_retry(self, stub_server, monkeypatch):
+    def test_one_connection_per_call(self, stub_server):
         _, url = stub_server
-        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        _StubHandler.behavior = "echo"
+        cfg = PredictorConfig(backend="remote", endpoint_url=url)
+        for _ in range(4):
+            assert remote_complete("s", "u", cfg) == "42.0"
+        assert len(_StubHandler.seen) == 4
+        assert _StubHandler.connections == 4
+
+    def test_http_429_is_transport_error_without_internal_retry(self, stub_server):
+        _, url = stub_server
         _StubHandler.behavior = "rate-limit"
         cfg = PredictorConfig(backend="remote", endpoint_url=url)
         with pytest.raises(TransportError, match="429"):
             remote_complete("s", "u", cfg)
         assert len(_StubHandler.seen) == 1
 
-    def test_malformed_body_is_transport_error(self, stub_server, monkeypatch):
+    def test_http_500_carries_status_and_body_excerpt(self, stub_server):
         _, url = stub_server
-        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        _StubHandler.behavior = "http500"
+        cfg = PredictorConfig(backend="remote", endpoint_url=url)
+        with pytest.raises(TransportError) as info:
+            remote_complete("s", "u", cfg)
+        excerpt = ('{"error": "upstream exploded"}' + "x" * 300)[:200]
+        assert str(info.value) == f"HTTP 500 from {url}/chat/completions: {excerpt}"
+
+    def test_malformed_body_is_transport_error(self, stub_server):
+        _, url = stub_server
         _StubHandler.behavior = "malformed"
         cfg = PredictorConfig(backend="remote", endpoint_url=url)
         with pytest.raises(TransportError, match="malformed"):
             remote_complete("s", "u", cfg)
 
-    def test_timeout_is_transport_error(self, stub_server, monkeypatch):
+    @pytest.mark.parametrize(
+        "behavior, message",
+        [
+            ("non-text", "non-text completion content"),
+            ("truncated", "request to .* failed"),
+            ("hang-up", "request to .* failed"),
+        ],
+    )
+    def test_bad_response_is_transport_error(self, stub_server, behavior, message):
         _, url = stub_server
+        _StubHandler.behavior = behavior
+        cfg = PredictorConfig(backend="remote", endpoint_url=url)
+        with pytest.raises(TransportError, match=message):
+            remote_complete("s", "u", cfg)
+        assert len(_StubHandler.seen) == 1
+
+    def test_refused_connection_is_transport_error(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "test-key")
-        _StubHandler.behavior = "slow"
-        cfg = PredictorConfig(backend="remote", endpoint_url=url, request_timeout=0.15)
-        with pytest.raises(TransportError):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        cfg = PredictorConfig(backend="remote", endpoint_url=f"http://127.0.0.1:{port}")
+        with pytest.raises(TransportError, match="request to .* failed"):
             remote_complete("s", "u", cfg)
 
-    def test_full_batch_through_stub(self, stub_server, monkeypatch):
+    def test_timeout_is_transport_error(self, stub_server):
         _, url = stub_server
-        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        _StubHandler.behavior = "slow"
+        cfg = PredictorConfig(backend="remote", endpoint_url=url, request_timeout=0.15)
+        with pytest.raises(TransportError, match="request to .* failed"):
+            remote_complete("s", "u", cfg)
+
+    def test_full_batch_through_stub(self, stub_server):
+        _, url = stub_server
         _StubHandler.behavior = "echo"
         cfg = PredictorConfig(backend="remote", endpoint_url=url, max_concurrency=2)
         results = predict_batch([task_for(node=i) for i in range(3)], cfg)
         assert [r.value for r in results] == [42.0, 42.0, 42.0]
         assert all(r.attempts == 1 for r in results)
         assert all(r.backend_latency > 0.0 for r in results)
+
+
+def test_importing_the_package_does_not_import_requests():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(predictors.__file__)))
+    code = "import sys, graphfill, graphfill.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -9,7 +9,7 @@ import pytest
 from helpers import write_run_fixture
 
 from graphfill import baselines as bl
-from graphfill import runner
+from graphfill import files, runner
 from graphfill.metrics import rmse
 from graphfill.runner import (
     RunConfig,
@@ -237,6 +237,47 @@ class TestArtifacts:
         assert entries, "transcript should not be empty"
         sample = entries[0]
         assert {"t", "node", "prompt", "completion", "parsed", "attempts", "latency_ms"} <= set(sample)
+
+    @pytest.mark.parametrize(
+        "name", ["config.json", "filter_repeat0.json", "transcript.jsonl", "report.json", "report.csv", "report.md"]
+    )
+    def test_failed_write_leaves_earlier_artifact_intact(self, fixture_paths, tmp_path, monkeypatch, name):
+        edge_path, signal_path = fixture_paths
+        out = str(tmp_path / "artifacts")
+        cfg = base_config(edge_path, signal_path, baselines=[], output_dir=out, transcript=True)
+        execution = execute_run(cfg)
+        runner._write_artifacts(cfg, execution)
+        path = os.path.join(out, name)
+        with open(path, "rb") as fh:
+            before = fh.read()
+        real_open = open
+
+        class HalfWrite:
+            """The target's text file: its first write stores half of the text, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def open_failing_target(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            return HalfWrite(fh) if os.path.basename(file) == name + ".tmp" else fh
+
+        monkeypatch.setattr(files, "open", open_failing_target, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            runner._write_artifacts(cfg, execution)
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert not glob.glob(os.path.join(out, "*.tmp"))
 
     def test_config_snapshot_embedded(self, fixture_paths):
         edge_path, signal_path = fixture_paths
