@@ -110,25 +110,24 @@ def gnlms_init(
     )
 
 
-def _lms_step(state: AdaptiveFilterState, obs: Observation, observed, operator) -> AdaptiveFilterState:
+def _lms_step(state: AdaptiveFilterState, obs: Observation, operator) -> AdaptiveFilterState:
     """``x_hat + mu * operator @ (masked innovation)``, as the next state."""
-    observed = obs.observed if observed is None else np.asarray(observed, dtype=bool)
     if obs.values.shape != state.estimate.shape:
         raise ValueError("observation length does not match filter state")
-    innovation = np.where(observed, obs.values - state.estimate, 0.0)
+    innovation = np.where(obs.observed, obs.values - state.estimate, 0.0)
     return state._with_estimate(state.estimate + state.step_size * (operator @ innovation))
 
 
-def glms_step(state: AdaptiveFilterState, obs: Observation, observed=None) -> AdaptiveFilterState:
+def glms_step(state: AdaptiveFilterState, obs: Observation) -> AdaptiveFilterState:
     """One least-mean-squares correction along the band projector."""
-    return _lms_step(state, obs, observed, state.band_projector)
+    return _lms_step(state, obs, state.band_projector)
 
 
-def gnlms_step(state: AdaptiveFilterState, obs: Observation, observed=None) -> AdaptiveFilterState:
+def gnlms_step(state: AdaptiveFilterState, obs: Observation) -> AdaptiveFilterState:
     """Same correction with the innovation rescaled per frequency."""
     if state.norm_operator is None:
         raise ValueError("state has no normalization cache; use gnlms_init")
-    return _lms_step(state, obs, observed, state.norm_operator)
+    return _lms_step(state, obs, state.norm_operator)
 
 
 def last_value_step(estimate: np.ndarray, obs: Observation) -> np.ndarray:

@@ -33,8 +33,6 @@ class Graph:
     """
     n_nodes: int
     adjacency: np.ndarray
-    node_labels: list | None = None
-    coordinates: list | None = None
 
     def __post_init__(self):
         a = np.asarray(self.adjacency, dtype=np.float64)
@@ -94,7 +92,7 @@ class GftBasis:
         return cached
 
 
-def build_graph(n: int, edges, node_labels=None, coordinates=None) -> Graph:
+def build_graph(n: int, edges) -> Graph:
     """Build an undirected graph from an edge list.
 
     Args:
@@ -124,7 +122,7 @@ def build_graph(n: int, edges, node_labels=None, coordinates=None) -> Graph:
             raise ValueError(f"edge ({i}, {j}) has nonpositive weight {w}")
         a[i, j] = w
         a[j, i] = w
-    return Graph(n_nodes=n, adjacency=a, node_labels=node_labels, coordinates=coordinates)
+    return Graph(n_nodes=n, adjacency=a)
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -189,9 +187,6 @@ def knn_graph(coords, k: int, bandwidth: float | None = None) -> Graph:
         bandwidth: Gaussian kernel width in km. ``None`` self-tunes to the
             median of all selected kNN distances (falls back to 1.0 when
             the median is 0).
-
-    Returns:
-        Graph with ``coordinates`` retained.
     """
     pts = [tuple(map(float, c)) for c in coords]
     n = len(pts)
@@ -230,7 +225,7 @@ def knn_graph(coords, k: int, bandwidth: float | None = None) -> Graph:
     for (i, j) in sorted(selected):
         w = math.exp(-dist[i, j] ** 2 / (2.0 * bandwidth**2))
         edges.append((i, j, w))
-    return build_graph(n, edges, coordinates=pts)
+    return build_graph(n, edges)
 
 
 def _knn_candidates(pts, k: int):

@@ -71,12 +71,20 @@ def validate_predictor_config(cfg: PredictorConfig) -> None:
 
 @dataclass(frozen=True)
 class PredictionResult:
+    """One task's prediction and the exchange it came from.
+
+    ``prompt`` is the user text sent for the task's group and
+    ``completion`` the group's last completion; each is None when it was
+    not received (no call made, or the last attempt hit a transport error).
+    """
     node: int
     t: int
     value: float
     attempts: int
     backend_latency: float = 0.0
     fallback: bool = False
+    prompt: str | None = None
+    completion: str | None = None
 
 
 def mock_predict(task: NodeTask) -> float:
@@ -146,34 +154,19 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
-def _resolve_backend(cfg: PredictorConfig, backend):
-    """Return ``(callable, external)``.
+def bind_backend(cfg: PredictorConfig, backend=None):
+    """The callable ``predict_batch`` dispatches to, or None for the built-in mock.
 
-    External backends (remote, or supplied by the caller) are timed and
-    may wait on I/O, so several tasks run on a thread pool. The built-in
-    mock is pure Python: a pool would only add overhead, and timing it
-    would make mock transcripts nondeterministic.
+    ``backend`` when given; otherwise None for the mock, which is pure
+    Python and runs inline and untimed (a pool would only add overhead,
+    and timing would make mock transcripts nondeterministic), or the
+    remote client once ``validate_predictor_config`` accepts ``cfg``. A run
+    binds once and passes the result to every step, so the check runs once.
     """
-    if backend is not None:
-        return backend, True
-    if cfg.backend == "mock":
-        return _mock_backend, False
+    if backend is not None or cfg.backend == "mock":
+        return backend
     validate_predictor_config(cfg)
-    return (lambda system_text, user_text, tasks: remote_complete(system_text, user_text, cfg)), True
-
-
-def transcript_entry(task: NodeTask, prompt, completion, result: PredictionResult) -> dict:
-    """One transcript line: the prompt and completion text (None when not sent) and the result."""
-    return {
-        "t": task.t,
-        "node": task.node,
-        "prompt": prompt,
-        "completion": completion,
-        "parsed": result.value,
-        "attempts": result.attempts,
-        "fallback": result.fallback,
-        "latency_ms": result.backend_latency,
-    }
+    return lambda system_text, user_text, tasks: remote_complete(system_text, user_text, cfg)
 
 
 def _attempt_group(tasks, cfg: PredictorConfig, backend, timed: bool) -> list:
@@ -181,13 +174,13 @@ def _attempt_group(tasks, cfg: PredictorConfig, backend, timed: bool) -> list:
 
     The parsed count must match ``len(tasks)`` exactly; once every attempt
     has failed, each task keeps its previous value, flagged as a fallback.
-    Returns one ``(result, entry)`` per task, with the backend time split
-    evenly across the tasks.
+    Returns one result per task, with the backend time split evenly
+    across the tasks.
     """
+    pair = build_prompt(tasks)
     elapsed_ms = 0.0
     completion = values = None
     for attempts in range(1, cfg.max_retries + 2):
-        pair = build_prompt(tasks)
         start = time.perf_counter()
         try:
             completion = backend(pair.system_text, pair.user_text, tasks)
@@ -204,14 +197,13 @@ def _attempt_group(tasks, cfg: PredictorConfig, backend, timed: bool) -> list:
     if fallback:
         values = [task.previous for task in tasks]
     latency = elapsed_ms / len(tasks)
-    out = []
-    for task, value in zip(tasks, values):
-        result = PredictionResult(task.node, task.t, value, attempts, latency, fallback)
-        out.append((result, transcript_entry(task, pair.user_text, completion, result)))
-    return out
+    return [
+        PredictionResult(task.node, task.t, value, attempts, latency, fallback, pair.user_text, completion)
+        for task, value in zip(tasks, values)
+    ]
 
 
-def predict_batch(tasks, cfg: PredictorConfig, backend=None, with_transcript: bool = False):
+def predict_batch(tasks, cfg: PredictorConfig, backend=None) -> list:
     """Predict one value per task, preserving input order.
 
     Args:
@@ -220,9 +212,8 @@ def predict_batch(tasks, cfg: PredictorConfig, backend=None, with_transcript: bo
             bound applies to the remote backend and to a caller-supplied
             one; the built-in mock runs inline.
         backend: Optional callable ``(system_text, user_text, tasks) -> str``
-            overriding the configured backend (used by tests and stubs).
-        with_transcript: Also return one transcript entry per task
-            (prompt, completion, parsed value, attempt count, latency).
+            overriding the configured backend (used by tests and stubs, and
+            by a run, which passes the one :func:`bind_backend` returned).
 
     Each task consumes at most ``max_retries + 1`` backend calls; a task
     still failing after that yields its previous value, flagged as a
@@ -236,14 +227,13 @@ def predict_batch(tasks, cfg: PredictorConfig, backend=None, with_transcript: bo
     if any(task.t != t0 for task in tasks):
         raise ValueError("all tasks in a batch must share the same time index")
 
-    resolved, external = _resolve_backend(cfg, backend)
+    backend = bind_backend(cfg, backend)
+    external = backend is not None  # remote or caller-supplied: timed, and may wait on I/O
+    resolved = backend if external else _mock_backend
     groups = [tasks] if cfg.multi_task_prompt else [[task] for task in tasks]
     if external and len(groups) > 1 and cfg.max_concurrency > 1:
         with ThreadPoolExecutor(max_workers=min(cfg.max_concurrency, len(groups))) as pool:
             outs = list(pool.map(lambda group: _attempt_group(group, cfg, resolved, external), groups))
     else:
         outs = [_attempt_group(group, cfg, resolved, external) for group in groups]
-    results = [r for out in outs for r, _ in out]
-    if with_transcript:
-        return results, [e for out in outs for _, e in out]
-    return results
+    return [result for out in outs for result in out]

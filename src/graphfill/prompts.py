@@ -58,10 +58,9 @@ class NodeTask:
 
 @dataclass(frozen=True)
 class PromptPair:
-    """System and user texts plus the (node, t) tasks the user text covers."""
+    """System and user texts for one prompt."""
     system_text: str
     user_text: str
-    task_refs: tuple
 
 
 def build_task(
@@ -124,12 +123,7 @@ def render_user_prompt(tasks) -> str:
 
 def build_prompt(tasks) -> PromptPair:
     """Pair the system prompt with a rendered user prompt."""
-    tasks = list(tasks)
-    return PromptPair(
-        system_text=render_system_prompt(),
-        user_text=render_user_prompt(tasks),
-        task_refs=tuple((task.node, task.t) for task in tasks),
-    )
+    return PromptPair(system_text=render_system_prompt(), user_text=render_user_prompt(tasks))
 
 
 def parse_completion(text: str, expected_count: int, precision: int = 1) -> list:

@@ -20,14 +20,7 @@ from . import baselines as bl
 from .files import atomic_write
 from .graphs import Graph, GftBasis, gft, knn_graph, laplacian, load_coordinates_csv, load_edge_list_csv
 from .metrics import RunReport, aggregate, emit_report, rmse
-from .predictors import (
-    PredictionResult,
-    PredictorConfig,
-    estimate_tokens,
-    predict_batch,
-    transcript_entry,
-    validate_predictor_config,
-)
+from .predictors import PredictionResult, PredictorConfig, bind_backend, estimate_tokens, predict_batch
 from .prompts import build_task
 from .signals import ObservationModel, TimeVaryingSignal, load_signal_csv, observe, sample_mask, split
 from .spectral import TrainConfig, TrainResult, denoise, mae, save_filter_json, train_filter
@@ -74,7 +67,6 @@ class SignalConfig:
     path: str = ""
     layout: str = "nodes-as-rows"
     t0: int = 0
-    step_label: str = ""
 
 
 @dataclass(frozen=True)
@@ -169,11 +161,6 @@ def _from_json(cls, payload, prefix: str):
     return cls(**kwargs)
 
 
-def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return RunConfig.from_dict(json.load(fh))
-
-
 @dataclass(frozen=True, eq=False)
 class RunContext:
     """Everything derivable from the config before seeding: graph, basis, splits."""
@@ -203,7 +190,7 @@ def prepare_run(cfg: RunConfig) -> RunContext:
     raw = load_signal_csv(cfg.signal.path, cfg.signal.layout)
     if raw.n_nodes != g.n_nodes:
         raise ValueError(f"signal has {raw.n_nodes} nodes but graph has {g.n_nodes}")
-    signal = TimeVaryingSignal(raw.values, t0=cfg.signal.t0, step_label=cfg.signal.step_label)
+    signal = TimeVaryingSignal(raw.values, t0=cfg.signal.t0)
     train_signal, test_signal = split(signal, cfg.t_split)
     derived["n_nodes"] = g.n_nodes
     derived["n_steps"] = signal.n_steps
@@ -268,25 +255,44 @@ def _step_estimate(ctx, cfg, model, filt, x_prev, obs, backend, transcript):
     base = obs.values if cfg.adopt_raw_observed else o_tilde
     x_hat = np.where(model.observed, base, 0.0)
 
-    tokens = 0
-    dispatch = []
-    for task in tasks:
-        if task.neighbor_values:
-            dispatch.append(task)
-        else:
-            # No observed neighbor to describe: persist without a backend call.
-            x_hat[task.node] = task.previous
-            if transcript is not None:
-                result = PredictionResult(task.node, task.t, task.previous, attempts=0, fallback=True)
-                transcript.append(transcript_entry(task, None, None, result))
+    # A task with no observed neighbor has nothing to describe: it persists without a backend call.
+    records = [
+        PredictionResult(task.node, task.t, task.previous, attempts=0, fallback=True)
+        for task in tasks if not task.neighbor_values
+    ]
+    dispatch = [task for task in tasks if task.neighbor_values]
     if dispatch:
-        results, entries = predict_batch(dispatch, cfg.predictor, backend=backend, with_transcript=True)
-        for result, entry in zip(results, entries):
-            x_hat[result.node] = result.value
-            tokens += estimate_tokens(entry["prompt"] or "") + estimate_tokens(entry["completion"] or "")
-            if transcript is not None:
-                transcript.append(entry)
-    return x_hat, tokens
+        records += predict_batch(dispatch, cfg.predictor, backend=backend)
+    for record in records:
+        x_hat[record.node] = record.value
+    return x_hat, _account(records, transcript)
+
+
+def _account(records, transcript) -> int:
+    """Token estimate of one step's records; appends one transcript line per record when logging.
+
+    Each group's user prompt and final completion count once: the records
+    of a multi-task group are adjacent and share one prompt, and distinct
+    groups cover distinct nodes, so their prompts differ.
+    """
+    tokens = 0
+    prompt = None
+    for r in records:
+        if r.prompt is not None and r.prompt != prompt:
+            tokens += estimate_tokens(r.prompt) + estimate_tokens(r.completion or "")
+        prompt = r.prompt
+        if transcript is not None:
+            transcript.append({
+                "t": r.t,
+                "node": r.node,
+                "prompt": r.prompt,
+                "completion": r.completion,
+                "parsed": r.value,
+                "attempts": r.attempts,
+                "fallback": r.fallback,
+                "latency_ms": r.backend_latency,
+            })
+    return tokens
 
 
 def _baseline_estimate(state):
@@ -406,6 +412,7 @@ def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> tup
     """
     with open(checkpoint_path, encoding="utf-8") as fh:
         ckpt = json.load(fh)
+    backend = bind_backend(cfg.predictor, backend)
     ctx = prepare_run(cfg)
     result = run_repeat(
         ctx,
@@ -428,7 +435,7 @@ class RunExecution:
 def execute_run(cfg: RunConfig, backend=None, with_primary: bool = True) -> RunExecution:
     """Run all repeats and assemble the report (no files written)."""
     if with_primary:
-        validate_predictor_config(cfg.predictor)
+        backend = bind_backend(cfg.predictor, backend)
     elif not cfg.baselines:
         raise ValueError("no baselines selected (set 'baselines' in the config or --baselines)")
     ctx = prepare_run(cfg)

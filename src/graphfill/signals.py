@@ -6,7 +6,6 @@ entries are flagged out-of-band via ``Observation.observed``; the numeric
 slots under the flag hold NaN purely as a tripwire against accidental use.
 """
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ class TimeVaryingSignal:
     """N x T matrix of node signals (node-major) with time metadata."""
     values: np.ndarray
     t0: int = 0
-    step_label: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -135,10 +133,8 @@ def split(signal: TimeVaryingSignal, t_split: int) -> tuple:
     """Split columns into train = [0, t_split) and test = [t_split, T)."""
     if not (1 <= t_split < signal.n_steps):
         raise ValueError(f"t_split must be in [1, {signal.n_steps - 1}], got {t_split}")
-    train = TimeVaryingSignal(signal.values[:, :t_split], t0=signal.t0, step_label=signal.step_label)
-    test = TimeVaryingSignal(
-        signal.values[:, t_split:], t0=signal.t0 + t_split, step_label=signal.step_label
-    )
+    train = TimeVaryingSignal(signal.values[:, :t_split], t0=signal.t0)
+    test = TimeVaryingSignal(signal.values[:, t_split:], t0=signal.t0 + t_split)
     return train, test
 
 
@@ -146,9 +142,7 @@ def augment_by_concatenation(signal: TimeVaryingSignal, copies: int) -> TimeVary
     """Concatenate ``copies`` copies of the signal along time."""
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    return TimeVaryingSignal(
-        np.tile(signal.values, (1, copies)), t0=signal.t0, step_label=signal.step_label
-    )
+    return TimeVaryingSignal(np.tile(signal.values, (1, copies)), t0=signal.t0)
 
 
 def sample_mask(n: int, ratio: float, seed: int, noise_variance: float = 0.0) -> ObservationModel:
@@ -182,25 +176,3 @@ def observe(x_g: np.ndarray, model: ObservationModel, t: int) -> Observation:
     noisy = x_g + rng.normal(0.0, np.sqrt(model.noise_variance), size=model.n_nodes)
     values = np.where(model.observed, noisy, np.nan)
     return Observation(t=int(t), values=values, observed=model.observed)
-
-
-def save_mask_json(path, model: ObservationModel, ratio: float | None = None) -> None:
-    """Export a mask as JSON {n, observed_indices, ratio, seed}."""
-    payload = {
-        "n": model.n_nodes,
-        "observed_indices": [int(i) for i in model.observed_indices],
-        "ratio": ratio if ratio is not None else model.observed.mean().item(),
-        "seed": int(model.seed),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def load_mask_json(path, noise_variance: float = 0.0) -> ObservationModel:
-    """Import a mask exported by :func:`save_mask_json`."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    observed = np.zeros(int(payload["n"]), dtype=bool)
-    observed[np.asarray(payload["observed_indices"], dtype=int)] = True
-    return ObservationModel(observed=observed, noise_variance=noise_variance, seed=int(payload["seed"]))

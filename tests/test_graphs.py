@@ -300,7 +300,7 @@ def seed_knn_graph(coords, k, bandwidth=None):
         med = float(np.median(knn_dists))
         bandwidth = med if med > 0.0 else 1.0
     edges = [(i, j, math.exp(-dist[i, j] ** 2 / (2.0 * bandwidth**2))) for (i, j) in sorted(selected)]
-    return build_graph(n, edges, coordinates=pts)
+    return build_graph(n, edges)
 
 
 def assert_matches_seed(pts, k, bandwidth=None):

@@ -10,6 +10,7 @@ import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from helpers import write_run_fixture
 
 from graphfill import predictors
 from graphfill.predictors import (
@@ -20,7 +21,8 @@ from graphfill.predictors import (
     remote_complete,
     validate_predictor_config,
 )
-from graphfill.prompts import NodeTask
+from graphfill.prompts import NodeTask, build_prompt, render_user_prompt
+from graphfill.runner import RunConfig, execute_run
 
 
 def task_for(node=0, t=0, previous=1.0, neighbors=(2.0,), precision=1):
@@ -143,29 +145,54 @@ class TestRetrySemantics:
     def test_transcript_entries(self, monkeypatch):
         backend = ScriptedBackend(["NaN", "3.5"])
         cfg = PredictorConfig(backend="mock", max_retries=2, max_concurrency=1)
-        results, entries = predict_batch(
-            [task_for(node=4, t=11)], cfg, backend=backend, with_transcript=True
-        )
-        assert entries[0]["node"] == 4 and entries[0]["t"] == 11
-        assert entries[0]["completion"] == "3.5"
-        assert entries[0]["attempts"] == 2
-        assert "Entity index: 4" in entries[0]["prompt"]
-        assert entries[0]["latency_ms"] == results[0].backend_latency > 0.0
+        (result,) = predict_batch([task_for(node=4, t=11)], cfg, backend=backend)
+        assert result.node == 4 and result.t == 11
+        assert result.completion == "3.5"
+        assert result.attempts == 2
+        assert "Entity index: 4" in result.prompt
+        assert result.backend_latency > 0.0
 
-        # Joint mode: one prompt, one entry per task, its latency split evenly.
+        # Joint mode: one prompt, one result per task, its latency split evenly.
         # A clock that advances one second per reading makes each attempt 1000 ms.
         ticks = iter(range(1000))
         monkeypatch.setattr(predictors, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
         backend = ScriptedBackend(["1.0", "1.0 2.0 3.0"])
         cfg = PredictorConfig(backend="mock", max_retries=2, multi_task_prompt=True)
         tasks = [task_for(node=i, t=11) for i in (4, 7, 9)]
-        results, entries = predict_batch(tasks, cfg, backend=backend, with_transcript=True)
-        assert [e["node"] for e in entries] == [4, 7, 9]
-        assert [e["parsed"] for e in entries] == [1.0, 2.0, 3.0]
-        assert {e["attempts"] for e in entries} == {2}
-        assert {e["prompt"] for e in entries} == {entries[0]["prompt"]}
-        assert [e["latency_ms"] for e in entries] == [r.backend_latency for r in results]
+        results = predict_batch(tasks, cfg, backend=backend)
+        assert [r.node for r in results] == [4, 7, 9]
+        assert [r.value for r in results] == [1.0, 2.0, 3.0]
+        assert {r.attempts for r in results} == {2}
+        assert {(r.prompt, r.completion) for r in results} == {(results[0].prompt, "1.0 2.0 3.0")}
         assert [r.backend_latency for r in results] == [2000.0 / 3] * 3
+
+    def test_transport_failure_leaves_no_completion(self):
+        backend = ScriptedBackend(["1.0 2.0", TransportError])  # a wrong count, then a dead endpoint
+        cfg = PredictorConfig(backend="mock", max_retries=1, max_concurrency=1)
+        (result,) = predict_batch([task_for(previous=4.5)], cfg, backend=backend)
+        assert result.fallback and result.value == 4.5
+        assert "Entity index: 0" in result.prompt
+        assert result.completion is None
+
+    def test_prompt_rendered_once_per_group(self, monkeypatch):
+        rendered = []
+
+        def counting_build_prompt(tasks):
+            rendered.append(len(tasks))
+            return build_prompt(tasks)
+
+        monkeypatch.setattr(predictors, "build_prompt", counting_build_prompt)
+        sent = []
+
+        def backend(system_text, user_text, tasks):
+            sent.append(user_text)
+            return "garbage"
+
+        cfg = PredictorConfig(backend="mock", max_retries=3, max_concurrency=1)
+        results = predict_batch([task_for(node=i) for i in range(2)], cfg, backend=backend)
+        assert rendered == [1, 1]
+        assert sent == [results[0].prompt] * 4 + [results[1].prompt] * 4
+        assert sent[0] == render_user_prompt([task_for(node=0)])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -381,6 +408,39 @@ class TestRemoteComplete:
         assert [r.value for r in results] == [42.0, 42.0, 42.0]
         assert all(r.attempts == 1 for r in results)
         assert all(r.backend_latency > 0.0 for r in results)
+
+
+class TestValidateOncePerRun:
+    def test_direct_remote_batch_without_credentials_raises(self, monkeypatch):
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        cfg = PredictorConfig(backend="remote", endpoint_url="http://127.0.0.1:1", model_name="m")
+        with pytest.raises(ValueError, match=r"remote backend needs credentials in \$OPENAI_API_KEY"):
+            predict_batch([task_for()], cfg)
+
+    def test_remote_run_validates_once(self, stub_server, tmp_path, monkeypatch):
+        _, url = stub_server
+        _StubHandler.behavior = "echo"
+        checked = []
+        validate = predictors.validate_predictor_config
+
+        def counting_validate(cfg):
+            checked.append(cfg)
+            validate(cfg)
+
+        monkeypatch.setattr(predictors, "validate_predictor_config", counting_validate)
+        edge_path, signal_path, _, _ = write_run_fixture(tmp_path, n=12, t_steps=30)
+        cfg = RunConfig.from_dict({
+            "graph": {"source": "edges", "edge_list": edge_path, "n_nodes": 12},
+            "signal": {"path": signal_path},
+            "t_split": 20,
+            "observation": {"ratio": 0.6, "seed": 3},
+            "train": {"max_iters": 20},
+            "predictor": {"backend": "remote", "endpoint_url": url, "max_concurrency": 2},
+        })
+        report = execute_run(cfg).report
+        assert checked == [cfg.predictor]
+        assert len(report.per_t_mae) == 10
+        assert len(_StubHandler.seen) >= 10  # at least one request per step
 
 
 def test_importing_the_package_does_not_import_requests():

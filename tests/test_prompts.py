@@ -102,7 +102,6 @@ class TestUserPrompt:
             NodeTask(node=8, t=9, previous=0.7, neighbor_values=(), precision=1),
         ]
         pair = build_prompt(tasks)
-        assert pair.task_refs == ((3, 9), (8, 9))
         assert pair.system_text == SYSTEM_SENTENCE
         assert pair.user_text.index("Entity index: 3") < pair.user_text.index("Entity index: 8")
 

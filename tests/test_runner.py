@@ -11,6 +11,7 @@ from helpers import write_run_fixture
 from graphfill import baselines as bl
 from graphfill import files, runner
 from graphfill.metrics import rmse
+from graphfill.predictors import estimate_tokens
 from graphfill.runner import (
     RunConfig,
     execute_run,
@@ -171,7 +172,8 @@ class TestAbortPersistence:
             execute_run(cfg, backend=exploding_backend)
         aborted = glob.glob(os.path.join(out, "checkpoints", "*aborted.json"))
         assert len(aborted) == 1
-        payload = json.loads(open(aborted[0]).read())
+        with open(aborted[0], encoding="utf-8") as fh:
+            payload = json.load(fh)
         assert payload["k_next"] >= 1
         assert len(payload["per_t_mae"]) == payload["k_next"]
         # The persisted state is a valid resume point.
@@ -288,6 +290,27 @@ class TestArtifacts:
         assert "basis_ref" in report.config_snapshot["derived"]
 
 
+class TestTokenEstimate:
+    @pytest.mark.parametrize("multi_task_prompt", [False, True])
+    def test_each_group_prompt_and_completion_count_once(self, fixture_paths, multi_task_prompt):
+        edge_path, signal_path = fixture_paths
+        cfg = base_config(edge_path, signal_path, baselines=[], transcript=True,
+                          predictor={"backend": "mock", "multi_task_prompt": multi_task_prompt})
+        execution = execute_run(cfg)
+        entries = [e for e in execution.repeats[0].transcript if e["prompt"] is not None]
+        exchanges = {(e["t"], e["prompt"], e["completion"]) for e in entries}
+        per_exchange = {x: estimate_tokens(x[1]) + estimate_tokens(x[2] or "") for x in exchanges}
+        assert execution.report.token_estimate == sum(per_exchange.values())
+        per_entry = sum(per_exchange[e["t"], e["prompt"], e["completion"]] for e in entries)
+        if multi_task_prompt:
+            # One exchange per step, however many tasks it covers.
+            assert len(exchanges) == len({e["t"] for e in entries}) < len(entries)
+            assert execution.report.token_estimate < per_entry
+        else:
+            assert len(exchanges) == len(entries)
+            assert execution.report.token_estimate == per_entry
+
+
 class TestBaselinesOnly:
     def test_baseline_only_execution(self, fixture_paths):
         edge_path, signal_path = fixture_paths
@@ -372,6 +395,7 @@ class TestConfigValidation:
             ({"graph": {"source": "edges", "edgelist": "x.csv"}}, "graph.edgelist"),
             ({"predictor": {"backend": "mock", "retries": 3}}, "predictor.retries"),
             ({"history_depth": 2}, "history_depth"),
+            ({"signal": {"path": "x.csv", "step_label": "h"}}, "signal.step_label"),
         ],
     )
     def test_unknown_key_named_by_dotted_path(self, fixture_paths, overrides, path):

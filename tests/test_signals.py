@@ -7,11 +7,9 @@ from graphfill.signals import (
     ObservationModel,
     TimeVaryingSignal,
     augment_by_concatenation,
-    load_mask_json,
     load_signal_csv,
     observe,
     sample_mask,
-    save_mask_json,
     split,
 )
 
@@ -133,14 +131,6 @@ class TestSampleMask:
     def test_zero_observed_rejected(self):
         with pytest.raises(ValueError, match="zero observed"):
             sample_mask(10, 0.01, seed=0)
-
-    def test_mask_json_round_trip(self, tmp_path):
-        model = sample_mask(20, 0.6, seed=3, noise_variance=0.4)
-        path = tmp_path / "mask.json"
-        save_mask_json(path, model, ratio=0.6)
-        loaded = load_mask_json(path, noise_variance=0.4)
-        assert np.array_equal(loaded.observed, model.observed)
-        assert loaded.seed == model.seed
 
 
 class TestObserve:
