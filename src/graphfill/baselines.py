@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _frozen, neighbors
+from .graphs import Graph, _frozen, neighbors  # noqa: F401 (``baselines.neighbors`` stays importable)
 from .signals import Observation
 
 NORMALIZATION_EPS = 1e-8
@@ -141,18 +141,10 @@ def neighbor_mean_step(estimate: np.ndarray, obs: Observation, g: Graph) -> np.n
     Falls back to the previous estimate for nodes with no observed
     neighbor; observed nodes adopt the observation.
     """
-    estimate = np.asarray(estimate, dtype=np.float64)
-    out = np.where(obs.observed, obs.values, estimate)
-    observed = obs.observed.tolist()
-    by_count = {}
-    for i in np.flatnonzero(~obs.observed).tolist():
-        nbrs = [j for j in neighbors(g, i) if observed[j]]
-        if nbrs:
-            by_count.setdefault(len(nbrs), []).append((i, nbrs))
+    out = np.where(obs.observed, obs.values, np.asarray(estimate, dtype=np.float64))
     # One 2-D mean per neighbor count: numpy sums each row exactly as it
     # sums a 1-D array of the same values, so every mean is bit-identical
     # to np.mean over that node's neighbor list.
-    for rows in by_count.values():
-        nodes, nbrs = zip(*rows)
-        out[list(nodes)] = obs.values[np.array(nbrs)].mean(axis=1)
+    for nodes, index in g.observed_layout(obs.observed).groups:
+        out[nodes] = obs.values[index].mean(axis=1)
     return out

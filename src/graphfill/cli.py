@@ -5,7 +5,7 @@ import sys
 
 from .files import atomic_write
 from .metrics import RunReport, format_aggregate, render_markdown_table
-from .prompts import render_system_prompt, render_user_prompt
+from .prompts import prompt_groups, render_system_prompt, render_user_prompt
 from .runner import (
     RunConfig,
     execute_run,
@@ -16,7 +16,7 @@ from .runner import (
     run_online,
     step_tasks,
 )
-from .spectral import FilterDivergenceError, save_filter_json
+from .spectral import FilterDivergenceError, denoise, save_filter_json
 
 
 # argparse dest -> dotted config path of the value it overrides.
@@ -111,8 +111,10 @@ def _cmd_render_prompts(args) -> int:
     ctx = prepare_run(cfg)
     model, result = mask_and_train(ctx, cfg, cfg.observation.seed)
     x_prev = init_estimate(ctx.train_signal, model)
-    _, tasks = step_tasks(ctx, cfg, model, result.filter, x_prev, observe_step(ctx, model, 0))
-    lines = [render_system_prompt()] + [render_user_prompt([task]) for task in tasks]
+    obs = observe_step(ctx, model, 0)
+    tasks = step_tasks(ctx, cfg, model, denoise(result.filter, ctx.basis, obs, x_prev), x_prev, obs.t)
+    groups = prompt_groups(tasks, cfg.predictor.multi_task_prompt)
+    lines = [render_system_prompt()] + [render_user_prompt(group) for group in groups]
     _write_text("\n".join(lines) + "\n", args.out, "prompts")
     return 0
 

@@ -3,6 +3,7 @@
 Graphs are undirected with nonnegative (possibly non-binary) edge weights.
 All constructed objects are immutable; arrays are returned read-only.
 """
+import collections
 import csv
 import hashlib
 import math
@@ -16,6 +17,7 @@ EARTH_RADIUS_KM = 6371.0088
 _SCREEN_BLOCK_ELEMENTS = 1 << 14
 _SCREEN_MARGIN = 1e-9
 _SCREEN_FLOOR = 1e-300
+ObservedLayout = collections.namedtuple("ObservedLayout", "nodes isolated index counts neighbors groups")
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -53,6 +55,32 @@ class Graph:
             cached = tuple(tuple(np.flatnonzero(row).tolist()) for row in self.adjacency)
             object.__setattr__(self, "_adjacency_lists_cache", cached)
         return cached
+
+    def observed_layout(self, observed: np.ndarray) -> "ObservedLayout":
+        """Each missing node's observed neighbors under mask ``observed``; kept for the last mask.
+
+        ``nodes`` (with an observed neighbor) and ``isolated`` (without) ascend. Row r of ``index`` is n, then
+        the ``counts[r]`` observed neighbors of ``nodes[r]``, then n as padding; ``neighbors`` are the nodes
+        it names. ``groups`` pairs the nodes with c observed neighbors with their (m, c) neighbor indices.
+        """
+        observed = np.asarray(observed, dtype=bool)
+        cached = getattr(self, "_layout_cache", None)
+        if cached is None or cached[0] != observed.tobytes():
+            lists, flags, missing = self.adjacency_lists(), observed.tolist(), np.flatnonzero(~observed).tolist()
+            rows = {i: [j for j in lists[i] if flags[j]] for i in missing}
+            nodes = np.array([i for i in missing if rows[i]], dtype=np.int64)
+            counts = np.array([len(rows[i]) for i in nodes.tolist()], dtype=np.int64)
+            index = np.full((nodes.size, 1 + max(counts.tolist(), default=0)), self.n_nodes)
+            for r, i in enumerate(nodes.tolist()):
+                index[r, 1:1 + len(rows[i])] = rows[i]
+            isolated = np.array([i for i in missing if not rows[i]], dtype=np.int64)
+            groups = tuple((nodes[counts == c], index[counts == c, 1:1 + c]) for c in np.unique(counts).tolist())
+            neighbors = np.unique(index)[:-1]  # n, the largest entry, is there whenever a row is
+            cached = (observed.tobytes(), ObservedLayout(nodes, isolated, index, counts, neighbors, groups))
+            for a in (*cached[1][:5], *sum(groups, ())):
+                a.setflags(write=False)
+            object.__setattr__(self, "_layout_cache", cached)
+        return cached[1]
 
 
 @dataclass(frozen=True, eq=False)

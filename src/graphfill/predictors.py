@@ -18,7 +18,9 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .prompts import CompletionParseError, NodeTask, build_prompt, parse_completion
+import numpy as np
+
+from .prompts import CompletionParseError, NodeTask, build_prompt, parse_completion, prompt_groups, prompt_lengths
 
 API_KEY_ENV = "OPENAI_API_KEY"
 ENDPOINT_ENV = "OPENAI_BASE_URL"
@@ -98,6 +100,21 @@ def mock_predict(task: NodeTask) -> float:
     else:
         value = task.previous
     return round(value, task.precision)
+
+
+def mock_step(layout, t: int, previous, processed, precision: int, multi_task_prompt: bool):
+    """The mock ``(values, tokens)`` :func:`predict_batch` gives ``layout.nodes`` at ``t``; None if not finite."""
+    # Column 0 and the padding read 0.0: each row sums from 0.0 left to right, as sum() does.
+    sums = np.cumsum(np.append(processed, 0.0)[layout.index], axis=1)[:, -1]
+    raw = 0.5 * previous + 0.5 * (sums / layout.counts)
+    if not np.isfinite(raw).all():
+        return None
+    values = [round(v, precision) for v in raw.tolist()]
+    header, contexts = prompt_lengths(layout, t, previous, processed, precision)
+    answers = np.array([len(f"{v:.{precision}f}") for v in values], dtype=np.int64)
+    if multi_task_prompt and values:  # one prompt; the completion puts one answer per line
+        contexts, answers = contexts.sum(keepdims=True), answers.sum(keepdims=True) + len(values) - 1
+    return values, int(((header + contexts + 3) // 4).sum() + ((answers + 3) // 4).sum())  # ceil(length / 4)
 
 
 def _mock_backend(system_text: str, user_text: str, tasks) -> str:
@@ -230,7 +247,7 @@ def predict_batch(tasks, cfg: PredictorConfig, backend=None) -> list:
     backend = bind_backend(cfg, backend)
     external = backend is not None  # remote or caller-supplied: timed, and may wait on I/O
     resolved = backend if external else _mock_backend
-    groups = [tasks] if cfg.multi_task_prompt else [[task] for task in tasks]
+    groups = prompt_groups(tasks, cfg.multi_task_prompt)
     if external and len(groups) > 1 and cfg.max_concurrency > 1:
         with ThreadPoolExecutor(max_workers=min(cfg.max_concurrency, len(groups))) as pool:
             outs = list(pool.map(lambda group: _attempt_group(group, cfg, resolved, external), groups))

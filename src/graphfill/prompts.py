@@ -25,6 +25,7 @@ _USER_HEADER = (
     "indexed context. Precision round to {p} decimal point. Do not output "
     "text. Do not recall memories."
 )
+_CONTEXT = " Time {t}, Entity index: {node}. Previous: {previous}, Neighbors: [{neighbors}]."
 
 # Optional sign, digits with optional decimal part, or bare decimal fraction.
 # No exponents: the prompts request plain fixed-point numerals.
@@ -113,12 +114,25 @@ def render_user_prompt(tasks) -> str:
     fmt = f"{{:.{precision}f}}".format
     parts = [_USER_HEADER.format(p=precision)]
     for task in tasks:
-        nbrs = ", ".join(map(fmt, task.neighbor_values))
-        parts.append(
-            f" Time {task.t}, Entity index: {task.node}."
-            f" Previous: {fmt(task.previous)}, Neighbors: [{nbrs}]."
-        )
+        parts.append(_CONTEXT.format(t=task.t, node=task.node, previous=fmt(task.previous),
+                                     neighbors=", ".join(map(fmt, task.neighbor_values))))
     return "".join(parts)
+
+
+def prompt_groups(tasks, multi_task_prompt: bool) -> list:
+    """The tasks (a list) each prompt covers: all in one prompt, or one prompt per task; none without tasks."""
+    return [tasks] if multi_task_prompt and tasks else [[task] for task in tasks]
+
+
+def prompt_lengths(layout, t: int, previous: np.ndarray, processed: np.ndarray, precision: int) -> tuple:
+    """Lengths of :func:`render_user_prompt`'s header and ``layout.nodes``' contexts, formatting only numbers."""
+    fmt = f"{{:.{precision}f}}".format
+    widths = np.zeros(processed.shape[0] + 1, dtype=np.int64)  # the sentinel's width stays 0
+    widths[layout.neighbors] = [len(fmt(v)) for v in processed[layout.neighbors].tolist()]
+    own = [len(str(i)) + len(fmt(v)) for i, v in zip(layout.nodes.tolist(), previous.tolist())]
+    fixed = len(_CONTEXT.format(t=t, node="", previous="", neighbors="")) + 2 * (layout.counts - 1)
+    contexts = fixed + np.array(own, dtype=np.int64) + widths[layout.index].sum(axis=1)
+    return len(_USER_HEADER.format(p=precision)), contexts
 
 
 def build_prompt(tasks) -> PromptPair:

@@ -20,7 +20,7 @@ from . import baselines as bl
 from .files import atomic_write
 from .graphs import Graph, GftBasis, gft, knn_graph, laplacian, load_coordinates_csv, load_edge_list_csv
 from .metrics import RunReport, aggregate, emit_report, rmse
-from .predictors import PredictionResult, PredictorConfig, bind_backend, estimate_tokens, predict_batch
+from .predictors import PredictionResult, PredictorConfig, bind_backend, estimate_tokens, mock_step, predict_batch
 from .prompts import build_task
 from .signals import ObservationModel, TimeVaryingSignal, load_signal_csv, observe, sample_mask, split
 from .spectral import TrainConfig, TrainResult, denoise, mae, save_filter_json, train_filter
@@ -239,30 +239,31 @@ def observe_step(ctx: RunContext, model: ObservationModel, k: int):
     return observe(ctx.test_signal.values[:, k], model, ctx.test_signal.t0 + k)
 
 
-def step_tasks(ctx: RunContext, cfg: RunConfig, model, filt, x_prev, obs) -> tuple:
-    """Denoise one observation; returns it and one task per missing node."""
-    o_tilde = denoise(filt, ctx.basis, obs, x_prev)
-    tasks = [
-        build_task(int(i), obs.t, float(x_prev[i]), o_tilde, ctx.graph, model, cfg.precision)
-        for i in model.missing_indices
-    ]
-    return o_tilde, tasks
+def step_tasks(ctx: RunContext, cfg: RunConfig, model, o_tilde, x_prev, t: int) -> list:
+    """The tasks one step sends: one per missing node with an observed neighbor, ascending."""
+    nodes = ctx.graph.observed_layout(model.observed).nodes.tolist()
+    return [build_task(i, t, float(x_prev[i]), o_tilde, ctx.graph, model, cfg.precision) for i in nodes]
 
 
 def _step_estimate(ctx, cfg, model, filt, x_prev, obs, backend, transcript):
-    """Advance the primary estimate by one test step; returns (x_hat, tokens)."""
-    o_tilde, tasks = step_tasks(ctx, cfg, model, filt, x_prev, obs)
-    base = obs.values if cfg.adopt_raw_observed else o_tilde
-    x_hat = np.where(model.observed, base, 0.0)
+    """Advance the primary estimate by one test step; returns (x_hat, tokens).
 
-    # A task with no observed neighbor has nothing to describe: it persists without a backend call.
-    records = [
-        PredictionResult(task.node, task.t, task.previous, attempts=0, fallback=True)
-        for task in tasks if not task.neighbor_values
-    ]
-    dispatch = [task for task in tasks if task.neighbor_values]
-    if dispatch:
-        records += predict_batch(dispatch, cfg.predictor, backend=backend)
+    The step is array-shaped when no text is sent or logged (built-in mock, no transcript).
+    """
+    o_tilde = denoise(filt, ctx.basis, obs, x_prev)
+    x_hat = np.where(model.observed, obs.values if cfg.adopt_raw_observed else o_tilde, x_prev)
+    layout, p = ctx.graph.observed_layout(model.observed), cfg.predictor
+    if backend is None and transcript is None and p.backend == "mock":
+        answered = mock_step(layout, obs.t, x_prev[layout.nodes], o_tilde, cfg.precision, p.multi_task_prompt)
+        if answered is not None:
+            x_hat[layout.nodes] = answered[0]
+            return x_hat, answered[1]
+
+    # Text path. A missing node with no observed neighbor persists without a backend call.
+    records = [PredictionResult(i, obs.t, float(x_prev[i]), 0, fallback=True) for i in layout.isolated.tolist()]
+    tasks = step_tasks(ctx, cfg, model, o_tilde, x_prev, obs.t)
+    if tasks:
+        records += predict_batch(tasks, cfg.predictor, backend=backend)
     for record in records:
         x_hat[record.node] = record.value
     return x_hat, _account(records, transcript)

@@ -58,10 +58,6 @@ class ObservationModel:
         return self.observed.shape[0]
 
     @property
-    def observed_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.observed)
-
-    @property
     def missing_indices(self) -> np.ndarray:
         return np.flatnonzero(~self.observed)
 

@@ -7,6 +7,7 @@ import pytest
 from helpers import write_run_fixture
 
 from graphfill.cli import main
+from graphfill.prompts import render_system_prompt
 
 DATA = Path(__file__).parent / "data"
 P3_CONFIG = str(DATA / "p3" / "config.json")
@@ -45,6 +46,45 @@ class TestRenderPrompts:
         assert rc == 0
         captured = capsys.readouterr().out
         assert captured.startswith("The spatiotemporal task")
+
+    def test_node_without_observed_neighbor_has_no_prompt(self, tmp_path, capsys):
+        # Path graph 0-1-2; mask seed 0 observes node 2 only, so node 0 has no observed neighbor.
+        (tmp_path / "edges.csv").write_text("0,1\n1,2\n")
+        (tmp_path / "signal.csv").write_text("1.0,1.0,1.0,1.0\n2.0,2.0,2.0,2.0\n3.0,3.0,3.0,3.0\n")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "graph": {"source": "edges", "edge_list": str(tmp_path / "edges.csv"), "n_nodes": 3},
+            "signal": {"path": str(tmp_path / "signal.csv"), "layout": "nodes-as-rows"},
+            "t_split": 2,
+            "observation": {"ratio": 0.34, "seed": 0, "noise_variance": 0.0},
+            "train": {"learning_rate": 0.0, "max_iters": 1},
+        }))
+        assert main(["render-prompts", "--config", str(cfg_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert "Entity index: 1." in lines[1]
+        assert "Entity index: 0." not in lines[1]
+
+    @pytest.mark.parametrize("multi_task_prompt", [False, True])
+    def test_prints_the_first_step_prompts_a_run_sends(self, tmp_path, capsys, multi_task_prompt):
+        out = tmp_path / "out"
+        cfg_path = run_config_file(tmp_path, predictor={"backend": "mock", "multi_task_prompt": multi_task_prompt})
+        assert main(["run", "--config", cfg_path, "--transcript", "--output-dir", str(out)]) == 0
+        capsys.readouterr()  # the run's own summary
+        assert main(["render-prompts", "--config", cfg_path]) == 0
+        rendered = capsys.readouterr().out.splitlines()
+        assert rendered[0] == render_system_prompt()
+        assert rendered[1:] == first_step_prompts(out)
+        if multi_task_prompt:
+            assert len(rendered) == 2 and rendered[1].count("Entity index:") > 1
+
+
+def first_step_prompts(out_dir) -> list:
+    """The distinct user prompts a run's transcript sent at its first test step, in order."""
+    with open(out_dir / "transcript.jsonl", encoding="utf-8") as fh:
+        entries = [json.loads(line) for line in fh]
+    first = min(e["t"] for e in entries)
+    return list(dict.fromkeys(e["prompt"] for e in entries if e["t"] == first and e["prompt"] is not None))
 
 
 class TestRun:

@@ -1,8 +1,10 @@
 """Tests for the online loop, run configuration, checkpoints, and repeats."""
+import dataclasses
 import glob
 import json
 import os
 import re
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from helpers import write_run_fixture
 from graphfill import baselines as bl
 from graphfill import files, runner
 from graphfill.metrics import rmse
-from graphfill.predictors import estimate_tokens
+from graphfill.graphs import build_graph, gft, laplacian
+from graphfill.predictors import PredictorConfig, estimate_tokens
 from graphfill.runner import (
     RunConfig,
     execute_run,
@@ -20,8 +23,8 @@ from graphfill.runner import (
     replay_from_checkpoint,
     run_online,
 )
-from graphfill.signals import ObservationModel, TimeVaryingSignal, observe, sample_mask
-from graphfill.spectral import denoise, mae
+from graphfill.signals import Observation, ObservationModel, TimeVaryingSignal, observe, sample_mask
+from graphfill.spectral import denoise, identity_filter, mae
 
 
 def base_config(edge_path, signal_path, **overrides):
@@ -291,13 +294,20 @@ class TestArtifacts:
 
 
 class TestTokenEstimate:
-    @pytest.mark.parametrize("multi_task_prompt", [False, True])
-    def test_each_group_prompt_and_completion_count_once(self, fixture_paths, multi_task_prompt):
+    # The transcript of a logged run gives the exchanges; an unlogged run takes the array path.
+    @pytest.mark.parametrize("multi_task_prompt, transcript", [
+        pytest.param(False, True, id="False"),
+        pytest.param(True, True, id="True"),
+        pytest.param(False, False, id="False-array"),
+        pytest.param(True, False, id="True-array"),
+    ])
+    def test_each_group_prompt_and_completion_count_once(self, fixture_paths, multi_task_prompt, transcript):
         edge_path, signal_path = fixture_paths
         cfg = base_config(edge_path, signal_path, baselines=[], transcript=True,
                           predictor={"backend": "mock", "multi_task_prompt": multi_task_prompt})
-        execution = execute_run(cfg)
-        entries = [e for e in execution.repeats[0].transcript if e["prompt"] is not None]
+        logged = execute_run(cfg)
+        execution = logged if transcript else execute_run(dataclasses.replace(cfg, transcript=False))
+        entries = [e for e in logged.repeats[0].transcript if e["prompt"] is not None]
         exchanges = {(e["t"], e["prompt"], e["completion"]) for e in entries}
         per_exchange = {x: estimate_tokens(x[1]) + estimate_tokens(x[2] or "") for x in exchanges}
         assert execution.report.token_estimate == sum(per_exchange.values())
@@ -309,6 +319,43 @@ class TestTokenEstimate:
         else:
             assert len(exchanges) == len(entries)
             assert execution.report.token_estimate == per_entry
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("multi_task_prompt", [False, True])
+    def test_text_and_array_paths_agree(self, fixture_paths, multi_task_prompt):
+        edge_path, signal_path = fixture_paths
+        cfg = base_config(edge_path, signal_path, baselines=["glms", "gnlms", "last_value", "neighbor_mean"],
+                          repeats=2, predictor={"backend": "mock", "multi_task_prompt": multi_task_prompt})
+        text = execute_run(dataclasses.replace(cfg, transcript=True))
+        array = execute_run(cfg)
+        assert array.report.token_estimate == text.report.token_estimate > 0
+        for a, t in zip(array.repeats, text.repeats, strict=True):
+            assert a.trajectory.tobytes() == t.trajectory.tobytes()
+            assert a.token_estimate == t.token_estimate
+            assert a.scores.keys() == t.scores.keys()
+            for name in a.scores:
+                assert a.scores[name].tobytes() == t.scores[name].tobytes(), name
+
+    def test_array_path_sends_no_text(self, fixture_paths, monkeypatch):
+        edge_path, signal_path = fixture_paths
+        monkeypatch.setattr(runner, "predict_batch", None)
+        monkeypatch.setattr(runner, "build_task", None)
+        execute_run(base_config(edge_path, signal_path))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_mock_value_takes_the_text_path(self):
+        # Node 1's two observed neighbors sum past the largest float: "inf" does not parse, so it falls back.
+        g = build_graph(3, [(0, 1), (1, 2)])
+        basis = gft(laplacian(g))
+        model = ObservationModel(np.array([True, False, True]), 0.0, 0)
+        obs = Observation(5, np.array([1.5e308, np.nan, 1.5e308]), model.observed)
+        ctx = types.SimpleNamespace(graph=g, basis=basis)
+        cfg = RunConfig(predictor=PredictorConfig(max_retries=0))
+        x_prev = np.full(3, 0.25)
+        x_hat, tokens = runner._step_estimate(ctx, cfg, model, identity_filter(basis), x_prev, obs, None, None)
+        assert x_hat[1] == 0.25
+        assert tokens > 0  # the text path sent the prompt
 
 
 class TestBaselinesOnly:
@@ -489,7 +536,7 @@ class TestKnnGraphSource:
 
 
 class TestMissingNodeWithoutObservedNeighbors:
-    def test_isolated_missing_node_persists(self, tmp_path):
+    def test_isolated_missing_node_persists(self, tmp_path, monkeypatch):
         # Path graph 0-1, plus node 2 connected only to missing node 1.
         edge_path = tmp_path / "edges.csv"
         edge_path.write_text("0,1\n1,2\n")
@@ -507,6 +554,10 @@ class TestMissingNodeWithoutObservedNeighbors:
             }
         )
         model = sample_mask(3, 0.34, 0, 0.0)
-        assert int(model.observed.sum()) == 1
+        assert model.observed.tolist() == [False, False, True]  # node 0's only neighbor is missing
+        logged = execute_run(dataclasses.replace(cfg, transcript=True))
+        monkeypatch.setattr(runner, "predict_batch", None)  # the array path sends no text
         execution = execute_run(cfg)
         assert np.all(np.isfinite(execution.repeats[0].trajectory))
+        assert np.all(execution.repeats[0].trajectory[0] == init_estimate(execution.context.train_signal, model)[0])
+        assert np.array_equal(execution.repeats[0].trajectory, logged.repeats[0].trajectory)
