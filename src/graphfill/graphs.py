@@ -17,7 +17,7 @@ EARTH_RADIUS_KM = 6371.0088
 _SCREEN_BLOCK_ELEMENTS = 1 << 14
 _SCREEN_MARGIN = 1e-9
 _SCREEN_FLOOR = 1e-300
-ObservedLayout = collections.namedtuple("ObservedLayout", "nodes isolated index counts neighbors groups")
+ObservedLayout = collections.namedtuple("ObservedLayout", "nodes isolated index counts neighbors groups digits")
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -62,6 +62,7 @@ class Graph:
         ``nodes`` (with an observed neighbor) and ``isolated`` (without) ascend. Row r of ``index`` is n, then
         the ``counts[r]`` observed neighbors of ``nodes[r]``, then n as padding; ``neighbors`` are the nodes
         it names. ``groups`` pairs the nodes with c observed neighbors with their (m, c) neighbor indices.
+        ``digits`` holds the number of decimal digits of each of ``nodes``.
         """
         observed = np.asarray(observed, dtype=bool)
         cached = getattr(self, "_layout_cache", None)
@@ -76,8 +77,9 @@ class Graph:
             isolated = np.array([i for i in missing if not rows[i]], dtype=np.int64)
             groups = tuple((nodes[counts == c], index[counts == c, 1:1 + c]) for c in np.unique(counts).tolist())
             neighbors = np.unique(index)[:-1]  # n, the largest entry, is there whenever a row is
-            cached = (observed.tobytes(), ObservedLayout(nodes, isolated, index, counts, neighbors, groups))
-            for a in (*cached[1][:5], *sum(groups, ())):
+            digits = np.array([len(str(i)) for i in nodes.tolist()], dtype=np.int64)
+            cached = (observed.tobytes(), ObservedLayout(nodes, isolated, index, counts, neighbors, groups, digits))
+            for a in (*cached[1][:5], digits, *sum(groups, ())):
                 a.setflags(write=False)
             object.__setattr__(self, "_layout_cache", cached)
         return cached[1]

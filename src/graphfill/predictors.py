@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prompts import CompletionParseError, NodeTask, build_prompt, parse_completion, prompt_groups, prompt_lengths
+from .prompts import CompletionParseError, NodeTask, build_prompt, parse_completion, prompt_groups
+from .prompts import prompt_lengths, round_fixed
 
 API_KEY_ENV = "OPENAI_API_KEY"
 ENDPOINT_ENV = "OPENAI_BASE_URL"
@@ -104,16 +105,17 @@ def mock_predict(task: NodeTask) -> float:
 
 def mock_step(layout, t: int, previous, processed, precision: int, multi_task_prompt: bool):
     """The mock ``(values, tokens)`` :func:`predict_batch` gives ``layout.nodes`` at ``t``; None if not finite."""
-    # Column 0 and the padding read 0.0: each row sums from 0.0 left to right, as sum() does.
-    sums = np.cumsum(np.append(processed, 0.0)[layout.index], axis=1)[:, -1]
-    raw = 0.5 * previous + 0.5 * (sums / layout.counts)
+    # Column 0 and the padding read 0.0: each row sums from 0.0 left to right, as sum() does. An overflowing
+    # sum is as silent as sum()'s, and its value is sent down the text path.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.cumsum(np.append(processed, 0.0)[layout.index], axis=1)[:, -1]
+        raw = 0.5 * previous + 0.5 * (sums / layout.counts)
     if not np.isfinite(raw).all():
         return None
-    values = [round(v, precision) for v in raw.tolist()]
-    header, contexts = prompt_lengths(layout, t, previous, processed, precision)
-    answers = np.array([len(f"{v:.{precision}f}") for v in values], dtype=np.int64)
-    if multi_task_prompt and values:  # one prompt; the completion puts one answer per line
-        contexts, answers = contexts.sum(keepdims=True), answers.sum(keepdims=True) + len(values) - 1
+    values = round_fixed(raw, precision)
+    header, contexts, answers = prompt_lengths(layout, t, previous, processed, values, precision)
+    if multi_task_prompt and values.size:  # one prompt; the completion puts one answer per line
+        contexts, answers = contexts.sum(keepdims=True), answers.sum(keepdims=True) + values.size - 1
     return values, int(((header + contexts + 3) // 4).sum() + ((answers + 3) // 4).sum())  # ceil(length / 4)
 
 

@@ -30,6 +30,8 @@ _CONTEXT = " Time {t}, Entity index: {node}. Previous: {previous}, Neighbors: [{
 # Optional sign, digits with optional decimal part, or bare decimal fraction.
 # No exponents: the prompts request plain fixed-point numerals.
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)")
+# Exact doubles 1e1..1e15: a value's integer digits, less one, are the number of them at or below it.
+_POWERS = np.array([float(10 ** m) for m in range(1, 16)])
 
 
 class CompletionParseError(ValueError):
@@ -124,15 +126,53 @@ def prompt_groups(tasks, multi_task_prompt: bool) -> list:
     return [tasks] if multi_task_prompt and tasks else [[task] for task in tasks]
 
 
-def prompt_lengths(layout, t: int, previous: np.ndarray, processed: np.ndarray, precision: int) -> tuple:
-    """Lengths of :func:`render_user_prompt`'s header and ``layout.nodes``' contexts, formatting only numbers."""
-    fmt = f"{{:.{precision}f}}".format
-    widths = np.zeros(processed.shape[0] + 1, dtype=np.int64)  # the sentinel's width stays 0
-    widths[layout.neighbors] = [len(fmt(v)) for v in processed[layout.neighbors].tolist()]
-    own = [len(str(i)) + len(fmt(v)) for i, v in zip(layout.nodes.tolist(), previous.tolist())]
-    fixed = len(_CONTEXT.format(t=t, node="", previous="", neighbors="")) + 2 * (layout.counts - 1)
-    contexts = fixed + np.array(own, dtype=np.int64) + widths[layout.index].sum(axis=1)
-    return len(_USER_HEADER.format(p=precision)), contexts
+def prompt_lengths(layout, t: int, previous, processed, answers, precision: int) -> tuple:
+    """Lengths of :func:`render_user_prompt`'s header and ``layout.nodes``' contexts, and the answers' widths."""
+    k, m = layout.neighbors.size, previous.size
+    widths = fixed_widths(np.concatenate((processed[layout.neighbors], previous, answers)), precision)
+    listed = np.zeros(processed.size + 1, dtype=np.int64)  # the sentinel n prints nothing
+    listed[layout.neighbors] = widths[:k]
+    fixed = len(_CONTEXT.format(t=t, node="", previous="", neighbors="")) + 2 * (layout.counts - 1) + layout.digits
+    contexts = fixed + widths[k:k + m] + listed[layout.index].sum(axis=1)
+    return len(_USER_HEADER.format(p=precision)), contexts, widths[k + m:]
+
+
+def fixed_widths(values: np.ndarray, precision: int) -> np.ndarray:
+    """``len(f"{v:.{precision}f}")`` for each value; formats only where rounding may carry into a new digit.
+
+    The width is the sign (``-0.0`` prints one), the integer digits and ``precision + 1`` for the decimals.
+    A value formats when ``floor(|v|) + 1`` is a power of ten from 10 up and the fraction is within half a
+    last digit (plus a margin) of it, or when ``|v| >= 1e15`` or is not finite.
+    """
+    a = np.abs(values)
+    i = np.searchsorted(_POWERS, a, side="right")
+    width = np.signbit(values) + 1 + i + (precision + 1 if precision else 0)
+    whole = np.floor(a)
+    with np.errstate(invalid="ignore"):  # inf - inf; such a value formats anyway, as does any with i = 15
+        carry = (whole + 1 == _POWERS.take(i, mode="clip")) & (a - whole >= 1.0 - 0.5 * 10.0 ** -precision - 1e-9)
+    redo = np.flatnonzero(carry | ~(a < _POWERS[-1]))
+    if redo.size:
+        width[redo] = [len(f"{v:.{precision}f}") for v in values[redo].tolist()]
+    return width
+
+
+def round_fixed(values: np.ndarray, precision: int) -> np.ndarray:
+    """Python's ``round(v, precision)`` for each value, bit for bit; calls it only near a tie or past exact scaling.
+
+    For ``precision <= 15`` both k = rint(v * 10**p) and 10**p are exact doubles, and IEEE division gives
+    the double nearest k / 10**p, which is what ``round`` returns unless v * 10**p lies near a .5 tie.
+    """
+    if precision > 15:
+        return np.array([round(v, precision) for v in values.tolist()], dtype=np.float64)
+    scale = float(10 ** precision)
+    with np.errstate(over="ignore", invalid="ignore"):  # values near 1e300; they go through round()
+        y = values * scale
+        out = np.rint(y) / scale
+        a = np.abs(y)
+        redo = np.flatnonzero(~(a < 2.0 ** 52) | (np.abs(y - np.floor(y) - 0.5) <= 1e-7 * np.maximum(1.0, a)))
+    if redo.size:
+        out[redo] = [round(v, precision) for v in values[redo].tolist()]
+    return out
 
 
 def build_prompt(tasks) -> PromptPair:

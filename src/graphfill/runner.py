@@ -19,11 +19,11 @@ import numpy as np
 from . import baselines as bl
 from .files import atomic_write
 from .graphs import Graph, GftBasis, gft, knn_graph, laplacian, load_coordinates_csv, load_edge_list_csv
-from .metrics import RunReport, aggregate, emit_report, rmse
+from .metrics import RunReport, aggregate, emit_report, rmse  # noqa: F401 (runner.mae, runner.rmse stay importable)
 from .predictors import PredictionResult, PredictorConfig, bind_backend, estimate_tokens, mock_step, predict_batch
 from .prompts import build_task
 from .signals import ObservationModel, TimeVaryingSignal, load_signal_csv, observe, sample_mask, split
-from .spectral import TrainConfig, TrainResult, denoise, mae, save_filter_json, train_filter
+from .spectral import TrainConfig, TrainResult, denoise, mae, save_filter_json, train_filter  # noqa: F401
 
 PRIMARY_METHOD = "graphfill"
 
@@ -300,12 +300,16 @@ def _baseline_estimate(state):
     return state.estimate if isinstance(state, bl.AdaptiveFilterState) else state
 
 
-def _score(col, est, missing) -> tuple:
-    """mae, rmse, and both over the missing nodes (0 when no node is missing)."""
-    if not missing.size:
-        return mae(col, est), rmse(col, est), 0.0, 0.0
-    col_m, est_m = col[missing], est[missing]
-    return mae(col, est), rmse(col, est), mae(col_m, est_m), rmse(col_m, est_m)
+def _step_scores(col, est, missing) -> np.ndarray:
+    """Per row of ``est`` (methods, n): mae, rmse, and both over the missing nodes (0 when none is missing)."""
+    out = np.zeros((4, est.shape[0]))
+    d = col - est
+    # A C-contiguous row sums as a 1-D array does (take() keeps rows so; d[:, missing] is column-major), and
+    # np.mean is that sum over the count: each entry equals mae/rmse bit for bit.
+    for row, part in ((0, d), (2, d.take(missing, axis=1))) if missing.size else ((0, d),):
+        out[row] = np.abs(part).sum(axis=1) / part.shape[1]
+        out[row + 1] = np.sqrt((part * part).sum(axis=1) / part.shape[1])
+    return out
 
 
 def run_repeat(
@@ -344,7 +348,8 @@ def run_repeat(
             init = BASELINES[name][0]
             states[name] = init(ctx.basis, band, cfg.baseline_step_size, x_prev, model.observed)
     methods = ([PRIMARY_METHOD] if with_primary else []) + list(states)
-    scores = {name: np.zeros((4, horizon)) for name in methods}
+    table = np.zeros((len(methods), 4, horizon))
+    scores = dict(zip(methods, table))
     missing = model.missing_indices
 
     completed = 0
@@ -363,8 +368,7 @@ def run_repeat(
             for name, state in states.items():
                 states[name] = BASELINES[name][1](state, obs, ctx.graph)
                 estimates[name] = _baseline_estimate(states[name])
-            for name, est in estimates.items():
-                scores[name][:, offset] = _score(col, est, missing)
+            table[:, :, offset] = _step_scores(col, np.array(list(estimates.values())), missing).T
 
             completed = offset + 1
             if with_primary:

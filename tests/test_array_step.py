@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from graphfill.graphs import build_graph, neighbors
 from graphfill.predictors import PredictorConfig, estimate_tokens, mock_predict, mock_step, predict_batch
-from graphfill.prompts import build_task, prompt_groups, render_user_prompt
+from graphfill.prompts import build_task, fixed_widths, prompt_groups, render_user_prompt, round_fixed
 from graphfill.signals import ObservationModel
 
 # Negative values, values that round to -0.0, carries (9.96 -> 10.0, 99.95) and half-even ties.
@@ -14,6 +14,27 @@ SPECIAL = [-0.04, -0.0, 0.0, 0.05, -0.05, 0.25, -0.25, 2.675, -2.675, 9.96, 99.9
 # Precision 17 keeps every bit, so a sum taken in another order shows.
 PRECISIONS = st.one_of(st.integers(0, 3), st.just(17))
 VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False))
+# Past 22 decimals 10**p is no longer an exact double.
+HELPER_PRECISIONS = [0, 1, 2, 3, 15, 16, 17, 25]
+
+
+def around(values):
+    """Each value and its neighbors one ulp below and above."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # past the largest float is inf
+        return np.concatenate((values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)))
+
+
+def edge_values(precision):
+    """Carries into a new digit (10**m - half a last digit), .5 ties (k + 0.5) / 10**p, values a quarter
+    digit past k / 10**p (no tie: rounded by scaling) and the extremes, each ± 1 ulp."""
+    half = 0.5 * 10.0 ** -precision
+    carries = [10.0 ** m - half for m in range(16)]
+    ties = [(k + 0.5) / 10.0 ** precision for k in (0, 1, 2, 7, 26, 267, 999, 10 ** 6, 2 ** 40, 2 ** 51)]
+    quarters = [(k + 0.25) / 10.0 ** precision for k in range(0, 2000, 37)]
+    extremes = [0.0, -0.0, 5e-324, 1e300, -1e300, 2.0 ** 53 + 2, 0.25, 2.675, 9.96, 99.95, 1e15, 1e16]
+    signed = np.array(carries + ties + quarters + extremes)
+    return around(np.concatenate((signed, -signed)))
 
 
 @st.composite
@@ -81,7 +102,8 @@ def test_rounding_edge_cases(value, precision):
 def test_no_missing_node_has_no_tokens():
     g = build_graph(2, [(0, 1)])
     layout = g.observed_layout(np.array([True, True]))
-    assert mock_step(layout, 0, np.zeros(0), np.zeros(2), 1, True) == ([], 0)
+    values, tokens = mock_step(layout, 0, np.zeros(0), np.zeros(2), 1, True)
+    assert (values.tolist(), tokens) == ([], 0)
 
 
 def test_layout_is_kept_for_the_last_mask_and_read_only():
@@ -104,3 +126,21 @@ def test_long_rows_sum_left_to_right():
         previous, processed = rng.uniform(-1e4, 1e4, 12), rng.uniform(-1e4, 1e4, 12)
         values, _ = mock_step(layout, 0, previous[layout.nodes], processed, 17, False)
         assert hexes(values) == hexes([mock_predict(build_task(0, 0, previous[0], processed, g, model, 17))])
+
+
+def check_helpers(values, precision):
+    values = np.asarray(values, dtype=np.float64)
+    assert fixed_widths(values, precision).tolist() == [len(f"{v:.{precision}f}") for v in values.tolist()]
+    assert hexes(round_fixed(values, precision)) == hexes(round(v, precision) for v in values.tolist())
+
+
+@pytest.mark.parametrize("precision", HELPER_PRECISIONS)
+def test_helpers_at_carries_ties_and_extremes(precision):
+    check_helpers(edge_values(precision), precision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.floats(-1e4, 1e4), st.sampled_from(edge_values(1).tolist())), max_size=20),
+       st.sampled_from(HELPER_PRECISIONS))
+def test_helpers_equal_format_and_round(values, precision):
+    check_helpers(around(values), precision)

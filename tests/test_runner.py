@@ -343,7 +343,6 @@ class TestArrayPath:
         monkeypatch.setattr(runner, "build_task", None)
         execute_run(base_config(edge_path, signal_path))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_mock_value_takes_the_text_path(self):
         # Node 1's two observed neighbors sum past the largest float: "inf" does not parse, so it falls back.
         g = build_graph(3, [(0, 1), (1, 2)])
@@ -356,6 +355,23 @@ class TestArrayPath:
         x_hat, tokens = runner._step_estimate(ctx, cfg, model, identity_filter(basis), x_prev, obs, None, None)
         assert x_hat[1] == 0.25
         assert tokens > 0  # the text path sent the prompt
+
+
+class TestStepScores:
+    @pytest.mark.parametrize("n", [1, 7, 129, 1000])  # past numpy's 8-wide and 128-element summation blocks
+    @pytest.mark.parametrize("methods", [1, 2, 3, 4, 5])
+    def test_one_pass_rows_equal_per_method_scores(self, n, methods):
+        rng = np.random.default_rng(n * 10 + methods)
+        col = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)  # mixed magnitudes show a changed sum order
+        est = col + rng.normal(size=(methods, n)) * 10.0 ** rng.integers(-3, 4, size=(methods, n))
+        for missing in (np.flatnonzero(rng.random(n) < 0.4), np.arange(n), np.zeros(0, dtype=np.int64)):
+            rows = runner._step_scores(col, est, missing)
+            assert rows.shape == (4, methods)
+            for j, e in enumerate(est):
+                m = missing  # an empty missing set scores 0
+                on_missing = (mae(col[m], e[m]), rmse(col[m], e[m])) if m.size else (0.0, 0.0)
+                expected = [mae(col, e), rmse(col, e), *on_missing]
+                assert [float(v).hex() for v in rows[:, j]] == [float(v).hex() for v in expected]
 
 
 class TestBaselinesOnly:
