@@ -10,8 +10,11 @@ normalized variant additionally scales each in-band frequency by the
 inverse energy the mask leaves in that frequency (eps-regularized), which
 equalizes per-frequency convergence; with every node observed it reduces
 exactly to the unnormalized update.
+
+Every baseline's estimate is a plain array: a step takes one and returns
+the next. An adaptive filter's fixed part, its step size and operator, is
+an :class:`AdaptiveFilter` built and checked once by its init.
 """
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,50 +25,37 @@ from .signals import Observation
 NORMALIZATION_EPS = 1e-8
 
 
-def _check_projector(b: np.ndarray) -> None:
-    if np.max(np.abs(b - b.T), initial=0.0) > 1e-8:
-        raise ValueError("band projector must be symmetric")
-    if np.max(np.abs(b @ b - b), initial=0.0) > 1e-8:
-        raise ValueError("band projector must be idempotent")
-
-
 @dataclass(frozen=True, eq=False)
-class AdaptiveFilterState:
-    """Running estimate plus the precomputed operators of one filter.
-
-    The operators are checked once, at construction, and stored read-only;
-    the step functions derive each next state from them without checking
-    again.
-    """
-    estimate: np.ndarray
+class AdaptiveFilter:
+    """Step size and read-only operator of one least-mean-squares filter."""
     step_size: float
-    band_projector: np.ndarray
-    normalization_cache: np.ndarray | None = None
-    norm_operator: np.ndarray | None = None
+    operator: np.ndarray
 
     def __post_init__(self):
         if self.step_size < 0.0:
             raise ValueError("step_size must be >= 0")
-        for name in ("band_projector", "normalization_cache", "norm_operator"):
-            op = getattr(self, name)
-            if op is not None:
-                object.__setattr__(self, name, _frozen(op))
-        _check_projector(self.band_projector)
-        object.__setattr__(self, "estimate", np.asarray(self.estimate, dtype=np.float64).copy())
-
-    def _with_estimate(self, estimate: np.ndarray) -> "AdaptiveFilterState":
-        """The next state: a new estimate sharing these validated operators."""
-        nxt = copy.copy(self)
-        object.__setattr__(nxt, "estimate", estimate)
-        return nxt
+        object.__setattr__(self, "operator", _frozen(self.operator))
 
 
-def make_band_projector(basis, band_size: int) -> np.ndarray:
-    """Projector onto the ``band_size`` lowest graph frequencies."""
+def _band_vectors(basis, band_size: int) -> np.ndarray:
+    """The ``band_size`` lowest-frequency eigenvectors, checked to span an orthogonal projector."""
     n = basis.n_nodes
     if not (1 <= band_size <= n):
         raise ValueError(f"band_size must be in [1, {n}]")
     u_band = basis.eigenvectors[:, :band_size]
+    _check_projector(u_band)
+    return u_band
+
+
+def _check_projector(u_band: np.ndarray) -> None:
+    # U U^T is symmetric by construction, and idempotent exactly when U's columns are orthonormal.
+    if np.max(np.abs(u_band.T @ u_band - np.eye(u_band.shape[1])), initial=0.0) > 1e-8:
+        raise ValueError("band projector must be idempotent (band eigenvectors must be orthonormal)")
+
+
+def make_band_projector(basis, band_size: int) -> np.ndarray:
+    """Projector onto the ``band_size`` lowest graph frequencies."""
+    u_band = _band_vectors(basis, band_size)
     return u_band @ u_band.T
 
 
@@ -82,52 +72,40 @@ def bandlimit_for_energy(basis, signal_values: np.ndarray, fraction: float = 0.9
     return int(np.searchsorted(cum, fraction - 1e-12) + 1)
 
 
-def glms_init(basis, band_size: int, mu: float, estimate: np.ndarray) -> AdaptiveFilterState:
-    return AdaptiveFilterState(
-        estimate=estimate, step_size=mu, band_projector=make_band_projector(basis, band_size)
-    )
+def glms_init(basis, band_size: int, mu: float) -> AdaptiveFilter:
+    return AdaptiveFilter(mu, make_band_projector(basis, band_size))
 
 
-def gnlms_init(
-    basis, band_size: int, mu: float, estimate: np.ndarray, observed: np.ndarray
-) -> AdaptiveFilterState:
-    """Normalized variant: cache per-frequency inverse mask energy.
+def gnlms_init(basis, band_size: int, mu: float, observed: np.ndarray) -> AdaptiveFilter:
+    """Normalized variant: the band projector with each frequency scaled by its inverse mask energy.
 
-    For in-band frequency k the cache holds ``1 / max(q_k, eps)`` with
+    For in-band frequency k the scale is ``1 / max(q_k, eps)`` with
     ``q_k = sum over observed i of U[i, k]^2``, the energy the mask keeps
     in that frequency (1 when every node is observed).
     """
     observed = np.asarray(observed, dtype=bool)
-    u_band = basis.eigenvectors[:, :band_size]
+    u_band = _band_vectors(basis, band_size)
     q = np.sum(u_band[observed, :] ** 2, axis=0)
     norm = 1.0 / np.maximum(q, NORMALIZATION_EPS)
-    return AdaptiveFilterState(
-        estimate=estimate,
-        step_size=mu,
-        band_projector=make_band_projector(basis, band_size),
-        normalization_cache=norm,
-        norm_operator=u_band @ (norm[:, None] * u_band.T),
-    )
+    return AdaptiveFilter(mu, u_band @ (norm[:, None] * u_band.T))
 
 
-def _lms_step(state: AdaptiveFilterState, obs: Observation, operator) -> AdaptiveFilterState:
-    """``x_hat + mu * operator @ (masked innovation)``, as the next state."""
-    if obs.values.shape != state.estimate.shape:
-        raise ValueError("observation length does not match filter state")
-    innovation = np.where(obs.observed, obs.values - state.estimate, 0.0)
-    return state._with_estimate(state.estimate + state.step_size * (operator @ innovation))
+def _lms_step(filt: AdaptiveFilter, estimate: np.ndarray, obs: Observation) -> np.ndarray:
+    """``estimate + mu * operator @ (masked innovation)``, as a new array."""
+    return estimate + filt.step_size * (filt.operator @ np.where(obs.observed, obs.values - estimate, 0.0))
 
 
-def glms_step(state: AdaptiveFilterState, obs: Observation) -> AdaptiveFilterState:
+# GLMS and GNLMS differ only in the operator their init builds. The step
+# keeps two names so that each filter's calls can be told apart by name
+# (a wrapper installed on ``baselines.glms_step`` sees only GLMS steps).
+def glms_step(filt: AdaptiveFilter, estimate: np.ndarray, obs: Observation) -> np.ndarray:
     """One least-mean-squares correction along the band projector."""
-    return _lms_step(state, obs, state.band_projector)
+    return _lms_step(filt, estimate, obs)
 
 
-def gnlms_step(state: AdaptiveFilterState, obs: Observation) -> AdaptiveFilterState:
+def gnlms_step(filt: AdaptiveFilter, estimate: np.ndarray, obs: Observation) -> np.ndarray:
     """Same correction with the innovation rescaled per frequency."""
-    if state.norm_operator is None:
-        raise ValueError("state has no normalization cache; use gnlms_init")
-    return _lms_step(state, obs, state.norm_operator)
+    return _lms_step(filt, estimate, obs)
 
 
 def last_value_step(estimate: np.ndarray, obs: Observation) -> np.ndarray:

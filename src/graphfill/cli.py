@@ -1,5 +1,6 @@
 """Command-line entry points: run, train-filter, baseline, render-prompts, report."""
 import argparse
+import functools
 import json
 import sys
 
@@ -8,7 +9,6 @@ from .metrics import RunReport, format_aggregate, render_markdown_table
 from .prompts import prompt_groups, render_system_prompt, render_user_prompt
 from .runner import (
     RunConfig,
-    execute_run,
     init_estimate,
     mask_and_train,
     observe_step,
@@ -83,9 +83,9 @@ def _write_text(text: str, out, what: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, with_primary: bool = True) -> int:
     cfg = _load_with_overrides(args)
-    _print_aggregates(run_online(cfg))
+    _print_aggregates(run_online(cfg, with_primary=with_primary))
     if cfg.output_dir:
         print(f"artifacts written to {cfg.output_dir}")
     return 0
@@ -98,11 +98,6 @@ def _cmd_train_filter(args) -> int:
     final = result.mae_trace[-1] if result.mae_trace.size else float("nan")
     print(f"trained {result.mae_trace.size} steps ({result.stop_reason}), final MAE {final:.6f}")
     print(f"filter written to {args.out}")
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    _print_aggregates(execute_run(_load_with_overrides(args), with_primary=False).report)
     return 0
 
 
@@ -148,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_base = sub.add_parser("baseline", help="run the selected baselines only")
     _add_common_overrides(p_base)
-    p_base.set_defaults(func=_cmd_baseline)
+    p_base.set_defaults(func=functools.partial(_cmd_run, with_primary=False))
 
     p_render = sub.add_parser(
         "render-prompts", help="emit the first test step's prompts without any backend"

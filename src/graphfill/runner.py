@@ -8,6 +8,7 @@ the assembled estimate feeds the next step. Baselines consume the exact
 same observation stream. Repeats rerun everything with derived seeds.
 """
 import dataclasses
+import functools
 import json
 import os
 import types
@@ -28,23 +29,20 @@ from .spectral import TrainConfig, TrainResult, denoise, mae, save_filter_json, 
 PRIMARY_METHOD = "graphfill"
 
 
-def _fresh_copy(basis, band, mu, x0, observed):
-    return np.array(x0, dtype=np.float64)
-
-
-# Baseline name -> (init(basis, band, mu, x0, observed), step(state, obs, graph)).
+# Baseline name -> (init(basis, band, mu, observed) -> fixed filter part, or None when there is none,
+#                   step(filter, graph, estimate, obs) -> next estimate).
 # Each entry looks ``bl.<fn>`` up at call time, so wrappers installed on the module see every call.
 BASELINES = {
     "glms": (
-        lambda basis, band, mu, x0, observed: bl.glms_init(basis, band, mu, x0),
-        lambda state, obs, g: bl.glms_step(state, obs),
+        lambda basis, band, mu, observed: bl.glms_init(basis, band, mu),
+        lambda filt, g, x, obs: bl.glms_step(filt, x, obs),
     ),
     "gnlms": (
-        lambda basis, band, mu, x0, observed: bl.gnlms_init(basis, band, mu, x0, observed),
-        lambda state, obs, g: bl.gnlms_step(state, obs),
+        lambda basis, band, mu, observed: bl.gnlms_init(basis, band, mu, observed),
+        lambda filt, g, x, obs: bl.gnlms_step(filt, x, obs),
     ),
-    "last_value": (_fresh_copy, lambda state, obs, g: bl.last_value_step(state, obs)),
-    "neighbor_mean": (_fresh_copy, lambda state, obs, g: bl.neighbor_mean_step(state, obs, g)),
+    "last_value": (None, lambda filt, g, x, obs: bl.last_value_step(x, obs)),
+    "neighbor_mean": (None, lambda filt, g, x, obs: bl.neighbor_mean_step(x, obs, g)),
 }
 
 
@@ -66,7 +64,6 @@ class GraphConfig:
 class SignalConfig:
     path: str = ""
     layout: str = "nodes-as-rows"
-    t0: int = 0
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,6 @@ class RunConfig:
     repeats: int = 1
     output_dir: str | None = None
     precision: int = 1
-    adopt_raw_observed: bool = False
     checkpoint_every: int = 100
     transcript: bool = False
 
@@ -172,7 +168,7 @@ class RunContext:
 
 
 def prepare_run(cfg: RunConfig) -> RunContext:
-    """Build the graph and Fourier basis, load the signal, and split it."""
+    """Build the graph and Fourier basis, load the signal, split it, and size the baselines' band."""
     derived = {}
     if cfg.graph.source == "edges":
         if not cfg.graph.edge_list:
@@ -187,15 +183,18 @@ def prepare_run(cfg: RunConfig) -> RunContext:
     basis = gft(laplacian(g))
     derived["basis_ref"] = basis.ref()
 
-    raw = load_signal_csv(cfg.signal.path, cfg.signal.layout)
-    if raw.n_nodes != g.n_nodes:
-        raise ValueError(f"signal has {raw.n_nodes} nodes but graph has {g.n_nodes}")
-    signal = TimeVaryingSignal(raw.values, t0=cfg.signal.t0)
+    signal = load_signal_csv(cfg.signal.path, cfg.signal.layout)
+    if signal.n_nodes != g.n_nodes:
+        raise ValueError(f"signal has {signal.n_nodes} nodes but graph has {g.n_nodes}")
     train_signal, test_signal = split(signal, cfg.t_split)
     derived["n_nodes"] = g.n_nodes
     derived["n_steps"] = signal.n_steps
     derived["test_steps"] = test_signal.n_steps
     derived["fill_policy"] = {"train": "node-train-mean", "test": "previous-estimate"}
+    if cfg.baselines:
+        derived["baseline_band_size"] = bl.bandlimit_for_energy(
+            basis, train_signal.values, cfg.baseline_band_energy
+        )
     return RunContext(
         graph=g, basis=basis, train_signal=train_signal, test_signal=test_signal, derived=derived
     )
@@ -251,7 +250,7 @@ def _step_estimate(ctx, cfg, model, filt, x_prev, obs, backend, transcript):
     The step is array-shaped when no text is sent or logged (built-in mock, no transcript).
     """
     o_tilde = denoise(filt, ctx.basis, obs, x_prev)
-    x_hat = np.where(model.observed, obs.values if cfg.adopt_raw_observed else o_tilde, x_prev)
+    x_hat = np.where(model.observed, o_tilde, x_prev)
     layout, p = ctx.graph.observed_layout(model.observed), cfg.predictor
     if backend is None and transcript is None and p.backend == "mock":
         answered = mock_step(layout, obs.t, x_prev[layout.nodes], o_tilde, cfg.precision, p.multi_task_prompt)
@@ -296,10 +295,6 @@ def _account(records, transcript) -> int:
     return tokens
 
 
-def _baseline_estimate(state):
-    return state.estimate if isinstance(state, bl.AdaptiveFilterState) else state
-
-
 def _step_scores(col, est, missing) -> np.ndarray:
     """Per row of ``est`` (methods, n): mae, rmse, and both over the missing nodes (0 when none is missing)."""
     out = np.zeros((4, est.shape[0]))
@@ -331,55 +326,49 @@ def run_repeat(
     """
     model, train_result = mask_and_train(ctx, cfg, seed, train=with_primary)
     checkpoint_dir = checkpoint_dir if with_primary else None
-    x_prev = init_estimate(ctx.train_signal, model) if start_estimate is None else np.asarray(
-        start_estimate, dtype=np.float64
-    )
+    x0 = init_estimate(ctx.train_signal, model) if start_estimate is None else np.asarray(start_estimate, float)
     n_steps = ctx.test_signal.n_steps
     horizon = n_steps - start_step
     trajectory = np.zeros((ctx.graph.n_nodes if with_primary else 0, horizon))
     transcript = [] if cfg.transcript else None
-    tokens = 0
+    tokens = []
 
-    states = {}
-    if cfg.baselines:
-        band = bl.bandlimit_for_energy(ctx.basis, ctx.train_signal.values, cfg.baseline_band_energy)
-        ctx.derived.setdefault("baseline_band_size", band)
-        for name in cfg.baselines:
-            init = BASELINES[name][0]
-            states[name] = init(ctx.basis, band, cfg.baseline_step_size, x_prev, model.observed)
-    methods = ([PRIMARY_METHOD] if with_primary else []) + list(states)
-    table = np.zeros((len(methods), 4, horizon))
-    scores = dict(zip(methods, table))
+    def primary_step(x_prev, obs):
+        x_hat, step_tokens = _step_estimate(ctx, cfg, model, train_result.filter, x_prev, obs, backend, transcript)
+        tokens.append(step_tokens)
+        return x_hat
+
+    # Method -> step(estimate, obs) -> next estimate. Every method starts from x0; no step writes
+    # into the estimate it is given, so they may share it.
+    steps = {PRIMARY_METHOD: primary_step} if with_primary else {}
+    band = ctx.derived.get("baseline_band_size")
+    for name in cfg.baselines:
+        init, step = BASELINES[name]
+        filt = init(ctx.basis, band, cfg.baseline_step_size, model.observed) if init else None
+        steps[name] = functools.partial(step, filt, ctx.graph)
+    estimates = dict.fromkeys(steps, x0)
+    table = np.zeros((len(steps), 4, horizon))
+    scores = dict(zip(steps, table))
     missing = model.missing_indices
 
     completed = 0
     try:
         for offset, k in enumerate(range(start_step, n_steps)):
-            col = ctx.test_signal.values[:, k]
             obs = observe_step(ctx, model, k)
-            estimates = {}
+            # Estimates and ``completed`` advance together, after the step is scored.
+            step_estimates = {name: step(estimates[name], obs) for name, step in steps.items()}
+            col = ctx.test_signal.values[:, k]
+            table[:, :, offset] = _step_scores(col, np.array(list(step_estimates.values())), missing).T
+            estimates, completed = step_estimates, offset + 1
             if with_primary:
-                x_hat, step_tokens = _step_estimate(
-                    ctx, cfg, model, train_result.filter, x_prev, obs, backend, transcript
-                )
-                tokens += step_tokens
-                trajectory[:, offset] = x_hat
-                estimates[PRIMARY_METHOD] = x_hat
-            for name, state in states.items():
-                states[name] = BASELINES[name][1](state, obs, ctx.graph)
-                estimates[name] = _baseline_estimate(states[name])
-            table[:, :, offset] = _step_scores(col, np.array(list(estimates.values())), missing).T
-
-            completed = offset + 1
-            if with_primary:
-                x_prev = x_hat
+                trajectory[:, offset] = estimates[PRIMARY_METHOD]
             if checkpoint_dir is not None and (k + 1) % cfg.checkpoint_every == 0 and (k + 1) < n_steps:
-                _write_state(checkpoint_dir, f"step{k + 1:06d}", repeat_index, seed, k + 1, x_prev)
+                _write_state(checkpoint_dir, f"step{k + 1:06d}", repeat_index, seed, k + 1, estimates[PRIMARY_METHOD])
     except BaseException:
         # Persist the partial trace so an aborted run can be inspected or resumed.
         if checkpoint_dir is not None:
-            _write_state(checkpoint_dir, "aborted", repeat_index, seed, start_step + completed, x_prev,
-                         per_t_mae=[float(v) for v in scores[PRIMARY_METHOD][0, :completed]])
+            _write_state(checkpoint_dir, "aborted", repeat_index, seed, start_step + completed,
+                         estimates[PRIMARY_METHOD], per_t_mae=scores[PRIMARY_METHOD][0, :completed].tolist())
         raise
 
     return RepeatResult(
@@ -388,7 +377,7 @@ def run_repeat(
         train_result=train_result,
         trajectory=trajectory,
         scores=scores,
-        token_estimate=tokens,
+        token_estimate=sum(tokens),
         transcript=transcript if transcript is not None else [],
     )
 
@@ -409,15 +398,17 @@ def _write_state(checkpoint_dir, name, repeat_index, seed, k_next, estimate, **e
 
 
 def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> tuple:
-    """Resume a run mid-horizon; returns (k_next, trajectory from there on).
+    """Resume the primary method mid-horizon; returns (k_next, trajectory from there on).
 
     Because observations are keyed by (seed, t) and training is
     deterministic, the resumed trajectory matches the original run's tail
-    exactly under the mock backend.
+    exactly under the mock backend. The checkpoint holds only the primary
+    estimate, so no baseline runs.
     """
     with open(checkpoint_path, encoding="utf-8") as fh:
         ckpt = json.load(fh)
     backend = bind_backend(cfg.predictor, backend)
+    cfg = dataclasses.replace(cfg, baselines=())
     ctx = prepare_run(cfg)
     result = run_repeat(
         ctx,
@@ -482,13 +473,10 @@ def _assemble_report(ctx, cfg, results, lead: str) -> RunReport:
     )
 
 
-def run_online(cfg: RunConfig, backend=None) -> RunReport:
-    """Full online run; writes artifacts when an output directory is set."""
-    execution = execute_run(cfg, backend=backend)
-    report = execution.report
-    if cfg.output_dir:
-        report = _write_artifacts(cfg, execution)
-    return report
+def run_online(cfg: RunConfig, backend=None, with_primary: bool = True) -> RunReport:
+    """Full online run (or the baselines only); writes artifacts when an output directory is set."""
+    execution = execute_run(cfg, backend=backend, with_primary=with_primary)
+    return _write_artifacts(cfg, execution) if cfg.output_dir else execution.report
 
 
 def _write_artifacts(cfg: RunConfig, execution: RunExecution) -> RunReport:
@@ -498,7 +486,8 @@ def _write_artifacts(cfg: RunConfig, execution: RunExecution) -> RunReport:
         json.dump(cfg.to_dict(), fh, indent=2)
         fh.write("\n")
     for r, result in enumerate(execution.repeats):
-        save_filter_json(os.path.join(out, f"filter_repeat{r}.json"), result.train_result, cfg.train)
+        if result.train_result is not None:
+            save_filter_json(os.path.join(out, f"filter_repeat{r}.json"), result.train_result, cfg.train)
 
     report = execution.report
     if cfg.transcript:

@@ -222,17 +222,16 @@ def test_criterion_8_baseline_convergence():
         x_g = basis.eigenvectors[:, :4] @ rng.normal(0.0, 2.0, size=4)
         model = ObservationModel(observed=np.ones(20, dtype=bool), noise_variance=0.0, seed=0)
 
-        def iterations(step_fn, state):
+        def iterations(step_fn, filt):
+            estimate = np.zeros(20)
             for k in range(1, 501):
-                state = step_fn(state, observe(x_g, model, t=k))
-                if np.max(np.abs(state.estimate - x_g)) < 1e-3:
+                estimate = step_fn(filt, estimate, observe(x_g, model, t=k))
+                if np.max(np.abs(estimate - x_g)) < 1e-3:
                     return k
             return np.inf
 
-        glms_iters = iterations(glms_step, glms_init(basis, 4, 0.5, np.zeros(20)))
-        gnlms_iters = iterations(
-            gnlms_step, gnlms_init(basis, 4, 0.5, np.zeros(20), model.observed)
-        )
+        glms_iters = iterations(glms_step, glms_init(basis, 4, 0.5))
+        gnlms_iters = iterations(gnlms_step, gnlms_init(basis, 4, 0.5, model.observed))
         assert glms_iters <= 500
         assert gnlms_iters <= glms_iters
 

@@ -1,11 +1,13 @@
 """Tests for adaptive-filter and naive baselines."""
+import types
+
 import numpy as np
 import pytest
 from helpers import random_connected_graph, spectral_fixture
 
 from graphfill import baselines
 from graphfill.baselines import (
-    AdaptiveFilterState,
+    AdaptiveFilter,
     bandlimit_for_energy,
     glms_init,
     glms_step,
@@ -32,12 +34,13 @@ def full_observation(n, values, t=0):
     return Observation(t=t, values=values, observed=np.ones(n, dtype=bool))
 
 
-def iterations_to_converge(step_fn, state, x_g, model, tol=1e-3, cap=500):
-    """Iterations until the worst-node error drops below tol (inf if never)."""
+def iterations_to_converge(step_fn, filt, x_g, model, tol=1e-3, cap=500):
+    """Iterations from a zero estimate until the worst-node error drops below tol (inf if never)."""
+    estimate = np.zeros_like(x_g)
     for k in range(1, cap + 1):
         obs = observe(x_g, model, t=k)
-        state = step_fn(state, obs)
-        if np.max(np.abs(state.estimate - x_g)) < tol:
+        estimate = step_fn(filt, estimate, obs)
+        if np.max(np.abs(estimate - x_g)) < tol:
             return k
     return np.inf
 
@@ -50,16 +53,22 @@ class TestBandProjector:
         assert np.max(np.abs(b @ b - b)) < 1e-8
 
     def test_state_rejects_non_idempotent_projector(self):
+        basis = types.SimpleNamespace(n_nodes=2, eigenvectors=np.array([[2.0, 0.0], [0.0, 2.0]]))  # U U^T = 4 I
         with pytest.raises(ValueError, match="idempotent"):
-            AdaptiveFilterState(estimate=np.zeros(2), step_size=0.5,
-                                band_projector=np.array([[2.0, 0.0], [0.0, 2.0]]))
+            glms_init(basis, 2, mu=0.5)
+        with pytest.raises(ValueError, match="idempotent"):
+            gnlms_init(basis, 2, mu=0.5, observed=np.ones(2, dtype=bool))
+
+    def test_filter_rejects_negative_step_size(self):
+        with pytest.raises(ValueError, match="step_size"):
+            AdaptiveFilter(-0.1, np.eye(2))
 
     def test_state_operators_read_only(self):
         _, basis, _ = fixed_signal_fixture()
-        state = gnlms_init(basis, 4, mu=0.5, estimate=np.zeros(20), observed=np.ones(20, dtype=bool))
-        for op in (state.band_projector, state.normalization_cache, state.norm_operator):
+        filters = (glms_init(basis, 4, mu=0.5), gnlms_init(basis, 4, mu=0.5, observed=np.ones(20, dtype=bool)))
+        for filt in filters:
             with pytest.raises(ValueError, match="read-only"):
-                op[0] = 1.0
+                filt.operator[0] = 1.0
 
     def test_steps_do_not_recheck_projector(self, monkeypatch):
         checks = []
@@ -67,13 +76,14 @@ class TestBandProjector:
         monkeypatch.setattr(baselines, "_check_projector", lambda b: checks.append(1) or check(b))
         _, basis, x_g = fixed_signal_fixture()
         model = sample_mask(20, 0.7, seed=5)
-        glms_state = glms_init(basis, 4, mu=0.5, estimate=np.zeros(20))
-        gnlms_state = gnlms_init(basis, 4, mu=0.5, estimate=np.zeros(20), observed=model.observed)
+        glms_filt = glms_init(basis, 4, mu=0.5)
+        gnlms_filt = gnlms_init(basis, 4, mu=0.5, observed=model.observed)
         assert len(checks) == 2
+        glms_estimate = gnlms_estimate = np.zeros(20)
         for t in range(50):
             obs = observe(x_g, model, t=t)
-            glms_state = glms_step(glms_state, obs)
-            gnlms_state = gnlms_step(gnlms_state, obs)
+            glms_estimate = glms_step(glms_filt, glms_estimate, obs)
+            gnlms_estimate = gnlms_step(gnlms_filt, gnlms_estimate, obs)
         assert len(checks) == 2
 
     def test_bandlimit_for_energy(self):
@@ -92,79 +102,65 @@ class TestBandProjector:
 class TestGlmsStep:
     def test_zero_innovation_keeps_state(self):
         _, basis, x_g = fixed_signal_fixture()
-        state = glms_init(basis, 4, mu=0.5, estimate=x_g)
-        out = glms_step(state, full_observation(20, x_g))
-        assert np.allclose(out.estimate, x_g, atol=1e-12)
+        out = glms_step(glms_init(basis, 4, mu=0.5), x_g, full_observation(20, x_g))
+        assert np.allclose(out, x_g, atol=1e-12)
 
     def test_zero_step_size_frozen(self):
         _, basis, x_g = fixed_signal_fixture()
         start = np.zeros(20)
-        state = glms_init(basis, 4, mu=0.0, estimate=start)
-        out = glms_step(state, full_observation(20, x_g))
-        assert np.array_equal(out.estimate, start)
+        out = glms_step(glms_init(basis, 4, mu=0.0), start, full_observation(20, x_g))
+        assert np.array_equal(out, start)
 
     def test_identity_operators_copy_observation(self):
         n = 6
         x_hat = np.array([1.0, 2.0, -3.0, 0.5, 4.0, -1.5])
         o = np.array([2.0, 0.0, 1.0, -0.5, 3.0, 2.5])
-        state = AdaptiveFilterState(estimate=x_hat, step_size=1.0, band_projector=np.eye(n))
-        out = glms_step(state, full_observation(n, o))
-        assert np.array_equal(out.estimate, o)
+        out = glms_step(AdaptiveFilter(1.0, np.eye(n)), x_hat, full_observation(n, o))
+        assert np.array_equal(out, o)
 
     def test_converges_on_noiseless_bandlimited_signal(self):
         _, basis, x_g = fixed_signal_fixture()
         model = ObservationModel(observed=np.ones(20, dtype=bool), noise_variance=0.0, seed=0)
-        state = glms_init(basis, 4, mu=0.5, estimate=np.zeros(20))
-        assert iterations_to_converge(glms_step, state, x_g, model) <= 500
+        assert iterations_to_converge(glms_step, glms_init(basis, 4, mu=0.5), x_g, model) <= 500
 
     def test_masked_innovation_ignores_missing_nodes(self):
         _, basis, x_g = fixed_signal_fixture()
         model = sample_mask(20, 0.7, seed=5)
-        state = glms_init(basis, 4, mu=0.5, estimate=np.zeros(20))
-        obs = observe(x_g, model, t=0)
-        out = glms_step(state, obs)
-        assert np.all(np.isfinite(out.estimate))
+        out = glms_step(glms_init(basis, 4, mu=0.5), np.zeros(20), observe(x_g, model, t=0))
+        assert np.all(np.isfinite(out))
 
 
 class TestGnlmsStep:
     def test_all_ones_normalization_matches_glms(self):
         _, basis, x_g = fixed_signal_fixture()
-        observed = np.ones(20, dtype=bool)
-        glms_state = glms_init(basis, 4, mu=0.5, estimate=np.zeros(20))
-        gnlms_state = gnlms_init(basis, 4, mu=0.5, estimate=np.zeros(20), observed=observed)
-        assert np.allclose(gnlms_state.normalization_cache, 1.0, atol=1e-9)
+        glms_filt = glms_init(basis, 4, mu=0.5)
+        gnlms_filt = gnlms_init(basis, 4, mu=0.5, observed=np.ones(20, dtype=bool))
+        assert np.allclose(gnlms_filt.operator, glms_filt.operator, atol=1e-9)
         obs = full_observation(20, x_g)
-        a = glms_step(glms_state, obs)
-        b = gnlms_step(gnlms_state, obs)
-        assert np.allclose(a.estimate, b.estimate, atol=1e-12)
+        a = glms_step(glms_filt, np.zeros(20), obs)
+        b = gnlms_step(gnlms_filt, np.zeros(20), obs)
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_zero_step_size_frozen(self):
         _, basis, x_g = fixed_signal_fixture()
-        state = gnlms_init(basis, 4, mu=0.0, estimate=np.zeros(20), observed=np.ones(20, dtype=bool))
-        out = gnlms_step(state, full_observation(20, x_g))
-        assert np.array_equal(out.estimate, np.zeros(20))
+        filt = gnlms_init(basis, 4, mu=0.0, observed=np.ones(20, dtype=bool))
+        out = gnlms_step(filt, np.zeros(20), full_observation(20, x_g))
+        assert np.array_equal(out, np.zeros(20))
 
     def test_converges_at_least_as_fast_as_glms(self):
         _, basis, x_g = fixed_signal_fixture()
         model = ObservationModel(observed=np.ones(20, dtype=bool), noise_variance=0.0, seed=0)
-        glms_state = glms_init(basis, 4, mu=0.5, estimate=np.zeros(20))
-        gnlms_state = gnlms_init(basis, 4, mu=0.5, estimate=np.zeros(20), observed=model.observed)
-        glms_iters = iterations_to_converge(glms_step, glms_state, x_g, model)
-        gnlms_iters = iterations_to_converge(gnlms_step, gnlms_state, x_g, model)
+        glms_iters = iterations_to_converge(glms_step, glms_init(basis, 4, mu=0.5), x_g, model)
+        gnlms_filt = gnlms_init(basis, 4, mu=0.5, observed=model.observed)
+        gnlms_iters = iterations_to_converge(gnlms_step, gnlms_filt, x_g, model)
         assert glms_iters <= 500
         assert gnlms_iters <= glms_iters
 
     def test_partial_observation_converges(self):
         _, basis, x_g = fixed_signal_fixture()
         model = sample_mask(20, 0.7, seed=9)
-        state = gnlms_init(basis, 4, mu=0.5, estimate=np.zeros(20), observed=model.observed)
-        assert iterations_to_converge(gnlms_step, state, x_g, model) <= 500
-
-    def test_requires_normalization_cache(self):
-        _, basis, x_g = fixed_signal_fixture()
-        state = glms_init(basis, 4, mu=0.5, estimate=np.zeros(20))
-        with pytest.raises(ValueError, match="normalization"):
-            gnlms_step(state, full_observation(20, x_g))
+        filt = gnlms_init(basis, 4, mu=0.5, observed=model.observed)
+        assert iterations_to_converge(gnlms_step, filt, x_g, model) <= 500
 
 
 class TestNaiveBaselines:
@@ -229,3 +225,18 @@ class TestNaiveBaselines:
             obs = Observation(t=t, values=values, observed=observed)
             prev = rng.normal(size=n)
             assert np.array_equal(neighbor_mean_step(prev, obs, g), reference(prev, obs, g))
+
+
+@pytest.mark.parametrize("step", [
+    lambda g, basis, x, obs: glms_step(glms_init(basis, 4, mu=0.5), x, obs),
+    lambda g, basis, x, obs: gnlms_step(gnlms_init(basis, 4, mu=0.5, observed=obs.observed), x, obs),
+    lambda g, basis, x, obs: last_value_step(x, obs),
+    lambda g, basis, x, obs: neighbor_mean_step(x, obs, g),
+], ids=["glms", "gnlms", "last_value", "neighbor_mean"])
+def test_step_returns_a_new_estimate_and_leaves_its_input(step):
+    # The online loop starts every method from one shared array.
+    g, basis, x_g = fixed_signal_fixture()
+    start = np.arange(20.0)
+    out = step(g, basis, start, observe(x_g, sample_mask(20, 0.7, seed=5), t=0))
+    assert out is not start and not np.shares_memory(out, start)
+    assert np.array_equal(start, np.arange(20.0))

@@ -220,6 +220,17 @@ class TestBaselineCommand:
         rc = main(["baseline", "--config", cfg_path])
         assert rc != 0
 
+    def test_output_dir_gets_the_lead_baseline_report(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg_path = run_config_file(tmp_path, baselines=["glms", "last_value"], checkpoint_every=10)
+        rc = main(["baseline", "--config", cfg_path, "--output-dir", str(out_dir)])
+        assert rc == 0
+        assert sorted(os.listdir(out_dir)) == ["config.json", "report.csv", "report.json", "report.md"]
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["method"] == "glms"
+        assert set(report["method_aggregates"]) == {"glms", "last_value"}
+        assert json.loads((out_dir / "config.json").read_text())["output_dir"] == str(out_dir)
+
 
 class TestReportCommand:
     def test_merges_reports(self, tmp_path, capsys):

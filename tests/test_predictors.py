@@ -1,6 +1,7 @@
 """Tests for the prediction backends, batching, retry, and the wire client."""
 import json
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -290,8 +291,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         elif behavior == "hang-up":
             self.close_connection = True
         elif behavior == "slow":
-            time.sleep(1.0)
-            self._send(200, b"")
+            # Answer after 1 s, unless the client gives up first: its close makes the socket readable.
+            if not select.select([self.connection], [], [], 1.0)[0]:
+                self._send(200, b"")
+            self.close_connection = True
 
     def _send(self, status, data):
         self.send_response(status)
@@ -308,7 +311,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 def stub_server(monkeypatch):
     monkeypatch.setenv("OPENAI_API_KEY", "test-key")
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     _StubHandler.seen = []
     _StubHandler.connections = 0

@@ -122,14 +122,6 @@ class TestOnlineLoopInvariants:
         assert primary < report.method_aggregates["last_value"]["rmse"][0]
         assert primary < report.method_aggregates["neighbor_mean"]["rmse"][0]
 
-    def test_adopt_raw_observed_toggle_changes_estimates(self, fixture_paths):
-        edge_path, signal_path = fixture_paths
-        cfg_denoised = base_config(edge_path, signal_path, baselines=[])
-        cfg_raw = base_config(edge_path, signal_path, baselines=[], adopt_raw_observed=True)
-        a = execute_run(cfg_denoised).repeats[0].trajectory
-        b = execute_run(cfg_raw).repeats[0].trajectory
-        assert not np.array_equal(a, b)
-
 
 class TestDeterminismAndRepeats:
     def test_identical_configs_give_identical_reports(self, fixture_paths):
@@ -194,6 +186,22 @@ class TestCheckpointReplay:
         ckpts = sorted(glob.glob(os.path.join(out, "checkpoints", "*.json")))
         assert len(ckpts) == 3  # steps 25, 50, 75 of a 100-step horizon
         k_next, tail = replay_from_checkpoint(cfg, ckpts[1])
+        assert k_next == 50
+        assert np.array_equal(tail, original[:, 50:])
+
+    def test_replay_runs_no_baseline(self, fixture_paths, tmp_path, monkeypatch):
+        edge_path, signal_path = fixture_paths
+        out = str(tmp_path / "run")
+        cfg = base_config(edge_path, signal_path, baselines=["glms", "gnlms", "last_value", "neighbor_mean"],
+                          output_dir=out, checkpoint_every=25)
+        original = execute_run(cfg).repeats[0].trajectory
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replay resumes the primary estimate only")
+
+        for name in ("glms_step", "gnlms_step", "last_value_step", "neighbor_mean_step"):
+            monkeypatch.setattr(bl, name, forbidden)
+        k_next, tail = replay_from_checkpoint(cfg, os.path.join(out, "checkpoints", "repeat0_step000050.json"))
         assert k_next == 50
         assert np.array_equal(tail, original[:, 50:])
 
@@ -390,14 +398,15 @@ class TestBaselinesOnly:
         ctx = prepare_run(cfg)
         model = sample_mask(ctx.graph.n_nodes, 0.7, 11, 0.2)
         band = bl.bandlimit_for_energy(ctx.basis, ctx.train_signal.values, cfg.baseline_band_energy)
-        state = bl.glms_init(ctx.basis, band, cfg.baseline_step_size, init_estimate(ctx.train_signal, model))
+        filt = bl.glms_init(ctx.basis, band, cfg.baseline_step_size)
+        estimate = init_estimate(ctx.train_signal, model)
         missing = model.missing_indices
         maes, rmses = [], []
         for k in range(ctx.test_signal.n_steps):
             col = ctx.test_signal.values[:, k]
-            state = bl.glms_step(state, observe(col, model, ctx.test_signal.t0 + k))
-            maes.append(mae(col[missing], state.estimate[missing]))
-            rmses.append(rmse(col[missing], state.estimate[missing]))
+            estimate = bl.glms_step(filt, estimate, observe(col, model, ctx.test_signal.t0 + k))
+            maes.append(mae(col[missing], estimate[missing]))
+            rmses.append(rmse(col[missing], estimate[missing]))
         assert report.aggregate_mae_missing == (float(np.mean(maes)), 0.0)
         assert report.aggregate_rmse_missing == (float(np.mean(rmses)), 0.0)
         assert report.aggregate_mae_missing[0] > 0.0
@@ -423,6 +432,25 @@ class TestBaselinesOnly:
         execution = execute_run(cfg, with_primary=False)
         assert execution.repeats[0].train_result is None
         assert not (out / "checkpoints").exists()
+
+    def test_band_sized_once_per_run_and_context_left_unchanged(self, fixture_paths, monkeypatch):
+        edge_path, signal_path = fixture_paths
+        cfg = base_config(edge_path, signal_path, baselines=["glms", "gnlms"], repeats=2)
+        sizings = []
+        bandlimit = bl.bandlimit_for_energy
+        monkeypatch.setattr(bl, "bandlimit_for_energy", lambda *a: sizings.append(a) or bandlimit(*a))
+        run_repeat = runner.run_repeat
+
+        def run_repeat_keeping_derived(ctx, *args, **kwargs):
+            before = json.dumps(ctx.derived)
+            result = run_repeat(ctx, *args, **kwargs)
+            assert json.dumps(ctx.derived) == before
+            return result
+
+        monkeypatch.setattr(runner, "run_repeat", run_repeat_keeping_derived)
+        report = execute_run(cfg).report
+        assert len(sizings) == 1
+        assert report.config_snapshot["derived"]["baseline_band_size"] == bandlimit(*sizings[0])
 
     def test_baseline_only_requires_selection(self, fixture_paths):
         edge_path, signal_path = fixture_paths
@@ -459,6 +487,8 @@ class TestConfigValidation:
             ({"predictor": {"backend": "mock", "retries": 3}}, "predictor.retries"),
             ({"history_depth": 2}, "history_depth"),
             ({"signal": {"path": "x.csv", "step_label": "h"}}, "signal.step_label"),
+            ({"adopt_raw_observed": True}, "adopt_raw_observed"),
+            ({"signal": {"path": "x.csv", "t0": 5}}, "signal.t0"),
         ],
     )
     def test_unknown_key_named_by_dotted_path(self, fixture_paths, overrides, path):
@@ -482,7 +512,7 @@ class TestConfigValidation:
             ({"repeats": 2.0}, "'repeats' must be an integer, got 2.0"),
             ({"observation": {"seed": False}}, "'observation.seed' must be an integer, got False"),
             ({"graph": {"source": "edges", "n_nodes": "30"}}, "'graph.n_nodes' must be an integer or null"),
-            ({"adopt_raw_observed": 1}, "'adopt_raw_observed' must be a boolean, got 1"),
+            ({"transcript": 1}, "'transcript' must be a boolean, got 1"),
             ({"predictor": {"backend": None}}, "'predictor.backend' must be a string, got None"),
             ({"baselines": "glms"}, "'baselines' must be a list of strings, got 'glms'"),
             ({"baselines": ["glms", 3]}, "'baselines' must be a list of strings"),
