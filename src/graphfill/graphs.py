@@ -179,10 +179,8 @@ def gft(l_matrix: np.ndarray) -> GftBasis:
     if np.max(np.abs(l_matrix - l_matrix.T), initial=0.0) > 1e-10:
         raise ValueError("Laplacian must be symmetric within 1e-10")
     lam, u = np.linalg.eigh(l_matrix)
-    for k in range(u.shape[1]):
-        pivot = int(np.argmax(np.abs(u[:, k])))
-        if u[pivot, k] < 0:
-            u[:, k] = -u[:, k]
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0
+    u[:, flip] = -u[:, flip]
     return GftBasis(eigenvectors=u, eigenvalues=lam)
 
 
@@ -195,11 +193,13 @@ def neighbors(g: Graph, i: int) -> list:
 
 def haversine_km(p: tuple, q: tuple) -> float:
     """Great-circle distance in km between two (lat, lon) points in degrees."""
-    lat1, lon1 = math.radians(p[0]), math.radians(p[1])
-    lat2, lon2 = math.radians(q[0]), math.radians(q[1])
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    s = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
+    lat1, lat2 = math.radians(p[0]), math.radians(q[0])
+    return _haversine(lat1, math.radians(p[1]), math.cos(lat1), lat2, math.radians(q[1]), math.cos(lat2))
+
+
+def _haversine(lat1, lon1, cos1, lat2, lon2, cos2) -> float:
+    """``haversine_km`` on coordinates in radians, given the cosine of each latitude."""
+    s = math.sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * math.sin((lon2 - lon1) / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
 
 
@@ -230,48 +230,45 @@ def knn_graph(coords, k: int, bandwidth: float | None = None) -> Graph:
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
             raise ValueError(f"node {i} has non-finite coordinates {p}")
 
-    dist = {}  # (i, j) with i < j -> haversine_km(pts[i], pts[j])
-
-    def pair_dist(i, j):
-        key = (i, j) if i < j else (j, i)
-        d = dist.get(key)
-        if d is None:
-            d = dist[key] = haversine_km(pts[key[0]], pts[key[1]])
-        return d
-
-    selected = set()
-    knn_dists = []
-    for i, candidates in _knn_candidates(pts, k):
-        order = sorted(candidates, key=lambda j: (pair_dist(i, j), j))
-        for j in order[:k]:
-            selected.add((min(i, j), max(i, j)))
-            knn_dists.append(pair_dist(i, j))
+    rad = [(math.radians(p[0]), math.radians(p[1]), math.cos(math.radians(p[0]))) for p in pts]
+    i, j = _knn_candidates(np.array(rad), k)
+    # One distance per candidate pair, taken on the pair ordered lo < hi, so both ends rank it by one double.
+    pairs, at = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_inverse=True)
+    lo, hi = np.divmod(pairs, n)
+    km = np.array([_haversine(*rad[a], *rad[b]) for a, b in zip(lo.tolist(), hi.tolist())])[at]
+    ranked = np.lexsort((j, km, i))  # by node, then distance, then neighbor index
+    pick = ranked[(np.searchsorted(i, np.arange(n))[:, None] + np.arange(k)).ravel()]  # each node's first k
+    i, j, d = i[pick], j[pick], km[pick]
 
     if bandwidth is None:
-        med = float(np.median(knn_dists))
+        med = float(np.median(d))
         bandwidth = med if med > 0.0 else 1.0
 
-    edges = []
-    for (i, j) in sorted(selected):
-        w = math.exp(-dist[i, j] ** 2 / (2.0 * bandwidth**2))
-        edges.append((i, j, w))
-    return build_graph(n, edges)
+    w = np.array([math.exp(-x**2 / (2.0 * bandwidth**2)) for x in d.tolist()])
+    if np.any(w <= 0.0):  # exp underflowed: name the first such pair, as build_graph would
+        bad = w <= 0.0
+        edge = min(zip(np.minimum(i, j)[bad].tolist(), np.maximum(i, j)[bad].tolist()))
+        raise ValueError(f"edge {edge} has nonpositive weight {w[bad][0]}")
+    a = np.zeros((n, n), dtype=np.float64)
+    a[i, j] = a[j, i] = w  # a pair picked from both ends gets the same weight twice
+    return Graph(n_nodes=n, adjacency=a)
 
 
-def _knn_candidates(pts, k: int):
-    """Yield ``(i, candidates)``: a superset of node i's k nearest neighbors.
+def _knn_candidates(rad: np.ndarray, k: int) -> tuple:
+    """Pairs ``(i, j)``, ascending in i, that hold a superset of each node i's k nearest neighbors.
 
-    Screens with the haversine inner term ``sin^2(dlat/2) + cos(lat_i)
-    cos(lat_j) sin^2(dlon/2)``, which is monotone in distance, computed in
-    row blocks with numpy. These terms may differ from the ones
+    ``rad`` holds each node's latitude, longitude (radians) and cosine of
+    latitude. Screens with the haversine inner term ``sin^2(dlat/2) +
+    cos(lat_i) cos(lat_j) sin^2(dlon/2)``, which is monotone in distance,
+    computed in row blocks with numpy. These terms may differ from the ones
     ``haversine_km`` computes in the last bits, so every j within a small
     margin of the row's k-th smallest term is kept; ranking the survivors
     by ``haversine_km`` then gives exactly the all-pairs result.
     """
-    lat, lon = np.radians(np.array([p[:2] for p in pts], dtype=np.float64)).T
-    cos_lat = np.cos(lat)
+    lat, lon, cos_lat = rad.T
     n = lat.shape[0]
     rows = max(1, _SCREEN_BLOCK_ELEMENTS // n)
+    pairs = []
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         s_lat = np.sin((lat[None, :] - lat[start:stop, None]) / 2.0)
@@ -279,9 +276,9 @@ def _knn_candidates(pts, k: int):
         a = s_lat * s_lat + cos_lat[start:stop, None] * cos_lat[None, :] * (s_lon * s_lon)
         a[np.arange(stop - start), np.arange(start, stop)] = np.inf
         kth = np.partition(a, k - 1, axis=1)[:, k - 1]
-        keep = a <= (kth * (1.0 + _SCREEN_MARGIN) + _SCREEN_FLOOR)[:, None]
-        for r in range(stop - start):
-            yield start + r, np.flatnonzero(keep[r]).tolist()
+        r, c = np.nonzero(a <= (kth * (1.0 + _SCREEN_MARGIN) + _SCREEN_FLOOR)[:, None])
+        pairs.append((r + start, c))
+    return tuple(np.concatenate(x) for x in zip(*pairs))
 
 
 # ---------------------------------------------------------------------------

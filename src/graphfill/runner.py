@@ -97,6 +97,10 @@ class RunConfig:
             raise ValueError("precision must be >= 0")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
+        if not self.baseline_step_size >= 0.0:
+            raise ValueError("baseline_step_size must be >= 0")
+        if not 0.0 < self.baseline_band_energy <= 1.0:
+            raise ValueError("baseline_band_energy must be in (0, 1]")
         unknown = set(self.baselines) - set(BASELINES)
         if unknown:
             raise ValueError(f"unknown baselines: {sorted(unknown)}")

@@ -6,6 +6,7 @@ entries are flagged out-of-band via ``Observation.observed``; the numeric
 slots under the flag hold NaN purely as a tripwire against accidental use.
 """
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,11 @@ class Observation:
 def load_signal_csv(path, layout: str) -> TimeVaryingSignal:
     """Ingest a dense numeric CSV as a time-varying signal.
 
+    A plain numeric file is read in one C pass (``np.loadtxt``); any other goes
+    through the ``csv`` reader, which also takes quoted cells, rows of blank
+    cells and ``1_0`` (as ``float()`` does). Both parse with one correctly
+    rounded string-to-double, so they give the same array.
+
     Args:
         path: CSV file of numbers, no header.
         layout: ``"nodes-as-rows"`` (row per node) or ``"nodes-as-columns"``.
@@ -95,6 +101,24 @@ def load_signal_csv(path, layout: str) -> TimeVaryingSignal:
     """
     if layout not in ("nodes-as-rows", "nodes-as-columns"):
         raise ValueError(f"unknown layout {layout!r}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file with no data
+            values = np.loadtxt(path, dtype=np.float64, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
+    except (ValueError, OSError):  # the csv reader below accepts the file or raises its own error
+        values = np.empty((0, 0))
+    if values.size == 0:
+        values = _read_csv_cells(path)
+    if layout == "nodes-as-columns":
+        values = values.T
+    if not np.all(np.isfinite(values)):
+        bad = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(f"{path}: non-finite value at node {bad[0]}, step {bad[1]}")
+    return TimeVaryingSignal(values=values)
+
+
+def _read_csv_cells(path) -> np.ndarray:
+    """Parse every cell of a CSV with ``float()``, skipping rows of blank cells."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -116,13 +140,7 @@ def load_signal_csv(path, layout: str) -> TimeVaryingSignal:
             rows.append(parsed)
     if not rows:
         raise ValueError(f"{path}: empty signal file")
-    values = np.array(rows, dtype=np.float64)
-    if layout == "nodes-as-columns":
-        values = values.T
-    if not np.all(np.isfinite(values)):
-        bad = np.argwhere(~np.isfinite(values))[0]
-        raise ValueError(f"{path}: non-finite value at node {bad[0]}, step {bad[1]}")
-    return TimeVaryingSignal(values=values)
+    return np.array(rows, dtype=np.float64)
 
 
 def split(signal: TimeVaryingSignal, t_split: int) -> tuple:

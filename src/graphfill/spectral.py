@@ -16,7 +16,7 @@ import numpy as np
 
 from .files import atomic_write
 from .graphs import GftBasis, _frozen
-from .signals import ObservationModel, Observation, TimeVaryingSignal, augment_by_concatenation, observe
+from .signals import ObservationModel, Observation, TimeVaryingSignal, observe
 
 
 class FilterDivergenceError(RuntimeError):
@@ -140,7 +140,8 @@ def train_filter(
     if obs_model.n_nodes != n:
         raise ValueError("observation model does not match basis dimension")
 
-    data = augment_by_concatenation(train_signal, cfg.augment_copies).values
+    # Step t of the augmented signal is training column t % t_split: read it as a row of one time-major copy.
+    rows = np.ascontiguousarray(train_signal.values.T)
     fill = train_signal.values.mean(axis=1)
     h = np.ones(n, dtype=np.float64)
     trace = []
@@ -149,12 +150,12 @@ def train_filter(
     streak = 0
     stop_reason = "samples-exhausted"
 
-    n_steps = min(cfg.max_iters, data.shape[1])
+    n_steps = min(cfg.max_iters, cfg.augment_copies * rows.shape[0])
     if n_steps == cfg.max_iters:
         stop_reason = "max-iters"
     u = basis.eigenvectors
     for t in range(n_steps):
-        col = data[:, t]
+        col = rows[t % rows.shape[0]]
         obs = observe(col, obs_model, t)
         x_in = np.where(obs.observed, obs.values, fill)
         # graph_convolve + mae_gradient with U^T x_in and x_tilde computed once

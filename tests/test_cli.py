@@ -166,6 +166,30 @@ class TestRun:
         assert rc == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("baseline_step_size", -0.1, "baseline_step_size must be >= 0"),
+            ("baseline_band_energy", 0.0, "baseline_band_energy must be in (0, 1]"),
+            ("baseline_band_energy", 1.5, "baseline_band_energy must be in (0, 1]"),
+        ],
+    )
+    def test_baseline_value_out_of_range_named_before_setup(self, tmp_path, capsys, monkeypatch, key, value,
+                                                           message):
+        import graphfill.runner as runner
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("set-up ran before the config was checked")
+
+        monkeypatch.setattr(runner, "prepare_run", no_setup)
+        monkeypatch.setattr(runner, "train_filter", no_setup)
+        cfg_path = run_config_file(tmp_path, baselines=["glms"], **{key: value})
+        rc = main(["run", "--config", cfg_path])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["run", "baseline", "train-filter", "render-prompts"])
     def test_override_into_non_object_section_named_error(self, tmp_path, capsys, command):
         cfg_path = run_config_file(tmp_path, observation=[0.5])

@@ -154,6 +154,25 @@ class TestGft:
             col = a.eigenvectors[:, k]
             assert col[int(np.argmax(np.abs(col)))] >= 0
 
+    def test_sign_flip_matches_per_column_loop_on_tied_pivots(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        for n in (2, 3, 7, 16, 40):
+            u = rng.normal(size=(n, n))
+            u[:, 0] = 0.0  # no pivot is negative: kept as it is
+            for k in range(1, n):  # the largest magnitude twice, with opposite signs, in either order
+                p, q = rng.choice(n, size=2, replace=False)
+                u[p, k] = np.abs(u[:, k]).max() + rng.integers(0, 2)
+                u[q, k] = -u[p, k]
+            expected = u.copy()
+            for k in range(n):
+                pivot = int(np.argmax(np.abs(expected[:, k])))
+                if expected[pivot, k] < 0:
+                    expected[:, k] = -expected[:, k]
+            monkeypatch.setattr(np.linalg, "eigh", lambda a, u=u: (np.arange(a.shape[0], dtype=float), u.copy()))
+            got = gft(np.eye(n)).eigenvectors
+            assert got.tobytes() == expected.tobytes()
+            assert not np.array_equal(got, u)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             gft(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -332,6 +351,15 @@ class TestKnnGraphBitIdentity:
         pts = [(40.0 + 0.25 * r, -100.0 + 0.25 * c) for r in range(16) for c in range(16)]
         for k in (2, 4, 8):
             assert_matches_seed(pts, k, bandwidth)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_underflowed_weight_names_the_same_pair(self, k):
+        pts = [(0.0, 0.0), (0.0, 0.001), (0.0, 90.0), (0.0, 90.001), (45.0, 0.0)]
+        with pytest.raises(ValueError, match="nonpositive weight") as expected:
+            seed_knn_graph(pts, k, bandwidth=1.0)
+        with pytest.raises(ValueError) as actual:
+            knn_graph(pts, k, bandwidth=1.0)
+        assert str(actual.value) == str(expected.value)
 
     def test_distances_equal_to_the_last_bits(self):
         # Points one ulp apart in longitude, listed farthest first: their

@@ -1,7 +1,14 @@
 """Tests for signal ingestion, splitting, masks, and the observation model."""
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphfill import signals
 from graphfill.signals import (
     Observation,
     ObservationModel,
@@ -52,6 +59,130 @@ class TestLoadSignalCsv:
         path.write_text("1\n")
         with pytest.raises(ValueError, match="layout"):
             load_signal_csv(path, "sideways")
+
+
+def seed_load_signal_csv(path, layout):
+    """Reference: the ``csv``-reader-only loader that the one-pass read must match."""
+    if layout not in ("nodes-as-rows", "nodes-as-columns"):
+        raise ValueError(f"unknown layout {layout!r}")
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for r, row in enumerate(csv.reader(fh)):
+            if not row or all(c.strip() == "" for c in row):
+                continue
+            parsed = []
+            for c, cell in enumerate(row):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {r + 1}, column {c + 1}: cannot parse {cell.strip()!r} as a number"
+                    ) from None
+            if rows and len(parsed) != len(rows[0]):
+                raise ValueError(f"{path}: row {r + 1} has {len(parsed)} columns, expected {len(rows[0])}")
+            rows.append(parsed)
+    if not rows:
+        raise ValueError(f"{path}: empty signal file")
+    values = np.array(rows, dtype=np.float64)
+    if layout == "nodes-as-columns":
+        values = values.T
+    if not np.all(np.isfinite(values)):
+        bad = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(f"{path}: non-finite value at node {bad[0]}, step {bad[1]}")
+    return signals.TimeVaryingSignal(values=values)
+
+
+def outcome(load, path, layout):
+    """The loaded values' bytes and shape, or the error's type and message."""
+    try:
+        v = load(path, layout).values
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return v.tobytes(), v.shape
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(repr),
+    st.floats(0.0, 2.2250738585072014e-308).map(repr),  # subnormals
+    st.sampled_from(["-0.0", "0", "5e-324", "1e308", "-1e308", "+1.", ".5", "7"]),
+)
+ODD_CELLS = st.sampled_from(['"1.5"', '" 2"', "1_0", "", " ", "abc", "0x10", "1e", "--1", '"', "1#2", "1e309", "nan", "-inf"])
+PADDING = st.sampled_from(["", "", " ", "  ", "\t", " \t", "\x0c", "\xa0"])
+
+
+RARELY = st.sampled_from([False] * 9 + [True])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text that is mostly numeric and well formed; in half the files, a tenth of the cells, row ends and
+    file starts are odd (a quoted or unparsable cell, a trailing comma, a BOM)."""
+    n_cols = draw(st.integers(1, 5))
+    odd = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 20 + ["blank-cells", "empty", "ragged"]))
+        if kind == "empty":
+            lines.append("")
+            continue
+        width = n_cols + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+        cells = []
+        for _ in range(max(width, 1)):
+            cell = "" if kind == "blank-cells" else draw(ODD_CELLS if odd and draw(RARELY) else NUMBERS)
+            cells.append(draw(PADDING) + cell + draw(PADDING))
+        lines.append(",".join(cells) + ("," if odd and draw(RARELY) else ""))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if lines and draw(st.booleans()) else "")
+    return ("\ufeff" if odd and draw(RARELY) else "") + text
+
+
+class TestOnePassRead:
+    """``load_signal_csv`` against the csv-reader-only loader it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts(), st.sampled_from(["nodes-as-rows", "nodes-as-columns"]))
+    def test_same_array_or_same_error(self, text, layout):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sig.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert outcome(load_signal_csv, path, layout) == outcome(seed_load_signal_csv, path, layout)
+
+    def test_plain_file_needs_no_csv_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "sig.csv"
+        path.write_text("0.1,-0.0,5e-324\r\n1e308, 2 ,3\r\n\n")
+        monkeypatch.setattr(signals, "_read_csv_cells", None)
+        assert np.array_equal(load_signal_csv(path, "nodes-as-rows").values, [[0.1, -0.0, 5e-324], [1e308, 2, 3]])
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('"1.5",2\n3,"4"\n', [[1.5, 2.0], [3.0, 4.0]]),  # quoted cells
+            ("1,2\n , \n,\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),  # rows of blank cells are skipped
+            ("1_0,2\n", [[10.0, 2.0]]),  # what float() takes
+        ],
+        ids=["quoted-cells", "blank-cell-rows", "underscore-digits"],
+    )
+    def test_csv_reader_accepts(self, tmp_path, text, expected):
+        path = tmp_path / "sig.csv"
+        path.write_text(text)
+        assert np.array_equal(load_signal_csv(path, "nodes-as-rows").values, expected)
+
+    def test_errors_count_rows_and_columns_from_one(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("1,2\n3,4\n5,x\n")
+        with pytest.raises(ValueError, match=r"sig\.csv: row 3, column 2: cannot parse 'x' as a number$"):
+            load_signal_csv(path, "nodes-as-rows")
+
+    def test_hash_is_a_bad_cell_not_a_comment(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("1,2#3\n")
+        with pytest.raises(ValueError, match="row 1, column 2: cannot parse '2#3'"):
+            load_signal_csv(path, "nodes-as-rows")
+
+    def test_missing_file_raises_the_open_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="No such file"):
+            load_signal_csv(tmp_path / "absent.csv", "nodes-as-rows")
 
 
 class TestSplit:

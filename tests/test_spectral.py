@@ -257,6 +257,8 @@ class TestTrainFilterBitIdentity:
                          window=30), "early-stop"),
             (TrainConfig(learning_rate=0.2, max_iters=250, patience=1000, tol=0.0, augment_copies=2,
                          window=50), "max-iters"),
+            (TrainConfig(learning_rate=0.2, max_iters=2000, patience=5000, tol=0.0, augment_copies=3,
+                         window=50), "samples-exhausted"),
         ],
     )
     def test_matches_convolve_plus_gradient_reference(self, cfg, reason):
