@@ -30,7 +30,6 @@ from .signals import (
     Observation,
     ObservationModel,
     TimeVaryingSignal,
-    augment_by_concatenation,
     load_signal_csv,
     observe,
     sample_mask,
@@ -43,7 +42,6 @@ from .spectral import (
     denoise,
     graph_convolve,
     mae,
-    mae_gradient,
     train_filter,
 )
 

@@ -43,20 +43,10 @@ def _band_vectors(basis, band_size: int) -> np.ndarray:
     if not (1 <= band_size <= n):
         raise ValueError(f"band_size must be in [1, {n}]")
     u_band = basis.eigenvectors[:, :band_size]
-    _check_projector(u_band)
-    return u_band
-
-
-def _check_projector(u_band: np.ndarray) -> None:
     # U U^T is symmetric by construction, and idempotent exactly when U's columns are orthonormal.
-    if np.max(np.abs(u_band.T @ u_band - np.eye(u_band.shape[1])), initial=0.0) > 1e-8:
+    if np.max(np.abs(u_band.T @ u_band - np.eye(band_size)), initial=0.0) > 1e-8:
         raise ValueError("band projector must be idempotent (band eigenvectors must be orthonormal)")
-
-
-def make_band_projector(basis, band_size: int) -> np.ndarray:
-    """Projector onto the ``band_size`` lowest graph frequencies."""
-    u_band = _band_vectors(basis, band_size)
-    return u_band @ u_band.T
+    return u_band
 
 
 def bandlimit_for_energy(basis, signal_values: np.ndarray, fraction: float = 0.9) -> int:
@@ -73,7 +63,8 @@ def bandlimit_for_energy(basis, signal_values: np.ndarray, fraction: float = 0.9
 
 
 def glms_init(basis, band_size: int, mu: float) -> AdaptiveFilter:
-    return AdaptiveFilter(mu, make_band_projector(basis, band_size))
+    u_band = _band_vectors(basis, band_size)
+    return AdaptiveFilter(mu, u_band @ u_band.T)
 
 
 def gnlms_init(basis, band_size: int, mu: float, observed: np.ndarray) -> AdaptiveFilter:

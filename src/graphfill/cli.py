@@ -118,7 +118,10 @@ def _cmd_report(args) -> int:
     reports = []
     for path in args.inputs:
         with open(path, encoding="utf-8") as fh:
-            reports.append(RunReport.from_dict(json.load(fh)))
+            try:
+                reports.append(RunReport.from_dict(json.load(fh)))
+            except ValueError as exc:  # also a JSONDecodeError
+                raise ValueError(f"{path}: {exc}") from None
     text = render_markdown_table(reports, "rmse") + "\n" + render_markdown_table(reports, "mae")
     _write_text(text, args.out, "merged table")
     return 0

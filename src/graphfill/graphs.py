@@ -30,8 +30,8 @@ def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
 class Graph:
     """Undirected weighted graph with a dense adjacency matrix.
 
-    Invariants (checked at construction): adjacency is square, symmetric,
-    has a zero diagonal, and all entries are >= 0.
+    Invariants (checked at construction): adjacency is square, finite,
+    symmetric, has a zero diagonal, and all entries are >= 0.
     """
     n_nodes: int
     adjacency: np.ndarray
@@ -40,6 +40,8 @@ class Graph:
         a = np.asarray(self.adjacency, dtype=np.float64)
         if a.shape != (self.n_nodes, self.n_nodes):
             raise ValueError(f"adjacency shape {a.shape} does not match n_nodes={self.n_nodes}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("adjacency entries must be finite")
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0.0):
@@ -47,14 +49,6 @@ class Graph:
         if np.any(a < 0.0):
             raise ValueError("adjacency entries must be nonnegative")
         object.__setattr__(self, "adjacency", _frozen(a))
-
-    def adjacency_lists(self) -> tuple:
-        """Per node, the ascending tuple of indices j with A[i, j] != 0."""
-        cached = getattr(self, "_adjacency_lists_cache", None)
-        if cached is None:
-            cached = tuple(tuple(np.flatnonzero(row).tolist()) for row in self.adjacency)
-            object.__setattr__(self, "_adjacency_lists_cache", cached)
-        return cached
 
     def observed_layout(self, observed: np.ndarray) -> "ObservedLayout":
         """Each missing node's observed neighbors under mask ``observed``; kept for the last mask.
@@ -67,14 +61,13 @@ class Graph:
         observed = np.asarray(observed, dtype=bool)
         cached = getattr(self, "_layout_cache", None)
         if cached is None or cached[0] != observed.tobytes():
-            lists, flags, missing = self.adjacency_lists(), observed.tolist(), np.flatnonzero(~observed).tolist()
-            rows = {i: [j for j in lists[i] if flags[j]] for i in missing}
-            nodes = np.array([i for i in missing if rows[i]], dtype=np.int64)
-            counts = np.array([len(rows[i]) for i in nodes.tolist()], dtype=np.int64)
-            index = np.full((nodes.size, 1 + max(counts.tolist(), default=0)), self.n_nodes)
-            for r, i in enumerate(nodes.tolist()):
-                index[r, 1:1 + len(rows[i])] = rows[i]
-            isolated = np.array([i for i in missing if not rows[i]], dtype=np.int64)
+            missing = np.flatnonzero(~observed)
+            linked = (self.adjacency[missing] != 0.0) & observed  # missing node x its observed neighbors
+            per_node = linked.sum(axis=1)
+            nodes, counts, isolated = missing[per_node > 0], per_node[per_node > 0], missing[per_node == 0]
+            index = np.full((nodes.size, 1 + counts.max(initial=0)), self.n_nodes)
+            r, j = np.nonzero(linked[per_node > 0])  # row-major, so each row's neighbors ascend
+            index[r, 1 + np.arange(r.size) - (np.cumsum(counts) - counts)[r]] = j
             groups = tuple((nodes[counts == c], index[counts == c, 1:1 + c]) for c in np.unique(counts).tolist())
             neighbors = np.unique(index)[:-1]  # n, the largest entry, is there whenever a row is
             digits = np.array([len(str(i)) for i in nodes.tolist()], dtype=np.int64)
@@ -132,22 +125,21 @@ def build_graph(n: int, edges) -> Graph:
             collapse to the last weight given.
 
     Raises:
-        ValueError: on self-loops, out-of-range indices, or weights <= 0.
+        ValueError: on self-loops, out-of-range indices, or weights that
+            are not finite or are <= 0.
     """
     if n < 1:
         raise ValueError("n must be positive")
     a = np.zeros((n, n), dtype=np.float64)
     for edge in edges:
-        if len(edge) == 2:
-            i, j = edge
-            w = 1.0
-        else:
-            i, j, w = edge
-            w = float(w)
+        i, j, w = (*edge, 1.0) if len(edge) == 2 else edge
+        w = float(w)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         if i == j:
             raise ValueError(f"self-loop at node {i} is not allowed")
+        if not math.isfinite(w):
+            raise ValueError(f"edge ({i}, {j}) has non-finite weight {w}")
         if w <= 0.0:
             raise ValueError(f"edge ({i}, {j}) has nonpositive weight {w}")
         a[i, j] = w
@@ -170,12 +162,14 @@ def gft(l_matrix: np.ndarray) -> GftBasis:
     simple spectra.
 
     Raises:
-        ValueError: if the input is not symmetric within 1e-10.
+        ValueError: if the input is not finite, or not symmetric within 1e-10.
         np.linalg.LinAlgError: if the decomposition fails to converge.
     """
     l_matrix = np.asarray(l_matrix, dtype=np.float64)
     if l_matrix.ndim != 2 or l_matrix.shape[0] != l_matrix.shape[1]:
         raise ValueError("Laplacian must be a square matrix")
+    if not np.all(np.isfinite(l_matrix)):
+        raise ValueError("Laplacian entries must be finite")
     if np.max(np.abs(l_matrix - l_matrix.T), initial=0.0) > 1e-10:
         raise ValueError("Laplacian must be symmetric within 1e-10")
     lam, u = np.linalg.eigh(l_matrix)
@@ -188,17 +182,11 @@ def neighbors(g: Graph, i: int) -> list:
     """Indices j with A[i, j] != 0, ascending."""
     if not (0 <= i < g.n_nodes):
         raise ValueError(f"node index {i} out of range for n={g.n_nodes}")
-    return list(g.adjacency_lists()[i])
-
-
-def haversine_km(p: tuple, q: tuple) -> float:
-    """Great-circle distance in km between two (lat, lon) points in degrees."""
-    lat1, lat2 = math.radians(p[0]), math.radians(q[0])
-    return _haversine(lat1, math.radians(p[1]), math.cos(lat1), lat2, math.radians(q[1]), math.cos(lat2))
+    return np.flatnonzero(g.adjacency[i]).tolist()
 
 
 def _haversine(lat1, lon1, cos1, lat2, lon2, cos2) -> float:
-    """``haversine_km`` on coordinates in radians, given the cosine of each latitude."""
+    """Great-circle distance in km between two points in radians, given the cosine of each latitude."""
     s = math.sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * math.sin((lon2 - lon1) / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
 
@@ -261,9 +249,9 @@ def _knn_candidates(rad: np.ndarray, k: int) -> tuple:
     latitude. Screens with the haversine inner term ``sin^2(dlat/2) +
     cos(lat_i) cos(lat_j) sin^2(dlon/2)``, which is monotone in distance,
     computed in row blocks with numpy. These terms may differ from the ones
-    ``haversine_km`` computes in the last bits, so every j within a small
+    ``_haversine`` computes in the last bits, so every j within a small
     margin of the row's k-th smallest term is kept; ranking the survivors
-    by ``haversine_km`` then gives exactly the all-pairs result.
+    by ``_haversine`` then gives exactly the all-pairs result.
     """
     lat, lon, cos_lat = rad.T
     n = lat.shape[0]
@@ -322,7 +310,8 @@ def load_edge_list_csv(path, n: int | None = None) -> Graph:
     """Load a graph from a CSV edge list ``src,dst[,weight]`` (0-based).
 
     An optional header row is skipped. When ``n`` is omitted it is
-    inferred as ``max index + 1``.
+    inferred as ``max index + 1``. An edge that ``build_graph`` rejects
+    raises its error, prefixed with the file and row.
     """
     edges = []
     max_idx = -1
@@ -331,12 +320,22 @@ def load_edge_list_csv(path, n: int | None = None) -> Graph:
             raise ValueError(f"{path}: row {r + 1}: expected 2 or 3 columns, got {len(row)}")
         i, j = _cell(path, r, 0, row, int, "a node index"), _cell(path, r, 1, row, int, "a node index")
         max_idx = max(max_idx, i, j)
-        edges.append((i, j, _cell(path, r, 2, row, float, "a weight")) if len(row) == 3 else (i, j))
+        edges.append((r, (i, j, _cell(path, r, 2, row, float, "a weight")) if len(row) == 3 else (i, j)))
     if n is None:
         if max_idx < 0:
             raise ValueError(f"{path}: empty edge list and no node count given")
         n = max_idx + 1
-    return build_graph(n, edges)
+    taken = [None]  # build_graph checks each edge as it takes it, so the row taken last is the one it rejects
+
+    def take():
+        for r, edge in edges:
+            taken[0] = r
+            yield edge
+    try:
+        return build_graph(n, take())
+    except ValueError as exc:
+        row = "" if taken[0] is None else f"row {taken[0] + 1}: "
+        raise ValueError(f"{path}: {row}{exc}") from None
 
 
 def load_coordinates_csv(path) -> list:
@@ -350,7 +349,7 @@ def load_coordinates_csv(path) -> list:
             raise ValueError(f"{path}: row {r + 1}: expected node_id,lat,lon")
         node = _cell(path, r, 0, row, int, "a node id")
         if node in entries:
-            raise ValueError(f"{path}: duplicate node id {node}")
+            raise ValueError(f"{path}: row {r + 1}: duplicate node id {node}")
         entries[node] = (_cell(path, r, 1, row, float, "a latitude"), _cell(path, r, 2, row, float, "a longitude"))
     if not entries:
         raise ValueError(f"{path}: no coordinate rows")

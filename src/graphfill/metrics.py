@@ -85,22 +85,30 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunReport":
-        return cls(
-            method=payload["method"],
-            per_t_mae=np.asarray(payload["per_t_mae"]),
-            per_t_rmse=np.asarray(payload["per_t_rmse"]),
-            aggregate_mae=tuple(payload["aggregate_mae"]),
-            aggregate_rmse=tuple(payload["aggregate_rmse"]),
-            aggregate_mae_missing=tuple(payload["aggregate_mae_missing"]),
-            aggregate_rmse_missing=tuple(payload["aggregate_rmse_missing"]),
-            method_aggregates={
-                name: {metric: tuple(pair) for metric, pair in metrics.items()}
-                for name, metrics in payload["method_aggregates"].items()
-            },
-            config_snapshot=payload["config_snapshot"],
-            transcript_path=payload.get("transcript_path"),
-            token_estimate=int(payload.get("token_estimate", 0)),
-        )
+        """Inverse of :meth:`to_dict`. A payload of another shape raises ValueError saying what is wrong."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"a report must be a JSON object, not {type(payload).__name__}")
+        try:
+            return cls(
+                method=payload["method"],
+                per_t_mae=np.asarray(payload["per_t_mae"]),
+                per_t_rmse=np.asarray(payload["per_t_rmse"]),
+                aggregate_mae=tuple(payload["aggregate_mae"]),
+                aggregate_rmse=tuple(payload["aggregate_rmse"]),
+                aggregate_mae_missing=tuple(payload["aggregate_mae_missing"]),
+                aggregate_rmse_missing=tuple(payload["aggregate_rmse_missing"]),
+                method_aggregates={
+                    name: {metric: tuple(pair) for metric, pair in metrics.items()}
+                    for name, metrics in payload["method_aggregates"].items()
+                },
+                config_snapshot=dict(payload["config_snapshot"]),
+                transcript_path=payload.get("transcript_path"),
+                token_estimate=int(payload.get("token_estimate", 0)),
+            )
+        except KeyError as exc:
+            raise ValueError(f"report has no key {exc.args[0]!r}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed report: {exc}") from None
 
 
 def format_aggregate(pair) -> str:

@@ -353,7 +353,7 @@ def run_repeat(
     estimates = dict.fromkeys(steps, x0)
     table = np.zeros((len(steps), 4, horizon))
     scores = dict(zip(steps, table))
-    missing = model.missing_indices
+    missing = np.flatnonzero(~model.observed)
 
     completed = 0
     try:

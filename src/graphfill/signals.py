@@ -58,10 +58,6 @@ class ObservationModel:
     def n_nodes(self) -> int:
         return self.observed.shape[0]
 
-    @property
-    def missing_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.observed)
-
 
 @dataclass(frozen=True, eq=False)
 class Observation:
@@ -150,13 +146,6 @@ def split(signal: TimeVaryingSignal, t_split: int) -> tuple:
     train = TimeVaryingSignal(signal.values[:, :t_split], t0=signal.t0)
     test = TimeVaryingSignal(signal.values[:, t_split:], t0=signal.t0 + t_split)
     return train, test
-
-
-def augment_by_concatenation(signal: TimeVaryingSignal, copies: int) -> TimeVaryingSignal:
-    """Concatenate ``copies`` copies of the signal along time."""
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    return TimeVaryingSignal(np.tile(signal.values, (1, copies)), t0=signal.t0)
 
 
 def sample_mask(n: int, ratio: float, seed: int, noise_variance: float = 0.0) -> ObservationModel:

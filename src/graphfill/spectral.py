@@ -1,4 +1,4 @@
-"""Trainable graph-spectral filter: convolution, MAE loss, gradient, training.
+"""Trainable graph-spectral filter: convolution, MAE loss, training, export.
 
 The filter is one free gain per graph frequency. Applying it is the graph
 convolution ``U diag(h) U^T x``. Training runs subgradient descent on the
@@ -100,22 +100,6 @@ def mae(x_g: np.ndarray, x_tilde: np.ndarray) -> float:
     return float(np.mean(np.abs(x_g - x_tilde)))
 
 
-def mae_gradient(basis: GftBasis, h: np.ndarray, x: np.ndarray, x_g: np.ndarray) -> np.ndarray:
-    """Subgradient of the MAE with respect to the per-frequency gains.
-
-    With ``s_n = sign(x_tilde_n - x_g_n)`` (sign(0) taken as 0) and
-    ``x_tilde = graph_convolve(basis, h, x)``, component k is
-    ``(1/N) * (U^T s)_k * (U^T x)_k``.
-    """
-    x_g = np.asarray(x_g, dtype=np.float64)
-    x_tilde = graph_convolve(basis, h, x)
-    if x_g.shape != x_tilde.shape:
-        raise ValueError("ground truth length does not match basis dimension")
-    s = np.sign(x_tilde - x_g)
-    u = basis.eigenvectors
-    return (u.T @ s) * (u.T @ np.asarray(x, dtype=np.float64)) / basis.n_nodes
-
-
 def train_filter(
     basis: GftBasis,
     train_signal: TimeVaryingSignal,
@@ -125,7 +109,8 @@ def train_filter(
     """Learn filter gains by gradient descent over corrupted training steps.
 
     Each step t synthesizes a noisy masked input from ground-truth column
-    t of the (augmented) training signal, fills missing nodes with their
+    t % t_split of the training signal (``augment_copies`` passes over its
+    t_split columns), fills missing nodes with their
     training-set mean, convolves, records the MAE against ground truth,
     and takes one gradient step. Halts on sample exhaustion, ``max_iters``,
     or when the running-window MAE stops improving by more than ``tol``
@@ -140,7 +125,7 @@ def train_filter(
     if obs_model.n_nodes != n:
         raise ValueError("observation model does not match basis dimension")
 
-    # Step t of the augmented signal is training column t % t_split: read it as a row of one time-major copy.
+    # Step t reads training column t % t_split as a row of one time-major copy.
     rows = np.ascontiguousarray(train_signal.values.T)
     fill = train_signal.values.mean(axis=1)
     h = np.ones(n, dtype=np.float64)
@@ -148,17 +133,15 @@ def train_filter(
     window = deque(maxlen=cfg.window)
     best = np.inf
     streak = 0
-    stop_reason = "samples-exhausted"
 
     n_steps = min(cfg.max_iters, cfg.augment_copies * rows.shape[0])
-    if n_steps == cfg.max_iters:
-        stop_reason = "max-iters"
+    stop_reason = "max-iters" if n_steps == cfg.max_iters else "samples-exhausted"
     u = basis.eigenvectors
     for t in range(n_steps):
         col = rows[t % rows.shape[0]]
         obs = observe(col, obs_model, t)
         x_in = np.where(obs.observed, obs.values, fill)
-        # graph_convolve + mae_gradient with U^T x_in and x_tilde computed once
+        # graph_convolve and the MAE subgradient (1/N) (U^T sign(x_tilde - x_g))_k (U^T x_in)_k share U^T x_in
         z = u.T @ x_in
         x_tilde = u @ (h * z)
         loss = mae(col, x_tilde)
@@ -201,11 +184,6 @@ def denoise(filt: SpectralFilter, basis: GftBasis, obs: Observation, fill: np.nd
     return graph_convolve(basis, filt.gains, x_in)
 
 
-def identity_filter(basis: GftBasis) -> SpectralFilter:
-    """All-ones gains: convolution becomes the identity map."""
-    return SpectralFilter(gains=np.ones(basis.n_nodes), basis_ref=basis.ref())
-
-
 def save_filter_json(path, result: TrainResult, cfg: TrainConfig) -> None:
     """Export gains plus training metadata as JSON."""
     final_mae = float(result.mae_trace[-1]) if result.mae_trace.size else None
@@ -219,9 +197,3 @@ def save_filter_json(path, result: TrainResult, cfg: TrainConfig) -> None:
     with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def load_filter_json(path) -> SpectralFilter:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return SpectralFilter(gains=np.asarray(payload["gains"]), basis_ref=payload["basis_ref"])

@@ -1,8 +1,11 @@
-"""Shared fixtures: random connected graphs and bandlimited test signals."""
+"""Shared fixtures: random connected graphs and bandlimited test signals, and reference implementations."""
+import math
+
 import numpy as np
 
-from graphfill.graphs import Graph, build_graph, gft, laplacian
+from graphfill.graphs import EARTH_RADIUS_KM, Graph, ObservedLayout, build_graph, gft, laplacian
 from graphfill.signals import TimeVaryingSignal
+from graphfill.spectral import graph_convolve
 
 
 def random_connected_graph(n: int, rng: np.random.Generator, p: float = 0.25) -> Graph:
@@ -78,3 +81,40 @@ def write_run_fixture(
         for row in signal.values:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     return edge_path, signal_path, g, signal
+
+
+def seed_haversine_km(p: tuple, q: tuple) -> float:
+    """Great-circle distance in km between two (lat, lon) points in degrees, the reference for kNN distances."""
+    lat1, lat2 = math.radians(p[0]), math.radians(q[0])
+    dlat, dlon = (lat2 - lat1) / 2.0, (math.radians(q[1]) - math.radians(p[1])) / 2.0
+    s = math.sin(dlat) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon) ** 2
+    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
+
+
+def seed_mae_gradient(basis, h: np.ndarray, x: np.ndarray, x_g: np.ndarray) -> np.ndarray:
+    """Subgradient of the MAE with respect to the per-frequency gains, the reference for training.
+
+    With ``s_n = sign(x_tilde_n - x_g_n)`` (sign(0) taken as 0) and
+    ``x_tilde = graph_convolve(basis, h, x)``, component k is
+    ``(1/N) * (U^T s)_k * (U^T x)_k``.
+    """
+    s = np.sign(graph_convolve(basis, h, x) - x_g)
+    u = basis.eigenvectors
+    return (u.T @ s) * (u.T @ np.asarray(x, dtype=np.float64)) / basis.n_nodes
+
+
+def seed_observed_layout(g: Graph, observed) -> ObservedLayout:
+    """Reference for ``Graph.observed_layout``: the same layout built from per-node neighbor lists."""
+    lists = [np.flatnonzero(row).tolist() for row in g.adjacency]
+    observed = np.asarray(observed, dtype=bool)
+    flags, missing = observed.tolist(), np.flatnonzero(~observed).tolist()
+    rows = {i: [j for j in lists[i] if flags[j]] for i in missing}
+    nodes = np.array([i for i in missing if rows[i]], dtype=np.int64)
+    counts = np.array([len(rows[i]) for i in nodes.tolist()], dtype=np.int64)
+    index = np.full((nodes.size, 1 + max(counts.tolist(), default=0)), g.n_nodes)
+    for r, i in enumerate(nodes.tolist()):
+        index[r, 1:1 + len(rows[i])] = rows[i]
+    isolated = np.array([i for i in missing if not rows[i]], dtype=np.int64)
+    groups = tuple((nodes[counts == c], index[counts == c, 1:1 + c]) for c in np.unique(counts).tolist())
+    digits = np.array([len(str(i)) for i in nodes.tolist()], dtype=np.int64)
+    return ObservedLayout(nodes, isolated, index, counts, np.unique(index)[:-1], groups, digits)

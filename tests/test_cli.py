@@ -281,3 +281,29 @@ class TestReportCommand:
         text = merged.read_text()
         assert "0.1" in text.splitlines()[0] and "0.5" in text.splitlines()[0]
         assert "| graphfill |" in text
+
+
+class TestReportCommandErrors:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{}", "report has no key 'method'"),
+            ("[]", "a report must be a JSON object, not list"),
+            ("{not json", "Expecting property name enclosed in double quotes"),
+        ],
+    )
+    def test_malformed_report_exits_2_naming_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        assert main(["report", "--inputs", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+
+    def test_report_without_aggregate_mae_exits_2(self, tmp_path, capsys):
+        good = Path(__file__).parent / "data" / "report_golden.json"
+        payload = json.loads(good.read_text())
+        del payload["aggregate_mae"]
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", "--inputs", str(good), str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: report has no key 'aggregate_mae'\n"

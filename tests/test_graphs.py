@@ -1,14 +1,19 @@
 """Tests for graph construction, Laplacian, Fourier basis, and kNN graphs."""
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import seed_haversine_km, seed_observed_layout
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfill.graphs import (
     Graph,
     build_graph,
     gft,
-    haversine_km,
     knn_graph,
     laplacian,
     load_coordinates_csv,
@@ -61,6 +66,18 @@ class TestBuildGraph:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="weight"):
             build_graph(3, [(0, 1, 0.0)])
+
+    @pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(ValueError, match=re.escape(f"edge (0, 1) has non-finite weight {w}")):
+            build_graph(3, [(0, 1, 1.0), (0, 1, w)])
+
+    @pytest.mark.parametrize("w", [math.inf, math.nan])
+    def test_non_finite_adjacency_rejected_before_symmetry(self, w):
+        a = np.zeros((2, 2))
+        a[0, 1] = a[1, 0] = w  # symmetric, so only the finiteness check can reject it
+        with pytest.raises(ValueError, match="finite"):
+            Graph(2, a)
 
     def test_adjacency_read_only(self):
         g = build_graph(2, [(0, 1)])
@@ -177,6 +194,12 @@ class TestGft:
         with pytest.raises(ValueError, match="symmetric"):
             gft(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("w", [np.inf, np.nan])
+    def test_non_finite_rejected(self, w):
+        # Without the check, inf gives NaN eigenvalues (with a RuntimeWarning) and NaN passes the symmetry test.
+        with pytest.raises(ValueError, match="finite"):
+            gft(np.array([[w, -w], [-w, w]]))
+
     def test_basis_ref_distinguishes_bases(self):
         a = gft(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         b = gft(np.array([[2.0, -2.0], [-2.0, 2.0]]))
@@ -202,6 +225,12 @@ class TestNeighbors:
         with pytest.raises(ValueError):
             neighbors(g, 2)
 
+    @pytest.mark.parametrize("i", [-1, -2])
+    def test_negative_index_rejected(self, i):
+        g = build_graph(2, [(0, 1)])
+        with pytest.raises(ValueError, match="out of range"):
+            neighbors(g, i)  # not a row counted from the end
+
     def test_symmetry_property(self):
         rng = np.random.default_rng(13)
         g = random_connected_graph(15, rng)
@@ -220,12 +249,37 @@ class TestNeighbors:
                 assert neighbors(g, i) == expected
             assert neighbors(g, n - 1) == []
 
-    def test_adjacency_lists_cached_and_immutable(self):
+    def test_returns_the_callers_list(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        assert g.adjacency_lists() is g.adjacency_lists()
-        assert g.adjacency_lists() == ((1,), (0, 2), (1,))
+        assert [neighbors(g, i) for i in range(3)] == [[1], [0, 2], [1]]
+        assert all(type(j) is int for j in neighbors(g, 1))
         neighbors(g, 1).append(99)  # the returned list is the caller's copy
         assert neighbors(g, 1) == [0, 2]
+
+
+@st.composite
+def graphs_and_masks(draw):
+    """A weighted graph (empty, sparse or complete) and any mask, with or without observed nodes."""
+    n = draw(st.integers(1, 25))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    edges = [(i, j, draw(st.floats(1e-3, 5.0))) for i, j in pairs if draw(st.floats(0.0, 1.0)) < density]
+    return build_graph(n, edges), np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+def layout_arrays(layout):
+    return [*layout[:5], layout.digits, *sum(layout.groups, ())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_masks())
+def test_observed_layout_equals_seed_layout(graph_and_mask):
+    g, observed = graph_and_mask
+    got, want = g.observed_layout(observed), seed_observed_layout(g, observed)
+    assert len(got.groups) == len(want.groups)
+    for a, b in zip(layout_arrays(got), layout_arrays(want)):
+        assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist())
+        assert not a.flags.writeable
 
 
 def brute_force_knn(pts, k):
@@ -234,7 +288,7 @@ def brute_force_knn(pts, k):
     out = []
     for i in range(n):
         order = sorted(
-            (j for j in range(n) if j != i), key=lambda j: (haversine_km(pts[i], pts[j]), j)
+            (j for j in range(n) if j != i), key=lambda j: (seed_haversine_km(pts[i], pts[j]), j)
         )
         out.append(order[:k])
     return out
@@ -271,7 +325,7 @@ class TestKnnGraph:
         pts = [(0.0, 0.0), (0.0, 1.0), (5.0, 5.0)]
         bw = 75.0
         g = knn_graph(pts, k=1, bandwidth=bw)
-        d = haversine_km(pts[0], pts[1])
+        d = seed_haversine_km(pts[0], pts[1])
         assert g.adjacency[0, 1] == pytest.approx(math.exp(-(d**2) / (2 * bw**2)))
 
     def test_permutation_invariance_up_to_relabeling(self):
@@ -305,7 +359,7 @@ def seed_knn_graph(coords, k, bandwidth=None):
     dist = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
-            d = haversine_km(pts[i], pts[j])
+            d = seed_haversine_km(pts[i], pts[j])
             dist[i, j] = d
             dist[j, i] = d
     selected = set()
@@ -440,3 +494,75 @@ class TestFileInterfaces:
         with pytest.raises(ValueError) as info:
             load_coordinates_csv(path)
         assert str(info.value) == f"{path}: {expected}"
+
+
+# Cells of generated CSV rows: node indices in and out of range, blanks, padding, quotes, floats, inf and nan.
+CSV_CELLS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " 3 ", '"1"', "x", "src", "1.5", "0", "-0.0", "1e-320", "1e308", "inf", "nan", "1_0"]),
+)
+CSV_ROWS = st.lists(st.lists(CSV_CELLS, max_size=4), max_size=6)
+# The errors that concern the whole file rather than one row.
+FILE_ERRORS = ("empty edge list and no node count given", "no coordinate rows", "node ids must cover 0..",
+               "n must be positive")
+
+
+def load_or_name_the_row(loader, rows, *args):
+    """Write ``rows`` as a CSV and load it; a ValueError must name the file and, unless the whole file is at
+    fault, a row of it."""
+    text = "\n".join(",".join(row) for row in rows) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            return loader(path, *args)
+        except ValueError as exc:
+            message = str(exc)
+    assert message.startswith(f"{path}: "), message
+    rest = message[len(f"{path}: "):]
+    row = re.match(r"row (\d+)(, column \d+)?: ", rest)
+    assert (row and 1 <= int(row[1]) <= len(rows)) or rest.startswith(FILE_ERRORS), message
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(CSV_ROWS, st.one_of(st.none(), st.integers(-1, 12)))
+def test_edge_list_loads_or_names_the_row(rows, n):
+    g = load_or_name_the_row(load_edge_list_csv, rows, n)
+    if g is not None:
+        a = g.adjacency
+        assert np.all(np.isfinite(a)) and np.all(a >= 0.0) and np.array_equal(a, a.T)
+
+
+@settings(max_examples=400, deadline=None)
+@given(CSV_ROWS)
+def test_coordinates_load_or_name_the_row(rows):
+    coords = load_or_name_the_row(load_coordinates_csv, rows)
+    if coords is not None:
+        assert all(len(c) == 2 and all(type(v) is float for v in c) for c in coords)
+
+
+@pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])
+def test_edge_list_with_non_finite_weight_names_the_row(tmp_path, weight):
+    path = tmp_path / "edges.csv"
+    path.write_text(f"src,dst,weight\n0,1,1.0\n1,2,{weight}\n")
+    with pytest.raises(ValueError) as info:
+        load_edge_list_csv(path)
+    assert str(info.value) == f"{path}: row 3: edge (1, 2) has non-finite weight {float(weight)}"
+
+
+def test_edge_list_with_an_edge_out_of_range_names_the_row(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("0,1\n1,5\n")
+    with pytest.raises(ValueError) as info:
+        load_edge_list_csv(path, n=3)
+    assert str(info.value) == f"{path}: row 2: edge (1, 5) out of range for n=3"
+
+
+def test_coordinates_duplicate_id_names_the_row(tmp_path):
+    path = tmp_path / "coords.csv"
+    path.write_text("0,1.0,2.0\n1,3.0,4.0\n0,5.0,6.0\n")
+    with pytest.raises(ValueError) as info:
+        load_coordinates_csv(path)
+    assert str(info.value) == f"{path}: row 3: duplicate node id 0"

@@ -118,3 +118,31 @@ class TestEmitReport:
         table = render_markdown_table([a, b], "rmse")
         header = table.splitlines()[0]
         assert "1.0" in header and "1.5" in header
+
+
+class TestReportFromDict:
+    @pytest.mark.parametrize("payload, kind", [([], "list"), ("report", "str"), (None, "NoneType")])
+    def test_non_object_rejected(self, payload, kind):
+        with pytest.raises(ValueError, match=f"a report must be a JSON object, not {kind}"):
+            RunReport.from_dict(payload)
+
+    @pytest.mark.parametrize("key", ["method", "per_t_mae", "aggregate_mae", "method_aggregates", "config_snapshot"])
+    def test_missing_key_named(self, key):
+        payload = golden_report().to_dict()
+        del payload[key]
+        with pytest.raises(ValueError, match=f"report has no key '{key}'"):
+            RunReport.from_dict(payload)
+
+    def test_empty_object_names_the_first_key(self):
+        with pytest.raises(ValueError, match="report has no key 'method'"):
+            RunReport.from_dict({})
+
+    @pytest.mark.parametrize(
+        "key, value", [("aggregate_mae", 0.5), ("method_aggregates", []), ("aggregate_rmse", ["a", "b"]),
+                       ("config_snapshot", 3), ("token_estimate", None)],
+    )
+    def test_malformed_field_rejected(self, key, value):
+        payload = golden_report().to_dict()
+        payload[key] = value
+        with pytest.raises(ValueError, match="malformed report"):
+            RunReport.from_dict(payload)

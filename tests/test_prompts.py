@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfill.graphs import build_graph
 from graphfill.prompts import (
@@ -186,3 +188,32 @@ class TestParseCompletion:
         text = render_user_prompt([task])
         assert "1234.5" in text
         assert "," not in text.split("Previous: ")[1].split(",")[0]
+
+
+# Prose around the numbers: no digits, signs or points, so it holds no number of its own.
+PROSE = st.text(st.characters(categories=("L", "Zs"), include_characters=",:;!?()\n"), max_size=12)
+
+
+@st.composite
+def completions(draw):
+    """Values rendered at precision p, each wrapped in generated prose, and the text they make."""
+    precision = draw(st.integers(0, 6))
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
+    rendered = [f"{v:.{precision}f}" for v in values]
+    text = draw(PROSE) + "".join(f" {r} " + draw(PROSE) for r in rendered)
+    return text, [float(r) for r in rendered], precision
+
+
+@settings(max_examples=300, deadline=None)
+@given(completions(), st.integers(-3, 3))
+def test_rendered_values_parse_back_or_report_the_count(completion, offset):
+    text, values, precision = completion
+    expected = len(values) + offset
+    if expected < 1:
+        return
+    if offset == 0:
+        assert parse_completion(text, expected, precision) == values
+        return
+    with pytest.raises(CompletionParseError) as err:
+        parse_completion(text, expected, precision)
+    assert (err.value.found, err.value.expected) == (len(values), expected)

@@ -5,10 +5,13 @@ import json
 import os
 import re
 import types
+import typing
 
 import numpy as np
 import pytest
 from helpers import write_run_fixture
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfill import baselines as bl
 from graphfill import files, runner
@@ -24,7 +27,7 @@ from graphfill.runner import (
     run_online,
 )
 from graphfill.signals import Observation, ObservationModel, TimeVaryingSignal, observe, sample_mask
-from graphfill.spectral import denoise, identity_filter, mae
+from graphfill.spectral import SpectralFilter, denoise, mae
 
 
 def base_config(edge_path, signal_path, **overrides):
@@ -360,7 +363,8 @@ class TestArrayPath:
         ctx = types.SimpleNamespace(graph=g, basis=basis)
         cfg = RunConfig(predictor=PredictorConfig(max_retries=0))
         x_prev = np.full(3, 0.25)
-        x_hat, tokens = runner._step_estimate(ctx, cfg, model, identity_filter(basis), x_prev, obs, None, None)
+        identity = SpectralFilter(np.ones(3), basis.ref())
+        x_hat, tokens = runner._step_estimate(ctx, cfg, model, identity, x_prev, obs, None, None)
         assert x_hat[1] == 0.25
         assert tokens > 0  # the text path sent the prompt
 
@@ -400,7 +404,7 @@ class TestBaselinesOnly:
         band = bl.bandlimit_for_energy(ctx.basis, ctx.train_signal.values, cfg.baseline_band_energy)
         filt = bl.glms_init(ctx.basis, band, cfg.baseline_step_size)
         estimate = init_estimate(ctx.train_signal, model)
-        missing = model.missing_indices
+        missing = np.flatnonzero(~model.observed)
         maes, rmses = [], []
         for k in range(ctx.test_signal.n_steps):
             col = ctx.test_signal.values[:, k]
@@ -539,6 +543,43 @@ class TestConfigValidation:
         cfg = base_config(edge_path, signal_path)
         again = RunConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+
+def json_values(tp):
+    """Strategy for one config field's values, as JSON carries them."""
+    if dataclasses.is_dataclass(tp):
+        return configs(tp)
+    if isinstance(tp, types.UnionType):
+        return st.one_of(*map(json_values, typing.get_args(tp)))
+    return {
+        float: st.floats(allow_nan=False),  # NaN equals nothing, so no config holding it equals itself
+        int: st.integers(-3, 10**9),
+        bool: st.booleans(),
+        str: st.one_of(st.text(), st.sampled_from(["edges", "knn", "mock", "remote", "nodes-as-columns"])),
+        type(None): st.none(),
+        tuple[str, ...]: st.lists(st.sampled_from(sorted(runner.BASELINES))).map(tuple),
+    }[tp]
+
+
+@st.composite
+def configs(draw, cls=RunConfig):
+    """A valid config: each field takes a drawn value when the section accepts it, else its default."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        value = draw(json_values(f.type))
+        try:
+            cls(**{f.name: value})
+        except ValueError:
+            continue
+        kwargs[f.name] = value
+    return cls(**kwargs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_config_round_trips_through_json(cfg):
+    assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 class TestKnnGraphSource:

@@ -13,7 +13,6 @@ from graphfill.signals import (
     Observation,
     ObservationModel,
     TimeVaryingSignal,
-    augment_by_concatenation,
     load_signal_csv,
     observe,
     sample_mask,
@@ -207,37 +206,6 @@ class TestSplit:
         sig = TimeVaryingSignal(rng.normal(size=(4, 12)))
         train, test = split(sig, 5)
         assert np.array_equal(np.hstack([train.values, test.values]), sig.values)
-
-
-class TestAugment:
-    def test_identity(self):
-        sig = TimeVaryingSignal(np.arange(6, dtype=float).reshape(2, 3))
-        out = augment_by_concatenation(sig, 1)
-        assert np.array_equal(out.values, sig.values)
-
-    def test_modular_indexing(self):
-        rng = np.random.default_rng(1)
-        sig = TimeVaryingSignal(rng.normal(size=(3, 10)))
-        out = augment_by_concatenation(sig, 3)
-        assert out.n_steps == 30
-        assert np.array_equal(out.values[:, 17], sig.values[:, 7])
-
-    def test_doubling_week_train_split(self):
-        sig = TimeVaryingSignal(np.zeros((2, 2016)))
-        train, _ = split(sig, 576)
-        assert augment_by_concatenation(train, 2).n_steps == 1152
-
-    def test_zero_copies_rejected(self):
-        sig = TimeVaryingSignal(np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            augment_by_concatenation(sig, 0)
-
-    def test_round_trip_with_split(self):
-        rng = np.random.default_rng(2)
-        sig = TimeVaryingSignal(rng.normal(size=(3, 9)))
-        train, _ = split(sig, 4)
-        again = augment_by_concatenation(train, 1)
-        assert np.array_equal(again.values, sig.values[:, :4])
 
 
 class TestSampleMask:

@@ -1,22 +1,20 @@
 """Tests for graph convolution, MAE loss/gradient, training, and denoising."""
+import json
 from collections import deque
 
 import numpy as np
 import pytest
-from helpers import bandlimited_signal, random_connected_graph, spectral_fixture
+from helpers import bandlimited_signal, random_connected_graph, seed_mae_gradient, spectral_fixture
 
 from graphfill.graphs import gft, laplacian
-from graphfill.signals import TimeVaryingSignal, augment_by_concatenation, observe, sample_mask
+from graphfill.signals import TimeVaryingSignal, observe, sample_mask
 from graphfill.spectral import (
     FilterDivergenceError,
     SpectralFilter,
     TrainConfig,
     denoise,
     graph_convolve,
-    identity_filter,
-    load_filter_json,
     mae,
-    mae_gradient,
     save_filter_json,
     train_filter,
 )
@@ -29,6 +27,11 @@ DENOISE_TRAIN_CFG = TrainConfig(
 def corrupted_input(col, model, t, fill):
     obs = observe(col, model, t)
     return np.where(obs.observed, obs.values, fill)
+
+
+def identity_filter(basis):
+    """All-ones gains: the convolution is the identity map."""
+    return SpectralFilter(np.ones(basis.n_nodes), basis.ref())
 
 
 def harness_mae(basis, gains, cols, model, fill, t_offset=10_000):
@@ -122,14 +125,14 @@ class TestMaeGradient:
         basis = gft(laplacian(g))
         x = rng.normal(size=8)
         x_g = graph_convolve(basis, np.ones(8), x)
-        grad = mae_gradient(basis, np.ones(8), x, x_g)
+        grad = seed_mae_gradient(basis, np.ones(8), x, x_g)
         assert np.max(np.abs(grad)) < 1e-12
 
     def test_zero_input_gives_zero_gradient(self):
         rng = np.random.default_rng(7)
         g = random_connected_graph(8, rng)
         basis = gft(laplacian(g))
-        grad = mae_gradient(basis, rng.normal(size=8), np.zeros(8), rng.normal(size=8))
+        grad = seed_mae_gradient(basis, rng.normal(size=8), np.zeros(8), rng.normal(size=8))
         assert np.array_equal(grad, np.zeros(8))
 
     def test_matches_central_finite_differences(self):
@@ -145,7 +148,7 @@ class TestMaeGradient:
             x_tilde = graph_convolve(basis, h, x)
             if np.min(np.abs(x_tilde - x_g)) < 1e-3:
                 continue  # too close to a kink; reroll
-            analytic = mae_gradient(basis, h, x, x_g)
+            analytic = seed_mae_gradient(basis, h, x, x_g)
             numeric = finite_difference_gradient(basis, h, x, x_g)
             assert np.max(np.abs(analytic - numeric)) < 1e-5
             checked += 1
@@ -205,6 +208,10 @@ class TestTrainFilter:
         trace = train_filter(basis, train_sig, model, DENOISE_TRAIN_CFG).mae_trace
         assert trace[-50:].mean() <= trace[0]
 
+    def test_zero_augment_copies_rejected(self):
+        with pytest.raises(ValueError, match="augment_copies must be >= 1"):
+            TrainConfig(augment_copies=0)
+
     def test_divergence_aborts_with_trace(self):
         rng = np.random.default_rng(12)
         g = random_connected_graph(15, rng)
@@ -218,22 +225,22 @@ class TestTrainFilter:
 
 
 def seed_train_filter(basis, train_signal, obs_model, cfg):
-    """Reference trainer: one graph_convolve for the loss, one mae_gradient per step."""
-    data = augment_by_concatenation(train_signal, cfg.augment_copies).values
+    """Reference trainer: one graph_convolve for the loss, one seed_mae_gradient per step."""
+    data = train_signal.values
     fill = train_signal.values.mean(axis=1)
     h = np.ones(basis.n_nodes, dtype=np.float64)
     trace = []
     window = deque(maxlen=cfg.window)
     best = np.inf
     streak = 0
-    n_steps = min(cfg.max_iters, data.shape[1])
+    n_steps = min(cfg.max_iters, cfg.augment_copies * data.shape[1])
     stop_reason = "max-iters" if n_steps == cfg.max_iters else "samples-exhausted"
     for t in range(n_steps):
-        col = data[:, t]
+        col = data[:, t % data.shape[1]]
         x_in = corrupted_input(col, obs_model, t, fill)
         loss = mae(col, graph_convolve(basis, h, x_in))
         trace.append(loss)
-        h = h - cfg.learning_rate * mae_gradient(basis, h, x_in, col)
+        h = h - cfg.learning_rate * seed_mae_gradient(basis, h, x_in, col)
         window.append(loss)
         if len(window) < cfg.window:
             continue
@@ -327,9 +334,10 @@ class TestFilterSerialization:
         result = train_filter(basis, signal, model, cfg)
         path = tmp_path / "filter.json"
         save_filter_json(path, result, cfg)
-        loaded = load_filter_json(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        loaded = SpectralFilter(gains=np.asarray(payload["gains"]), basis_ref=payload["basis_ref"])
         assert loaded.basis_ref == result.filter.basis_ref
-        assert np.allclose(loaded.gains, result.filter.gains, atol=0.0, rtol=0.0)
+        assert np.array_equal(loaded.gains, result.filter.gains)
 
     def test_non_finite_gains_rejected(self):
         with pytest.raises(ValueError, match="finite"):
