@@ -101,7 +101,7 @@ class RunReport:
                     name: {metric: tuple(pair) for metric, pair in metrics.items()}
                     for name, metrics in payload["method_aggregates"].items()
                 },
-                config_snapshot=dict(payload["config_snapshot"]),
+                config_snapshot=_snapshot(payload["config_snapshot"]),
                 transcript_path=payload.get("transcript_path"),
                 token_estimate=int(payload.get("token_estimate", 0)),
             )
@@ -109,6 +109,15 @@ class RunReport:
             raise ValueError(f"report has no key {exc.args[0]!r}") from None
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed report: {exc}") from None
+
+
+def _snapshot(snapshot) -> dict:
+    """A copy of a report's config snapshot, which must be an object, as must its ``observation`` when present."""
+    if not isinstance(snapshot, dict):
+        raise ValueError(f"malformed report: key 'config_snapshot' must be an object, not {type(snapshot).__name__}")
+    if not isinstance(snapshot.get("observation", {}), dict):
+        raise ValueError("malformed report: key 'config_snapshot.observation' must be an object")
+    return dict(snapshot)
 
 
 def format_aggregate(pair) -> str:

@@ -220,7 +220,8 @@ def init_estimate(train_signal: TimeVaryingSignal, obs_model: ObservationModel) 
 class RepeatResult:
     """``scores``: method -> (4, horizon) per-step mae, rmse, and both over the missing nodes.
 
-    Without the primary method, ``train_result`` is None and ``trajectory`` has no rows.
+    ``trajectory`` holds the lead method's estimate at each step walked. Without the primary
+    method, ``train_result`` is None.
     """
     seed: int
     model: ObservationModel
@@ -311,118 +312,106 @@ def _step_scores(col, est, missing) -> np.ndarray:
     return out
 
 
-def run_repeat(
-    ctx: RunContext,
-    cfg: RunConfig,
-    seed: int,
-    backend=None,
-    start_step: int = 0,
-    start_estimate: np.ndarray | None = None,
-    checkpoint_dir=None,
-    repeat_index: int = 0,
-    with_primary: bool = True,
-) -> RepeatResult:
-    """Train, then walk the test horizon from ``start_step`` sequentially.
+def run_repeat(ctx: RunContext, cfg: RunConfig, seed: int, methods: tuple, backend=None, checkpoint_dir=None,
+               repeat_index: int = 0, resume: dict | None = None) -> RepeatResult:
+    """Walk the test horizon sequentially, feeding each step's observation to every method.
 
-    Each step's observation feeds the primary method and every selected
-    baseline. Without the primary method only the baselines run: nothing
-    is trained, dispatched or checkpointed.
+    The filter is trained when the primary method is among ``methods``. The walk starts from
+    ``resume``, a state read by :func:`replay_from_checkpoint`, or else from step 0 with every
+    method at :func:`init_estimate`.
     """
-    model, train_result = mask_and_train(ctx, cfg, seed, train=with_primary)
-    checkpoint_dir = checkpoint_dir if with_primary else None
-    x0 = init_estimate(ctx.train_signal, model) if start_estimate is None else np.asarray(start_estimate, float)
+    model, train_result = mask_and_train(ctx, cfg, seed, train=PRIMARY_METHOD in methods)
     n_steps = ctx.test_signal.n_steps
-    horizon = n_steps - start_step
-    trajectory = np.zeros((ctx.graph.n_nodes if with_primary else 0, horizon))
     transcript = [] if cfg.transcript else None
-    tokens = []
+    step_tokens = 0
 
     def primary_step(x_prev, obs):
+        nonlocal step_tokens
         x_hat, step_tokens = _step_estimate(ctx, cfg, model, train_result.filter, x_prev, obs, backend, transcript)
-        tokens.append(step_tokens)
         return x_hat
 
-    # Method -> step(estimate, obs) -> next estimate. Every method starts from x0; no step writes
-    # into the estimate it is given, so they may share it.
-    steps = {PRIMARY_METHOD: primary_step} if with_primary else {}
     band = ctx.derived.get("baseline_band_size")
-    for name in cfg.baselines:
+
+    def baseline_step(name):
         init, step = BASELINES[name]
         filt = init(ctx.basis, band, cfg.baseline_step_size, model.observed) if init else None
-        steps[name] = functools.partial(step, filt, ctx.graph)
-    estimates = dict.fromkeys(steps, x0)
-    table = np.zeros((len(steps), 4, horizon))
-    scores = dict(zip(steps, table))
+        return functools.partial(step, filt, ctx.graph)
+
+    # Method -> step(estimate, obs) -> next estimate. No step writes into the estimate it is given, so
+    # methods may share one.
+    steps = {name: primary_step if name == PRIMARY_METHOD else baseline_step(name) for name in methods}
+    state = resume or {"k_next": 0, "tokens": 0, "scores": dict.fromkeys(methods, np.zeros((4, 0))),
+                       "estimates": dict.fromkeys(methods, init_estimate(ctx.train_signal, model))}
+    start, tokens, estimates = state["k_next"], state["tokens"], state["estimates"]
+    table = np.zeros((len(methods), 4, n_steps))
+    table[:, :, :start] = [state["scores"][name] for name in methods]
+    scores = dict(zip(methods, table))
+    trajectory = np.zeros((ctx.graph.n_nodes, n_steps - start))
     missing = np.flatnonzero(~model.observed)
 
-    completed = 0
+    k_next = start
     try:
-        for offset, k in enumerate(range(start_step, n_steps)):
+        for k in range(start, n_steps):
             obs = observe_step(ctx, model, k)
-            # Estimates and ``completed`` advance together, after the step is scored.
             step_estimates = {name: step(estimates[name], obs) for name, step in steps.items()}
             col = ctx.test_signal.values[:, k]
-            table[:, :, offset] = _step_scores(col, np.array(list(step_estimates.values())), missing).T
-            estimates, completed = step_estimates, offset + 1
-            if with_primary:
-                trajectory[:, offset] = estimates[PRIMARY_METHOD]
-            if checkpoint_dir is not None and (k + 1) % cfg.checkpoint_every == 0 and (k + 1) < n_steps:
-                _write_state(checkpoint_dir, f"step{k + 1:06d}", repeat_index, seed, k + 1, estimates[PRIMARY_METHOD])
+            table[:, :, k] = _step_scores(col, np.array(list(step_estimates.values())), missing).T
+            # The state (estimates, tokens, k_next) advances as one, after the step is scored.
+            estimates, tokens, k_next = step_estimates, tokens + step_tokens, k + 1
+            trajectory[:, k - start] = estimates[methods[0]]
+            if checkpoint_dir is not None and k_next % cfg.checkpoint_every == 0 and k_next < n_steps:
+                _write_state(checkpoint_dir, f"step{k_next:06d}", repeat_index, seed, k_next, tokens, estimates, scores)
     except BaseException:
-        # Persist the partial trace so an aborted run can be inspected or resumed.
+        # Persist the state after the last completed step, so an aborted run can be inspected or resumed.
         if checkpoint_dir is not None:
-            _write_state(checkpoint_dir, "aborted", repeat_index, seed, start_step + completed,
-                         estimates[PRIMARY_METHOD], per_t_mae=scores[PRIMARY_METHOD][0, :completed].tolist())
+            _write_state(checkpoint_dir, "aborted", repeat_index, seed, k_next, tokens, estimates, scores)
         raise
 
-    return RepeatResult(
-        seed=seed,
-        model=model,
-        train_result=train_result,
-        trajectory=trajectory,
-        scores=scores,
-        token_estimate=sum(tokens),
-        transcript=transcript if transcript is not None else [],
-    )
+    return RepeatResult(seed=seed, model=model, train_result=train_result, trajectory=trajectory, scores=scores,
+                        token_estimate=tokens, transcript=transcript if transcript is not None else [])
 
 
-def _write_state(checkpoint_dir, name, repeat_index, seed, k_next, estimate, **extra):
+def _write_state(checkpoint_dir, name, repeat_index, seed, k_next, tokens, estimates, scores):
     """Write ``repeat<i>_<name>.json`` through a temporary file, so a crash never leaves it truncated."""
     os.makedirs(checkpoint_dir, exist_ok=True)
-    payload = {
-        "repeat": repeat_index,
-        "seed": seed,
-        "k_next": int(k_next),
-        "estimate": [float(v) for v in estimate],
-        **extra,
-    }
+    payload = {"repeat": repeat_index, "seed": seed, "k_next": k_next, "tokens": tokens,
+               "estimates": {m: x.tolist() for m, x in estimates.items()},
+               "scores": {m: s[:, :k_next].tolist() for m, s in scores.items()}}
     with atomic_write(os.path.join(checkpoint_dir, f"repeat{repeat_index}_{name}.json")) as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
-def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> tuple:
-    """Resume the primary method mid-horizon; returns (k_next, trajectory from there on).
+def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> RepeatResult:
+    """Resume the repeat a checkpoint was written in, for every method the checkpoint holds.
 
-    Because observations are keyed by (seed, t) and training is
-    deterministic, the resumed trajectory matches the original run's tail
-    exactly under the mock backend. The checkpoint holds only the primary
-    estimate, so no baseline runs.
+    Observations are keyed by (seed, t) and training is deterministic, so the result's ``scores`` and
+    ``token_estimate`` cover the whole horizon and equal the uninterrupted repeat's under the mock
+    backend; its ``trajectory`` covers the steps walked. A checkpoint that is not JSON, or does not fit
+    ``cfg``'s run, raises a ValueError naming ``checkpoint_path``.
     """
-    with open(checkpoint_path, encoding="utf-8") as fh:
-        ckpt = json.load(fh)
-    backend = bind_backend(cfg.predictor, backend)
-    cfg = dataclasses.replace(cfg, baselines=())
     ctx = prepare_run(cfg)
-    result = run_repeat(
-        ctx,
-        cfg,
-        seed=int(ckpt["seed"]),
-        backend=backend,
-        start_step=int(ckpt["k_next"]),
-        start_estimate=np.asarray(ckpt["estimate"], dtype=np.float64),
-    )
-    return int(ckpt["k_next"]), result.trajectory
+    try:
+        with open(checkpoint_path, encoding="utf-8") as fh:
+            state = json.load(fh)
+        state = {key: state[key] for key in ("repeat", "seed", "k_next", "tokens", "estimates", "scores")}
+        if any(type(state[key]) is not int for key in ("repeat", "seed", "k_next", "tokens")):
+            raise ValueError("repeat, seed, k_next and tokens must be integers")
+        k_next, methods = state["k_next"], tuple(state["estimates"])
+        if not 0 <= k_next <= ctx.test_signal.n_steps:
+            raise ValueError(f"k_next {k_next} is outside [0, {ctx.test_signal.n_steps}]")
+        if not methods or not set(methods) <= {PRIMARY_METHOD, *cfg.baselines}:
+            raise ValueError(f"methods {list(methods)} are not among the config's {[PRIMARY_METHOD, *cfg.baselines]}")
+        for key, shape in (("estimates", (ctx.graph.n_nodes,)), ("scores", (4, k_next))):
+            state[key] = {m: np.asarray(state[key].get(m), dtype=np.float64) for m in methods}
+            if any(a.shape != shape or not np.isfinite(a).all() for a in state[key].values()):
+                raise ValueError(f"{key} must be finite numbers of shape {shape} for every method")
+    except KeyError as exc:
+        raise ValueError(f"{checkpoint_path}: checkpoint has no key {exc.args[0]!r}") from None
+    except (ValueError, TypeError, AttributeError) as exc:  # also a JSONDecodeError
+        raise ValueError(f"{checkpoint_path}: {exc}") from None
+    if PRIMARY_METHOD in methods:
+        backend = bind_backend(cfg.predictor, backend)
+    return run_repeat(ctx, cfg, state["seed"], methods, backend=backend, repeat_index=state["repeat"], resume=state)
 
 
 @dataclass(eq=False)
@@ -434,19 +423,19 @@ class RunExecution:
 
 def execute_run(cfg: RunConfig, backend=None, with_primary: bool = True) -> RunExecution:
     """Run all repeats and assemble the report (no files written)."""
+    methods = (PRIMARY_METHOD, *cfg.baselines) if with_primary else cfg.baselines
     if with_primary:
         backend = bind_backend(cfg.predictor, backend)
-    elif not cfg.baselines:
+    elif not methods:
         raise ValueError("no baselines selected (set 'baselines' in the config or --baselines)")
     ctx = prepare_run(cfg)
     checkpoint_dir = os.path.join(cfg.output_dir, "checkpoints") if cfg.output_dir else None
     results = [
-        run_repeat(ctx, cfg, cfg.observation.seed + r, backend=backend, checkpoint_dir=checkpoint_dir,
-                   repeat_index=r, with_primary=with_primary)
+        run_repeat(ctx, cfg, cfg.observation.seed + r, methods, backend=backend, checkpoint_dir=checkpoint_dir,
+                   repeat_index=r)
         for r in range(cfg.repeats)
     ]
-    lead = PRIMARY_METHOD if with_primary else cfg.baselines[0]
-    return RunExecution(report=_assemble_report(ctx, cfg, results, lead), repeats=results, context=ctx)
+    return RunExecution(report=_assemble_report(ctx, cfg, results, methods[0]), repeats=results, context=ctx)
 
 
 def _assemble_report(ctx, cfg, results, lead: str) -> RunReport:

@@ -210,8 +210,11 @@ def test_criterion_7_determinism_and_replay(run_fixture, tmp_path):
         original = execution.repeats[0].trajectory
         ckpts = sorted(glob.glob(os.path.join(out, "checkpoints", "*.json")))
         assert ckpts
-        k_next, tail = replay_from_checkpoint(cfg_ckpt, ckpts[-1])
-        assert np.array_equal(tail, original[:, k_next:])
+        with open(ckpts[-1], encoding="utf-8") as fh:
+            k_next = json.load(fh)["k_next"]
+        resumed = replay_from_checkpoint(cfg_ckpt, ckpts[-1])
+        assert np.array_equal(resumed.trajectory, original[:, k_next:])
+        assert resumed.scores["graphfill"].tobytes() == execution.repeats[0].scores["graphfill"].tobytes()
 
 
 def test_criterion_8_baseline_convergence():

@@ -249,7 +249,11 @@ class TestBaselineCommand:
         cfg_path = run_config_file(tmp_path, baselines=["glms", "last_value"], checkpoint_every=10)
         rc = main(["baseline", "--config", cfg_path, "--output-dir", str(out_dir)])
         assert rc == 0
-        assert sorted(os.listdir(out_dir)) == ["config.json", "report.csv", "report.json", "report.md"]
+        assert sorted(os.listdir(out_dir)) == ["checkpoints", "config.json", "report.csv", "report.json", "report.md"]
+        checkpoints = sorted((out_dir / "checkpoints").iterdir())
+        assert checkpoints
+        for path in checkpoints:
+            assert list(json.loads(path.read_text())["estimates"]) == ["glms", "last_value"]
         report = json.loads((out_dir / "report.json").read_text())
         assert report["method"] == "glms"
         assert set(report["method_aggregates"]) == {"glms", "last_value"}
@@ -307,3 +311,17 @@ class TestReportCommandErrors:
         path.write_text(json.dumps(payload))
         assert main(["report", "--inputs", str(good), str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: report has no key 'aggregate_mae'\n"
+
+    @pytest.mark.parametrize(
+        "snapshot, key", [(["observation"], "config_snapshot"), ({"observation": [0.1]}, "config_snapshot.observation")]
+    )
+    def test_report_with_a_non_object_snapshot_exits_2(self, tmp_path, capsys, snapshot, key):
+        good = Path(__file__).parent / "data" / "report_golden.json"
+        payload = json.loads(good.read_text())
+        payload["config_snapshot"] = snapshot
+        path = tmp_path / "bad_snapshot.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", "--inputs", str(good), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: malformed report: key '{key}' must be an object")
+        assert "Traceback" not in captured.err and captured.out == ""

@@ -1,6 +1,7 @@
 """Tests for error metrics, aggregation, and report emission."""
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -146,3 +147,21 @@ class TestReportFromDict:
         payload[key] = value
         with pytest.raises(ValueError, match="malformed report"):
             RunReport.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "snapshot, message",
+        [([["observation", {}]], "key 'config_snapshot' must be an object, not list"),
+         ("abc", "key 'config_snapshot' must be an object, not str"),
+         ({"observation": ["noise_variance", 0.1]}, "key 'config_snapshot.observation' must be an object"),
+         ({"observation": None}, "key 'config_snapshot.observation' must be an object")],
+    )
+    def test_snapshot_and_its_observation_must_be_objects(self, snapshot, message):
+        payload = golden_report().to_dict()
+        payload["config_snapshot"] = snapshot
+        with pytest.raises(ValueError, match=f"^malformed report: {re.escape(message)}$"):
+            RunReport.from_dict(payload)
+
+    def test_snapshot_without_observation_loads(self):
+        payload = golden_report().to_dict()
+        payload["config_snapshot"] = {}
+        assert render_markdown_table([RunReport.from_dict(payload)]).splitlines()[0].endswith("| ? |")

@@ -153,30 +153,104 @@ class TestDeterminismAndRepeats:
         assert execution.report.aggregate_rmse[1] > 0.0
 
 
+@pytest.fixture(scope="module")
+def checkpointed_run(fixture_paths, tmp_path_factory):
+    """The config of a run with two baselines, and the path of its checkpoint at step 25."""
+    edge_path, signal_path = fixture_paths
+    out = str(tmp_path_factory.mktemp("checkpointed"))
+    cfg = base_config(edge_path, signal_path, output_dir=out, checkpoint_every=25)
+    execute_run(cfg)
+    return cfg, os.path.join(out, "checkpoints", "repeat0_step000025.json")
+
+
+class HalfWrite:
+    """A text file whose first write stores half of the text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def failing_open(name):
+    """``open`` that hands out a :class:`HalfWrite` for the temporary file of ``name``."""
+    real_open = open
+
+    def opener(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return HalfWrite(fh) if os.path.basename(file) == name + ".tmp" else fh
+
+    return opener
+
+
+class EchoBackend:
+    """A text backend that answers each task with its previous value; raises on call ``fail_at``."""
+
+    def __init__(self, fail_at=None):
+        self.calls, self.fail_at = 0, fail_at
+
+    def __call__(self, system_text, user_text, tasks):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise KeyError("backend fell over")
+        return f"{tasks[0].previous:.1f}"
+
+
+def read_checkpoint(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+ALL_BASELINES = ["glms", "gnlms", "last_value", "neighbor_mean"]
+ESTIMATES_OF_N = "estimates must be finite numbers of shape (30,) for every method"
+SCORES_OF_25 = "scores must be finite numbers of shape (4, 25) for every method"
+
+
 class TestAbortPersistence:
     def test_module_error_persists_partial_trace(self, fixture_paths, tmp_path):
         edge_path, signal_path = fixture_paths
         out = str(tmp_path / "aborting")
         cfg = base_config(edge_path, signal_path, baselines=[], output_dir=out)
-        calls = {"n": 0}
-
-        def exploding_backend(system_text, user_text, tasks):
-            calls["n"] += 1
-            if calls["n"] > 30:
-                raise KeyError("backend fell over")
-            return f"{tasks[0].previous:.1f}"
-
         with pytest.raises(KeyError):
-            execute_run(cfg, backend=exploding_backend)
+            execute_run(cfg, backend=EchoBackend(fail_at=31))
         aborted = glob.glob(os.path.join(out, "checkpoints", "*aborted.json"))
         assert len(aborted) == 1
-        with open(aborted[0], encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = read_checkpoint(aborted[0])
         assert payload["k_next"] >= 1
-        assert len(payload["per_t_mae"]) == payload["k_next"]
+        assert np.shape(payload["scores"]["graphfill"]) == (4, payload["k_next"])
         # The persisted state is a valid resume point.
-        k_next, tail = replay_from_checkpoint(cfg, aborted[0])
-        assert tail.shape[1] == 100 - k_next
+        tail = replay_from_checkpoint(cfg, aborted[0]).trajectory
+        assert tail.shape[1] == 100 - payload["k_next"]
+
+
+    def test_aborted_state_is_the_last_completed_step(self, fixture_paths, tmp_path, monkeypatch):
+        # The primary method has advanced (and spent tokens) when the last baseline raises at step 30:
+        # the aborted state must still be the state after step 29, as the periodic checkpoint wrote it.
+        edge_path, signal_path = fixture_paths
+        out = str(tmp_path / "aborting")
+        cfg = base_config(edge_path, signal_path, output_dir=out, checkpoint_every=30)
+        step = bl.neighbor_mean_step
+
+        def raising_at_step_30(estimate, obs, g):
+            if obs.t == 100 + 30:
+                raise KeyError("baseline fell over")
+            return step(estimate, obs, g)
+
+        monkeypatch.setattr(bl, "neighbor_mean_step", raising_at_step_30)
+        with pytest.raises(KeyError):
+            execute_run(cfg)
+        ckpt_dir = tmp_path / "aborting" / "checkpoints"
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == ["repeat0_aborted.json", "repeat0_step000030.json"]
+        assert read_checkpoint(ckpt_dir / "repeat0_step000030.json")["tokens"] > 0
+        assert (ckpt_dir / "repeat0_aborted.json").read_bytes() == (ckpt_dir / "repeat0_step000030.json").read_bytes()
 
 
 class TestCheckpointReplay:
@@ -188,25 +262,129 @@ class TestCheckpointReplay:
         original = execution.repeats[0].trajectory
         ckpts = sorted(glob.glob(os.path.join(out, "checkpoints", "*.json")))
         assert len(ckpts) == 3  # steps 25, 50, 75 of a 100-step horizon
-        k_next, tail = replay_from_checkpoint(cfg, ckpts[1])
-        assert k_next == 50
-        assert np.array_equal(tail, original[:, 50:])
+        assert read_checkpoint(ckpts[1])["k_next"] == 50
+        resumed = replay_from_checkpoint(cfg, ckpts[1])
+        assert np.array_equal(resumed.trajectory, original[:, 50:])
+        assert resumed.scores["graphfill"].tobytes() == execution.repeats[0].scores["graphfill"].tobytes()
 
-    def test_replay_runs_no_baseline(self, fixture_paths, tmp_path, monkeypatch):
+    def test_replay_resumes_every_baseline(self, fixture_paths, tmp_path):
         edge_path, signal_path = fixture_paths
         out = str(tmp_path / "run")
-        cfg = base_config(edge_path, signal_path, baselines=["glms", "gnlms", "last_value", "neighbor_mean"],
-                          output_dir=out, checkpoint_every=25)
-        original = execute_run(cfg).repeats[0].trajectory
+        cfg = base_config(edge_path, signal_path, baselines=ALL_BASELINES, output_dir=out, checkpoint_every=25)
+        execution = execute_run(cfg)
+        original, truth = execution.repeats[0], execution.context.test_signal.values
+        primary_mae = [mae(col, x) for col, x in zip(truth.T, original.trajectory.T)]
+        assert primary_mae == original.scores["graphfill"][0].tolist()
+        path = os.path.join(out, "checkpoints", "repeat0_step000050.json")
+        assert list(read_checkpoint(path)["estimates"]) == ["graphfill", *ALL_BASELINES]
+        resumed = replay_from_checkpoint(cfg, path)
+        assert np.array_equal(resumed.trajectory, original.trajectory[:, 50:])
+        assert list(resumed.scores) == ["graphfill", *ALL_BASELINES]
+        for name, rows in original.scores.items():
+            assert resumed.scores[name].tobytes() == rows.tobytes()
+        assert resumed.token_estimate == original.token_estimate
+
+    def test_resume_of_a_repeat_aborted_by_the_backend_matches_the_uninterrupted_run(self, fixture_paths, tmp_path):
+        edge_path, signal_path = fixture_paths
+        cfg = base_config(edge_path, signal_path, baselines=ALL_BASELINES, repeats=2)
+        full = execute_run(cfg, backend=EchoBackend())
+        first = EchoBackend()
+        execute_run(dataclasses.replace(cfg, repeats=1), backend=first)  # counts repeat 0's calls
+        out = str(tmp_path / "aborting")
+        aborting = dataclasses.replace(cfg, output_dir=out)
+        with pytest.raises(KeyError):
+            execute_run(aborting, backend=EchoBackend(fail_at=first.calls + 300))
+        ckpt_dir = os.path.join(out, "checkpoints")
+        aborted = os.path.join(ckpt_dir, "repeat1_aborted.json")
+        assert glob.glob(os.path.join(ckpt_dir, "*aborted.json")) == [aborted]
+        state = read_checkpoint(aborted)
+        assert 0 < state["k_next"] < 100 and state["repeat"] == 1 and state["seed"] == 12
+
+        resumed = replay_from_checkpoint(aborting, aborted, backend=EchoBackend())
+        original = full.repeats[1]
+        assert list(resumed.scores) == ["graphfill", *ALL_BASELINES]
+        for name, rows in original.scores.items():
+            assert resumed.scores[name].tobytes() == rows.tobytes()
+        assert resumed.token_estimate == original.token_estimate
+        assert np.array_equal(resumed.trajectory, original.trajectory[:, state["k_next"]:])
+        report = runner._assemble_report(full.context, cfg, [full.repeats[0], resumed], "graphfill")
+        assert report.to_dict() == full.report.to_dict()
+
+    def test_baseline_only_resume_matches_the_uninterrupted_run(self, fixture_paths, tmp_path, monkeypatch):
+        edge_path, signal_path = fixture_paths
+        out = str(tmp_path / "run")
+        cfg = base_config(edge_path, signal_path, baselines=ALL_BASELINES, repeats=2, output_dir=out,
+                          checkpoint_every=25)
+        full = execute_run(cfg, with_primary=False)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("a replay resumes the primary estimate only")
+            raise AssertionError("resuming the baselines must not train or dispatch")
 
-        for name in ("glms_step", "gnlms_step", "last_value_step", "neighbor_mean_step"):
-            monkeypatch.setattr(bl, name, forbidden)
-        k_next, tail = replay_from_checkpoint(cfg, os.path.join(out, "checkpoints", "repeat0_step000050.json"))
-        assert k_next == 50
-        assert np.array_equal(tail, original[:, 50:])
+        monkeypatch.setattr(runner, "train_filter", forbidden)
+        monkeypatch.setattr(runner, "predict_batch", forbidden)
+        resumed = replay_from_checkpoint(cfg, os.path.join(out, "checkpoints", "repeat1_step000050.json"))
+        original = full.repeats[1]
+        assert resumed.train_result is None and resumed.token_estimate == 0
+        for name, rows in original.scores.items():
+            assert resumed.scores[name].tobytes() == rows.tobytes()
+        assert np.array_equal(resumed.trajectory, original.trajectory[:, 50:])
+        report = runner._assemble_report(full.context, cfg, [full.repeats[0], resumed], "glms")
+        assert report.to_dict() == full.report.to_dict()
+
+    def test_each_walked_step_is_observed_once_in_order(self, fixture_paths, tmp_path, monkeypatch):
+        # The benchmark's step clock stamps each step's start at its runner.observe call.
+        edge_path, signal_path = fixture_paths
+        out = str(tmp_path / "run")
+        cfg = base_config(edge_path, signal_path, output_dir=out, checkpoint_every=25)
+        observed_t = []
+        real_observe = runner.observe
+
+        def recording_observe(x_g, model, t):
+            observed_t.append(t)
+            return real_observe(x_g, model, t)
+
+        monkeypatch.setattr(runner, "observe", recording_observe)
+        t0 = execute_run(cfg).context.test_signal.t0
+        assert observed_t == [t0 + k for k in range(100)]
+        observed_t.clear()
+        replay_from_checkpoint(cfg, os.path.join(out, "checkpoints", "repeat0_step000075.json"))
+        assert observed_t == [t0 + k for k in range(75, 100)]
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (None, "Expecting ','"),
+            (lambda p: p.pop("tokens"), "checkpoint has no key 'tokens'"),
+            (lambda p: p.update(seed="11"), "repeat, seed, k_next and tokens must be integers"),
+            (lambda p: p.update(k_next=-1), "k_next -1 is outside [0, 100]"),
+            (lambda p: p.update(k_next=101), "k_next 101 is outside [0, 100]"),
+            (lambda p: p["estimates"]["graphfill"].pop(), ESTIMATES_OF_N),
+            (lambda p: p["scores"]["last_value"].pop(), SCORES_OF_25),
+            (lambda p: p["estimates"]["last_value"].__setitem__(3, None), ESTIMATES_OF_N),
+            (lambda p: p.update(k_next=24), "scores must be finite numbers of shape (4, 24) for every method"),
+            (lambda p: p["scores"].pop("neighbor_mean"), SCORES_OF_25),
+            (lambda p: p["estimates"].update(glms=p["estimates"]["last_value"]),
+             "methods ['graphfill', 'last_value', 'neighbor_mean', 'glms'] are not among the config's "
+             "['graphfill', 'last_value', 'neighbor_mean']"),
+            (lambda p: p.update(estimates={"gcn": p["estimates"]["last_value"]}),
+             "methods ['gcn'] are not among the config's ['graphfill', 'last_value', 'neighbor_mean']"),
+            (lambda p: p.update(estimates={}), "methods [] are not among the config's"),
+        ],
+        ids=["not-json", "missing-key", "string-seed", "k_next-negative", "k_next-past-horizon", "short-estimate",
+             "short-scores", "null-estimate", "scores-past-k_next", "scores-missing-method", "baseline-not-configured",
+             "unknown-method-only", "no-method"],
+    )
+    def test_malformed_checkpoint_rejected_naming_the_file(self, checkpointed_run, tmp_path, mutate, message):
+        cfg, path = checkpointed_run
+        payload = read_checkpoint(path)
+        bad = tmp_path / "bad.json"
+        if mutate is None:
+            bad.write_text(json.dumps(payload)[:-5])
+        else:
+            mutate(payload)
+            bad.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+            replay_from_checkpoint(cfg, str(bad))
 
     def test_failed_write_leaves_earlier_checkpoint_intact(self, fixture_paths, tmp_path, monkeypatch):
         edge_path, signal_path = fixture_paths
@@ -214,17 +392,7 @@ class TestCheckpointReplay:
         execute_run(base_config(edge_path, signal_path, baselines=[], output_dir=clean, checkpoint_every=25))
         out = str(tmp_path / "crashed")
         cfg = base_config(edge_path, signal_path, baselines=[], output_dir=out, checkpoint_every=25)
-        real_dump = json.dump
-        calls = {"n": 0}
-
-        def dump_failing_second_write(obj, fh, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                fh.write('{"repeat": 0, "se')
-                raise OSError("disk full")
-            return real_dump(obj, fh, **kwargs)
-
-        monkeypatch.setattr(runner.json, "dump", dump_failing_second_write)
+        monkeypatch.setattr(files, "open", failing_open("repeat0_step000050.json"), raising=False)
         with pytest.raises(OSError, match="disk full"):
             execute_run(cfg)
         ckpt_dir = os.path.join(out, "checkpoints")
@@ -232,8 +400,7 @@ class TestCheckpointReplay:
         name = "repeat0_step000025.json"
         with open(os.path.join(ckpt_dir, name), "rb") as fh, open(os.path.join(clean, "checkpoints", name), "rb") as ref:
             assert fh.read() == ref.read()
-        with open(os.path.join(ckpt_dir, "repeat0_aborted.json"), encoding="utf-8") as fh:
-            assert json.load(fh)["k_next"] == 50
+        assert read_checkpoint(os.path.join(ckpt_dir, "repeat0_aborted.json"))["k_next"] == 50
 
 
 class TestArtifacts:
@@ -266,29 +433,7 @@ class TestArtifacts:
         path = os.path.join(out, name)
         with open(path, "rb") as fh:
             before = fh.read()
-        real_open = open
-
-        class HalfWrite:
-            """The target's text file: its first write stores half of the text, then fails."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def write(self, text):
-                self.fh.write(text[: len(text) // 2])
-                raise OSError("disk full")
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-        def open_failing_target(file, *args, **kwargs):
-            fh = real_open(file, *args, **kwargs)
-            return HalfWrite(fh) if os.path.basename(file) == name + ".tmp" else fh
-
-        monkeypatch.setattr(files, "open", open_failing_target, raising=False)
+        monkeypatch.setattr(files, "open", failing_open(name), raising=False)
         with pytest.raises(OSError, match="disk full"):
             runner._write_artifacts(cfg, execution)
         with open(path, "rb") as fh:
@@ -393,6 +538,9 @@ class TestBaselinesOnly:
         execution = execute_run(cfg, with_primary=False)
         assert set(execution.report.method_aggregates) == {"glms", "gnlms", "last_value"}
         assert execution.report.method == "glms"
+        rep, truth = execution.repeats[0], execution.context.test_signal.values
+        # The trajectory is the lead method's.
+        assert [mae(col, x) for col, x in zip(truth.T, rep.trajectory.T)] == rep.scores["glms"][0].tolist()
 
     def test_report_carries_lead_baseline_missing_errors(self, fixture_paths):
         edge_path, signal_path = fixture_paths
@@ -435,7 +583,11 @@ class TestBaselinesOnly:
         cfg = base_config(edge_path, signal_path, baselines=["glms"], output_dir=str(out), checkpoint_every=10)
         execution = execute_run(cfg, with_primary=False)
         assert execution.repeats[0].train_result is None
-        assert not (out / "checkpoints").exists()
+        checkpoints = sorted((out / "checkpoints").iterdir())
+        assert [path.name for path in checkpoints] == [f"repeat0_step{k:06d}.json" for k in range(10, 100, 10)]
+        for path in checkpoints:
+            state = json.loads(path.read_text())
+            assert list(state["estimates"]) == ["glms"] and state["tokens"] == 0
 
     def test_band_sized_once_per_run_and_context_left_unchanged(self, fixture_paths, monkeypatch):
         edge_path, signal_path = fixture_paths
