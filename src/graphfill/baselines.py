@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _frozen, neighbors  # noqa: F401 (``baselines.neighbors`` stays importable)
+from .graphs import ObservedLayout, _frozen, neighbors  # noqa: F401 (``baselines.neighbors`` stays importable)
 from .signals import Observation
 
 NORMALIZATION_EPS = 1e-8
@@ -104,16 +104,17 @@ def last_value_step(estimate: np.ndarray, obs: Observation) -> np.ndarray:
     return np.where(obs.observed, obs.values, np.asarray(estimate, dtype=np.float64))
 
 
-def neighbor_mean_step(estimate: np.ndarray, obs: Observation, g: Graph) -> np.ndarray:
+def neighbor_mean_step(estimate: np.ndarray, obs: Observation, layout: ObservedLayout) -> np.ndarray:
     """Missing nodes take the mean of observed-neighbor values.
 
-    Falls back to the previous estimate for nodes with no observed
-    neighbor; observed nodes adopt the observation.
+    ``layout`` is ``observed_layout(g, obs.observed)``. Falls back to the
+    previous estimate for nodes with no observed neighbor; observed nodes
+    adopt the observation.
     """
     out = np.where(obs.observed, obs.values, np.asarray(estimate, dtype=np.float64))
     # One 2-D mean per neighbor count: numpy sums each row exactly as it
     # sums a 1-D array of the same values, so every mean is bit-identical
     # to np.mean over that node's neighbor list.
-    for nodes, index in g.observed_layout(obs.observed).groups:
+    for nodes, index in layout.groups:
         out[nodes] = obs.values[index].mean(axis=1)
     return out

@@ -1,22 +1,16 @@
 """Command-line entry points: run, train-filter, baseline, render-prompts, report."""
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 
 from .files import atomic_write
 from .metrics import RunReport, format_aggregate, render_markdown_table
-from .prompts import prompt_groups, render_system_prompt, render_user_prompt
-from .runner import (
-    RunConfig,
-    init_estimate,
-    mask_and_train,
-    observe_step,
-    prepare_run,
-    run_online,
-    step_tasks,
-)
-from .spectral import FilterDivergenceError, denoise, save_filter_json
+from .prompts import render_system_prompt
+from .runner import PRIMARY_METHOD, RunConfig, mask_and_train, prepare_run, run_online, run_repeat
+from .signals import TimeVaryingSignal
+from .spectral import FilterDivergenceError, save_filter_json
 
 
 # argparse dest -> dotted config path of the value it overrides.
@@ -102,15 +96,14 @@ def _cmd_train_filter(args) -> int:
 
 
 def _cmd_render_prompts(args) -> int:
+    """The first repeat's first test step, walked by ``run_repeat`` with the mock answering: no call, no file."""
     cfg = _load_with_overrides(args)
+    cfg = dataclasses.replace(cfg, transcript=True, predictor=dataclasses.replace(cfg.predictor, backend="mock"))
     ctx = prepare_run(cfg)
-    model, result = mask_and_train(ctx, cfg, cfg.observation.seed)
-    x_prev = init_estimate(ctx.train_signal, model)
-    obs = observe_step(ctx, model, 0)
-    tasks = step_tasks(ctx, cfg, model, denoise(result.filter, ctx.basis, obs, x_prev), x_prev, obs.t)
-    groups = prompt_groups(tasks, cfg.predictor.multi_task_prompt)
-    lines = [render_system_prompt()] + [render_user_prompt(group) for group in groups]
-    _write_text("\n".join(lines) + "\n", args.out, "prompts")
+    first = TimeVaryingSignal(ctx.test_signal.values[:, :1], t0=ctx.test_signal.t0)
+    result = run_repeat(dataclasses.replace(ctx, test_signal=first), cfg, cfg.observation.seed, (PRIMARY_METHOD,))
+    prompts = dict.fromkeys(entry["prompt"] for entry in result.transcript if entry["prompt"] is not None)
+    _write_text("\n".join([render_system_prompt(), *prompts]) + "\n", args.out, "prompts")
     return 0
 
 

@@ -50,32 +50,32 @@ class Graph:
             raise ValueError("adjacency entries must be nonnegative")
         object.__setattr__(self, "adjacency", _frozen(a))
 
-    def observed_layout(self, observed: np.ndarray) -> "ObservedLayout":
-        """Each missing node's observed neighbors under mask ``observed``; kept for the last mask.
 
-        ``nodes`` (with an observed neighbor) and ``isolated`` (without) ascend. Row r of ``index`` is n, then
-        the ``counts[r]`` observed neighbors of ``nodes[r]``, then n as padding; ``neighbors`` are the nodes
-        it names. ``groups`` pairs the nodes with c observed neighbors with their (m, c) neighbor indices.
-        ``digits`` holds the number of decimal digits of each of ``nodes``.
-        """
-        observed = np.asarray(observed, dtype=bool)
-        cached = getattr(self, "_layout_cache", None)
-        if cached is None or cached[0] != observed.tobytes():
-            missing = np.flatnonzero(~observed)
-            linked = (self.adjacency[missing] != 0.0) & observed  # missing node x its observed neighbors
-            per_node = linked.sum(axis=1)
-            nodes, counts, isolated = missing[per_node > 0], per_node[per_node > 0], missing[per_node == 0]
-            index = np.full((nodes.size, 1 + counts.max(initial=0)), self.n_nodes)
-            r, j = np.nonzero(linked[per_node > 0])  # row-major, so each row's neighbors ascend
-            index[r, 1 + np.arange(r.size) - (np.cumsum(counts) - counts)[r]] = j
-            groups = tuple((nodes[counts == c], index[counts == c, 1:1 + c]) for c in np.unique(counts).tolist())
-            neighbors = np.unique(index)[:-1]  # n, the largest entry, is there whenever a row is
-            digits = np.array([len(str(i)) for i in nodes.tolist()], dtype=np.int64)
-            cached = (observed.tobytes(), ObservedLayout(nodes, isolated, index, counts, neighbors, groups, digits))
-            for a in (*cached[1][:5], digits, *sum(groups, ())):
-                a.setflags(write=False)
-            object.__setattr__(self, "_layout_cache", cached)
-        return cached[1]
+def observed_layout(g: Graph, observed: np.ndarray) -> ObservedLayout:
+    """Each missing node's observed neighbors in ``g`` under mask ``observed``, as read-only arrays.
+
+    ``nodes`` (with an observed neighbor) and ``isolated`` (without) ascend. Row r of ``index`` is n, then
+    the ``counts[r]`` observed neighbors of ``nodes[r]``, then n as padding; ``neighbors`` are the nodes
+    it names. ``groups`` pairs the nodes with c observed neighbors with their (m, c) neighbor indices.
+    ``digits`` holds the number of decimal digits of each of ``nodes``.
+    """
+    observed = np.asarray(observed, dtype=bool)
+    missing = np.flatnonzero(~observed)
+    linked = (g.adjacency[missing] != 0.0) & observed  # missing node x its observed neighbors
+    per_node = linked.sum(axis=1)
+    nodes, counts, isolated = missing[per_node > 0], per_node[per_node > 0], missing[per_node == 0]
+    index = np.full((nodes.size, 1 + counts.max(initial=0)), g.n_nodes)
+    r, j = np.nonzero(linked[per_node > 0])  # row-major, so each row's neighbors ascend
+    index[r, 1 + np.arange(r.size) - (np.cumsum(counts) - counts)[r]] = j
+    # Distinct values by bincount, not np.unique: its first call imports numpy.ma (13 ms on a 2-core VM), which
+    # would land in set-up on a path that calls np.unique nowhere else.
+    groups = tuple((nodes[counts == c], index[counts == c, 1:1 + c]) for c in np.flatnonzero(np.bincount(counts)))
+    neighbors = np.flatnonzero(np.bincount(index.ravel(), minlength=g.n_nodes + 1)[:-1])  # drop n, the padding
+    digits = np.array([len(str(i)) for i in nodes.tolist()], dtype=np.int64)
+    layout = ObservedLayout(nodes, isolated, index, counts, neighbors, groups, digits)
+    for a in (*layout[:5], digits, *sum(groups, ())):
+        a.setflags(write=False)
+    return layout
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,12 +306,12 @@ def _cell(path, r: int, c: int, row, parse, what: str):
         raise ValueError(f"{path}: row {r + 1}, column {c + 1}: cannot parse {row[c]!r} as {what}") from None
 
 
-def load_edge_list_csv(path, n: int | None = None) -> Graph:
+def load_edge_list_csv(path, n: int | None = None, max_nodes: int | None = None) -> Graph:
     """Load a graph from a CSV edge list ``src,dst[,weight]`` (0-based).
 
-    An optional header row is skipped. When ``n`` is omitted it is
-    inferred as ``max index + 1``. An edge that ``build_graph`` rejects
-    raises its error, prefixed with the file and row.
+    An optional header row is skipped. When ``n`` is omitted it is inferred as ``max index + 1``, and an
+    index at or above ``max_nodes`` fails with its row before any allocation. An edge that
+    ``build_graph`` rejects raises its error, prefixed with the file and row.
     """
     edges = []
     max_idx = -1
@@ -320,6 +320,8 @@ def load_edge_list_csv(path, n: int | None = None) -> Graph:
             raise ValueError(f"{path}: row {r + 1}: expected 2 or 3 columns, got {len(row)}")
         i, j = _cell(path, r, 0, row, int, "a node index"), _cell(path, r, 1, row, int, "a node index")
         max_idx = max(max_idx, i, j)
+        if n is None and max_nodes is not None and max_idx >= max_nodes:
+            raise ValueError(f"{path}: row {r + 1}: edge ({i}, {j}) out of range for n={max_nodes}")
         edges.append((r, (i, j, _cell(path, r, 2, row, float, "a weight")) if len(row) == 3 else (i, j)))
     if n is None:
         if max_idx < 0:

@@ -44,12 +44,12 @@ class PredictorConfig:
 
     def __post_init__(self):
         if self.backend not in ("mock", "remote"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.temperature < 0.0:
+            raise ValueError(f"backend must be 'mock' or 'remote', got {self.backend!r}")
+        if not self.temperature >= 0.0:
             raise ValueError("temperature must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.request_timeout <= 0.0:
+        if not self.request_timeout > 0.0:
             raise ValueError("request_timeout must be positive")
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")

@@ -8,7 +8,7 @@ the assembled estimate feeds the next step. Baselines consume the exact
 same observation stream. Repeats rerun everything with derived seeds.
 """
 import dataclasses
-import functools
+import glob
 import json
 import os
 import types
@@ -20,6 +20,7 @@ import numpy as np
 from . import baselines as bl
 from .files import atomic_write
 from .graphs import Graph, GftBasis, gft, knn_graph, laplacian, load_coordinates_csv, load_edge_list_csv
+from .graphs import observed_layout
 from .metrics import RunReport, aggregate, emit_report, rmse  # noqa: F401 (runner.mae, runner.rmse stay importable)
 from .predictors import PredictionResult, PredictorConfig, bind_backend, estimate_tokens, mock_step, predict_batch
 from .prompts import build_task
@@ -27,23 +28,7 @@ from .signals import ObservationModel, TimeVaryingSignal, load_signal_csv, obser
 from .spectral import TrainConfig, TrainResult, denoise, mae, save_filter_json, train_filter  # noqa: F401
 
 PRIMARY_METHOD = "graphfill"
-
-
-# Baseline name -> (init(basis, band, mu, observed) -> fixed filter part, or None when there is none,
-#                   step(filter, graph, estimate, obs) -> next estimate).
-# Each entry looks ``bl.<fn>`` up at call time, so wrappers installed on the module see every call.
-BASELINES = {
-    "glms": (
-        lambda basis, band, mu, observed: bl.glms_init(basis, band, mu),
-        lambda filt, g, x, obs: bl.glms_step(filt, x, obs),
-    ),
-    "gnlms": (
-        lambda basis, band, mu, observed: bl.gnlms_init(basis, band, mu, observed),
-        lambda filt, g, x, obs: bl.gnlms_step(filt, x, obs),
-    ),
-    "last_value": (None, lambda filt, g, x, obs: bl.last_value_step(x, obs)),
-    "neighbor_mean": (None, lambda filt, g, x, obs: bl.neighbor_mean_step(x, obs, g)),
-}
+BASELINES = ("glms", "gnlms", "last_value", "neighbor_mean")
 
 
 @dataclass(frozen=True)
@@ -57,7 +42,7 @@ class GraphConfig:
 
     def __post_init__(self):
         if self.source not in ("edges", "knn"):
-            raise ValueError(f"unknown graph source {self.source!r}")
+            raise ValueError(f"source must be 'edges' or 'knn', got {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +56,12 @@ class ObservationConfig:
     ratio: float = 0.7
     seed: int = 0
     noise_variance: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 < self.ratio <= 1.0:
+            raise ValueError("ratio must be in (0, 1]")
+        if not self.noise_variance >= 0.0:
+            raise ValueError("noise_variance must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -158,7 +149,10 @@ def _from_json(cls, payload, prefix: str):
                 expected = " or ".join(_VALUE_TYPES[tp][0] for tp in accepted)
                 raise ValueError(f"config key '{path}' must be {expected}, got {value!r}")
         kwargs[key] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a section's check names its field: prefix the section
+        raise ValueError(prefix + str(exc)) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,27 +166,29 @@ class RunContext:
 
 
 def prepare_run(cfg: RunConfig) -> RunContext:
-    """Build the graph and Fourier basis, load the signal, split it, and size the baselines' band."""
+    """Load and split the signal, build the graph and Fourier basis, and size the baselines' band.
+
+    The signal comes first: a bad ``t_split`` fails before ``eigh``, and it bounds an edge list's indices.
+    """
+    train_signal, test_signal = split(load_signal_csv(cfg.signal.path, cfg.signal.layout), cfg.t_split)
+    n_signal = train_signal.n_nodes
     derived = {}
     if cfg.graph.source == "edges":
         if not cfg.graph.edge_list:
             raise ValueError("graph.edge_list path is required for source 'edges'")
-        g = load_edge_list_csv(cfg.graph.edge_list, n=cfg.graph.n_nodes)
+        g = load_edge_list_csv(cfg.graph.edge_list, n=cfg.graph.n_nodes, max_nodes=n_signal)
     else:
         if not cfg.graph.coordinates:
             raise ValueError("graph.coordinates path is required for source 'knn'")
         coords = load_coordinates_csv(cfg.graph.coordinates)
         g = knn_graph(coords, cfg.graph.k, cfg.graph.bandwidth)
+    if n_signal != g.n_nodes:
+        raise ValueError(f"signal has {n_signal} nodes but graph has {g.n_nodes}")
     derived["graph_weighted"] = bool(np.any((g.adjacency != 0) & (g.adjacency != 1)))
     basis = gft(laplacian(g))
     derived["basis_ref"] = basis.ref()
-
-    signal = load_signal_csv(cfg.signal.path, cfg.signal.layout)
-    if signal.n_nodes != g.n_nodes:
-        raise ValueError(f"signal has {signal.n_nodes} nodes but graph has {g.n_nodes}")
-    train_signal, test_signal = split(signal, cfg.t_split)
     derived["n_nodes"] = g.n_nodes
-    derived["n_steps"] = signal.n_steps
+    derived["n_steps"] = train_signal.n_steps + test_signal.n_steps
     derived["test_steps"] = test_signal.n_steps
     derived["fill_policy"] = {"train": "node-train-mean", "test": "previous-estimate"}
     if cfg.baselines:
@@ -238,34 +234,46 @@ def mask_and_train(ctx: RunContext, cfg: RunConfig, seed: int, train: bool = Tru
     return model, train_filter(ctx.basis, ctx.train_signal, model, cfg.train) if train else None
 
 
-def observe_step(ctx: RunContext, model: ObservationModel, k: int):
-    """The masked noisy observation of test step ``k``."""
-    return observe(ctx.test_signal.values[:, k], model, ctx.test_signal.t0 + k)
+def _method_step(name, ctx, cfg, model, layout, train_result, backend, transcript):
+    """Method ``name``'s ``step(estimate, obs) -> (next estimate, tokens)`` in a repeat with mask ``model``.
+
+    A baseline's fixed part is built here, once. No step writes into the estimate it is given, so methods
+    may share one. Each step looks ``bl.<fn>`` (and the primary step ``denoise``, ``build_task`` and
+    ``predict_batch``) up at call time, so wrappers installed on the modules see every call.
+    """
+    if name == PRIMARY_METHOD:
+        return lambda x, obs: _step_estimate(ctx, cfg, model, layout, train_result.filter, x, obs, backend, transcript)
+    band, mu = ctx.derived.get("baseline_band_size"), cfg.baseline_step_size
+    if name == "glms":
+        filt = bl.glms_init(ctx.basis, band, mu)
+        return lambda x, obs: (bl.glms_step(filt, x, obs), 0)
+    if name == "gnlms":
+        filt = bl.gnlms_init(ctx.basis, band, mu, model.observed)
+        return lambda x, obs: (bl.gnlms_step(filt, x, obs), 0)
+    if name == "last_value":
+        return lambda x, obs: (bl.last_value_step(x, obs), 0)
+    return lambda x, obs: (bl.neighbor_mean_step(x, obs, layout), 0)
 
 
-def step_tasks(ctx: RunContext, cfg: RunConfig, model, o_tilde, x_prev, t: int) -> list:
-    """The tasks one step sends: one per missing node with an observed neighbor, ascending."""
-    nodes = ctx.graph.observed_layout(model.observed).nodes.tolist()
-    return [build_task(i, t, float(x_prev[i]), o_tilde, ctx.graph, model, cfg.precision) for i in nodes]
-
-
-def _step_estimate(ctx, cfg, model, filt, x_prev, obs, backend, transcript):
+def _step_estimate(ctx, cfg, model, layout, filt, x_prev, obs, backend, transcript):
     """Advance the primary estimate by one test step; returns (x_hat, tokens).
 
-    The step is array-shaped when no text is sent or logged (built-in mock, no transcript).
+    ``layout`` is ``observed_layout(ctx.graph, model.observed)``. The step is array-shaped when no text is
+    sent or logged (built-in mock, no transcript).
     """
     o_tilde = denoise(filt, ctx.basis, obs, x_prev)
     x_hat = np.where(model.observed, o_tilde, x_prev)
-    layout, p = ctx.graph.observed_layout(model.observed), cfg.predictor
+    p = cfg.predictor
     if backend is None and transcript is None and p.backend == "mock":
         answered = mock_step(layout, obs.t, x_prev[layout.nodes], o_tilde, cfg.precision, p.multi_task_prompt)
         if answered is not None:
             x_hat[layout.nodes] = answered[0]
             return x_hat, answered[1]
 
-    # Text path. A missing node with no observed neighbor persists without a backend call.
+    # Text path: a task per missing node with an observed neighbor; one without persists without a call.
     records = [PredictionResult(i, obs.t, float(x_prev[i]), 0, fallback=True) for i in layout.isolated.tolist()]
-    tasks = step_tasks(ctx, cfg, model, o_tilde, x_prev, obs.t)
+    tasks = [build_task(i, obs.t, float(x_prev[i]), o_tilde, ctx.graph, model, cfg.precision)
+             for i in layout.nodes.tolist()]
     if tasks:
         records += predict_batch(tasks, cfg.predictor, backend=backend)
     for record in records:
@@ -321,25 +329,10 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, seed: int, methods: tuple, backe
     method at :func:`init_estimate`.
     """
     model, train_result = mask_and_train(ctx, cfg, seed, train=PRIMARY_METHOD in methods)
+    layout = observed_layout(ctx.graph, model.observed)
     n_steps = ctx.test_signal.n_steps
     transcript = [] if cfg.transcript else None
-    step_tokens = 0
-
-    def primary_step(x_prev, obs):
-        nonlocal step_tokens
-        x_hat, step_tokens = _step_estimate(ctx, cfg, model, train_result.filter, x_prev, obs, backend, transcript)
-        return x_hat
-
-    band = ctx.derived.get("baseline_band_size")
-
-    def baseline_step(name):
-        init, step = BASELINES[name]
-        filt = init(ctx.basis, band, cfg.baseline_step_size, model.observed) if init else None
-        return functools.partial(step, filt, ctx.graph)
-
-    # Method -> step(estimate, obs) -> next estimate. No step writes into the estimate it is given, so
-    # methods may share one.
-    steps = {name: primary_step if name == PRIMARY_METHOD else baseline_step(name) for name in methods}
+    steps = [_method_step(name, ctx, cfg, model, layout, train_result, backend, transcript) for name in methods]
     state = resume or {"k_next": 0, "tokens": 0, "scores": dict.fromkeys(methods, np.zeros((4, 0))),
                        "estimates": dict.fromkeys(methods, init_estimate(ctx.train_signal, model))}
     start, tokens, estimates = state["k_next"], state["tokens"], state["estimates"]
@@ -352,12 +345,12 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, seed: int, methods: tuple, backe
     k_next = start
     try:
         for k in range(start, n_steps):
-            obs = observe_step(ctx, model, k)
-            step_estimates = {name: step(estimates[name], obs) for name, step in steps.items()}
             col = ctx.test_signal.values[:, k]
-            table[:, :, k] = _step_scores(col, np.array(list(step_estimates.values())), missing).T
+            obs = observe(col, model, ctx.test_signal.t0 + k)
+            step_estimates, step_tokens = zip(*(step(estimates[name], obs) for name, step in zip(methods, steps)))
+            table[:, :, k] = _step_scores(col, np.array(step_estimates), missing).T
             # The state (estimates, tokens, k_next) advances as one, after the step is scored.
-            estimates, tokens, k_next = step_estimates, tokens + step_tokens, k + 1
+            estimates, tokens, k_next = dict(zip(methods, step_estimates)), tokens + sum(step_tokens), k + 1
             trajectory[:, k - start] = estimates[methods[0]]
             if checkpoint_dir is not None and k_next % cfg.checkpoint_every == 0 and k_next < n_steps:
                 _write_state(checkpoint_dir, f"step{k_next:06d}", repeat_index, seed, k_next, tokens, estimates, scores)
@@ -396,7 +389,11 @@ def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> Rep
         state = {key: state[key] for key in ("repeat", "seed", "k_next", "tokens", "estimates", "scores")}
         if any(type(state[key]) is not int for key in ("repeat", "seed", "k_next", "tokens")):
             raise ValueError("repeat, seed, k_next and tokens must be integers")
-        k_next, methods = state["k_next"], tuple(state["estimates"])
+        repeat, seed, k_next, methods = state["repeat"], state["seed"], state["k_next"], tuple(state["estimates"])
+        if not 0 <= repeat < cfg.repeats:
+            raise ValueError(f"repeat {repeat} is outside [0, {cfg.repeats})")
+        if seed != cfg.observation.seed + repeat:
+            raise ValueError(f"seed {seed} is not repeat {repeat}'s seed {cfg.observation.seed + repeat}")
         if not 0 <= k_next <= ctx.test_signal.n_steps:
             raise ValueError(f"k_next {k_next} is outside [0, {ctx.test_signal.n_steps}]")
         if not methods or not set(methods) <= {PRIMARY_METHOD, *cfg.baselines}:
@@ -411,7 +408,7 @@ def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> Rep
         raise ValueError(f"{checkpoint_path}: {exc}") from None
     if PRIMARY_METHOD in methods:
         backend = bind_backend(cfg.predictor, backend)
-    return run_repeat(ctx, cfg, state["seed"], methods, backend=backend, repeat_index=state["repeat"], resume=state)
+    return run_repeat(ctx, cfg, seed, methods, backend=backend, repeat_index=repeat, resume=state)
 
 
 @dataclass(eq=False)
@@ -430,6 +427,10 @@ def execute_run(cfg: RunConfig, backend=None, with_primary: bool = True) -> RunE
         raise ValueError("no baselines selected (set 'baselines' in the config or --baselines)")
     ctx = prepare_run(cfg)
     checkpoint_dir = os.path.join(cfg.output_dir, "checkpoints") if cfg.output_dir else None
+    if checkpoint_dir is not None and os.path.isdir(checkpoint_dir):  # an earlier run's states are not this run's
+        for pattern in ("repeat*_step*.json", "repeat*_aborted.json"):
+            for path in glob.glob(os.path.join(glob.escape(checkpoint_dir), pattern)):
+                os.remove(path)
     results = [
         run_repeat(ctx, cfg, cfg.observation.seed + r, methods, backend=backend, checkpoint_dir=checkpoint_dir,
                    repeat_index=r)

@@ -50,7 +50,7 @@ class ObservationModel:
             raise ValueError("observed must be a 1-D boolean vector")
         if not obs.any():
             raise ValueError("at least one node must be observed")
-        if self.noise_variance < 0.0:
+        if not self.noise_variance >= 0.0:
             raise ValueError("noise_variance must be >= 0")
         object.__setattr__(self, "observed", _frozen(obs, dtype=bool))
 

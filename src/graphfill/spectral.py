@@ -59,13 +59,13 @@ class TrainConfig:
     window: int = 50
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
+        if not self.learning_rate >= 0.0:
             raise ValueError("learning_rate must be >= 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.tol < 0.0:
+        if not self.tol >= 0.0:
             raise ValueError("tol must be >= 0")
         if self.augment_copies < 1:
             raise ValueError("augment_copies must be >= 1")

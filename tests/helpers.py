@@ -104,7 +104,7 @@ def seed_mae_gradient(basis, h: np.ndarray, x: np.ndarray, x_g: np.ndarray) -> n
 
 
 def seed_observed_layout(g: Graph, observed) -> ObservedLayout:
-    """Reference for ``Graph.observed_layout``: the same layout built from per-node neighbor lists."""
+    """Reference for ``graphs.observed_layout``: the same layout built from per-node neighbor lists."""
     lists = [np.flatnonzero(row).tolist() for row in g.adjacency]
     observed = np.asarray(observed, dtype=bool)
     flags, missing = observed.tolist(), np.flatnonzero(~observed).tolist()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphfill.graphs import build_graph, neighbors
+from graphfill.graphs import build_graph, neighbors, observed_layout
 from graphfill.predictors import PredictorConfig, estimate_tokens, mock_predict, mock_step, predict_batch
 from graphfill.prompts import build_task, fixed_widths, prompt_groups, render_user_prompt, round_fixed
 from graphfill.signals import ObservationModel
@@ -68,7 +68,7 @@ def hexes(values):
 @given(steps())
 def test_array_step_equals_text_path(step):
     g, model, previous, processed, t, precision, multi_task_prompt = step
-    layout = g.observed_layout(model.observed)
+    layout = observed_layout(g, model.observed)
     missing = np.flatnonzero(~model.observed).tolist()
     assert sorted(layout.nodes.tolist() + layout.isolated.tolist()) == missing
     for node, count, row in zip(layout.nodes.tolist(), layout.counts.tolist(), layout.index.tolist()):
@@ -93,7 +93,7 @@ def test_rounding_edge_cases(value, precision):
     g = build_graph(2, [(0, 1)])
     model = ObservationModel(np.array([False, True]), 0.0, 0)
     processed = np.array([0.0, value])
-    values, tokens = mock_step(g.observed_layout(model.observed), 7, np.array([value]), processed, precision, False)
+    values, tokens = mock_step(observed_layout(g, model.observed), 7, np.array([value]), processed, precision, False)
     task = build_task(0, 7, value, processed, g, model, precision)
     assert hexes(values) == hexes([round(value, precision)]) == hexes([mock_predict(task)])
     assert tokens == rendered_tokens([task], False)
@@ -101,19 +101,18 @@ def test_rounding_edge_cases(value, precision):
 
 def test_no_missing_node_has_no_tokens():
     g = build_graph(2, [(0, 1)])
-    layout = g.observed_layout(np.array([True, True]))
+    layout = observed_layout(g, np.array([True, True]))
     values, tokens = mock_step(layout, 0, np.zeros(0), np.zeros(2), 1, True)
     assert (values.tolist(), tokens) == ([], 0)
 
 
-def test_layout_is_kept_for_the_last_mask_and_read_only():
+def test_layout_is_read_only():
     g = build_graph(3, [(0, 1), (1, 2)])
-    first = g.observed_layout(np.array([True, False, True]))
-    assert g.observed_layout(np.array([True, False, True])) is first
-    assert first.nodes.tolist() == [1] and first.index.tolist() == [[3, 0, 2]]
+    layout = observed_layout(g, np.array([True, False, True]))
+    assert layout.nodes.tolist() == [1] and layout.index.tolist() == [[3, 0, 2]]
     with pytest.raises(ValueError):
-        first.index[0, 0] = 0
-    assert g.observed_layout(np.array([False, False, True])).isolated.tolist() == [0]
+        layout.index[0, 0] = 0
+    assert observed_layout(g, np.array([False, False, True])).isolated.tolist() == [0]
 
 
 def test_long_rows_sum_left_to_right():
@@ -121,7 +120,7 @@ def test_long_rows_sum_left_to_right():
     rng = np.random.default_rng(5)
     g = build_graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
     model = ObservationModel(np.arange(12) > 0, 0.0, 0)
-    layout = g.observed_layout(model.observed)
+    layout = observed_layout(g, model.observed)
     for _ in range(50):
         previous, processed = rng.uniform(-1e4, 1e4, 12), rng.uniform(-1e4, 1e4, 12)
         values, _ = mock_step(layout, 0, previous[layout.nodes], processed, 17, False)

@@ -16,7 +16,7 @@ from graphfill.baselines import (
     last_value_step,
     neighbor_mean_step,
 )
-from graphfill.graphs import build_graph, gft, laplacian, neighbors
+from graphfill.graphs import build_graph, gft, laplacian, neighbors, observed_layout
 from graphfill.signals import Observation, ObservationModel, observe, sample_mask
 
 
@@ -180,7 +180,7 @@ class TestNaiveBaselines:
         obs = Observation(
             t=0, values=np.array([2.0, np.nan, 4.0]), observed=np.array([True, False, True])
         )
-        out = neighbor_mean_step(np.zeros(3), obs, g)
+        out = neighbor_mean_step(np.zeros(3), obs, observed_layout(g, obs.observed))
         assert out[1] == 3.0
 
     def test_neighbor_mean_isolated_missing_node_falls_back(self):
@@ -188,7 +188,7 @@ class TestNaiveBaselines:
         obs = Observation(
             t=0, values=np.array([1.0, 2.0, np.nan]), observed=np.array([True, True, False])
         )
-        out = neighbor_mean_step(np.array([0.0, 0.0, 9.0]), obs, g)
+        out = neighbor_mean_step(np.array([0.0, 0.0, 9.0]), obs, observed_layout(g, obs.observed))
         assert out[2] == 9.0
 
     def test_steps_are_deterministic(self):
@@ -199,8 +199,9 @@ class TestNaiveBaselines:
             observed=np.array([True, False, True, False]),
         )
         prev = np.array([0.5, 0.6, 0.7, 0.8])
-        a = neighbor_mean_step(prev, obs, g)
-        b = neighbor_mean_step(prev, obs, g)
+        layout = observed_layout(g, obs.observed)
+        a = neighbor_mean_step(prev, obs, layout)
+        b = neighbor_mean_step(prev, obs, layout)
         assert np.array_equal(a, b)
 
     def test_neighbor_mean_matches_list_mean_reference(self):
@@ -225,14 +226,15 @@ class TestNaiveBaselines:
             values = np.where(observed, rng.normal(0.0, 10.0 ** rng.integers(-2, 4), size=n), np.nan)
             obs = Observation(t=t, values=values, observed=observed)
             prev = rng.normal(size=n)
-            assert np.array_equal(neighbor_mean_step(prev, obs, g), reference(prev, obs, g))
+            out = neighbor_mean_step(prev, obs, observed_layout(g, obs.observed))
+            assert np.array_equal(out, reference(prev, obs, g))
 
 
 @pytest.mark.parametrize("step", [
     lambda g, basis, x, obs: glms_step(glms_init(basis, 4, mu=0.5), x, obs),
     lambda g, basis, x, obs: gnlms_step(gnlms_init(basis, 4, mu=0.5, observed=obs.observed), x, obs),
     lambda g, basis, x, obs: last_value_step(x, obs),
-    lambda g, basis, x, obs: neighbor_mean_step(x, obs, g),
+    lambda g, basis, x, obs: neighbor_mean_step(x, obs, observed_layout(g, obs.observed)),
 ], ids=["glms", "gnlms", "last_value", "neighbor_mean"])
 def test_step_returns_a_new_estimate_and_leaves_its_input(step):
     # The online loop starts every method from one shared array.

@@ -79,6 +79,26 @@ class TestRenderPrompts:
             assert len(rendered) == 2 and rendered[1].count("Entity index:") > 1
 
 
+    def test_remote_config_renders_as_mock_without_a_call_or_a_file(self, tmp_path, capsys, monkeypatch):
+        from graphfill import predictors
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("render-prompts called the remote backend")
+
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        monkeypatch.setattr(predictors, "remote_complete", no_call)
+        out = tmp_path / "out"
+        cfg_path = run_config_file(tmp_path, output_dir=str(out), transcript=False,
+                                   predictor={"backend": "remote", "endpoint_url": "http://127.0.0.1:9"})
+        files = sorted(tmp_path.rglob("*"))
+        assert main(["render-prompts", "--config", cfg_path, "--backend", "mock"]) == 0
+        mock = capsys.readouterr().out
+        assert main(["render-prompts", "--config", cfg_path, "--backend", "remote"]) == 0
+        assert capsys.readouterr().out == mock
+        assert mock.startswith(render_system_prompt() + "\n") and mock.count("\n") > 1
+        assert sorted(tmp_path.rglob("*")) == files
+
+
 def first_step_prompts(out_dir) -> list:
     """The distinct user prompts a run's transcript sent at its first test step, in order."""
     with open(out_dir / "transcript.jsonl", encoding="utf-8") as fh:
@@ -185,6 +205,37 @@ class TestRun:
         monkeypatch.setattr(runner, "train_filter", no_setup)
         cfg_path = run_config_file(tmp_path, baselines=["glms"], **{key: value})
         rc = main(["run", "--config", cfg_path])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides, flags, message",
+        [
+            ({}, ["--ratio", "1.5"], "observation.ratio must be in (0, 1]"),
+            ({}, ["--ratio", "0"], "observation.ratio must be in (0, 1]"),
+            ({}, ["--ratio", "nan"], "observation.ratio must be in (0, 1]"),
+            ({}, ["--noise-variance", "-0.1"], "observation.noise_variance must be >= 0"),
+            ({}, ["--noise-variance", "nan"], "observation.noise_variance must be >= 0"),
+            ({"train": {"learning_rate": float("nan")}}, [], "train.learning_rate must be >= 0"),
+            ({"train": {"tol": float("nan")}}, [], "train.tol must be >= 0"),
+            ({"predictor": {"temperature": float("nan")}}, [], "predictor.temperature must be >= 0"),
+            ({"predictor": {"request_timeout": float("nan")}}, [], "predictor.request_timeout must be positive"),
+        ],
+        ids=["ratio-above-1", "ratio-0", "ratio-nan", "noise-negative", "noise-nan", "learning_rate-nan", "tol-nan",
+             "temperature-nan", "request_timeout-nan"],
+    )
+    def test_config_value_out_of_range_named_before_setup(self, tmp_path, capsys, monkeypatch, overrides, flags,
+                                                         message):
+        import graphfill.runner as runner
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("set-up ran before the config was checked")
+
+        monkeypatch.setattr(runner, "prepare_run", no_setup)
+        cfg_path = run_config_file(tmp_path, **overrides)
+        rc = main(["run", "--config", cfg_path, *flags])
         err = capsys.readouterr().err
         assert rc == 2
         assert f"error: {message}" in err

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from graphfill import baselines as bl
 from graphfill import files, runner
 from graphfill.metrics import rmse
-from graphfill.graphs import build_graph, gft, laplacian
+from graphfill.graphs import build_graph, gft, laplacian, observed_layout
 from graphfill.predictors import PredictorConfig, estimate_tokens
 from graphfill.runner import (
     RunConfig,
@@ -100,6 +100,14 @@ class TestDegenerateLosslessRun:
 
 
 class TestOnlineLoopInvariants:
+    def test_graph_gains_no_attribute_in_a_run(self, fixture_paths):
+        edge_path, signal_path = fixture_paths
+        for transcript in (False, True):
+            cfg = base_config(edge_path, signal_path, baselines=list(runner.BASELINES), transcript=transcript)
+            g = execute_run(cfg).context.graph
+            assert set(vars(g)) == {f.name for f in dataclasses.fields(g)}
+        assert not hasattr(g, "observed_layout")
+
     def test_observed_node_passthrough(self, fixture_paths):
         edge_path, signal_path = fixture_paths
         cfg = base_config(edge_path, signal_path, baselines=[])
@@ -239,10 +247,10 @@ class TestAbortPersistence:
         cfg = base_config(edge_path, signal_path, output_dir=out, checkpoint_every=30)
         step = bl.neighbor_mean_step
 
-        def raising_at_step_30(estimate, obs, g):
+        def raising_at_step_30(estimate, obs, layout):
             if obs.t == 100 + 30:
                 raise KeyError("baseline fell over")
-            return step(estimate, obs, g)
+            return step(estimate, obs, layout)
 
         monkeypatch.setattr(bl, "neighbor_mean_step", raising_at_step_30)
         with pytest.raises(KeyError):
@@ -356,6 +364,9 @@ class TestCheckpointReplay:
             (None, "Expecting ','"),
             (lambda p: p.pop("tokens"), "checkpoint has no key 'tokens'"),
             (lambda p: p.update(seed="11"), "repeat, seed, k_next and tokens must be integers"),
+            (lambda p: p.update(repeat=1), "repeat 1 is outside [0, 1)"),
+            (lambda p: p.update(repeat=-1), "repeat -1 is outside [0, 1)"),
+            (lambda p: p.update(seed=1), "seed 1 is not repeat 0's seed 11"),
             (lambda p: p.update(k_next=-1), "k_next -1 is outside [0, 100]"),
             (lambda p: p.update(k_next=101), "k_next 101 is outside [0, 100]"),
             (lambda p: p["estimates"]["graphfill"].pop(), ESTIMATES_OF_N),
@@ -370,7 +381,8 @@ class TestCheckpointReplay:
              "methods ['gcn'] are not among the config's ['graphfill', 'last_value', 'neighbor_mean']"),
             (lambda p: p.update(estimates={}), "methods [] are not among the config's"),
         ],
-        ids=["not-json", "missing-key", "string-seed", "k_next-negative", "k_next-past-horizon", "short-estimate",
+        ids=["not-json", "missing-key", "string-seed", "repeat-past-repeats", "repeat-negative", "seed-of-another-run",
+             "k_next-negative", "k_next-past-horizon", "short-estimate",
              "short-scores", "null-estimate", "scores-past-k_next", "scores-missing-method", "baseline-not-configured",
              "unknown-method-only", "no-method"],
     )
@@ -385,6 +397,18 @@ class TestCheckpointReplay:
             bad.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
             replay_from_checkpoint(cfg, str(bad))
+
+    def test_rerun_clears_the_checkpoints_of_an_earlier_run(self, fixture_paths, tmp_path):
+        edge_path, signal_path = fixture_paths
+        out = tmp_path / "run[1]"  # glob metacharacters in the path match only themselves
+        cfg = base_config(edge_path, signal_path, output_dir=str(out), checkpoint_every=40)
+        execute_run(cfg)
+        ckpt_dir = out / "checkpoints"
+        (ckpt_dir / "repeat0_aborted.json").write_bytes((ckpt_dir / "repeat0_step000040.json").read_bytes())
+        (ckpt_dir / "notes.json").write_text("{}")
+        assert len(list(ckpt_dir.iterdir())) == 4
+        execute_run(dataclasses.replace(cfg, checkpoint_every=100))
+        assert [p.name for p in ckpt_dir.iterdir()] == ["notes.json"]
 
     def test_failed_write_leaves_earlier_checkpoint_intact(self, fixture_paths, tmp_path, monkeypatch):
         edge_path, signal_path = fixture_paths
@@ -509,7 +533,8 @@ class TestArrayPath:
         cfg = RunConfig(predictor=PredictorConfig(max_retries=0))
         x_prev = np.full(3, 0.25)
         identity = SpectralFilter(np.ones(3), basis.ref())
-        x_hat, tokens = runner._step_estimate(ctx, cfg, model, identity, x_prev, obs, None, None)
+        layout = observed_layout(g, model.observed)
+        x_hat, tokens = runner._step_estimate(ctx, cfg, model, layout, identity, x_prev, obs, None, None)
         assert x_hat[1] == 0.25
         assert tokens > 0  # the text path sent the prompt
 
@@ -633,6 +658,48 @@ class TestConfigValidation:
         )
         with pytest.raises(ValueError, match="nodes"):
             prepare_run(cfg)
+
+    @pytest.fixture
+    def three_nodes(self, tmp_path, monkeypatch):
+        """A run config over a 3-node, 3-step signal and an edge list without ``n_nodes``; no graph above 3 nodes."""
+        from graphfill import graphs
+
+        build_graph = graphs.build_graph
+
+        def small_graph(n, edges):
+            assert n <= 3, f"an adjacency of {n} nodes was asked for"
+            return build_graph(n, edges)
+
+        monkeypatch.setattr(graphs, "build_graph", small_graph)
+        edges, signal = tmp_path / "edges.csv", tmp_path / "signal.csv"
+        signal.write_text("1,2,3\n4,5,6\n7,8,9\n")
+
+        def config(rows, t_split=1):
+            edges.write_text(rows)
+            return RunConfig.from_dict({"graph": {"source": "edges", "edge_list": str(edges)},
+                                        "signal": {"path": str(signal)}, "t_split": t_split})
+        return edges, config
+
+    def test_edge_index_past_the_signal_fails_with_its_row(self, three_nodes):
+        edges, config = three_nodes
+        with pytest.raises(ValueError, match=re.escape(f"{edges}: row 2: edge (0, 100000) out of range for n=3")):
+            prepare_run(config("0,1\n0,100000\n1,2\n"))
+
+    def test_edge_list_short_of_the_signal_is_a_size_mismatch(self, three_nodes):
+        _, config = three_nodes
+        with pytest.raises(ValueError, match=re.escape("signal has 3 nodes but graph has 2")):
+            prepare_run(config("0,1\n"))
+        assert prepare_run(config("0,1\n1,2\n")).graph.n_nodes == 3
+
+    def test_bad_t_split_fails_before_the_eigendecomposition(self, three_nodes, monkeypatch):
+        _, config = three_nodes
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the basis was built before t_split was checked")
+
+        monkeypatch.setattr(runner, "gft", no_eigh)
+        with pytest.raises(ValueError, match=re.escape("t_split must be in [1, 2], got 3")):
+            prepare_run(config("0,1\n1,2\n", t_split=3))
 
     @pytest.mark.parametrize(
         "overrides, path",
