@@ -212,7 +212,7 @@ def knn_graph(coords, k: int, bandwidth: float | None = None) -> Graph:
         raise ValueError("k must be positive")
     if k >= n:
         raise ValueError(f"k={k} requires at least k+1={k + 1} points, got {n}")
-    if bandwidth is not None and bandwidth <= 0.0:
+    if bandwidth is not None and not bandwidth > 0.0:  # NaN fails too
         raise ValueError("bandwidth must be positive")
     for i, p in enumerate(pts):
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
@@ -221,6 +221,7 @@ def knn_graph(coords, k: int, bandwidth: float | None = None) -> Graph:
     rad = [(math.radians(p[0]), math.radians(p[1]), math.cos(math.radians(p[0]))) for p in pts]
     i, j = _knn_candidates(np.array(rad), k)
     # One distance per candidate pair, taken on the pair ordered lo < hi, so both ends rank it by one double.
+    # (Unlike a bare np.unique(x), this call does not import numpy.ma on numpy 2.4; a test checks it.)
     pairs, at = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_inverse=True)
     lo, hi = np.divmod(pairs, n)
     km = np.array([_haversine(*rad[a], *rad[b]) for a, b in zip(lo.tolist(), hi.tolist())])[at]
@@ -229,7 +230,10 @@ def knn_graph(coords, k: int, bandwidth: float | None = None) -> Graph:
     i, j, d = i[pick], j[pick], km[pick]
 
     if bandwidth is None:
-        med = float(np.median(d))
+        # The median as np.median takes it, the middle value or the mean of the two, without its numpy.ma import.
+        half = d.size // 2
+        kth = [half - 1, half] if d.size % 2 == 0 else [half]
+        med = float(np.partition(d, kth)[kth].mean())
         bandwidth = med if med > 0.0 else 1.0
 
     w = np.array([math.exp(-x**2 / (2.0 * bandwidth**2)) for x in d.tolist()])

@@ -1,5 +1,6 @@
 """Error metrics, aggregation over repeats, and report emission."""
 import csv
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -50,63 +51,44 @@ class RunReport:
     token_estimate: int = 0
 
     def __post_init__(self):
-        per_t_mae = np.asarray(self.per_t_mae, dtype=np.float64)
-        per_t_rmse = np.asarray(self.per_t_rmse, dtype=np.float64)
-        if per_t_mae.shape != per_t_rmse.shape or per_t_mae.ndim != 1:
+        """Normalise the fields, so a report built in process and one read from JSON take one path."""
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("per_t_mae", np.asarray(self.per_t_mae, dtype=np.float64))
+        put("per_t_rmse", np.asarray(self.per_t_rmse, dtype=np.float64))
+        if self.per_t_mae.shape != self.per_t_rmse.shape or self.per_t_mae.ndim != 1:
             raise ValueError("per-step metric vectors must be 1-D and equal length")
-        for pair in (
-            self.aggregate_mae,
-            self.aggregate_rmse,
-            self.aggregate_mae_missing,
-            self.aggregate_rmse_missing,
-        ):
-            if not all(np.isfinite(v) for v in pair):
+        for name in ("aggregate_mae", "aggregate_rmse", "aggregate_mae_missing", "aggregate_rmse_missing"):
+            put(name, tuple(getattr(self, name)))
+            if not all(np.isfinite(v) for v in getattr(self, name)):
                 raise ValueError("aggregates must be finite")
-        object.__setattr__(self, "per_t_mae", per_t_mae)
-        object.__setattr__(self, "per_t_rmse", per_t_rmse)
+        put("method_aggregates", {name: {metric: tuple(pair) for metric, pair in metrics.items()}
+                                  for name, metrics in self.method_aggregates.items()})
+        put("config_snapshot", _snapshot(self.config_snapshot))
+        put("token_estimate", int(self.token_estimate))
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "per_t_mae": [float(v) for v in self.per_t_mae],
-            "per_t_rmse": [float(v) for v in self.per_t_rmse],
-            "aggregate_mae": list(self.aggregate_mae),
-            "aggregate_rmse": list(self.aggregate_rmse),
-            "aggregate_mae_missing": list(self.aggregate_mae_missing),
-            "aggregate_rmse_missing": list(self.aggregate_rmse_missing),
-            "method_aggregates": {
-                name: {metric: list(pair) for metric, pair in metrics.items()}
-                for name, metrics in self.method_aggregates.items()
-            },
-            "config_snapshot": self.config_snapshot,
-            "transcript_path": self.transcript_path,
-            "token_estimate": self.token_estimate,
-        }
+        """The fields by name, in declaration order, with the per-step vectors as lists."""
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in out.items()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunReport":
-        """Inverse of :meth:`to_dict`. A payload of another shape raises ValueError saying what is wrong."""
+        """Inverse of :meth:`to_dict`. A payload of another shape raises ValueError saying what is wrong.
+
+        Keys no field declares are ignored; a missing required key is named, the first in field order.
+        """
         if not isinstance(payload, dict):
             raise ValueError(f"a report must be a JSON object, not {type(payload).__name__}")
+        kwargs = {}
+        for f in dataclasses.fields(cls):
+            if f.name in payload:
+                kwargs[f.name] = payload[f.name]
+            elif f.default is dataclasses.MISSING:
+                raise ValueError(f"report has no key {f.name!r}")
         try:
-            return cls(
-                method=payload["method"],
-                per_t_mae=np.asarray(payload["per_t_mae"]),
-                per_t_rmse=np.asarray(payload["per_t_rmse"]),
-                aggregate_mae=tuple(payload["aggregate_mae"]),
-                aggregate_rmse=tuple(payload["aggregate_rmse"]),
-                aggregate_mae_missing=tuple(payload["aggregate_mae_missing"]),
-                aggregate_rmse_missing=tuple(payload["aggregate_rmse_missing"]),
-                method_aggregates={
-                    name: {metric: tuple(pair) for metric, pair in metrics.items()}
-                    for name, metrics in payload["method_aggregates"].items()
-                },
-                config_snapshot=_snapshot(payload["config_snapshot"]),
-                transcript_path=payload.get("transcript_path"),
-                token_estimate=int(payload.get("token_estimate", 0)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"report has no key {exc.args[0]!r}") from None
+            return cls(**kwargs)
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed report: {exc}") from None
 

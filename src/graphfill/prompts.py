@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, neighbors
-from .signals import ObservationModel
+from .graphs import neighbors  # noqa: F401 (``prompts.neighbors`` stays importable)
 
 SYSTEM_PROMPT = (
     "The spatiotemporal task is to predict the current number on a graph "
@@ -66,29 +65,14 @@ class PromptPair:
     user_text: str
 
 
-def build_task(
-    node: int,
-    t: int,
-    prev_estimate: float,
-    processed_obs: np.ndarray,
-    g: Graph,
-    model: ObservationModel,
-    precision: int = 1,
-) -> NodeTask:
-    """Assemble a task from the processed observation at one time step.
+def build_task(layout, r: int, t: int, previous: float, processed: np.ndarray, precision: int = 1) -> NodeTask:
+    """The task of missing node ``layout.nodes[r]`` at time ``t``, from the processed observation.
 
-    Neighbor values are the processed signals at the node's observed
-    neighbors, ascending by node index. Only unobserved nodes have tasks.
+    ``layout`` is the repeat's ``observed_layout``; the neighbor values are ``processed`` at the node's
+    observed neighbors, ascending by node index.
     """
-    if model.observed[node]:
-        raise ValueError(f"node {node} is observed; tasks exist only for missing nodes")
-    processed_obs = np.asarray(processed_obs, dtype=np.float64)
-    if processed_obs.shape != (g.n_nodes,):
-        raise ValueError(
-            f"processed observation has shape {processed_obs.shape}, expected ({g.n_nodes},)"
-        )
-    vals = tuple(float(processed_obs[j]) for j in neighbors(g, node) if model.observed[j])
-    return NodeTask(node=node, t=t, previous=prev_estimate, neighbor_values=vals, precision=precision)
+    vals = processed[layout.index[r, 1:1 + layout.counts[r]]].tolist()
+    return NodeTask(node=int(layout.nodes[r]), t=t, previous=previous, neighbor_values=vals, precision=precision)
 
 
 def render_system_prompt() -> str:

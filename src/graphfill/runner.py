@@ -43,6 +43,10 @@ class GraphConfig:
     def __post_init__(self):
         if self.source not in ("edges", "knn"):
             raise ValueError(f"source must be 'edges' or 'knn', got {self.source!r}")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.bandwidth is not None and not self.bandwidth > 0.0:
+            raise ValueError("bandwidth must be positive or null")
 
 
 @dataclass(frozen=True)
@@ -234,6 +238,20 @@ def mask_and_train(ctx: RunContext, cfg: RunConfig, seed: int, train: bool = Tru
     return model, train_filter(ctx.basis, ctx.train_signal, model, cfg.train) if train else None
 
 
+def _start_estimates(ctx, methods, x0) -> dict:
+    """Each method's estimate before step 0: ``x0``, or for GLMS and GNLMS its projection U_B U_B^T x0.
+
+    B is ``derived["baseline_band_size"]``. An adaptive filter's update is in band, so the part of its start
+    outside the band would never decay (Di Lorenzo et al. 2016; Spelta & Martins 2020 start in band).
+    """
+    starts = dict.fromkeys(methods, x0)
+    adaptive = [name for name in methods if name in ("glms", "gnlms")]
+    if adaptive:
+        u_band = ctx.basis.eigenvectors[:, :ctx.derived["baseline_band_size"]]
+        starts.update(dict.fromkeys(adaptive, u_band @ (u_band.T @ x0)))
+    return starts
+
+
 def _method_step(name, ctx, cfg, model, layout, train_result, backend, transcript):
     """Method ``name``'s ``step(estimate, obs) -> (next estimate, tokens)`` in a repeat with mask ``model``.
 
@@ -242,7 +260,7 @@ def _method_step(name, ctx, cfg, model, layout, train_result, backend, transcrip
     ``predict_batch``) up at call time, so wrappers installed on the modules see every call.
     """
     if name == PRIMARY_METHOD:
-        return lambda x, obs: _step_estimate(ctx, cfg, model, layout, train_result.filter, x, obs, backend, transcript)
+        return lambda x, obs: _step_estimate(ctx.basis, cfg, layout, train_result.filter, x, obs, backend, transcript)
     band, mu = ctx.derived.get("baseline_band_size"), cfg.baseline_step_size
     if name == "glms":
         filt = bl.glms_init(ctx.basis, band, mu)
@@ -255,14 +273,15 @@ def _method_step(name, ctx, cfg, model, layout, train_result, backend, transcrip
     return lambda x, obs: (bl.neighbor_mean_step(x, obs, layout), 0)
 
 
-def _step_estimate(ctx, cfg, model, layout, filt, x_prev, obs, backend, transcript):
+def _step_estimate(basis, cfg, layout, filt, x_prev, obs, backend, transcript):
     """Advance the primary estimate by one test step; returns (x_hat, tokens).
 
-    ``layout`` is ``observed_layout(ctx.graph, model.observed)``. The step is array-shaped when no text is
-    sent or logged (built-in mock, no transcript).
+    ``layout`` is ``observed_layout(graph, obs.observed)``, the only source of each missing node's observed
+    neighbors on both paths. The step is array-shaped when no text is sent or logged (built-in mock, no
+    transcript).
     """
-    o_tilde = denoise(filt, ctx.basis, obs, x_prev)
-    x_hat = np.where(model.observed, o_tilde, x_prev)
+    o_tilde = denoise(filt, basis, obs, x_prev)
+    x_hat = np.where(obs.observed, o_tilde, x_prev)
     p = cfg.predictor
     if backend is None and transcript is None and p.backend == "mock":
         answered = mock_step(layout, obs.t, x_prev[layout.nodes], o_tilde, cfg.precision, p.multi_task_prompt)
@@ -270,10 +289,10 @@ def _step_estimate(ctx, cfg, model, layout, filt, x_prev, obs, backend, transcri
             x_hat[layout.nodes] = answered[0]
             return x_hat, answered[1]
 
-    # Text path: a task per missing node with an observed neighbor; one without persists without a call.
+    # Text path: a task per layout row; a missing node without an observed neighbor persists without a call.
     records = [PredictionResult(i, obs.t, float(x_prev[i]), 0, fallback=True) for i in layout.isolated.tolist()]
-    tasks = [build_task(i, obs.t, float(x_prev[i]), o_tilde, ctx.graph, model, cfg.precision)
-             for i in layout.nodes.tolist()]
+    tasks = [build_task(layout, r, obs.t, previous, o_tilde, cfg.precision)
+             for r, previous in enumerate(x_prev[layout.nodes].tolist())]
     if tasks:
         records += predict_batch(tasks, cfg.predictor, backend=backend)
     for record in records:
@@ -326,7 +345,7 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, seed: int, methods: tuple, backe
 
     The filter is trained when the primary method is among ``methods``. The walk starts from
     ``resume``, a state read by :func:`replay_from_checkpoint`, or else from step 0 with every
-    method at :func:`init_estimate`.
+    method at :func:`init_estimate`, projected into the band for GLMS and GNLMS.
     """
     model, train_result = mask_and_train(ctx, cfg, seed, train=PRIMARY_METHOD in methods)
     layout = observed_layout(ctx.graph, model.observed)
@@ -334,7 +353,7 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, seed: int, methods: tuple, backe
     transcript = [] if cfg.transcript else None
     steps = [_method_step(name, ctx, cfg, model, layout, train_result, backend, transcript) for name in methods]
     state = resume or {"k_next": 0, "tokens": 0, "scores": dict.fromkeys(methods, np.zeros((4, 0))),
-                       "estimates": dict.fromkeys(methods, init_estimate(ctx.train_signal, model))}
+                       "estimates": _start_estimates(ctx, methods, init_estimate(ctx.train_signal, model))}
     start, tokens, estimates = state["k_next"], state["tokens"], state["estimates"]
     table = np.zeros((len(methods), 4, n_steps))
     table[:, :, :start] = [state["scores"][name] for name in methods]

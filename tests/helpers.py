@@ -4,6 +4,7 @@ import math
 import numpy as np
 
 from graphfill.graphs import EARTH_RADIUS_KM, Graph, ObservedLayout, build_graph, gft, laplacian
+from graphfill.prompts import NodeTask
 from graphfill.signals import TimeVaryingSignal
 from graphfill.spectral import graph_convolve
 
@@ -118,3 +119,9 @@ def seed_observed_layout(g: Graph, observed) -> ObservedLayout:
     groups = tuple((nodes[counts == c], index[counts == c, 1:1 + c]) for c in np.unique(counts).tolist())
     digits = np.array([len(str(i)) for i in nodes.tolist()], dtype=np.int64)
     return ObservedLayout(nodes, isolated, index, counts, np.unique(index)[:-1], groups, digits)
+
+
+def seed_build_task(node: int, t: int, previous: float, processed, g: Graph, observed, precision: int = 1) -> NodeTask:
+    """Reference for ``prompts.build_task``: the task read from ``g``'s adjacency row and the mask, not a layout."""
+    values = [float(processed[j]) for j in np.flatnonzero(g.adjacency[node]).tolist() if observed[j]]
+    return NodeTask(node=node, t=t, previous=previous, neighbor_values=tuple(values), precision=precision)

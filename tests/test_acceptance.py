@@ -289,3 +289,17 @@ def test_criterion_10_optional_live_smoke(tmp_path):
         entries = execution.repeats[0].transcript
         assert sum(1 for e in entries if e["fallback"]) == 0
         assert np.all(np.isfinite(execution.report.per_t_rmse))
+
+
+def test_criterion_11_adaptive_baselines_fill_missing_nodes(tmp_path):
+    with criterion(11, "GLMS and GNLMS missing-node MAE within 2x their observed-node MAE at n = 200"):
+        edge_path, signal_path, _, _ = write_run_fixture(tmp_path, n=200, band=10, t_steps=300, seed=31)
+        cfg = ordering_config(edge_path, signal_path, graph={"source": "edges", "edge_list": edge_path},
+                              baselines=["glms", "gnlms"])
+        execution = execute_run(cfg, with_primary=False)
+        n, m = 200, int(np.sum(~execution.repeats[0].model.observed))
+        for name, scores in execution.repeats[0].scores.items():
+            missing = float(scores[2].mean())
+            observed = float(((n * scores[0] - m * scores[2]) / (n - m)).mean())
+            print(f"{name}: MAE observed {observed:.4f}, missing {missing:.4f}")
+            assert missing <= 2.0 * observed, name

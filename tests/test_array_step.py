@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from helpers import seed_build_task
 from hypothesis import strategies as st
 
 from graphfill.graphs import build_graph, neighbors, observed_layout
@@ -77,7 +78,11 @@ def test_array_step_equals_text_path(step):
         assert not any(model.observed[j] for j in neighbors(g, node))
 
     values, tokens = mock_step(layout, t, previous[layout.nodes], processed, precision, multi_task_prompt)
-    tasks = [build_task(i, t, float(previous[i]), processed, g, model, precision) for i in layout.nodes.tolist()]
+    # The reference tasks come from the adjacency and the mask, not from the layout the array step reads.
+    tasks = [seed_build_task(i, t, float(previous[i]), processed, g, model.observed, precision)
+             for i in layout.nodes.tolist()]
+    built = [build_task(layout, r, t, float(previous[i]), processed, precision) for r, i in enumerate(layout.nodes)]
+    assert [repr(task) for task in built] == [repr(task) for task in tasks]
     assert hexes(values) == hexes(mock_predict(task) for task in tasks)
     assert tokens == rendered_tokens(tasks, multi_task_prompt)
     if tasks:
@@ -94,7 +99,7 @@ def test_rounding_edge_cases(value, precision):
     model = ObservationModel(np.array([False, True]), 0.0, 0)
     processed = np.array([0.0, value])
     values, tokens = mock_step(observed_layout(g, model.observed), 7, np.array([value]), processed, precision, False)
-    task = build_task(0, 7, value, processed, g, model, precision)
+    task = seed_build_task(0, 7, value, processed, g, model.observed, precision)
     assert hexes(values) == hexes([round(value, precision)]) == hexes([mock_predict(task)])
     assert tokens == rendered_tokens([task], False)
 
@@ -124,7 +129,7 @@ def test_long_rows_sum_left_to_right():
     for _ in range(50):
         previous, processed = rng.uniform(-1e4, 1e4, 12), rng.uniform(-1e4, 1e4, 12)
         values, _ = mock_step(layout, 0, previous[layout.nodes], processed, 17, False)
-        assert hexes(values) == hexes([mock_predict(build_task(0, 0, previous[0], processed, g, model, 17))])
+        assert hexes(values) == hexes([mock_predict(seed_build_task(0, 0, previous[0], processed, g, model.observed, 17))])
 
 
 def check_helpers(values, precision):

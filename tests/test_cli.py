@@ -11,6 +11,7 @@ from graphfill.prompts import render_system_prompt
 
 DATA = Path(__file__).parent / "data"
 P3_CONFIG = str(DATA / "p3" / "config.json")
+KNN = {"source": "knn", "coordinates": "coordinates.csv"}  # never read: the config check fails first
 
 
 def run_config_file(tmp_path, **overrides) -> str:
@@ -222,9 +223,13 @@ class TestRun:
             ({"train": {"tol": float("nan")}}, [], "train.tol must be >= 0"),
             ({"predictor": {"temperature": float("nan")}}, [], "predictor.temperature must be >= 0"),
             ({"predictor": {"request_timeout": float("nan")}}, [], "predictor.request_timeout must be positive"),
+            ({"graph": {**KNN, "k": 0}}, [], "graph.k must be >= 1"),
+            ({"graph": {**KNN, "bandwidth": float("nan")}}, [], "graph.bandwidth must be positive or null"),
+            ({"graph": {**KNN, "bandwidth": -1}}, [], "graph.bandwidth must be positive or null"),
+            ({"graph": {**KNN, "bandwidth": 0.0}}, [], "graph.bandwidth must be positive or null"),
         ],
         ids=["ratio-above-1", "ratio-0", "ratio-nan", "noise-negative", "noise-nan", "learning_rate-nan", "tol-nan",
-             "temperature-nan", "request_timeout-nan"],
+             "temperature-nan", "request_timeout-nan", "k-0", "bandwidth-nan", "bandwidth-negative", "bandwidth-0"],
     )
     def test_config_value_out_of_range_named_before_setup(self, tmp_path, capsys, monkeypatch, overrides, flags,
                                                          message):

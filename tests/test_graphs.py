@@ -1,6 +1,9 @@
 """Tests for graph construction, Laplacian, Fourier basis, and kNN graphs."""
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from helpers import seed_haversine_km, seed_observed_layout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphfill
 from graphfill.graphs import (
     Graph,
     build_graph,
@@ -344,6 +348,23 @@ class TestKnnGraph:
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError, match="k="):
             knn_graph([(0.0, 0.0), (1.0, 1.0)], k=2, bandwidth=1.0)
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), 0.0, -1.0])
+    def test_bandwidth_not_positive_rejected(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            knn_graph([(0.0, 0.0), (1.0, 1.0)], k=1, bandwidth=bandwidth)
+
+    def test_does_not_import_numpy_ma(self):
+        # numpy's np.unique and np.median import numpy.ma on their first call, a cold 13 ms in set-up.
+        code = ("import sys, numpy; before = 'numpy.ma' in sys.modules; from graphfill.graphs import knn_graph; "
+                "knn_graph([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (2.0, 2.0)], 2, bandwidth=None); "
+                "print(before, 'numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(graphfill.__file__))}
+        before, after = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                       check=True).stdout.split()
+        if before == "True":
+            pytest.skip("import numpy alone loads numpy.ma")
+        assert after == "False"
 
     def test_self_tuned_bandwidth(self):
         rng = np.random.default_rng(44)

@@ -1,4 +1,5 @@
 """Tests for error metrics, aggregation, and report emission."""
+import dataclasses
 import json
 import math
 import re
@@ -119,6 +120,10 @@ class TestEmitReport:
         table = render_markdown_table([a, b], "rmse")
         header = table.splitlines()[0]
         assert "1.0" in header and "1.5" in header
+
+
+def test_to_dict_keys_are_the_field_names_in_order():
+    assert list(golden_report().to_dict()) == [f.name for f in dataclasses.fields(RunReport)]
 
 
 class TestReportFromDict:

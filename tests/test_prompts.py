@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphfill.graphs import build_graph
+from graphfill.graphs import build_graph, observed_layout
 from graphfill.prompts import (
     CompletionParseError,
     NodeTask,
@@ -16,7 +16,6 @@ from graphfill.prompts import (
     render_system_prompt,
     render_user_prompt,
 )
-from graphfill.signals import ObservationModel
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,39 +108,27 @@ class TestUserPrompt:
 
 
 class TestBuildTask:
+    """A task is a layout row: a missing node with an observed neighbor, and only its observed neighbors."""
+
     def setup_method(self):
         self.g = build_graph(3, [(0, 1), (1, 2)])
 
     def test_path_graph_middle_missing(self):
-        model = ObservationModel(
-            observed=np.array([True, False, True]), noise_variance=0.0, seed=0
-        )
-        task = build_task(1, 4, prev_estimate=3.5, processed_obs=np.array([2.0, 0.0, 4.0]),
-                          g=self.g, model=model, precision=1)
-        assert task.neighbor_values == (2.0, 4.0)
-        assert task.previous == 3.5
+        layout = observed_layout(self.g, np.array([True, False, True]))
+        task = build_task(layout, 0, 4, previous=3.5, processed=np.array([2.0, 0.0, 4.0]), precision=1)
+        assert (task.node, task.t, task.previous, task.neighbor_values) == (1, 4, 3.5, (2.0, 4.0))
 
     def test_observed_neighbors_filtered_and_ordered(self):
         g = build_graph(5, [(2, 0), (2, 3), (2, 4), (2, 1)])
-        model = ObservationModel(
-            observed=np.array([True, False, False, True, False]), noise_variance=0.0, seed=0
-        )
-        task = build_task(2, 0, 0.0, np.arange(5, dtype=float), g, model, 1)
-        assert task.neighbor_values == (0.0, 3.0)
+        layout = observed_layout(g, np.array([True, False, False, True, False]))
+        assert layout.nodes.tolist() == [2]
+        task = build_task(layout, 0, 0, 0.0, np.arange(5, dtype=float), 1)
+        assert (task.node, task.neighbor_values) == (2, (0.0, 3.0))
 
     def test_no_observed_neighbors_empty(self):
-        model = ObservationModel(
-            observed=np.array([True, False, False]), noise_variance=0.0, seed=0
-        )
-        task = build_task(2, 0, 1.0, np.zeros(3), self.g, model, 1)
-        assert task.neighbor_values == ()
-
-    def test_observed_node_rejected(self):
-        model = ObservationModel(
-            observed=np.array([True, False, True]), noise_variance=0.0, seed=0
-        )
-        with pytest.raises(ValueError, match="observed"):
-            build_task(0, 0, 1.0, np.zeros(3), self.g, model, 1)
+        # Node 2's one neighbor is missing: the layout gives it no row, so no task is built for it.
+        layout = observed_layout(self.g, np.array([True, False, False]))
+        assert (layout.nodes.tolist(), layout.isolated.tolist()) == ([1], [2])
 
 
 class TestParseCompletion:

@@ -1,11 +1,13 @@
 """Tests for the online loop, run configuration, checkpoints, and repeats."""
 import dataclasses
 import glob
+import importlib.util
 import json
 import os
 import re
 import types
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfill import baselines as bl
-from graphfill import files, runner
+from graphfill import files, graphs, prompts, runner
 from graphfill.metrics import rmse
 from graphfill.graphs import build_graph, gft, laplacian, observed_layout
-from graphfill.predictors import PredictorConfig, estimate_tokens
+from graphfill.predictors import PredictorConfig, TransportError, estimate_tokens
 from graphfill.runner import (
     RunConfig,
     execute_run,
@@ -529,14 +531,60 @@ class TestArrayPath:
         basis = gft(laplacian(g))
         model = ObservationModel(np.array([True, False, True]), 0.0, 0)
         obs = Observation(5, np.array([1.5e308, np.nan, 1.5e308]), model.observed)
-        ctx = types.SimpleNamespace(graph=g, basis=basis)
         cfg = RunConfig(predictor=PredictorConfig(max_retries=0))
         x_prev = np.full(3, 0.25)
         identity = SpectralFilter(np.ones(3), basis.ref())
         layout = observed_layout(g, model.observed)
-        x_hat, tokens = runner._step_estimate(ctx, cfg, model, layout, identity, x_prev, obs, None, None)
+        x_hat, tokens = runner._step_estimate(basis, cfg, layout, identity, x_prev, obs, None, None)
         assert x_hat[1] == 0.25
         assert tokens > 0  # the text path sent the prompt
+
+
+CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+
+
+def load_bench_child():
+    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)  # defines the hooks and main only
+    return child
+
+
+def flaky_backend(system_text, user_text, tasks):
+    """Answers each task with its previous value; a prompt whose first node plus step is divisible by 3 fails."""
+    if (tasks[0].node + tasks[0].t) % 3 == 0:
+        raise TransportError("refused")
+    return "\n".join(f"{task.previous:.1f}" for task in tasks)
+
+
+class TestBenchmarkHooks:
+    """The text path as the benchmark's child process and tracer see it."""
+
+    @pytest.mark.parametrize("multi_task_prompt", [False, True])
+    def test_task_counter_sees_every_dispatched_task_and_fallback(self, fixture_paths, monkeypatch,
+                                                                  multi_task_prompt):
+        monkeypatch.setattr(runner, "predict_batch", runner.predict_batch)  # undone after the test
+        counts = [0, 0]
+        load_bench_child()._task_counter(runner, counts)
+        edge_path, signal_path = fixture_paths
+        cfg = base_config(edge_path, signal_path, baselines=[], transcript=True, repeats=2,
+                          predictor={"backend": "mock", "max_retries": 1, "multi_task_prompt": multi_task_prompt})
+        execution = execute_run(cfg, backend=flaky_backend)
+        entries = [e for r in execution.repeats for e in r.transcript]
+        dispatched = [e for e in entries if e["attempts"] > 0]  # a node without observed neighbors is not sent
+        assert counts == [len(dispatched), sum(e["fallback"] for e in dispatched)]
+        assert 0 < counts[1] < counts[0]
+
+    def test_transcript_run_never_scans_the_adjacency(self, fixture_paths, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("a run read neighbors from the adjacency, not from the layout")
+
+        for module in (graphs, prompts, bl):
+            monkeypatch.setattr(module, "neighbors", scan)
+        edge_path, signal_path = fixture_paths
+        cfg = base_config(edge_path, signal_path, baselines=ALL_BASELINES, transcript=True)
+        execution = execute_run(cfg)
+        assert any(e["prompt"] for e in execution.repeats[0].transcript)
 
 
 class TestStepScores:
@@ -576,7 +624,8 @@ class TestBaselinesOnly:
         model = sample_mask(ctx.graph.n_nodes, 0.7, 11, 0.2)
         band = bl.bandlimit_for_energy(ctx.basis, ctx.train_signal.values, cfg.baseline_band_energy)
         filt = bl.glms_init(ctx.basis, band, cfg.baseline_step_size)
-        estimate = init_estimate(ctx.train_signal, model)
+        u_band = ctx.basis.eigenvectors[:, :band]
+        estimate = u_band @ (u_band.T @ init_estimate(ctx.train_signal, model))  # GLMS starts in its band
         missing = np.flatnonzero(~model.observed)
         maes, rmses = [], []
         for k in range(ctx.test_signal.n_steps):
@@ -632,6 +681,31 @@ class TestBaselinesOnly:
         report = execute_run(cfg).report
         assert len(sizings) == 1
         assert report.config_snapshot["derived"]["baseline_band_size"] == bandlimit(*sizings[0])
+
+    @pytest.mark.parametrize("name", ["glms", "gnlms"])
+    def test_adaptive_estimate_stays_in_its_band_at_every_step(self, fixture_paths, name):
+        edge_path, signal_path = fixture_paths
+        execution = execute_run(base_config(edge_path, signal_path, baselines=[name, "last_value"]),
+                                with_primary=False)
+        band = execution.report.config_snapshot["derived"]["baseline_band_size"]
+        u_band = execution.context.basis.eigenvectors[:, :band]
+        x = execution.repeats[0].trajectory  # the lead method's estimate after each step
+        outside = np.linalg.norm(x - u_band @ (u_band.T @ x), axis=0)
+        assert np.all(outside <= 1e-12 * np.linalg.norm(x, axis=0))
+
+    def test_only_the_adaptive_filters_start_in_band(self, fixture_paths):
+        edge_path, signal_path = fixture_paths
+        cfg = base_config(edge_path, signal_path, baselines=ALL_BASELINES)
+        ctx = prepare_run(cfg)
+        x0 = init_estimate(ctx.train_signal, sample_mask(ctx.graph.n_nodes, 0.7, 11, 0.2))
+        starts = runner._start_estimates(ctx, (runner.PRIMARY_METHOD, *ALL_BASELINES), x0)
+        u_band = ctx.basis.eigenvectors[:, :ctx.derived["baseline_band_size"]]
+        assert starts["glms"] is starts["gnlms"]
+        assert starts["glms"].tobytes() == (u_band @ (u_band.T @ x0)).tobytes()
+        assert all(starts[name] is x0 for name in (runner.PRIMARY_METHOD, "last_value", "neighbor_mean"))
+        # Without an adaptive filter the band is not read (nor sized: a run without baselines has none).
+        starts = runner._start_estimates(types.SimpleNamespace(), (runner.PRIMARY_METHOD, "last_value"), x0)
+        assert list(starts) == [runner.PRIMARY_METHOD, "last_value"] and all(x is x0 for x in starts.values())
 
     def test_baseline_only_requires_selection(self, fixture_paths):
         edge_path, signal_path = fixture_paths
