@@ -25,7 +25,7 @@ from .prompts import (
     render_system_prompt,
     render_user_prompt,
 )
-from .runner import RunConfig, execute_run, init_estimate, replay_from_checkpoint, run_online
+from .runner import RunConfig, execute_run, init_estimate, replay_from_checkpoint
 from .signals import (
     Observation,
     ObservationModel,

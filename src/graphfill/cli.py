@@ -8,23 +8,23 @@ import sys
 from .files import atomic_write
 from .metrics import RunReport, format_aggregate, render_markdown_table
 from .prompts import render_system_prompt
-from .runner import PRIMARY_METHOD, RunConfig, mask_and_train, prepare_run, run_online, run_repeat
+from .runner import PRIMARY_METHOD, RunConfig, execute_run, mask_and_train, prepare_run, run_repeat
 from .signals import TimeVaryingSignal
 from .spectral import FilterDivergenceError, save_filter_json
 
 
-# argparse dest -> dotted config path of the value it overrides.
+# Flag -> (dotted config path of the value it overrides, argparse options). The path is also the flag's dest.
 OVERRIDES = {
-    "backend": "predictor.backend",
-    "seed": "observation.seed",
-    "ratio": "observation.ratio",
-    "noise_variance": "observation.noise_variance",
-    "t_split": "t_split",
-    "repeats": "repeats",
-    "precision": "precision",
-    "output_dir": "output_dir",
-    "transcript": "transcript",
-    "baselines": "baselines",
+    "--backend": ("predictor.backend", {"choices": ["mock", "remote"]}),
+    "--seed": ("observation.seed", {"type": int}),
+    "--ratio": ("observation.ratio", {"type": float}),
+    "--noise-variance": ("observation.noise_variance", {"type": float}),
+    "--t-split": ("t_split", {"type": int}),
+    "--repeats": ("repeats", {"type": int}),
+    "--precision": ("precision", {"type": int}),
+    "--output-dir": ("output_dir", {}),
+    "--transcript": ("transcript", {"action": "store_const", "const": True}),
+    "--baselines": ("baselines", {"type": lambda text: [b for b in text.split(",") if b], "metavar": "NAME,..."}),
 }
 
 
@@ -33,8 +33,8 @@ def _load_with_overrides(args) -> RunConfig:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError("config must be an object")
-    for dest, path in OVERRIDES.items():
-        value = getattr(args, dest)
+    for path, _ in OVERRIDES.values():
+        value = getattr(args, path)
         if value is None:
             continue
         section, _, key = path.rpartition(".")
@@ -45,19 +45,14 @@ def _load_with_overrides(args) -> RunConfig:
     return RunConfig.from_dict(payload)
 
 
-def _add_common_overrides(p: argparse.ArgumentParser) -> None:
+def _add_config_command(sub, name: str, help_text: str, func) -> argparse.ArgumentParser:
+    """Subcommand ``name``, which reads ``--config`` and takes every flag in ``OVERRIDES``."""
+    p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", required=True, help="JSON run configuration")
-    p.add_argument("--backend", choices=["mock", "remote"], help="override predictor backend")
-    p.add_argument("--seed", type=int, help="override observation seed")
-    p.add_argument("--ratio", type=float, help="override observation ratio")
-    p.add_argument("--noise-variance", type=float, dest="noise_variance")
-    p.add_argument("--t-split", type=int, dest="t_split")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--precision", type=int)
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--transcript", action="store_const", const=True, help="log prompts and completions")
-    p.add_argument("--baselines", type=lambda text: [b for b in text.split(",") if b],
-                   help="comma-separated baseline names")
+    for flag, (path, options) in OVERRIDES.items():
+        p.add_argument(flag, dest=path, **{"help": f"override {path}", **options})
+    p.set_defaults(func=func)
+    return p
 
 
 def _print_aggregates(report) -> None:
@@ -79,7 +74,7 @@ def _write_text(text: str, out, what: str) -> None:
 
 def _cmd_run(args, with_primary: bool = True) -> int:
     cfg = _load_with_overrides(args)
-    _print_aggregates(run_online(cfg, with_primary=with_primary))
+    _print_aggregates(execute_run(cfg, with_primary=with_primary).report)
     if cfg.output_dir:
         print(f"artifacts written to {cfg.output_dir}")
     return 0
@@ -87,7 +82,7 @@ def _cmd_run(args, with_primary: bool = True) -> int:
 
 def _cmd_train_filter(args) -> int:
     cfg = _load_with_overrides(args)
-    _, result = mask_and_train(prepare_run(cfg), cfg, cfg.observation.seed)
+    _, result = mask_and_train(prepare_run(cfg), cfg, 0)
     save_filter_json(args.out, result, cfg.train)
     final = result.mae_trace[-1] if result.mae_trace.size else float("nan")
     print(f"trained {result.mae_trace.size} steps ({result.stop_reason}), final MAE {final:.6f}")
@@ -98,10 +93,11 @@ def _cmd_train_filter(args) -> int:
 def _cmd_render_prompts(args) -> int:
     """The first repeat's first test step, walked by ``run_repeat`` with the mock answering: no call, no file."""
     cfg = _load_with_overrides(args)
-    cfg = dataclasses.replace(cfg, transcript=True, predictor=dataclasses.replace(cfg.predictor, backend="mock"))
+    cfg = dataclasses.replace(cfg, transcript=True, output_dir=None,
+                              predictor=dataclasses.replace(cfg.predictor, backend="mock"))
     ctx = prepare_run(cfg)
     first = TimeVaryingSignal(ctx.test_signal.values[:, :1], t0=ctx.test_signal.t0)
-    result = run_repeat(dataclasses.replace(ctx, test_signal=first), cfg, cfg.observation.seed, (PRIMARY_METHOD,))
+    result = run_repeat(dataclasses.replace(ctx, test_signal=first), cfg, 0, (PRIMARY_METHOD,))
     prompts = dict.fromkeys(entry["prompt"] for entry in result.transcript if entry["prompt"] is not None)
     _write_text("\n".join([render_system_prompt(), *prompts]) + "\n", args.out, "prompts")
     return 0
@@ -128,25 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="full online reconstruction run")
-    _add_common_overrides(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_train = sub.add_parser("train-filter", help="train and export the spectral filter only")
-    _add_common_overrides(p_train)
+    _add_config_command(sub, "run", "full online reconstruction run", _cmd_run)
+    p_train = _add_config_command(sub, "train-filter", "train and export the spectral filter only", _cmd_train_filter)
     p_train.add_argument("--out", default="filter.json", help="output filter JSON path")
-    p_train.set_defaults(func=_cmd_train_filter)
-
-    p_base = sub.add_parser("baseline", help="run the selected baselines only")
-    _add_common_overrides(p_base)
-    p_base.set_defaults(func=functools.partial(_cmd_run, with_primary=False))
-
-    p_render = sub.add_parser(
-        "render-prompts", help="emit the first test step's prompts without any backend"
-    )
-    _add_common_overrides(p_render)
+    _add_config_command(sub, "baseline", "run the selected baselines only",
+                        functools.partial(_cmd_run, with_primary=False))
+    p_render = _add_config_command(sub, "render-prompts", "emit the first test step's prompts without any backend",
+                                   _cmd_render_prompts)
     p_render.add_argument("--out", help="output text file (default: stdout)")
-    p_render.set_defaults(func=_cmd_render_prompts)
 
     p_report = sub.add_parser("report", help="merge run reports into markdown tables")
     p_report.add_argument("--inputs", nargs="+", required=True, help="report JSON files")

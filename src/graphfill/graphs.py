@@ -26,6 +26,13 @@ def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _reject_infinite(section) -> None:
+    """Raise a ValueError naming the first float field of config ``section`` that is +inf or -inf."""
+    for name, value in vars(section).items():
+        if isinstance(value, float) and math.isinf(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected weighted graph with a dense adjacency matrix.

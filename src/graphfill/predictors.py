@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import _reject_infinite
 from .prompts import CompletionParseError, NodeTask, build_prompt, parse_completion, prompt_groups
 from .prompts import prompt_lengths, round_fixed
 
@@ -43,6 +44,7 @@ class PredictorConfig:
     multi_task_prompt: bool = False
 
     def __post_init__(self):
+        _reject_infinite(self)
         if self.backend not in ("mock", "remote"):
             raise ValueError(f"backend must be 'mock' or 'remote', got {self.backend!r}")
         if not self.temperature >= 0.0:
@@ -188,27 +190,28 @@ def bind_backend(cfg: PredictorConfig, backend=None):
     return lambda system_text, user_text, tasks: remote_complete(system_text, user_text, cfg)
 
 
-def _attempt_group(tasks, cfg: PredictorConfig, backend, timed: bool) -> list:
+def _attempt_group(tasks, cfg: PredictorConfig, backend) -> list:
     """Up to ``max_retries + 1`` attempts at one prompt covering ``tasks``.
 
-    The parsed count must match ``len(tasks)`` exactly; once every attempt
-    has failed, each task keeps its previous value, flagged as a fallback.
-    Returns one result per task, with the backend time split evenly
-    across the tasks.
+    ``backend`` is what :func:`bind_backend` returned (None: the built-in
+    mock, untimed). The parsed count must match ``len(tasks)``; once every
+    attempt has failed, each task keeps its previous value, flagged as a
+    fallback. One result per task, backend time split evenly across them.
     """
+    call = _mock_backend if backend is None else backend
     pair = build_prompt(tasks)
     elapsed_ms = 0.0
     completion = values = None
     for attempts in range(1, cfg.max_retries + 2):
         start = time.perf_counter()
         try:
-            completion = backend(pair.system_text, pair.user_text, tasks)
+            completion = call(pair.system_text, pair.user_text, tasks)
             values = parse_completion(completion, expected_count=len(tasks), precision=tasks[0].precision)
         except TransportError:
             completion = None
         except CompletionParseError:
             pass
-        if timed:
+        if backend is not None:
             elapsed_ms += (time.perf_counter() - start) * 1000.0
         if values is not None:
             break
@@ -247,12 +250,10 @@ def predict_batch(tasks, cfg: PredictorConfig, backend=None) -> list:
         raise ValueError("all tasks in a batch must share the same time index")
 
     backend = bind_backend(cfg, backend)
-    external = backend is not None  # remote or caller-supplied: timed, and may wait on I/O
-    resolved = backend if external else _mock_backend
     groups = prompt_groups(tasks, cfg.multi_task_prompt)
-    if external and len(groups) > 1 and cfg.max_concurrency > 1:
+    if backend is not None and len(groups) > 1 and cfg.max_concurrency > 1:  # remote or caller-supplied: may wait
         with ThreadPoolExecutor(max_workers=min(cfg.max_concurrency, len(groups))) as pool:
-            outs = list(pool.map(lambda group: _attempt_group(group, cfg, resolved, external), groups))
+            outs = list(pool.map(lambda group: _attempt_group(group, cfg, backend), groups))
     else:
-        outs = [_attempt_group(group, cfg, resolved, external) for group in groups]
+        outs = [_attempt_group(group, cfg, backend) for group in groups]
     return [result for out in outs for result in out]

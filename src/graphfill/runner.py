@@ -5,7 +5,8 @@ horizon strictly sequentially. At each step the masked noisy observation
 is denoised (missing entries pre-filled with the previous estimate), every
 missing node becomes a text prediction task, the predictor fills it, and
 the assembled estimate feeds the next step. Baselines consume the exact
-same observation stream. Repeats rerun everything with derived seeds.
+same observation stream. The graph, basis and splits are built once per
+run; each repeat draws its mask from a derived seed and retrains the filter.
 """
 import dataclasses
 import glob
@@ -20,7 +21,7 @@ import numpy as np
 from . import baselines as bl
 from .files import atomic_write
 from .graphs import Graph, GftBasis, gft, knn_graph, laplacian, load_coordinates_csv, load_edge_list_csv
-from .graphs import observed_layout
+from .graphs import _reject_infinite, observed_layout
 from .metrics import RunReport, aggregate, emit_report, rmse  # noqa: F401 (runner.mae, runner.rmse stay importable)
 from .predictors import PredictionResult, PredictorConfig, bind_backend, estimate_tokens, mock_step, predict_batch
 from .prompts import build_task
@@ -41,6 +42,7 @@ class GraphConfig:
     bandwidth: float | None = None
 
     def __post_init__(self):
+        _reject_infinite(self)
         if self.source not in ("edges", "knn"):
             raise ValueError(f"source must be 'edges' or 'knn', got {self.source!r}")
         if self.k < 1:
@@ -62,6 +64,7 @@ class ObservationConfig:
     noise_variance: float = 0.0
 
     def __post_init__(self):
+        _reject_infinite(self)
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError("ratio must be in (0, 1]")
         if not self.noise_variance >= 0.0:
@@ -86,6 +89,7 @@ class RunConfig:
     transcript: bool = False
 
     def __post_init__(self):
+        _reject_infinite(self)
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.precision < 0:
@@ -170,12 +174,14 @@ class RunContext:
 
 
 def prepare_run(cfg: RunConfig) -> RunContext:
-    """Load and split the signal, build the graph and Fourier basis, and size the baselines' band.
+    """Load and split the signal, build the graph and Fourier basis, and size GLMS and GNLMS's band.
 
-    The signal comes first: a bad ``t_split`` fails before ``eigh``, and it bounds an edge list's indices.
+    The signal comes first: a bad ``t_split`` fails before ``eigh``, and it bounds n before any n x n array.
     """
     train_signal, test_signal = split(load_signal_csv(cfg.signal.path, cfg.signal.layout), cfg.t_split)
     n_signal = train_signal.n_nodes
+    if cfg.graph.n_nodes not in (None, n_signal):
+        raise ValueError(f"graph.n_nodes is {cfg.graph.n_nodes} but the signal has {n_signal} nodes")
     derived = {}
     if cfg.graph.source == "edges":
         if not cfg.graph.edge_list:
@@ -195,7 +201,7 @@ def prepare_run(cfg: RunConfig) -> RunContext:
     derived["n_steps"] = train_signal.n_steps + test_signal.n_steps
     derived["test_steps"] = test_signal.n_steps
     derived["fill_policy"] = {"train": "node-train-mean", "test": "previous-estimate"}
-    if cfg.baselines:
+    if {"glms", "gnlms"} & set(cfg.baselines):
         derived["baseline_band_size"] = bl.bandlimit_for_energy(
             basis, train_signal.values, cfg.baseline_band_energy
         )
@@ -223,7 +229,6 @@ class RepeatResult:
     ``trajectory`` holds the lead method's estimate at each step walked. Without the primary
     method, ``train_result`` is None.
     """
-    seed: int
     model: ObservationModel
     train_result: TrainResult | None
     trajectory: np.ndarray
@@ -232,9 +237,17 @@ class RepeatResult:
     transcript: list
 
 
-def mask_and_train(ctx: RunContext, cfg: RunConfig, seed: int, train: bool = True) -> tuple:
-    """Sample the observation mask for ``seed``; returns ``(model, TrainResult or None)``."""
-    model = sample_mask(ctx.graph.n_nodes, cfg.observation.ratio, seed, cfg.observation.noise_variance)
+def _repeat_seed(cfg: RunConfig, r: int) -> int:
+    return cfg.observation.seed + r
+
+
+def _checkpoint_dir(cfg: RunConfig) -> str | None:
+    return os.path.join(cfg.output_dir, "checkpoints") if cfg.output_dir else None
+
+
+def mask_and_train(ctx: RunContext, cfg: RunConfig, r: int, train: bool = True) -> tuple:
+    """Sample repeat ``r``'s observation mask; returns ``(model, TrainResult or None)``."""
+    model = sample_mask(ctx.graph.n_nodes, cfg.observation.ratio, _repeat_seed(cfg, r), cfg.observation.noise_variance)
     return model, train_filter(ctx.basis, ctx.train_signal, model, cfg.train) if train else None
 
 
@@ -277,14 +290,14 @@ def _step_estimate(basis, cfg, layout, filt, x_prev, obs, backend, transcript):
     """Advance the primary estimate by one test step; returns (x_hat, tokens).
 
     ``layout`` is ``observed_layout(graph, obs.observed)``, the only source of each missing node's observed
-    neighbors on both paths. The step is array-shaped when no text is sent or logged (built-in mock, no
-    transcript).
+    neighbors on both paths. The step is array-shaped when no text is sent or logged (``backend`` None, the
+    built-in mock, and no transcript).
     """
     o_tilde = denoise(filt, basis, obs, x_prev)
     x_hat = np.where(obs.observed, o_tilde, x_prev)
-    p = cfg.predictor
-    if backend is None and transcript is None and p.backend == "mock":
-        answered = mock_step(layout, obs.t, x_prev[layout.nodes], o_tilde, cfg.precision, p.multi_task_prompt)
+    if backend is None and transcript is None:
+        answered = mock_step(layout, obs.t, x_prev[layout.nodes], o_tilde, cfg.precision,
+                             cfg.predictor.multi_task_prompt)
         if answered is not None:
             x_hat[layout.nodes] = answered[0]
             return x_hat, answered[1]
@@ -339,15 +352,16 @@ def _step_scores(col, est, missing) -> np.ndarray:
     return out
 
 
-def run_repeat(ctx: RunContext, cfg: RunConfig, seed: int, methods: tuple, backend=None, checkpoint_dir=None,
-               repeat_index: int = 0, resume: dict | None = None) -> RepeatResult:
-    """Walk the test horizon sequentially, feeding each step's observation to every method.
+def run_repeat(ctx: RunContext, cfg: RunConfig, r: int, methods: tuple, backend=None,
+               resume: dict | None = None) -> RepeatResult:
+    """Walk repeat ``r``'s test horizon sequentially, feeding each step's observation to every method.
 
-    The filter is trained when the primary method is among ``methods``. The walk starts from
-    ``resume``, a state read by :func:`replay_from_checkpoint`, or else from step 0 with every
-    method at :func:`init_estimate`, projected into the band for GLMS and GNLMS.
+    ``backend`` is what :func:`bind_backend` returned (None: the built-in mock). The filter is trained when
+    the primary method is among ``methods``. The walk starts from ``resume``, a state read by
+    :func:`replay_from_checkpoint`, or else from step 0 with every method at :func:`init_estimate`,
+    projected into the band for GLMS and GNLMS. With ``output_dir`` set, it checkpoints there.
     """
-    model, train_result = mask_and_train(ctx, cfg, seed, train=PRIMARY_METHOD in methods)
+    model, train_result = mask_and_train(ctx, cfg, r, train=PRIMARY_METHOD in methods)
     layout = observed_layout(ctx.graph, model.observed)
     n_steps = ctx.test_signal.n_steps
     transcript = [] if cfg.transcript else None
@@ -360,6 +374,7 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, seed: int, methods: tuple, backe
     scores = dict(zip(methods, table))
     trajectory = np.zeros((ctx.graph.n_nodes, n_steps - start))
     missing = np.flatnonzero(~model.observed)
+    checkpoint_dir = _checkpoint_dir(cfg)
 
     k_next = start
     try:
@@ -372,14 +387,14 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, seed: int, methods: tuple, backe
             estimates, tokens, k_next = dict(zip(methods, step_estimates)), tokens + sum(step_tokens), k + 1
             trajectory[:, k - start] = estimates[methods[0]]
             if checkpoint_dir is not None and k_next % cfg.checkpoint_every == 0 and k_next < n_steps:
-                _write_state(checkpoint_dir, f"step{k_next:06d}", repeat_index, seed, k_next, tokens, estimates, scores)
+                _write_state(checkpoint_dir, f"step{k_next:06d}", r, model.seed, k_next, tokens, estimates, scores)
     except BaseException:
         # Persist the state after the last completed step, so an aborted run can be inspected or resumed.
         if checkpoint_dir is not None:
-            _write_state(checkpoint_dir, "aborted", repeat_index, seed, k_next, tokens, estimates, scores)
+            _write_state(checkpoint_dir, "aborted", r, model.seed, k_next, tokens, estimates, scores)
         raise
 
-    return RepeatResult(seed=seed, model=model, train_result=train_result, trajectory=trajectory, scores=scores,
+    return RepeatResult(model=model, train_result=train_result, trajectory=trajectory, scores=scores,
                         token_estimate=tokens, transcript=transcript if transcript is not None else [])
 
 
@@ -411,8 +426,8 @@ def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> Rep
         repeat, seed, k_next, methods = state["repeat"], state["seed"], state["k_next"], tuple(state["estimates"])
         if not 0 <= repeat < cfg.repeats:
             raise ValueError(f"repeat {repeat} is outside [0, {cfg.repeats})")
-        if seed != cfg.observation.seed + repeat:
-            raise ValueError(f"seed {seed} is not repeat {repeat}'s seed {cfg.observation.seed + repeat}")
+        if seed != _repeat_seed(cfg, repeat):
+            raise ValueError(f"seed {seed} is not repeat {repeat}'s seed {_repeat_seed(cfg, repeat)}")
         if not 0 <= k_next <= ctx.test_signal.n_steps:
             raise ValueError(f"k_next {k_next} is outside [0, {ctx.test_signal.n_steps}]")
         if not methods or not set(methods) <= {PRIMARY_METHOD, *cfg.baselines}:
@@ -427,7 +442,7 @@ def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> Rep
         raise ValueError(f"{checkpoint_path}: {exc}") from None
     if PRIMARY_METHOD in methods:
         backend = bind_backend(cfg.predictor, backend)
-    return run_repeat(ctx, cfg, seed, methods, backend=backend, repeat_index=repeat, resume=state)
+    return run_repeat(ctx, cfg, repeat, methods, backend=backend, resume=state)
 
 
 @dataclass(eq=False)
@@ -438,24 +453,22 @@ class RunExecution:
 
 
 def execute_run(cfg: RunConfig, backend=None, with_primary: bool = True) -> RunExecution:
-    """Run all repeats and assemble the report (no files written)."""
+    """Run every repeat and assemble the report; with ``output_dir`` set, checkpoints and artifacts go there."""
     methods = (PRIMARY_METHOD, *cfg.baselines) if with_primary else cfg.baselines
     if with_primary:
         backend = bind_backend(cfg.predictor, backend)
     elif not methods:
         raise ValueError("no baselines selected (set 'baselines' in the config or --baselines)")
     ctx = prepare_run(cfg)
-    checkpoint_dir = os.path.join(cfg.output_dir, "checkpoints") if cfg.output_dir else None
-    if checkpoint_dir is not None and os.path.isdir(checkpoint_dir):  # an earlier run's states are not this run's
+    if cfg.output_dir:  # an earlier run's states are not this run's
         for pattern in ("repeat*_step*.json", "repeat*_aborted.json"):
-            for path in glob.glob(os.path.join(glob.escape(checkpoint_dir), pattern)):
+            for path in glob.glob(os.path.join(glob.escape(_checkpoint_dir(cfg)), pattern)):
                 os.remove(path)
-    results = [
-        run_repeat(ctx, cfg, cfg.observation.seed + r, methods, backend=backend, checkpoint_dir=checkpoint_dir,
-                   repeat_index=r)
-        for r in range(cfg.repeats)
-    ]
-    return RunExecution(report=_assemble_report(ctx, cfg, results, methods[0]), repeats=results, context=ctx)
+    results = [run_repeat(ctx, cfg, r, methods, backend=backend) for r in range(cfg.repeats)]
+    execution = RunExecution(report=_assemble_report(ctx, cfg, results, methods[0]), repeats=results, context=ctx)
+    if cfg.output_dir:
+        _write_artifacts(cfg, execution)
+    return execution
 
 
 def _assemble_report(ctx, cfg, results, lead: str) -> RunReport:
@@ -481,18 +494,12 @@ def _assemble_report(ctx, cfg, results, lead: str) -> RunReport:
         aggregate_rmse_missing=over_repeats(lead, 3),
         method_aggregates=method_aggregates,
         config_snapshot=snapshot,
-        transcript_path=None,
+        transcript_path=os.path.join(cfg.output_dir, "transcript.jsonl") if cfg.output_dir and cfg.transcript else None,
         token_estimate=sum(r.token_estimate for r in results),
     )
 
 
-def run_online(cfg: RunConfig, backend=None, with_primary: bool = True) -> RunReport:
-    """Full online run (or the baselines only); writes artifacts when an output directory is set."""
-    execution = execute_run(cfg, backend=backend, with_primary=with_primary)
-    return _write_artifacts(cfg, execution) if cfg.output_dir else execution.report
-
-
-def _write_artifacts(cfg: RunConfig, execution: RunExecution) -> RunReport:
+def _write_artifacts(cfg: RunConfig, execution: RunExecution) -> None:
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     with atomic_write(os.path.join(out, "config.json")) as fh:
@@ -503,15 +510,12 @@ def _write_artifacts(cfg: RunConfig, execution: RunExecution) -> RunReport:
             save_filter_json(os.path.join(out, f"filter_repeat{r}.json"), result.train_result, cfg.train)
 
     report = execution.report
-    if cfg.transcript:
-        transcript_path = os.path.join(out, "transcript.jsonl")
-        with atomic_write(transcript_path) as fh:
+    if report.transcript_path is not None:
+        with atomic_write(report.transcript_path) as fh:
             for r, result in enumerate(execution.repeats):
                 for entry in result.transcript:
                     fh.write(json.dumps({"repeat": r, **entry}) + "\n")
-        report = dataclasses.replace(report, transcript_path=transcript_path)
 
     emit_report(report, "json", os.path.join(out, "report.json"))
     emit_report(report, "csv", os.path.join(out, "report.csv"))
     emit_report(report, "markdown-table", os.path.join(out, "report.md"))
-    return report

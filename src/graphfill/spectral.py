@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .files import atomic_write
-from .graphs import GftBasis, _frozen
+from .graphs import GftBasis, _frozen, _reject_infinite
 from .signals import ObservationModel, Observation, TimeVaryingSignal, observe
 
 
@@ -59,6 +59,7 @@ class TrainConfig:
     window: int = 50
 
     def __post_init__(self):
+        _reject_infinite(self)
         if not self.learning_rate >= 0.0:
             raise ValueError("learning_rate must be >= 0")
         if self.max_iters < 1:

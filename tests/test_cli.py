@@ -1,12 +1,13 @@
 """Tests for the command-line interface."""
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 from helpers import write_run_fixture
 
-from graphfill.cli import main
+from graphfill.cli import OVERRIDES, main
 from graphfill.prompts import render_system_prompt
 
 DATA = Path(__file__).parent / "data"
@@ -98,6 +99,21 @@ class TestRenderPrompts:
         assert capsys.readouterr().out == mock
         assert mock.startswith(render_system_prompt() + "\n") and mock.count("\n") > 1
         assert sorted(tmp_path.rglob("*")) == files
+
+
+    def test_writes_nothing_to_the_output_dir_even_when_the_step_raises(self, tmp_path, capsys, monkeypatch):
+        import graphfill.runner as runner
+
+        def failing_task(*args, **kwargs):
+            raise ValueError("task build failed")
+
+        out = tmp_path / "out"
+        cfg_path = run_config_file(tmp_path, output_dir=str(out), checkpoint_every=1)
+        assert main(["render-prompts", "--config", cfg_path]) == 0
+        monkeypatch.setattr(runner, "build_task", failing_task)
+        assert main(["render-prompts", "--config", cfg_path, "--output-dir", str(out)]) == 2
+        assert "error: task build failed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def first_step_prompts(out_dir) -> list:
@@ -227,9 +243,17 @@ class TestRun:
             ({"graph": {**KNN, "bandwidth": float("nan")}}, [], "graph.bandwidth must be positive or null"),
             ({"graph": {**KNN, "bandwidth": -1}}, [], "graph.bandwidth must be positive or null"),
             ({"graph": {**KNN, "bandwidth": 0.0}}, [], "graph.bandwidth must be positive or null"),
+            ({}, ["--noise-variance", "inf"], "observation.noise_variance must be finite, got inf"),
+            ({}, ["--ratio=-inf"], "observation.ratio must be finite, got -inf"),
+            ({"predictor": {"request_timeout": float("inf")}}, [], "predictor.request_timeout must be finite, got inf"),
+            ({"train": {"learning_rate": float("inf")}}, [], "train.learning_rate must be finite, got inf"),
+            ({"baseline_step_size": float("inf")}, [], "baseline_step_size must be finite, got inf"),
+            ({"graph": {**KNN, "bandwidth": float("inf")}}, [], "graph.bandwidth must be finite, got inf"),
         ],
         ids=["ratio-above-1", "ratio-0", "ratio-nan", "noise-negative", "noise-nan", "learning_rate-nan", "tol-nan",
-             "temperature-nan", "request_timeout-nan", "k-0", "bandwidth-nan", "bandwidth-negative", "bandwidth-0"],
+             "temperature-nan", "request_timeout-nan", "k-0", "bandwidth-nan", "bandwidth-negative", "bandwidth-0",
+             "noise-inf", "ratio-minus-inf", "request_timeout-inf", "learning_rate-inf", "baseline_step_size-inf",
+             "bandwidth-inf"],
     )
     def test_config_value_out_of_range_named_before_setup(self, tmp_path, capsys, monkeypatch, overrides, flags,
                                                          message):
@@ -245,6 +269,39 @@ class TestRun:
         assert rc == 2
         assert f"error: {message}" in err
         assert "Traceback" not in err
+
+    def test_request_timeout_of_1e400_named_before_setup(self, tmp_path, capsys, monkeypatch):
+        import graphfill.runner as runner
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("set-up ran before the config was checked")
+
+        monkeypatch.setattr(runner, "prepare_run", no_setup)
+        cfg_path = Path(run_config_file(tmp_path, predictor={"backend": "remote", "request_timeout": 12345.5}))
+        cfg_path.write_text(cfg_path.read_text().replace("12345.5", "1e400"))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "error: predictor.request_timeout must be finite, got inf" in capsys.readouterr().err
+
+    def test_n_nodes_other_than_the_signal_exits_2_before_any_graph(self, tmp_path, capsys, monkeypatch):
+        from graphfill import graphs
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a graph was built before graph.n_nodes was checked")
+
+        monkeypatch.setattr(graphs, "build_graph", no_graph)
+        payload = json.loads(Path(P3_CONFIG).read_text())
+        payload["graph"].update(edge_list=str(DATA / "p3" / "edges.csv"), n_nodes=10**6)
+        payload["signal"]["path"] = str(DATA / "p3" / "signal.csv")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: graph.n_nodes is 1000000 but the signal has 3 nodes" in err and "Traceback" not in err
+
+    def test_readme_lists_every_override_flag(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        listed = dict(re.findall(r"^\| `(--[a-z-]+)` \| `([a-z_.]+)` \|", readme, flags=re.M))
+        assert listed == {flag: path for flag, (path, _) in OVERRIDES.items()}
 
     @pytest.mark.parametrize("command", ["run", "baseline", "train-filter", "render-prompts"])
     def test_override_into_non_object_section_named_error(self, tmp_path, capsys, command):

@@ -26,7 +26,6 @@ from graphfill.runner import (
     init_estimate,
     prepare_run,
     replay_from_checkpoint,
-    run_online,
 )
 from graphfill.signals import Observation, ObservationModel, TimeVaryingSignal, observe, sample_mask
 from graphfill.spectral import SpectralFilter, denoise, mae
@@ -158,7 +157,7 @@ class TestDeterminismAndRepeats:
         edge_path, signal_path = fixture_paths
         cfg = base_config(edge_path, signal_path, repeats=3, baselines=[])
         execution = execute_run(cfg)
-        seeds = [rep.seed for rep in execution.repeats]
+        seeds = [rep.model.seed for rep in execution.repeats]
         assert seeds == [11, 12, 13]
         assert execution.report.aggregate_rmse[1] > 0.0
 
@@ -341,6 +340,35 @@ class TestCheckpointReplay:
         report = runner._assemble_report(full.context, cfg, [full.repeats[0], resumed], "glms")
         assert report.to_dict() == full.report.to_dict()
 
+    def test_resume_checkpoints_and_its_aborted_state_resumes(self, fixture_paths, tmp_path, monkeypatch):
+        edge_path, signal_path = fixture_paths
+        out = tmp_path / "run"
+        cfg = base_config(edge_path, signal_path, output_dir=str(out), checkpoint_every=25)
+        full = execute_run(cfg).repeats[0]
+        ckpt_dir = out / "checkpoints"
+        step75 = (ckpt_dir / "repeat0_step000075.json").read_bytes()
+        (ckpt_dir / "repeat0_step000075.json").unlink()
+        step = bl.neighbor_mean_step
+
+        def raising_at_step_94(estimate, obs, layout):
+            if obs.t == 100 + 94:
+                raise KeyError("baseline fell over")
+            return step(estimate, obs, layout)
+
+        monkeypatch.setattr(bl, "neighbor_mean_step", raising_at_step_94)
+        with pytest.raises(KeyError):
+            replay_from_checkpoint(cfg, str(ckpt_dir / "repeat0_step000050.json"))
+        monkeypatch.undo()
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == [
+            "repeat0_aborted.json", "repeat0_step000025.json", "repeat0_step000050.json", "repeat0_step000075.json"]
+        assert (ckpt_dir / "repeat0_step000075.json").read_bytes() == step75
+        assert read_checkpoint(ckpt_dir / "repeat0_aborted.json")["k_next"] == 94
+        resumed = replay_from_checkpoint(cfg, str(ckpt_dir / "repeat0_aborted.json"))
+        for name, rows in full.scores.items():
+            assert resumed.scores[name].tobytes() == rows.tobytes()
+        assert resumed.token_estimate == full.token_estimate
+        assert np.array_equal(resumed.trajectory, full.trajectory[:, 94:])
+
     def test_each_walked_step_is_observed_once_in_order(self, fixture_paths, tmp_path, monkeypatch):
         # The benchmark's step clock stamps each step's start at its runner.observe call.
         edge_path, signal_path = fixture_paths
@@ -434,7 +462,7 @@ class TestArtifacts:
         edge_path, signal_path = fixture_paths
         out = str(tmp_path / "artifacts")
         cfg = base_config(edge_path, signal_path, output_dir=out, transcript=True)
-        report = run_online(cfg)
+        report = execute_run(cfg).report
         assert os.path.exists(os.path.join(out, "config.json"))
         assert os.path.exists(os.path.join(out, "filter_repeat0.json"))
         assert os.path.exists(os.path.join(out, "report.json"))
@@ -682,6 +710,18 @@ class TestBaselinesOnly:
         assert len(sizings) == 1
         assert report.config_snapshot["derived"]["baseline_band_size"] == bandlimit(*sizings[0])
 
+    @pytest.mark.parametrize("with_primary", [True, False])
+    def test_band_sized_only_for_the_adaptive_filters(self, fixture_paths, monkeypatch, with_primary):
+        edge_path, signal_path = fixture_paths
+
+        def forbidden(*args):
+            raise AssertionError("the band was sized for a run without GLMS or GNLMS")
+
+        monkeypatch.setattr(bl, "bandlimit_for_energy", forbidden)
+        cfg = base_config(edge_path, signal_path, baselines=["last_value", "neighbor_mean"])
+        report = execute_run(cfg, with_primary=with_primary).report
+        assert "baseline_band_size" not in report.config_snapshot["derived"]
+
     @pytest.mark.parametrize("name", ["glms", "gnlms"])
     def test_adaptive_estimate_stays_in_its_band_at_every_step(self, fixture_paths, name):
         edge_path, signal_path = fixture_paths
@@ -703,7 +743,7 @@ class TestBaselinesOnly:
         assert starts["glms"] is starts["gnlms"]
         assert starts["glms"].tobytes() == (u_band @ (u_band.T @ x0)).tobytes()
         assert all(starts[name] is x0 for name in (runner.PRIMARY_METHOD, "last_value", "neighbor_mean"))
-        # Without an adaptive filter the band is not read (nor sized: a run without baselines has none).
+        # Without an adaptive filter the band is not read (nor sized: a run without GLMS or GNLMS has none).
         starts = runner._start_estimates(types.SimpleNamespace(), (runner.PRIMARY_METHOD, "last_value"), x0)
         assert list(starts) == [runner.PRIMARY_METHOD, "last_value"] and all(x is x0 for x in starts.values())
 
@@ -712,6 +752,15 @@ class TestBaselinesOnly:
         cfg = base_config(edge_path, signal_path, baselines=[])
         with pytest.raises(ValueError, match="baselines"):
             execute_run(cfg, with_primary=False)
+
+
+def float_paths(cls=RunConfig, prefix=""):
+    """Dotted path of every config field that takes a number with a fraction."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            yield from float_paths(f.type, prefix + f.name + ".")
+        elif float in (typing.get_args(f.type) or (f.type,)):
+            yield prefix + f.name
 
 
 class TestConfigValidation:
@@ -764,6 +813,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=re.escape("signal has 3 nodes but graph has 2")):
             prepare_run(config("0,1\n"))
         assert prepare_run(config("0,1\n1,2\n")).graph.n_nodes == 3
+
+    def test_n_nodes_other_than_the_signal_fails_before_the_edge_list_is_read(self, three_nodes, monkeypatch):
+        edges, config = three_nodes
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the edge list was read before graph.n_nodes was checked")
+
+        monkeypatch.setattr(runner, "load_edge_list_csv", unread)
+        monkeypatch.setattr(runner, "load_coordinates_csv", unread)
+        for graph in (runner.GraphConfig(edge_list=str(edges), n_nodes=10**6),
+                      runner.GraphConfig(source="knn", coordinates="coordinates.csv", n_nodes=2)):
+            cfg = dataclasses.replace(config("0,1\n1,2\n"), graph=graph)
+            message = f"graph.n_nodes is {graph.n_nodes} but the signal has 3 nodes"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                prepare_run(cfg)
 
     def test_bad_t_split_fails_before_the_eigendecomposition(self, three_nodes, monkeypatch):
         _, config = three_nodes
@@ -819,6 +883,15 @@ class TestConfigValidation:
         edge_path, signal_path = fixture_paths
         with pytest.raises(ValueError, match=re.escape(f"config key {message}")):
             base_config(edge_path, signal_path, **overrides)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize("path", float_paths())
+    def test_infinite_number_named_by_dotted_path(self, path, value):
+        payload = value
+        for key in reversed(path.split(".")):
+            payload = {key: payload}
+        with pytest.raises(ValueError, match=re.escape(f"{path} must be finite, got {value}")):
+            RunConfig.from_dict(payload)
 
     def test_int_for_float_and_null_for_optional_accepted(self, fixture_paths):
         edge_path, signal_path = fixture_paths
