@@ -83,9 +83,8 @@ def _cmd_run(args, with_primary: bool = True) -> int:
 def _cmd_train_filter(args) -> int:
     cfg = _load_with_overrides(args)
     _, result = mask_and_train(prepare_run(cfg), cfg, 0)
-    save_filter_json(args.out, result, cfg.train)
-    final = result.mae_trace[-1] if result.mae_trace.size else float("nan")
-    print(f"trained {result.mae_trace.size} steps ({result.stop_reason}), final MAE {final:.6f}")
+    save_filter_json(args.out, result)
+    print(f"filter fitted ({result.stop_reason}), training MAE {result.mae_trace[-1]:.6f}")
     print(f"filter written to {args.out}")
     return 0
 

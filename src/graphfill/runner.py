@@ -8,6 +8,7 @@ the assembled estimate feeds the next step. Baselines consume the exact
 same observation stream. The graph, basis and splits are built once per
 run; each repeat draws its mask from a derived seed and retrains the filter.
 """
+import contextlib
 import dataclasses
 import glob
 import json
@@ -200,7 +201,7 @@ def prepare_run(cfg: RunConfig) -> RunContext:
     derived["n_nodes"] = g.n_nodes
     derived["n_steps"] = train_signal.n_steps + test_signal.n_steps
     derived["test_steps"] = test_signal.n_steps
-    derived["fill_policy"] = {"train": "node-train-mean", "test": "previous-estimate"}
+    derived["fill_policy"] = {"train": "previous-column", "test": "previous-estimate"}
     if {"glms", "gnlms"} & set(cfg.baselines):
         derived["baseline_band_size"] = bl.bandlimit_for_energy(
             basis, train_signal.values, cfg.baseline_band_energy
@@ -248,7 +249,7 @@ def _checkpoint_dir(cfg: RunConfig) -> str | None:
 def mask_and_train(ctx: RunContext, cfg: RunConfig, r: int, train: bool = True) -> tuple:
     """Sample repeat ``r``'s observation mask; returns ``(model, TrainResult or None)``."""
     model = sample_mask(ctx.graph.n_nodes, cfg.observation.ratio, _repeat_seed(cfg, r), cfg.observation.noise_variance)
-    return model, train_filter(ctx.basis, ctx.train_signal, model, cfg.train) if train else None
+    return model, train_filter(ctx.basis, ctx.train_signal, model) if train else None
 
 
 def _start_estimates(ctx, methods, x0) -> dict:
@@ -359,7 +360,8 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, r: int, methods: tuple, backend=
     ``backend`` is what :func:`bind_backend` returned (None: the built-in mock). The filter is trained when
     the primary method is among ``methods``. The walk starts from ``resume``, a state read by
     :func:`replay_from_checkpoint`, or else from step 0 with every method at :func:`init_estimate`,
-    projected into the band for GLMS and GNLMS. With ``output_dir`` set, it checkpoints there.
+    projected into the band for GLMS and GNLMS. With ``output_dir`` set, it checkpoints there, and a
+    repeat that completes removes its ``repeat<r>_aborted.json``.
     """
     model, train_result = mask_and_train(ctx, cfg, r, train=PRIMARY_METHOD in methods)
     layout = observed_layout(ctx.graph, model.observed)
@@ -393,9 +395,16 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, r: int, methods: tuple, backend=
         if checkpoint_dir is not None:
             _write_state(checkpoint_dir, "aborted", r, model.seed, k_next, tokens, estimates, scores)
         raise
+    if checkpoint_dir is not None:  # a finished repeat leaves no abort state, also when it resumed from one
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(_state_path(checkpoint_dir, r, "aborted"))
 
     return RepeatResult(model=model, train_result=train_result, trajectory=trajectory, scores=scores,
                         token_estimate=tokens, transcript=transcript if transcript is not None else [])
+
+
+def _state_path(checkpoint_dir, repeat_index, name) -> str:
+    return os.path.join(checkpoint_dir, f"repeat{repeat_index}_{name}.json")
 
 
 def _write_state(checkpoint_dir, name, repeat_index, seed, k_next, tokens, estimates, scores):
@@ -404,8 +413,19 @@ def _write_state(checkpoint_dir, name, repeat_index, seed, k_next, tokens, estim
     payload = {"repeat": repeat_index, "seed": seed, "k_next": k_next, "tokens": tokens,
                "estimates": {m: x.tolist() for m, x in estimates.items()},
                "scores": {m: s[:, :k_next].tolist() for m, s in scores.items()}}
-    with atomic_write(os.path.join(checkpoint_dir, f"repeat{repeat_index}_{name}.json")) as fh:
+    with atomic_write(_state_path(checkpoint_dir, repeat_index, name)) as fh:
         fh.write(json.dumps(payload) + "\n")
+
+
+@contextlib.contextmanager
+def _naming(checkpoint_path):
+    """Re-raise a malformed checkpoint's KeyError, ValueError, TypeError or AttributeError as a ValueError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{checkpoint_path}: checkpoint has no key {exc.args[0]!r}") from None
+    except (ValueError, TypeError, AttributeError) as exc:  # also a JSONDecodeError
+        raise ValueError(f"{checkpoint_path}: {exc}") from None
 
 
 def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> RepeatResult:
@@ -414,10 +434,10 @@ def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> Rep
     Observations are keyed by (seed, t) and training is deterministic, so the result's ``scores`` and
     ``token_estimate`` cover the whole horizon and equal the uninterrupted repeat's under the mock
     backend; its ``trajectory`` covers the steps walked. A checkpoint that is not JSON, or does not fit
-    ``cfg``'s run, raises a ValueError naming ``checkpoint_path``.
+    ``cfg``'s run, raises a ValueError naming ``checkpoint_path``. What the config alone can check (the
+    checkpoint's keys, repeat, seed and methods, and the backend) is checked before the graph is built.
     """
-    ctx = prepare_run(cfg)
-    try:
+    with _naming(checkpoint_path):
         with open(checkpoint_path, encoding="utf-8") as fh:
             state = json.load(fh)
         state = {key: state[key] for key in ("repeat", "seed", "k_next", "tokens", "estimates", "scores")}
@@ -428,20 +448,18 @@ def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> Rep
             raise ValueError(f"repeat {repeat} is outside [0, {cfg.repeats})")
         if seed != _repeat_seed(cfg, repeat):
             raise ValueError(f"seed {seed} is not repeat {repeat}'s seed {_repeat_seed(cfg, repeat)}")
-        if not 0 <= k_next <= ctx.test_signal.n_steps:
-            raise ValueError(f"k_next {k_next} is outside [0, {ctx.test_signal.n_steps}]")
         if not methods or not set(methods) <= {PRIMARY_METHOD, *cfg.baselines}:
             raise ValueError(f"methods {list(methods)} are not among the config's {[PRIMARY_METHOD, *cfg.baselines]}")
+    if PRIMARY_METHOD in methods:
+        backend = bind_backend(cfg.predictor, backend)
+    ctx = prepare_run(cfg)
+    with _naming(checkpoint_path):
+        if not 0 <= k_next <= ctx.test_signal.n_steps:
+            raise ValueError(f"k_next {k_next} is outside [0, {ctx.test_signal.n_steps}]")
         for key, shape in (("estimates", (ctx.graph.n_nodes,)), ("scores", (4, k_next))):
             state[key] = {m: np.asarray(state[key].get(m), dtype=np.float64) for m in methods}
             if any(a.shape != shape or not np.isfinite(a).all() for a in state[key].values()):
                 raise ValueError(f"{key} must be finite numbers of shape {shape} for every method")
-    except KeyError as exc:
-        raise ValueError(f"{checkpoint_path}: checkpoint has no key {exc.args[0]!r}") from None
-    except (ValueError, TypeError, AttributeError) as exc:  # also a JSONDecodeError
-        raise ValueError(f"{checkpoint_path}: {exc}") from None
-    if PRIMARY_METHOD in methods:
-        backend = bind_backend(cfg.predictor, backend)
     return run_repeat(ctx, cfg, repeat, methods, backend=backend, resume=state)
 
 
@@ -507,7 +525,7 @@ def _write_artifacts(cfg: RunConfig, execution: RunExecution) -> None:
         fh.write("\n")
     for r, result in enumerate(execution.repeats):
         if result.train_result is not None:
-            save_filter_json(os.path.join(out, f"filter_repeat{r}.json"), result.train_result, cfg.train)
+            save_filter_json(os.path.join(out, f"filter_repeat{r}.json"), result.train_result)
 
     report = execution.report
     if report.transcript_path is not None:

@@ -1,31 +1,23 @@
 """Trainable graph-spectral filter: convolution, MAE loss, training, export.
 
 The filter is one free gain per graph frequency. Applying it is the graph
-convolution ``U diag(h) U^T x``. Training runs subgradient descent on the
-per-step mean absolute error against ground truth, with inputs corrupted
-by the run's observation model so the filter learns the test-time noise
-and masking. Gains start at all-ones (the identity filter) and are frozen
-after training.
+convolution ``U diag(h) U^T x``. Training fits the gains in closed form:
+per-frequency least squares over the training split, with the run's
+observation noise integrated out exactly and missing nodes filled as the
+online loop fills them. The gains are frozen after training.
 """
-import dataclasses
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .files import atomic_write
 from .graphs import GftBasis, _frozen, _reject_infinite
-from .signals import ObservationModel, Observation, TimeVaryingSignal, observe
+from .signals import ObservationModel, Observation, TimeVaryingSignal, observe  # noqa: F401 (observe stays importable)
 
 
 class FilterDivergenceError(RuntimeError):
-    """Training produced a non-finite gain; carries the MAE trace so far."""
-
-    def __init__(self, step: int, trace):
-        super().__init__(f"filter gains diverged at training step {step}")
-        self.step = step
-        self.trace = np.asarray(trace, dtype=np.float64)
+    """Training produced a non-finite gain."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,11 +37,10 @@ class SpectralFilter:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Gradient-descent hyperparameters for filter training.
+    """The config's ``train`` section. No key steers :func:`train_filter`'s closed-form fit.
 
-    ``learning_rate=0`` is allowed and leaves the gains at initialization
-    (useful to run the identity filter through the same pipeline).
-    ``window`` is the running-mean width used by early stopping.
+    The section still loads, and its values are still checked, so that configs which set it keep working
+    and a typo in it still fails naming the key.
     """
     learning_rate: float = 1e-3
     max_iters: int = 2000
@@ -101,24 +92,19 @@ def mae(x_g: np.ndarray, x_tilde: np.ndarray) -> float:
     return float(np.mean(np.abs(x_g - x_tilde)))
 
 
-def train_filter(
-    basis: GftBasis,
-    train_signal: TimeVaryingSignal,
-    obs_model: ObservationModel,
-    cfg: TrainConfig,
-) -> TrainResult:
-    """Learn filter gains by gradient descent over corrupted training steps.
+def train_filter(basis: GftBasis, train_signal: TimeVaryingSignal, obs_model: ObservationModel) -> TrainResult:
+    """Fit each gain in closed form: least squares over the training split, the noise integrated out.
 
-    Each step t synthesizes a noisy masked input from ground-truth column
-    t % t_split of the training signal (``augment_copies`` passes over its
-    t_split columns), fills missing nodes with their
-    training-set mean, convolves, records the MAE against ground truth,
-    and takes one gradient step. Halts on sample exhaustion, ``max_iters``,
-    or when the running-window MAE stops improving by more than ``tol``
-    for ``patience`` consecutive steps.
+    With X the n x T training split, the input fills each missing node with its previous training value
+    (column 0: the node's training mean), as the online loop fills with its previous estimate. With
+    ``A = U^T where(observed, X, fill)``, ``Y = U^T X`` and ``c_k = sum over observed i of u_ik^2``, the
+    gain ``h_k = sum_t A_kt Y_kt / (sum_t A_kt^2 + sigma^2 T c_k)`` minimises the expected squared error
+    ``sum_t E||U diag(h) U^T (x_in_t + D e_t) - x_t||^2`` over noise e of variance sigma^2 at the observed
+    nodes D, because ``E[(U^T D e)_k^2] = sigma^2 c_k``. A frequency whose denominator is 0 keeps gain 1.
+    No noise is drawn. ``mae_trace`` holds one entry: the fitted filter's MAE on the noise-free inputs.
 
     Raises:
-        FilterDivergenceError: if any gain becomes non-finite.
+        FilterDivergenceError: if a gain is not finite (the inputs overflowed).
     """
     n = basis.n_nodes
     if train_signal.n_nodes != n:
@@ -126,48 +112,22 @@ def train_filter(
     if obs_model.n_nodes != n:
         raise ValueError("observation model does not match basis dimension")
 
-    # Step t reads training column t % t_split as a row of one time-major copy.
-    rows = np.ascontiguousarray(train_signal.values.T)
-    fill = train_signal.values.mean(axis=1)
-    h = np.ones(n, dtype=np.float64)
-    trace = []
-    window = deque(maxlen=cfg.window)
-    best = np.inf
-    streak = 0
-
-    n_steps = min(cfg.max_iters, cfg.augment_copies * rows.shape[0])
-    stop_reason = "max-iters" if n_steps == cfg.max_iters else "samples-exhausted"
+    x = train_signal.values
+    fill = np.hstack([x.mean(axis=1, keepdims=True), x[:, :-1]])
     u = basis.eigenvectors
-    for t in range(n_steps):
-        col = rows[t % rows.shape[0]]
-        obs = observe(col, obs_model, t)
-        x_in = np.where(obs.observed, obs.values, fill)
-        # graph_convolve and the MAE subgradient (1/N) (U^T sign(x_tilde - x_g))_k (U^T x_in)_k share U^T x_in
-        z = u.T @ x_in
-        x_tilde = u @ (h * z)
-        loss = mae(col, x_tilde)
-        trace.append(loss)
-
-        grad = (u.T @ np.sign(x_tilde - col)) * z / n
-        h = h - cfg.learning_rate * grad
-        if not np.all(np.isfinite(h)):
-            raise FilterDivergenceError(t, trace)
-
-        window.append(loss)
-        if len(window) < cfg.window:
-            continue  # no running-window MAE until a full window exists
-        running = float(np.mean(window))
-        if running < best - cfg.tol:
-            best = running
-            streak = 0
-        else:
-            streak += 1
-            if streak >= cfg.patience:
-                stop_reason = "early-stop"
-                break
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = u.T @ np.where(obs_model.observed[:, None], x, fill)
+        y = u.T @ x
+        missing = u[~obs_model.observed]  # U's rows are orthonormal: c is 1 minus the missing rows' squares
+        c = 1.0 - (missing * missing).sum(axis=0)
+        den = (a * a).sum(axis=1) + obs_model.noise_variance * x.shape[1] * c
+        h = np.divide((a * y).sum(axis=1), den, out=np.ones(n), where=den != 0.0)
+        bad = np.count_nonzero(~np.isfinite(h))
+        if bad:
+            raise FilterDivergenceError(f"filter gains are not finite at {bad} of {n} frequencies")
+        fitted_mae = np.mean(np.abs(u @ (h[:, None] * a) - x))
     filt = SpectralFilter(gains=h, basis_ref=basis.ref())
-    return TrainResult(filter=filt, mae_trace=np.asarray(trace), stop_reason=stop_reason)
+    return TrainResult(filter=filt, mae_trace=np.array([fitted_mae]), stop_reason="closed-form")
 
 
 def denoise(filt: SpectralFilter, basis: GftBasis, obs: Observation, fill: np.ndarray) -> np.ndarray:
@@ -185,14 +145,12 @@ def denoise(filt: SpectralFilter, basis: GftBasis, obs: Observation, fill: np.nd
     return graph_convolve(basis, filt.gains, x_in)
 
 
-def save_filter_json(path, result: TrainResult, cfg: TrainConfig) -> None:
+def save_filter_json(path, result: TrainResult) -> None:
     """Export gains plus training metadata as JSON."""
-    final_mae = float(result.mae_trace[-1]) if result.mae_trace.size else None
     payload = {
         "basis_ref": result.filter.basis_ref,
         "gains": [float(g) for g in result.filter.gains],
-        "train_config": dataclasses.asdict(cfg),
-        "final_mae": final_mae,
+        "final_mae": float(result.mae_trace[-1]),
         "stop_reason": result.stop_reason,
     }
     with atomic_write(path) as fh:

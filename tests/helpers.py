@@ -93,7 +93,7 @@ def seed_haversine_km(p: tuple, q: tuple) -> float:
 
 
 def seed_mae_gradient(basis, h: np.ndarray, x: np.ndarray, x_g: np.ndarray) -> np.ndarray:
-    """Subgradient of the MAE with respect to the per-frequency gains, the reference for training.
+    """Subgradient of the MAE with respect to the per-frequency gains.
 
     With ``s_n = sign(x_tilde_n - x_g_n)`` (sign(0) taken as 0) and
     ``x_tilde = graph_convolve(basis, h, x)``, component k is

@@ -21,7 +21,7 @@ from graphfill.predictors import PredictorConfig, predict_batch
 from graphfill.prompts import NodeTask, render_system_prompt, render_user_prompt
 from graphfill.runner import RunConfig, execute_run, replay_from_checkpoint
 from graphfill.signals import ObservationModel, TimeVaryingSignal, observe, sample_mask
-from graphfill.spectral import TrainConfig, graph_convolve, mae, train_filter
+from graphfill.spectral import graph_convolve, mae, train_filter
 
 
 @contextmanager
@@ -118,10 +118,7 @@ def test_criterion_3_denoising_efficacy():
         train_sig = TimeVaryingSignal(signal.values[:, :300])
         held = signal.values[:, 300:]
         model = sample_mask(30, 0.7, seed=7, noise_variance=0.5)
-        cfg = TrainConfig(
-            learning_rate=0.2, max_iters=2000, patience=50, tol=0.0, augment_copies=7, window=50
-        )
-        trained_gains = train_filter(basis, train_sig, model, cfg).filter.gains
+        trained_gains = train_filter(basis, train_sig, model).filter.gains
         fill = train_sig.values.mean(axis=1)
 
         def harness(gains):

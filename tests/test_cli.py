@@ -340,7 +340,8 @@ class TestTrainFilter:
         payload = json.loads(out.read_text())
         assert len(payload["gains"]) == 20
         assert payload["basis_ref"]
-        assert payload["train_config"]["learning_rate"] == 0.1
+        assert (payload["stop_reason"], "train_config" in payload) == ("closed-form", False)
+        assert f"training MAE {payload['final_mae']:.6f}" in capsys.readouterr().out
 
 
 class TestBaselineCommand:

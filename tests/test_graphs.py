@@ -84,6 +84,14 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="finite"):
             Graph(2, a)
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (299, 0), (150, 200), (299, 298)])
+    def test_one_asymmetric_pair_rejected_in_any_row_block(self, i, j):
+        # At n = 300 the symmetry check walks several row blocks; each pair must be seen from either side.
+        a = np.zeros((300, 300))
+        a[i, j] = 1.0
+        with pytest.raises(ValueError, match="adjacency must be symmetric"):
+            Graph(300, a)
+
     def test_adjacency_read_only(self):
         g = build_graph(2, [(0, 1)])
         with pytest.raises(ValueError):
@@ -198,6 +206,15 @@ class TestGft:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             gft(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("i, j", [(299, 0), (0, 299), (150, 200), (201, 150), (298, 299)])
+    def test_symmetry_tolerance_holds_in_every_row_block(self, i, j):
+        l_matrix = laplacian(random_connected_graph(300, np.random.default_rng(3), p=0.02)).copy()
+        l_matrix[i, j] += 5e-11
+        assert gft(l_matrix).n_nodes == 300
+        l_matrix[i, j] += 2e-10
+        with pytest.raises(ValueError, match=re.escape("Laplacian must be symmetric within 1e-10")):
+            gft(l_matrix)
 
     @pytest.mark.parametrize("w", [np.inf, np.nan])
     def test_non_finite_rejected(self, w):

@@ -368,6 +368,33 @@ class TestCheckpointReplay:
             assert resumed.scores[name].tobytes() == rows.tobytes()
         assert resumed.token_estimate == full.token_estimate
         assert np.array_equal(resumed.trajectory, full.trajectory[:, 94:])
+        # The completed resume removed the abort state it started from; the periodic states stay.
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == [
+            "repeat0_step000025.json", "repeat0_step000050.json", "repeat0_step000075.json"]
+
+    def test_a_completed_repeat_removes_only_its_own_abort_state(self, fixture_paths, tmp_path):
+        edge_path, signal_path = fixture_paths
+        out = tmp_path / "run"
+        cfg = base_config(edge_path, signal_path, output_dir=str(out), repeats=2, checkpoint_every=25)
+        execute_run(cfg)
+        ckpt_dir = out / "checkpoints"
+        for r in (0, 1):
+            (ckpt_dir / f"repeat{r}_aborted.json").write_bytes((ckpt_dir / f"repeat{r}_step000050.json").read_bytes())
+        replay_from_checkpoint(cfg, str(ckpt_dir / "repeat0_aborted.json"))
+        assert not (ckpt_dir / "repeat0_aborted.json").exists()
+        assert (ckpt_dir / "repeat1_aborted.json").exists()
+
+    def test_remote_config_without_endpoint_fails_before_the_basis(self, checkpointed_run, monkeypatch):
+        cfg, path = checkpointed_run
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the basis was built before the backend was bound")
+
+        monkeypatch.delenv("OPENAI_BASE_URL", raising=False)
+        monkeypatch.setattr(runner, "gft", no_eigh)
+        remote = dataclasses.replace(cfg, predictor=PredictorConfig(backend="remote"))
+        with pytest.raises(ValueError, match=re.escape("remote backend needs an endpoint URL")):
+            replay_from_checkpoint(remote, path)
 
     def test_each_walked_step_is_observed_once_in_order(self, fixture_paths, tmp_path, monkeypatch):
         # The benchmark's step clock stamps each step's start at its runner.observe call.
