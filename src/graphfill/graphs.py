@@ -46,15 +46,15 @@ class Graph:
     """Undirected weighted graph with a dense adjacency matrix.
 
     Invariants (checked at construction): adjacency is square, finite,
-    symmetric, has a zero diagonal, and all entries are >= 0.
+    symmetric, has a zero diagonal, and all entries are >= 0. The node
+    count is its row count.
     """
-    n_nodes: int
     adjacency: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.adjacency, dtype=np.float64)
-        if a.shape != (self.n_nodes, self.n_nodes):
-            raise ValueError(f"adjacency shape {a.shape} does not match n_nodes={self.n_nodes}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("adjacency entries must be finite")
         if _max_asymmetry(a) > 0.0:
@@ -64,6 +64,10 @@ class Graph:
         if np.any(a < 0.0):
             raise ValueError("adjacency entries must be nonnegative")
         object.__setattr__(self, "adjacency", _frozen(a))
+
+    @property
+    def n_nodes(self) -> int:
+        return self.adjacency.shape[0]
 
 
 def observed_layout(g: Graph, observed: np.ndarray) -> ObservedLayout:
@@ -159,7 +163,7 @@ def build_graph(n: int, edges) -> Graph:
             raise ValueError(f"edge ({i}, {j}) has nonpositive weight {w}")
         a[i, j] = w
         a[j, i] = w
-    return Graph(n_nodes=n, adjacency=a)
+    return Graph(a)
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -258,7 +262,7 @@ def knn_graph(coords, k: int, bandwidth: float | None = None) -> Graph:
         raise ValueError(f"edge {edge} has nonpositive weight {w[bad][0]}")
     a = np.zeros((n, n), dtype=np.float64)
     a[i, j] = a[j, i] = w  # a pair picked from both ends gets the same weight twice
-    return Graph(n_nodes=n, adjacency=a)
+    return Graph(a)
 
 
 def _knn_candidates(rad: np.ndarray, k: int) -> tuple:
@@ -325,27 +329,18 @@ def _cell(path, r: int, c: int, row, parse, what: str):
         raise ValueError(f"{path}: row {r + 1}, column {c + 1}: cannot parse {row[c]!r} as {what}") from None
 
 
-def load_edge_list_csv(path, n: int | None = None, max_nodes: int | None = None) -> Graph:
-    """Load a graph from a CSV edge list ``src,dst[,weight]`` (0-based).
+def load_edge_list_csv(path, n: int) -> Graph:
+    """Load an ``n``-node graph from a CSV edge list ``src,dst[,weight]`` (0-based).
 
-    An optional header row is skipped. When ``n`` is omitted it is inferred as ``max index + 1``, and an
-    index at or above ``max_nodes`` fails with its row before any allocation. An edge that
-    ``build_graph`` rejects raises its error, prefixed with the file and row.
+    An optional header row is skipped, and a node no edge names is isolated. An edge that ``build_graph``
+    rejects, an index outside [0, n) among them, raises its error, prefixed with the file and row.
     """
     edges = []
-    max_idx = -1
     for r, row in _data_rows(path):
         if len(row) not in (2, 3):
             raise ValueError(f"{path}: row {r + 1}: expected 2 or 3 columns, got {len(row)}")
         i, j = _cell(path, r, 0, row, int, "a node index"), _cell(path, r, 1, row, int, "a node index")
-        max_idx = max(max_idx, i, j)
-        if n is None and max_nodes is not None and max_idx >= max_nodes:
-            raise ValueError(f"{path}: row {r + 1}: edge ({i}, {j}) out of range for n={max_nodes}")
         edges.append((r, (i, j, _cell(path, r, 2, row, float, "a weight")) if len(row) == 3 else (i, j)))
-    if n is None:
-        if max_idx < 0:
-            raise ValueError(f"{path}: empty edge list and no node count given")
-        n = max_idx + 1
     taken = [None]  # build_graph checks each edge as it takes it, so the row taken last is the one it rejects
 
     def take():
@@ -359,22 +354,21 @@ def load_edge_list_csv(path, n: int | None = None, max_nodes: int | None = None)
         raise ValueError(f"{path}: {row}{exc}") from None
 
 
-def load_coordinates_csv(path) -> list:
-    """Load ``node_id,lat,lon`` rows into a list of (lat, lon), ordered by id.
+def load_coordinates_csv(path, n: int) -> list:
+    """Load ``node_id,lat,lon`` rows into a list of ``n`` (lat, lon) pairs, ordered by id.
 
-    Node ids must form the contiguous range 0..n-1.
+    Node ids must form the range 0..n-1. An id outside it fails at its row, before the rest of the file is read.
     """
     entries = {}
     for r, row in _data_rows(path):
         if len(row) != 3:
             raise ValueError(f"{path}: row {r + 1}: expected node_id,lat,lon")
         node = _cell(path, r, 0, row, int, "a node id")
+        if not 0 <= node < n:
+            raise ValueError(f"{path}: row {r + 1}: node id {node} out of range for n={n}")
         if node in entries:
             raise ValueError(f"{path}: row {r + 1}: duplicate node id {node}")
         entries[node] = (_cell(path, r, 1, row, float, "a latitude"), _cell(path, r, 2, row, float, "a longitude"))
-    if not entries:
-        raise ValueError(f"{path}: no coordinate rows")
-    n = len(entries)
-    if sorted(entries) != list(range(n)):
+    if len(entries) != n:  # every id is in range and distinct, so a short count leaves one out
         raise ValueError(f"{path}: node ids must cover 0..{n - 1}")
     return [entries[i] for i in range(n)]

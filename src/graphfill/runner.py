@@ -177,28 +177,26 @@ class RunContext:
 def prepare_run(cfg: RunConfig) -> RunContext:
     """Load and split the signal, build the graph and Fourier basis, and size GLMS and GNLMS's band.
 
-    The signal comes first: a bad ``t_split`` fails before ``eigh``, and it bounds n before any n x n array.
+    The signal comes first: a bad ``t_split`` fails before ``eigh``, and its node count is the graph's n,
+    which both graph loaders read their file against.
     """
     train_signal, test_signal = split(load_signal_csv(cfg.signal.path, cfg.signal.layout), cfg.t_split)
-    n_signal = train_signal.n_nodes
-    if cfg.graph.n_nodes not in (None, n_signal):
-        raise ValueError(f"graph.n_nodes is {cfg.graph.n_nodes} but the signal has {n_signal} nodes")
+    n = train_signal.n_nodes
+    if cfg.graph.n_nodes not in (None, n):
+        raise ValueError(f"graph.n_nodes is {cfg.graph.n_nodes} but the signal has {n} nodes")
     derived = {}
     if cfg.graph.source == "edges":
         if not cfg.graph.edge_list:
             raise ValueError("graph.edge_list path is required for source 'edges'")
-        g = load_edge_list_csv(cfg.graph.edge_list, n=cfg.graph.n_nodes, max_nodes=n_signal)
+        g = load_edge_list_csv(cfg.graph.edge_list, n)
     else:
         if not cfg.graph.coordinates:
             raise ValueError("graph.coordinates path is required for source 'knn'")
-        coords = load_coordinates_csv(cfg.graph.coordinates)
-        g = knn_graph(coords, cfg.graph.k, cfg.graph.bandwidth)
-    if n_signal != g.n_nodes:
-        raise ValueError(f"signal has {n_signal} nodes but graph has {g.n_nodes}")
+        g = knn_graph(load_coordinates_csv(cfg.graph.coordinates, n), cfg.graph.k, cfg.graph.bandwidth)
     derived["graph_weighted"] = bool(np.any((g.adjacency != 0) & (g.adjacency != 1)))
     basis = gft(laplacian(g))
     derived["basis_ref"] = basis.ref()
-    derived["n_nodes"] = g.n_nodes
+    derived["n_nodes"] = n
     derived["n_steps"] = train_signal.n_steps + test_signal.n_steps
     derived["test_steps"] = test_signal.n_steps
     derived["fill_policy"] = {"train": "previous-column", "test": "previous-estimate"}
@@ -240,10 +238,6 @@ class RepeatResult:
 
 def _repeat_seed(cfg: RunConfig, r: int) -> int:
     return cfg.observation.seed + r
-
-
-def _checkpoint_dir(cfg: RunConfig) -> str | None:
-    return os.path.join(cfg.output_dir, "checkpoints") if cfg.output_dir else None
 
 
 def mask_and_train(ctx: RunContext, cfg: RunConfig, r: int, train: bool = True) -> tuple:
@@ -376,7 +370,7 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, r: int, methods: tuple, backend=
     scores = dict(zip(methods, table))
     trajectory = np.zeros((ctx.graph.n_nodes, n_steps - start))
     missing = np.flatnonzero(~model.observed)
-    checkpoint_dir = _checkpoint_dir(cfg)
+    checkpoint_dir = os.path.join(cfg.output_dir, "checkpoints") if cfg.output_dir else None
 
     k_next = start
     try:
@@ -478,9 +472,10 @@ def execute_run(cfg: RunConfig, backend=None, with_primary: bool = True) -> RunE
     elif not methods:
         raise ValueError("no baselines selected (set 'baselines' in the config or --baselines)")
     ctx = prepare_run(cfg)
-    if cfg.output_dir:  # an earlier run's states are not this run's
-        for pattern in ("repeat*_step*.json", "repeat*_aborted.json"):
-            for path in glob.glob(os.path.join(glob.escape(_checkpoint_dir(cfg)), pattern)):
+    if cfg.output_dir:  # an earlier run's states, and the artifacts this run may not overwrite, are not this run's
+        for pattern in ("checkpoints/repeat*_step*.json", "checkpoints/repeat*_aborted.json",
+                        "filter_repeat*.json", "transcript.jsonl"):
+            for path in glob.glob(os.path.join(glob.escape(cfg.output_dir), pattern)):
                 os.remove(path)
     results = [run_repeat(ctx, cfg, r, methods, backend=backend) for r in range(cfg.repeats)]
     execution = RunExecution(report=_assemble_report(ctx, cfg, results, methods[0]), repeats=results, context=ctx)

@@ -6,7 +6,6 @@ import numpy as np
 from graphfill.graphs import EARTH_RADIUS_KM, Graph, ObservedLayout, build_graph, gft, laplacian
 from graphfill.prompts import NodeTask
 from graphfill.signals import TimeVaryingSignal
-from graphfill.spectral import graph_convolve
 
 
 def random_connected_graph(n: int, rng: np.random.Generator, p: float = 0.25) -> Graph:
@@ -90,18 +89,6 @@ def seed_haversine_km(p: tuple, q: tuple) -> float:
     dlat, dlon = (lat2 - lat1) / 2.0, (math.radians(q[1]) - math.radians(p[1])) / 2.0
     s = math.sin(dlat) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
-
-
-def seed_mae_gradient(basis, h: np.ndarray, x: np.ndarray, x_g: np.ndarray) -> np.ndarray:
-    """Subgradient of the MAE with respect to the per-frequency gains.
-
-    With ``s_n = sign(x_tilde_n - x_g_n)`` (sign(0) taken as 0) and
-    ``x_tilde = graph_convolve(basis, h, x)``, component k is
-    ``(1/N) * (U^T s)_k * (U^T x)_k``.
-    """
-    s = np.sign(graph_convolve(basis, h, x) - x_g)
-    u = basis.eigenvectors
-    return (u.T @ s) * (u.T @ np.asarray(x, dtype=np.float64)) / basis.n_nodes
 
 
 def seed_observed_layout(g: Graph, observed) -> ObservedLayout:

@@ -82,7 +82,7 @@ class TestBuildGraph:
         a = np.zeros((2, 2))
         a[0, 1] = a[1, 0] = w  # symmetric, so only the finiteness check can reject it
         with pytest.raises(ValueError, match="finite"):
-            Graph(2, a)
+            Graph(a)
 
     @pytest.mark.parametrize("i, j", [(0, 1), (299, 0), (150, 200), (299, 298)])
     def test_one_asymmetric_pair_rejected_in_any_row_block(self, i, j):
@@ -90,7 +90,12 @@ class TestBuildGraph:
         a = np.zeros((300, 300))
         a[i, j] = 1.0
         with pytest.raises(ValueError, match="adjacency must be symmetric"):
-            Graph(300, a)
+            Graph(a)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_adjacency_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"adjacency must be square, got shape {shape}")):
+            Graph(np.zeros(shape))
 
     def test_adjacency_read_only(self):
         g = build_graph(2, [(0, 1)])
@@ -478,7 +483,7 @@ class TestFileInterfaces:
     def test_edge_list_round_trip(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("src,dst,weight\n0,1,2.0\n1,2,1.0\n")
-        g = load_edge_list_csv(path)
+        g = load_edge_list_csv(path, 3)
         assert g.n_nodes == 3
         assert g.adjacency[0, 1] == 2.0
         assert g.adjacency[1, 2] == 1.0
@@ -493,14 +498,14 @@ class TestFileInterfaces:
     def test_coordinates_file(self, tmp_path):
         path = tmp_path / "coords.csv"
         path.write_text("node_id,lat,lon\n1,47.6,-122.3\n0,47.5,-122.2\n")
-        coords = load_coordinates_csv(path)
+        coords = load_coordinates_csv(path, 2)
         assert coords == [(47.5, -122.2), (47.6, -122.3)]
 
     def test_coordinates_gap_rejected(self, tmp_path):
         path = tmp_path / "coords.csv"
         path.write_text("0,1.0,2.0\n2,3.0,4.0\n")
-        with pytest.raises(ValueError, match="node ids"):
-            load_coordinates_csv(path)
+        with pytest.raises(ValueError, match=re.escape("node ids must cover 0..2")):
+            load_coordinates_csv(path, 3)
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -516,7 +521,7 @@ class TestFileInterfaces:
         path = tmp_path / "edges.csv"
         path.write_text(text)
         with pytest.raises(ValueError) as info:
-            load_edge_list_csv(path)
+            load_edge_list_csv(path, 3)
         assert str(info.value) == f"{path}: {expected}"
 
     @pytest.mark.parametrize(
@@ -525,13 +530,14 @@ class TestFileInterfaces:
             ("node_id,lat,lon\n0,47.5,-122.2\n1.0,47.6,-122.3\n", "row 3, column 1: cannot parse '1.0' as a node id"),
             ("0,47.5,-122.2\n1,abc,-122.3\n", "row 2, column 2: cannot parse 'abc' as a latitude"),
             ("0,47.5,-122.2\n1,47.6,W122\n", "row 2, column 3: cannot parse 'W122' as a longitude"),
+            ("1,47.6,-122.3\n0,47.5,-122.2\n-1,0.0,0.0\n", "row 3: node id -1 out of range for n=2"),
         ],
     )
     def test_coordinates_bad_cell_names_file_and_row(self, tmp_path, text, expected):
         path = tmp_path / "coords.csv"
         path.write_text(text)
         with pytest.raises(ValueError) as info:
-            load_coordinates_csv(path)
+            load_coordinates_csv(path, 2)
         assert str(info.value) == f"{path}: {expected}"
 
 
@@ -543,8 +549,7 @@ CSV_CELLS = st.one_of(
 )
 CSV_ROWS = st.lists(st.lists(CSV_CELLS, max_size=4), max_size=6)
 # The errors that concern the whole file rather than one row.
-FILE_ERRORS = ("empty edge list and no node count given", "no coordinate rows", "node ids must cover 0..",
-               "n must be positive")
+FILE_ERRORS = ("node ids must cover 0..", "n must be positive")
 
 
 def load_or_name_the_row(loader, rows, *args):
@@ -566,7 +571,7 @@ def load_or_name_the_row(loader, rows, *args):
 
 
 @settings(max_examples=400, deadline=None)
-@given(CSV_ROWS, st.one_of(st.none(), st.integers(-1, 12)))
+@given(CSV_ROWS, st.integers(-1, 12))
 def test_edge_list_loads_or_names_the_row(rows, n):
     g = load_or_name_the_row(load_edge_list_csv, rows, n)
     if g is not None:
@@ -575,11 +580,11 @@ def test_edge_list_loads_or_names_the_row(rows, n):
 
 
 @settings(max_examples=400, deadline=None)
-@given(CSV_ROWS)
-def test_coordinates_load_or_name_the_row(rows):
-    coords = load_or_name_the_row(load_coordinates_csv, rows)
+@given(CSV_ROWS, st.integers(-1, 12))
+def test_coordinates_load_or_name_the_row(rows, n):
+    coords = load_or_name_the_row(load_coordinates_csv, rows, n)
     if coords is not None:
-        assert all(len(c) == 2 and all(type(v) is float for v in c) for c in coords)
+        assert len(coords) == n and all(len(c) == 2 and all(type(v) is float for v in c) for c in coords)
 
 
 @pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])
@@ -587,7 +592,7 @@ def test_edge_list_with_non_finite_weight_names_the_row(tmp_path, weight):
     path = tmp_path / "edges.csv"
     path.write_text(f"src,dst,weight\n0,1,1.0\n1,2,{weight}\n")
     with pytest.raises(ValueError) as info:
-        load_edge_list_csv(path)
+        load_edge_list_csv(path, 3)
     assert str(info.value) == f"{path}: row 3: edge (1, 2) has non-finite weight {float(weight)}"
 
 
@@ -603,5 +608,6 @@ def test_coordinates_duplicate_id_names_the_row(tmp_path):
     path = tmp_path / "coords.csv"
     path.write_text("0,1.0,2.0\n1,3.0,4.0\n0,5.0,6.0\n")
     with pytest.raises(ValueError) as info:
-        load_coordinates_csv(path)
+        load_coordinates_csv(path, 2)
     assert str(info.value) == f"{path}: row 3: duplicate node id 0"
+

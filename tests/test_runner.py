@@ -467,6 +467,18 @@ class TestCheckpointReplay:
         execute_run(dataclasses.replace(cfg, checkpoint_every=100))
         assert [p.name for p in ckpt_dir.iterdir()] == ["notes.json"]
 
+    def test_rerun_leaves_no_artifact_of_an_earlier_run(self, fixture_paths, tmp_path):
+        edge_path, signal_path = fixture_paths
+        out = tmp_path / "run[1]"  # glob metacharacters in the path match only themselves
+        cfg = base_config(edge_path, signal_path, output_dir=str(out), repeats=2, transcript=True)
+        execute_run(cfg)
+        assert {"filter_repeat1.json", "transcript.jsonl"} <= {p.name for p in out.iterdir()}
+        (out / "notes.txt").write_text("kept")
+        report = execute_run(dataclasses.replace(cfg, repeats=1, transcript=False)).report
+        assert report.transcript_path is None
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", "filter_repeat0.json", "notes.txt",
+                                                         "report.csv", "report.json", "report.md"]
+
     def test_failed_write_leaves_earlier_checkpoint_intact(self, fixture_paths, tmp_path, monkeypatch):
         edge_path, signal_path = fixture_paths
         clean = str(tmp_path / "clean")
@@ -835,11 +847,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=re.escape(f"{edges}: row 2: edge (0, 100000) out of range for n=3")):
             prepare_run(config("0,1\n0,100000\n1,2\n"))
 
-    def test_edge_list_short_of_the_signal_is_a_size_mismatch(self, three_nodes):
+    def test_edge_list_short_of_the_signal_isolates_its_last_node(self, three_nodes):
         _, config = three_nodes
-        with pytest.raises(ValueError, match=re.escape("signal has 3 nodes but graph has 2")):
-            prepare_run(config("0,1\n"))
-        assert prepare_run(config("0,1\n1,2\n")).graph.n_nodes == 3
+        cfg = config("0,1\n")
+        adjacencies = [prepare_run(c).graph.adjacency
+                       for c in (cfg, dataclasses.replace(cfg, graph=dataclasses.replace(cfg.graph, n_nodes=3)))]
+        expected = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert all(np.array_equal(a, expected) for a in adjacencies)
+
+    def test_coordinates_past_the_signal_fail_before_the_knn_graph(self, three_nodes, tmp_path, monkeypatch):
+        _, config = three_nodes
+
+        def no_knn(*args, **kwargs):
+            raise AssertionError("the kNN graph was built before the coordinates were checked against n")
+
+        monkeypatch.setattr(runner, "knn_graph", no_knn)
+        coordinates = tmp_path / "coordinates.csv"
+        coordinates.write_text("node_id,lat,lon\n" + "".join(f"{i},{i}.0,{i}.5\n" for i in (2, 0, 4, 1, 3)))
+        cfg = dataclasses.replace(config("0,1\n"), graph=runner.GraphConfig(source="knn", coordinates=str(coordinates)))
+        with pytest.raises(ValueError, match=re.escape(f"{coordinates}: row 4: node id 4 out of range for n=3")):
+            prepare_run(cfg)
 
     def test_n_nodes_other_than_the_signal_fails_before_the_edge_list_is_read(self, three_nodes, monkeypatch):
         edges, config = three_nodes
