@@ -37,9 +37,11 @@ from .signals import (
 )
 from .spectral import (
     FilterDivergenceError,
+    FilterOperator,
     SpectralFilter,
     TrainConfig,
     denoise,
+    filter_operator,
     graph_convolve,
     mae,
     train_filter,

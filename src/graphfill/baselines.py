@@ -5,15 +5,17 @@ innovation projected onto a low-frequency band:
 
     x_hat <- x_hat + mu * B * M * (o - x_hat)
 
-where B projects onto the ``band_size`` lowest graph frequencies. The
-normalized variant additionally scales each in-band frequency by the
-inverse energy the mask leaves in that frequency (eps-regularized), which
-equalizes per-frequency convergence; with every node observed it reduces
-exactly to the unnormalized update.
+where B = U_B U_B^T projects onto the ``band_size`` lowest graph
+frequencies. The normalized variant additionally scales each in-band
+frequency by the inverse energy the mask leaves in that frequency
+(eps-regularized), which equalizes per-frequency convergence; with every
+node observed it reduces exactly to the unnormalized update.
 
 Every baseline's estimate is a plain array: a step takes one and returns
-the next. An adaptive filter's fixed part, its step size and operator, is
-an :class:`AdaptiveFilter` built and checked once by its init.
+the next. An adaptive filter's fixed part is an :class:`AdaptiveFilter`,
+built and checked once by its init: the band vectors U_B and one step
+size per in-band frequency, so that a step applies
+``U_B diag(scale) U_B^T`` through U_B in O(n B) and never forms it.
 """
 from dataclasses import dataclass
 
@@ -27,14 +29,18 @@ NORMALIZATION_EPS = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class AdaptiveFilter:
-    """Step size and read-only operator of one least-mean-squares filter."""
-    step_size: float
-    operator: np.ndarray
+    """Read-only band vectors ``U_B`` (n x B) and per-frequency step sizes ``scale`` of one LMS filter."""
+    band_vectors: np.ndarray
+    scale: np.ndarray
 
     def __post_init__(self):
-        if self.step_size < 0.0:
-            raise ValueError("step_size must be >= 0")
-        object.__setattr__(self, "operator", _frozen(self.operator))
+        u, scale = _frozen(self.band_vectors), _frozen(self.scale)
+        if u.ndim != 2 or scale.shape != u.shape[1:]:
+            raise ValueError(f"expected one scale per band vector, got {scale.shape} for band vectors {u.shape}")
+        if not np.all(scale >= 0.0):
+            raise ValueError("step sizes (scale) must be >= 0")
+        object.__setattr__(self, "band_vectors", u)
+        object.__setattr__(self, "scale", scale)
 
 
 def _band_vectors(basis, band_size: int) -> np.ndarray:
@@ -63,12 +69,12 @@ def bandlimit_for_energy(basis, signal_values: np.ndarray, fraction: float = 0.9
 
 
 def glms_init(basis, band_size: int, mu: float) -> AdaptiveFilter:
-    u_band = _band_vectors(basis, band_size)
-    return AdaptiveFilter(mu, u_band @ u_band.T)
+    """The band projector ``U_B U_B^T`` with step size ``mu`` at every in-band frequency."""
+    return AdaptiveFilter(_band_vectors(basis, band_size), np.full(band_size, float(mu)))
 
 
 def gnlms_init(basis, band_size: int, mu: float, observed: np.ndarray) -> AdaptiveFilter:
-    """Normalized variant: the band projector with each frequency scaled by its inverse mask energy.
+    """Normalized variant: the band projector with each frequency's step size ``mu`` scaled by its inverse mask energy.
 
     For in-band frequency k the scale is ``1 / max(q_k, eps)`` with
     ``q_k = sum over observed i of U[i, k]^2``, the energy the mask keeps
@@ -78,15 +84,16 @@ def gnlms_init(basis, band_size: int, mu: float, observed: np.ndarray) -> Adapti
     u_band = _band_vectors(basis, band_size)
     q = np.sum(u_band[observed, :] ** 2, axis=0)
     norm = 1.0 / np.maximum(q, NORMALIZATION_EPS)
-    return AdaptiveFilter(mu, u_band @ (norm[:, None] * u_band.T))
+    return AdaptiveFilter(u_band, mu * norm)
 
 
 def _lms_step(filt: AdaptiveFilter, estimate: np.ndarray, obs: Observation) -> np.ndarray:
-    """``estimate + mu * operator @ (masked innovation)``, as a new array."""
-    return estimate + filt.step_size * (filt.operator @ np.where(obs.observed, obs.values - estimate, 0.0))
+    """``estimate + U_B (scale * (U_B^T masked innovation))``, as a new array."""
+    u = filt.band_vectors
+    return estimate + u @ (filt.scale * (u.T @ np.where(obs.observed, obs.values - estimate, 0.0)))
 
 
-# GLMS and GNLMS differ only in the operator their init builds. The step
+# GLMS and GNLMS differ only in the step sizes their init builds. The step
 # keeps two names so that each filter's calls can be told apart by name
 # (a wrapper installed on ``baselines.glms_step`` sees only GLMS steps).
 def glms_step(filt: AdaptiveFilter, estimate: np.ndarray, obs: Observation) -> np.ndarray:

@@ -13,11 +13,16 @@ import numpy as np
 
 EARTH_RADIUS_KM = 6371.0088
 # Elements per row block of the kNN screen and the symmetry checks (bounds each
-# temporary to 128 KB), and the screen's relative and absolute slack kept above
-# each row's k-th smallest term.
+# temporary to 128 KB), and of the sign normalisation in ``gft`` (2 MB).
 _SCREEN_BLOCK_ELEMENTS = 1 << 14
-_SCREEN_MARGIN = 1e-9
-_SCREEN_FLOOR = 1e-300
+_SIGN_BLOCK_ELEMENTS = 1 << 18
+# The kNN screen keeps every j whose squared chord distance is within this
+# absolute slack of the row's k-th smallest. The screen's 2 - 2 p_i . p_j
+# (unit vectors from sin and cos, a 3-term dot product, one subtraction) is
+# within about 4e-15 of the exact value, and ``_haversine``'s own rounding
+# moves a distance by at most about 5e-15 in these units; the slack exceeds
+# twice the first bound plus the second.
+_SCREEN_SLACK = 1e-13
 ObservedLayout = collections.namedtuple("ObservedLayout", "nodes isolated index counts neighbors groups digits")
 
 
@@ -126,9 +131,10 @@ class GftBasis:
         """Short content digest identifying this basis (used to pin filters)."""
         cached = getattr(self, "_ref_cache", None)
         if cached is None:
+            # hashlib reads each buffer in place; only an array not in C order is copied, so this is tobytes()'s digest
             h = hashlib.sha256()
-            h.update(self.eigenvalues.tobytes())
-            h.update(self.eigenvectors.tobytes())
+            h.update(np.ascontiguousarray(self.eigenvalues))
+            h.update(np.ascontiguousarray(self.eigenvectors))
             cached = h.hexdigest()[:16]
             object.__setattr__(self, "_ref_cache", cached)
         return cached
@@ -192,9 +198,28 @@ def gft(l_matrix: np.ndarray) -> GftBasis:
     if _max_asymmetry(l_matrix) > 1e-10:
         raise ValueError("Laplacian must be symmetric within 1e-10")
     lam, u = np.linalg.eigh(l_matrix)
-    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0
-    u[:, flip] = -u[:, flip]
+    u *= np.where(_largest_entry_is_negative(u), -1.0, 1.0)
     return GftBasis(eigenvectors=u, eigenvalues=lam)
+
+
+def _largest_entry_is_negative(u: np.ndarray) -> np.ndarray:
+    """Per column of ``u``: is its largest-magnitude entry (the first such on ties) negative?
+
+    Walks row blocks, so no temporary is the size of ``u``. A later block takes a column only with a strictly
+    larger magnitude, and ``argmax`` picks the first row within a block, so ties go to the first row.
+    """
+    n_rows, n_cols = u.shape
+    cols = np.arange(n_cols)
+    top, negative = np.full(n_cols, -1.0), np.zeros(n_cols, dtype=bool)
+    rows = max(1, _SIGN_BLOCK_ELEMENTS // max(1, n_cols))
+    for start in range(0, n_rows, rows):
+        block = u[start:start + rows]
+        at = np.abs(block).argmax(axis=0)
+        entry = block[at, cols]
+        magnitude = np.abs(entry)
+        take = magnitude > top
+        top[take], negative[take] = magnitude[take], entry[take] < 0
+    return negative
 
 
 def neighbors(g: Graph, i: int) -> list:
@@ -269,25 +294,24 @@ def _knn_candidates(rad: np.ndarray, k: int) -> tuple:
     """Pairs ``(i, j)``, ascending in i, that hold a superset of each node i's k nearest neighbors.
 
     ``rad`` holds each node's latitude, longitude (radians) and cosine of
-    latitude. Screens with the haversine inner term ``sin^2(dlat/2) +
-    cos(lat_i) cos(lat_j) sin^2(dlon/2)``, which is monotone in distance,
-    computed in row blocks with numpy. These terms may differ from the ones
-    ``_haversine`` computes in the last bits, so every j within a small
-    margin of the row's k-th smallest term is kept; ranking the survivors
-    by ``_haversine`` then gives exactly the all-pairs result.
+    latitude. Screens with the squared chord distance ``2 - 2 p_i . p_j``
+    between the points' unit vectors p, which is monotone in great-circle
+    distance, from one (rows x 3) @ (3 x n) product per row block. These
+    values carry rounding that ``_haversine`` does not, so every j within
+    ``_SCREEN_SLACK`` of the row's k-th smallest value is kept; ranking the
+    survivors by ``_haversine`` then gives exactly the all-pairs result.
     """
     lat, lon, cos_lat = rad.T
     n = lat.shape[0]
+    p = np.stack([cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)], axis=1)
     rows = max(1, _SCREEN_BLOCK_ELEMENTS // n)
     pairs = []
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        s_lat = np.sin((lat[None, :] - lat[start:stop, None]) / 2.0)
-        s_lon = np.sin((lon[None, :] - lon[start:stop, None]) / 2.0)
-        a = s_lat * s_lat + cos_lat[start:stop, None] * cos_lat[None, :] * (s_lon * s_lon)
+        a = 2.0 - 2.0 * (p[start:stop] @ p.T)
         a[np.arange(stop - start), np.arange(start, stop)] = np.inf
         kth = np.partition(a, k - 1, axis=1)[:, k - 1]
-        r, c = np.nonzero(a <= (kth * (1.0 + _SCREEN_MARGIN) + _SCREEN_FLOOR)[:, None])
+        r, c = np.nonzero(a <= (kth + _SCREEN_SLACK)[:, None])
         pairs.append((r + start, c))
     return tuple(np.concatenate(x) for x in zip(*pairs))
 

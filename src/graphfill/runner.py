@@ -27,7 +27,8 @@ from .metrics import RunReport, aggregate, emit_report, rmse  # noqa: F401 (runn
 from .predictors import PredictionResult, PredictorConfig, bind_backend, estimate_tokens, mock_step, predict_batch
 from .prompts import build_task
 from .signals import ObservationModel, TimeVaryingSignal, load_signal_csv, observe, sample_mask, split
-from .spectral import TrainConfig, TrainResult, denoise, mae, save_filter_json, train_filter  # noqa: F401
+from .spectral import TrainConfig, TrainResult, denoise, filter_operator, mae  # noqa: F401
+from .spectral import save_filter_json, train_filter
 
 PRIMARY_METHOD = "graphfill"
 BASELINES = ("glms", "gnlms", "last_value", "neighbor_mean")
@@ -263,12 +264,14 @@ def _start_estimates(ctx, methods, x0) -> dict:
 def _method_step(name, ctx, cfg, model, layout, train_result, backend, transcript):
     """Method ``name``'s ``step(estimate, obs) -> (next estimate, tokens)`` in a repeat with mask ``model``.
 
-    A baseline's fixed part is built here, once. No step writes into the estimate it is given, so methods
-    may share one. Each step looks ``bl.<fn>`` (and the primary step ``denoise``, ``build_task`` and
+    Each method's fixed part is built here, once: the primary's filter operator (which checks the filter
+    against the basis) and a baseline's band factors. No step writes into the estimate it is given, so
+    methods may share one. Each step looks ``bl.<fn>`` (and the primary step ``denoise``, ``build_task`` and
     ``predict_batch``) up at call time, so wrappers installed on the modules see every call.
     """
     if name == PRIMARY_METHOD:
-        return lambda x, obs: _step_estimate(ctx.basis, cfg, layout, train_result.filter, x, obs, backend, transcript)
+        op = filter_operator(train_result.filter, ctx.basis)
+        return lambda x, obs: _step_estimate(op, cfg, layout, x, obs, backend, transcript)
     band, mu = ctx.derived.get("baseline_band_size"), cfg.baseline_step_size
     if name == "glms":
         filt = bl.glms_init(ctx.basis, band, mu)
@@ -281,14 +284,14 @@ def _method_step(name, ctx, cfg, model, layout, train_result, backend, transcrip
     return lambda x, obs: (bl.neighbor_mean_step(x, obs, layout), 0)
 
 
-def _step_estimate(basis, cfg, layout, filt, x_prev, obs, backend, transcript):
-    """Advance the primary estimate by one test step; returns (x_hat, tokens).
+def _step_estimate(op, cfg, layout, x_prev, obs, backend, transcript):
+    """Advance the primary estimate by one test step with filter operator ``op``; returns (x_hat, tokens).
 
     ``layout`` is ``observed_layout(graph, obs.observed)``, the only source of each missing node's observed
     neighbors on both paths. The step is array-shaped when no text is sent or logged (``backend`` None, the
     built-in mock, and no transcript).
     """
-    o_tilde = denoise(filt, basis, obs, x_prev)
+    o_tilde = denoise(op, obs, x_prev)
     x_hat = np.where(obs.observed, o_tilde, x_prev)
     if backend is None and transcript is None:
         answered = mock_step(layout, obs.t, x_prev[layout.nodes], o_tilde, cfg.precision,

@@ -1,4 +1,5 @@
 """Shared fixtures: random connected graphs and bandlimited test signals, and reference implementations."""
+import hashlib
 import math
 
 import numpy as np
@@ -112,3 +113,39 @@ def seed_build_task(node: int, t: int, previous: float, processed, g: Graph, obs
     """Reference for ``prompts.build_task``: the task read from ``g``'s adjacency row and the mask, not a layout."""
     values = [float(processed[j]) for j in np.flatnonzero(g.adjacency[node]).tolist() if observed[j]]
     return NodeTask(node=node, t=t, previous=previous, neighbor_values=tuple(values), precision=precision)
+
+
+def seed_graph_convolve(basis, h, x) -> np.ndarray:
+    """Reference for ``spectral.graph_convolve``: the filter applied through the basis, ``U (h * (U^T x))``."""
+    u = basis.eigenvectors
+    return u @ (np.asarray(h, dtype=np.float64) * (u.T @ np.asarray(x, dtype=np.float64)))
+
+
+def seed_sign_flips(u) -> np.ndarray:
+    """Reference for ``gft``'s sign rule: columns whose largest-magnitude entry (first on ties) is negative."""
+    return u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0
+
+
+def seed_basis_ref(basis) -> str:
+    """Reference for ``GftBasis.ref``: the digest of the eigenvalues' then the eigenvectors' ``tobytes()``."""
+    return hashlib.sha256(basis.eigenvalues.tobytes() + basis.eigenvectors.tobytes()).hexdigest()[:16]
+
+
+def seed_knn_candidates(rad, k) -> tuple:
+    """Reference for ``graphs._knn_candidates``: the screen by the haversine inner term, taken with ``np.sin``.
+
+    Every j whose term is within a relative 1e-9 (and an absolute 1e-300) of the row's k-th smallest is kept.
+    """
+    lat, lon, cos_lat = np.asarray(rad).T
+    n = lat.shape[0]
+    pairs = []
+    for start in range(0, n, 256):
+        rows = np.arange(start, min(start + 256, n))
+        s_lat = np.sin((lat[None, :] - lat[rows, None]) / 2.0)
+        s_lon = np.sin((lon[None, :] - lon[rows, None]) / 2.0)
+        a = s_lat * s_lat + cos_lat[rows, None] * cos_lat[None, :] * (s_lon * s_lon)
+        a[rows - start, rows] = np.inf
+        kth = np.partition(a, k - 1, axis=1)[:, k - 1]
+        r, c = np.nonzero(a <= (kth * (1.0 + 1e-9) + 1e-300)[:, None])
+        pairs.append((r + start, c))
+    return tuple(np.concatenate(x) for x in zip(*pairs))

@@ -21,7 +21,7 @@ from graphfill.predictors import PredictorConfig, predict_batch
 from graphfill.prompts import NodeTask, render_system_prompt, render_user_prompt
 from graphfill.runner import RunConfig, execute_run, replay_from_checkpoint
 from graphfill.signals import ObservationModel, TimeVaryingSignal, observe, sample_mask
-from graphfill.spectral import graph_convolve, mae, train_filter
+from graphfill.spectral import SpectralFilter, filter_operator, graph_convolve, mae, train_filter
 
 
 @contextmanager
@@ -77,7 +77,8 @@ def test_criterion_1_spectral_core():
             basis = gft(lap)
             assert np.max(np.abs(basis.eigenvectors.T @ basis.eigenvectors - np.eye(n))) < 1e-8
             x = rng.normal(size=n)
-            assert np.max(np.abs(graph_convolve(basis, np.ones(n), x) - x)) < 1e-9
+            identity = filter_operator(SpectralFilter(np.ones(n), basis.ref()), basis)
+            assert np.max(np.abs(graph_convolve(identity, x) - x)) < 1e-9
         assert time.perf_counter() - start < 10.0
 
 
@@ -92,11 +93,12 @@ def test_criterion_3_denoising_efficacy():
         fill = train_sig.values.mean(axis=1)
 
         def harness(gains):
+            op = filter_operator(SpectralFilter(gains, basis.ref()), basis)
             total = 0.0
             for k in range(held.shape[1]):
                 obs = observe(held[:, k], model, 10_000 + k)
                 x_in = np.where(obs.observed, obs.values, fill)
-                total += mae(held[:, k], graph_convolve(basis, gains, x_in))
+                total += mae(held[:, k], graph_convolve(op, x_in))
             return total / held.shape[1]
 
         trained_mae = harness(trained_gains)

@@ -47,9 +47,11 @@ def iterations_to_converge(step_fn, filt, x_g, model, tol=1e-3, cap=500):
 class TestBandProjector:
     def test_symmetric_and_idempotent(self):
         _, basis, _ = spectral_fixture(n=18, band=4, t_steps=2, seed=1)
-        b = glms_init(basis, 6, mu=0.5).operator
+        filt = glms_init(basis, 6, mu=0.5)
         u_band = basis.eigenvectors[:, :6]
-        assert np.array_equal(b, u_band @ u_band.T)  # the GLMS operator is U_B U_B^T
+        assert np.array_equal(filt.band_vectors, u_band)  # the GLMS operator is U_B (0.5 I) U_B^T
+        assert np.array_equal(filt.scale, np.full(6, 0.5))
+        b = filt.band_vectors @ filt.band_vectors.T
         assert np.max(np.abs(b - b.T)) < 1e-8
         assert np.max(np.abs(b @ b - b)) < 1e-8
 
@@ -61,15 +63,25 @@ class TestBandProjector:
             gnlms_init(basis, 2, mu=0.5, observed=np.ones(2, dtype=bool))
 
     def test_filter_rejects_negative_step_size(self):
-        with pytest.raises(ValueError, match="step_size"):
-            AdaptiveFilter(-0.1, np.eye(2))
+        with pytest.raises(ValueError, match="step sizes"):
+            AdaptiveFilter(np.eye(2), np.array([0.5, -0.1]))
+        with pytest.raises(ValueError, match="step sizes"):
+            AdaptiveFilter(np.eye(2), np.array([0.5, np.nan]))
+        _, basis, _ = fixed_signal_fixture()
+        with pytest.raises(ValueError, match="step sizes"):
+            glms_init(basis, 4, mu=-0.1)
+        with pytest.raises(ValueError, match="one scale per band vector"):
+            AdaptiveFilter(np.eye(2), np.array([0.5]))
 
     def test_state_operators_read_only(self):
         _, basis, _ = fixed_signal_fixture()
         filters = (glms_init(basis, 4, mu=0.5), gnlms_init(basis, 4, mu=0.5, observed=np.ones(20, dtype=bool)))
         for filt in filters:
+            assert filt.band_vectors.shape == (20, 4) and filt.scale.shape == (4,)  # no n x n operator
             with pytest.raises(ValueError, match="read-only"):
-                filt.operator[0] = 1.0
+                filt.band_vectors[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                filt.scale[0] = 1.0
 
     def test_steps_do_not_recheck_projector(self, monkeypatch):
         checks = []
@@ -100,6 +112,26 @@ class TestBandProjector:
         assert energy[:f].sum() >= (1.0 - 1e-9) * energy.sum()
 
 
+@pytest.mark.parametrize("normalized", [False, True], ids=["glms", "gnlms"])
+def test_factored_steps_match_the_dense_operator(normalized):
+    # Reference: the operator formed as the dense n x n matrix U_B diag(s) U_B^T, with s = mu or mu / q.
+    g, basis, x_g = fixed_signal_fixture()
+    model = sample_mask(20, 0.6, seed=8, noise_variance=0.3)
+    u_band = basis.eigenvectors[:, :5]
+    if normalized:
+        filt, step = gnlms_init(basis, 5, mu=0.4, observed=model.observed), gnlms_step
+        s = 0.4 / np.maximum(np.sum(u_band[model.observed] ** 2, axis=0), baselines.NORMALIZATION_EPS)
+    else:
+        filt, step, s = glms_init(basis, 5, mu=0.4), glms_step, np.full(5, 0.4)
+    dense = u_band @ np.diag(s) @ u_band.T
+    estimate = reference = np.zeros(20)
+    for t in range(50):
+        obs = observe(x_g, model, t=t)
+        estimate = step(filt, estimate, obs)
+        reference = reference + dense @ np.where(obs.observed, obs.values - reference, 0.0)
+        assert np.max(np.abs(estimate - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+
+
 class TestGlmsStep:
     def test_zero_innovation_keeps_state(self):
         _, basis, x_g = fixed_signal_fixture()
@@ -116,7 +148,7 @@ class TestGlmsStep:
         n = 6
         x_hat = np.array([1.0, 2.0, -3.0, 0.5, 4.0, -1.5])
         o = np.array([2.0, 0.0, 1.0, -0.5, 3.0, 2.5])
-        out = glms_step(AdaptiveFilter(1.0, np.eye(n)), x_hat, full_observation(n, o))
+        out = glms_step(AdaptiveFilter(np.eye(n), np.ones(n)), x_hat, full_observation(n, o))
         assert np.array_equal(out, o)
 
     def test_converges_on_noiseless_bandlimited_signal(self):
@@ -136,7 +168,8 @@ class TestGnlmsStep:
         _, basis, x_g = fixed_signal_fixture()
         glms_filt = glms_init(basis, 4, mu=0.5)
         gnlms_filt = gnlms_init(basis, 4, mu=0.5, observed=np.ones(20, dtype=bool))
-        assert np.allclose(gnlms_filt.operator, glms_filt.operator, atol=1e-9)
+        assert np.array_equal(gnlms_filt.band_vectors, glms_filt.band_vectors)
+        assert np.allclose(gnlms_filt.scale, glms_filt.scale, atol=1e-9)
         obs = full_observation(20, x_g)
         a = glms_step(glms_filt, np.zeros(20), obs)
         b = gnlms_step(gnlms_filt, np.zeros(20), obs)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from helpers import write_run_fixture
 
+from graphfill import runner, spectral
 from graphfill.cli import OVERRIDES, main
 from graphfill.prompts import render_system_prompt
 
@@ -342,6 +343,14 @@ class TestTrainFilter:
         assert payload["basis_ref"]
         assert (payload["stop_reason"], "train_config" in payload) == ("closed-form", False)
         assert f"training MAE {payload['final_mae']:.6f}" in capsys.readouterr().out
+
+    def test_does_not_build_the_filter_operator(self, tmp_path, monkeypatch):
+        def no_operator(*args):
+            raise AssertionError("train-filter only fits and exports the gains")
+
+        monkeypatch.setattr(spectral, "filter_operator", no_operator)
+        monkeypatch.setattr(runner, "filter_operator", no_operator)
+        assert main(["train-filter", "--config", run_config_file(tmp_path), "--out", str(tmp_path / "f.json")]) == 0
 
 
 class TestBaselineCommand:

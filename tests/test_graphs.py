@@ -9,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import seed_haversine_km, seed_observed_layout
+from helpers import seed_basis_ref, seed_haversine_km, seed_knn_candidates, seed_observed_layout, seed_sign_flips
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphfill
+from graphfill import graphs
 from graphfill.graphs import (
+    GftBasis,
     Graph,
     build_graph,
     gft,
@@ -208,6 +210,22 @@ class TestGft:
             assert got.tobytes() == expected.tobytes()
             assert not np.array_equal(got, u)
 
+    @pytest.mark.parametrize("block_elements", [1, 120, 1 << 18])
+    def test_sign_flips_equal_the_whole_matrix_rule(self, monkeypatch, block_elements):
+        # Row blocks of 1 row, of 3 rows at n = 40 (ties straddle block edges) and one block: ties go to the first row.
+        monkeypatch.setattr(graphs, "_SIGN_BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(72)
+        for n in (1, 2, 7, 40, 41):
+            u = rng.normal(size=(n, n))
+            for k in range(n):
+                p, q = rng.choice(n, size=2)
+                u[p, k] = np.abs(u[:, k]).max() * rng.choice([-1.0, 1.0])
+                u[q, k] = -u[p, k] if rng.random() < 0.5 else u[p, k]
+            assert np.array_equal(graphs._largest_entry_is_negative(u), seed_sign_flips(u))
+        lap = laplacian(random_connected_graph(40, rng))
+        raw = np.linalg.eigh(lap)[1]
+        assert gft(lap).eigenvectors.tobytes() == (raw * np.where(seed_sign_flips(raw), -1.0, 1.0)).tobytes()
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             gft(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -232,6 +250,12 @@ class TestGft:
         b = gft(np.array([[2.0, -2.0], [-2.0, 2.0]]))
         assert a.ref() == a.ref()
         assert a.ref() != b.ref()
+
+    def test_basis_ref_is_the_digest_of_the_c_order_bytes(self):
+        basis = gft(laplacian(random_connected_graph(30, np.random.default_rng(8))))
+        assert basis.ref() == seed_basis_ref(basis)
+        fortran = GftBasis(np.asfortranarray(basis.eigenvectors), basis.eigenvalues)
+        assert fortran.eigenvectors.flags.f_contiguous and fortran.ref() == basis.ref()
 
 
 class TestNeighbors:
@@ -468,6 +492,30 @@ class TestKnnGraphBitIdentity:
             pts = [(45.0, 0.0)] + cluster + [(44.0 + 0.37 * r, 0.5 + 0.41 * r) for r in range(10)]
             for k in (1, 3, 5, 10):
                 assert_matches_seed(pts, k, bandwidth=100.0)
+
+    def test_candidates_hold_the_exact_k_nearest(self):
+        # Coincident points, points one ulp apart and scattered points; the exact k nearest by (haversine, index).
+        rng = np.random.default_rng(63)
+        pts = [tuple(map(float, p)) for p in rng.uniform(-30, 30, size=(60, 2))]
+        pts += [pts[int(i)] for i in rng.integers(0, 60, size=20)]
+        pts += [(12.5, 0.7 + m * math.ulp(0.7)) for m in range(10)]
+        pts += [(12.5 + m * math.ulp(12.5), 0.7) for m in range(10)]
+        rad = np.array([(math.radians(a), math.radians(b), math.cos(math.radians(a))) for a, b in pts])
+        for k in (1, 3, 8, 25):
+            i, j = graphs._knn_candidates(rad, k)
+            assert np.all(np.diff(i) >= 0)
+            candidates = set(zip(i.tolist(), j.tolist()))
+            for node, nearest in enumerate(brute_force_knn(pts, k)):
+                assert {(node, m) for m in nearest} <= candidates, (k, node)
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_benchmark_shaped_inputs_match_the_haversine_term_screen(self, n, monkeypatch):
+        # Stations drawn as the benchmark's kNN workloads draw them, k = 8, self-tuned bandwidth.
+        rng = np.random.default_rng([23, n, 1])
+        pts = list(zip(rng.uniform(35.0, 45.0, size=n).tolist(), rng.uniform(-10.0, 5.0, size=n).tolist()))
+        actual = knn_graph(pts, 8).adjacency
+        monkeypatch.setattr(graphs, "_knn_candidates", seed_knn_candidates)
+        assert actual.tobytes() == knn_graph(pts, 8).adjacency.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinates_rejected(self, bad):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfill import baselines as bl
-from graphfill import files, graphs, prompts, runner
+from graphfill import files, graphs, prompts, runner, spectral
 from graphfill.metrics import rmse
 from graphfill.graphs import build_graph, gft, laplacian, observed_layout
 from graphfill.predictors import PredictorConfig, TransportError, estimate_tokens
@@ -28,7 +28,7 @@ from graphfill.runner import (
     replay_from_checkpoint,
 )
 from graphfill.signals import Observation, ObservationModel, TimeVaryingSignal, observe, sample_mask
-from graphfill.spectral import SpectralFilter, denoise, mae
+from graphfill.spectral import SpectralFilter, denoise, filter_operator, mae
 
 
 def base_config(edge_path, signal_path, **overrides):
@@ -116,15 +116,34 @@ class TestOnlineLoopInvariants:
         ctx = execution.context
         rep = execution.repeats[0]
         model = rep.model
-        filt = rep.train_result.filter
+        op = filter_operator(rep.train_result.filter, ctx.basis)
         x_prev = init_estimate(ctx.train_signal, model)
         for k in range(ctx.test_signal.n_steps):
             t_abs = ctx.test_signal.t0 + k
             obs = observe(ctx.test_signal.values[:, k], model, t_abs)
-            o_tilde = denoise(filt, ctx.basis, obs, x_prev)
+            o_tilde = denoise(op, obs, x_prev)
             x_hat = rep.trajectory[:, k]
             assert np.array_equal(x_hat[model.observed], o_tilde[model.observed])
             x_prev = x_hat
+
+    @pytest.mark.parametrize("transcript", [False, True])
+    def test_operator_built_once_and_applied_once_per_step(self, fixture_paths, monkeypatch, transcript):
+        # The filter is checked against the basis when its operator is built, once per repeat; a step makes
+        # one graph_convolve call and no other check of the pairing.
+        built, convolved, refs = [], [], []
+        monkeypatch.setattr(runner, "filter_operator", lambda *a: built.append(1) or filter_operator(*a))
+        convolve = spectral.graph_convolve
+        monkeypatch.setattr(spectral, "graph_convolve", lambda *a: convolved.append(1) or convolve(*a))
+        edge_path, signal_path = fixture_paths
+        cfg = base_config(edge_path, signal_path, baselines=list(runner.BASELINES), repeats=2, transcript=transcript)
+        ctx = prepare_run(cfg)
+        basis_ref = type(ctx.basis).ref
+        monkeypatch.setattr(type(ctx.basis), "ref", lambda self: refs.append(1) or basis_ref(self))
+        for r in range(2):
+            runner.run_repeat(ctx, cfg, r, (runner.PRIMARY_METHOD, *runner.BASELINES))
+        steps = ctx.test_signal.n_steps
+        assert (len(built), len(convolved)) == (2, 2 * steps)
+        assert len(refs) == 2 * 2  # once by each training, once by each operator build
 
     def test_aggregate_ordering_against_naive_baselines(self, fixture_paths):
         edge_path, signal_path = fixture_paths
@@ -600,9 +619,9 @@ class TestArrayPath:
         obs = Observation(5, np.array([1.5e308, np.nan, 1.5e308]), model.observed)
         cfg = RunConfig(predictor=PredictorConfig(max_retries=0))
         x_prev = np.full(3, 0.25)
-        identity = SpectralFilter(np.ones(3), basis.ref())
+        identity = filter_operator(SpectralFilter(np.ones(3), basis.ref()), basis)
         layout = observed_layout(g, model.observed)
-        x_hat, tokens = runner._step_estimate(basis, cfg, layout, identity, x_prev, obs, None, None)
+        x_hat, tokens = runner._step_estimate(identity, cfg, layout, x_prev, obs, None, None)
         assert x_hat[1] == 0.25
         assert tokens > 0  # the text path sent the prompt
 

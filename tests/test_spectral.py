@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import random_connected_graph, spectral_fixture
+from helpers import random_connected_graph, seed_graph_convolve, spectral_fixture
 
 from graphfill import signals, spectral
 from graphfill.graphs import gft, laplacian
@@ -13,6 +13,7 @@ from graphfill.spectral import (
     SpectralFilter,
     TrainConfig,
     denoise,
+    filter_operator,
     graph_convolve,
     mae,
     save_filter_json,
@@ -29,12 +30,18 @@ def identity_filter(basis):
     return SpectralFilter(np.ones(basis.n_nodes), basis.ref())
 
 
+def convolve(basis, gains, x):
+    """``graph_convolve`` with the operator of ``gains`` on ``basis``."""
+    return graph_convolve(filter_operator(SpectralFilter(gains, basis.ref()), basis), x)
+
+
 def harness_mae(basis, gains, cols, model, fill, t_offset=10_000):
     """Mean MAE of the filtered corrupted inputs against ground truth."""
+    op = filter_operator(SpectralFilter(gains, basis.ref()), basis)
     total = 0.0
     for k in range(cols.shape[1]):
         x_in = corrupted_input(cols[:, k], model, t_offset + k, fill)
-        total += mae(cols[:, k], graph_convolve(basis, gains, x_in))
+        total += mae(cols[:, k], graph_convolve(op, x_in))
     return total / cols.shape[1]
 
 
@@ -44,7 +51,7 @@ class TestGraphConvolve:
         g = random_connected_graph(12, rng)
         basis = gft(laplacian(g))
         x = rng.normal(size=12)
-        assert np.max(np.abs(graph_convolve(basis, np.ones(12), x) - x)) < 1e-9
+        assert np.max(np.abs(convolve(basis, np.ones(12), x) - x)) < 1e-9
 
     def test_dc_only_gain_gives_mean(self):
         rng = np.random.default_rng(1)
@@ -53,7 +60,7 @@ class TestGraphConvolve:
         h = np.zeros(9)
         h[0] = 1.0
         x = rng.normal(size=9)
-        assert np.max(np.abs(graph_convolve(basis, h, x) - x.mean())) < 1e-9
+        assert np.max(np.abs(convolve(basis, h, x) - x.mean())) < 1e-9
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(2)
@@ -62,7 +69,7 @@ class TestGraphConvolve:
         h = rng.normal(size=15)
         x = rng.normal(size=15)
         oracle = basis.eigenvectors @ np.diag(h) @ basis.eigenvectors.T @ x
-        assert np.max(np.abs(graph_convolve(basis, h, x) - oracle)) < 1e-10
+        assert np.max(np.abs(convolve(basis, h, x) - oracle)) < 1e-10
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
@@ -71,8 +78,8 @@ class TestGraphConvolve:
         h = rng.normal(size=10)
         x, y = rng.normal(size=10), rng.normal(size=10)
         a, b = 1.7, -0.4
-        lhs = graph_convolve(basis, h, a * x + b * y)
-        rhs = a * graph_convolve(basis, h, x) + b * graph_convolve(basis, h, y)
+        lhs = convolve(basis, h, a * x + b * y)
+        rhs = a * convolve(basis, h, x) + b * convolve(basis, h, y)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_dimension_mismatch(self):
@@ -80,7 +87,39 @@ class TestGraphConvolve:
         g = random_connected_graph(5, rng)
         basis = gft(laplacian(g))
         with pytest.raises(ValueError):
-            graph_convolve(basis, np.ones(5), np.ones(6))
+            convolve(basis, np.ones(5), np.ones(6))
+        with pytest.raises(ValueError, match="expected 5 gains, got 6"):
+            filter_operator(SpectralFilter(np.ones(6), basis.ref()), basis)
+
+    @pytest.mark.parametrize("n", [12, 200])
+    def test_operator_matches_the_two_product_reference(self, n):
+        # Mixed-sign gains, a zero gain and gains of very different sizes exercise both halves of the split.
+        rng = np.random.default_rng(n)
+        basis = gft(laplacian(random_connected_graph(n, rng, p=0.1)))
+        h = rng.normal(size=n) * 10.0 ** rng.integers(-3, 2, size=n)
+        h[n // 2] = 0.0
+        op = filter_operator(SpectralFilter(h, basis.ref()), basis)
+        for _ in range(5):
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-2, 3)
+            want = seed_graph_convolve(basis, h, x)
+            assert np.linalg.norm(graph_convolve(op, x) - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0, 0.0])
+    def test_single_signed_gains(self, sign):
+        _, basis, _ = spectral_fixture(n=15, band=3, t_steps=2, seed=18)
+        h = sign * np.linspace(0.5, 2.0, 15)
+        op = filter_operator(SpectralFilter(h, basis.ref()), basis)
+        dense = basis.eigenvectors @ np.diag(h) @ basis.eigenvectors.T
+        assert np.max(np.abs(op.matrix - dense)) < 1e-12
+
+    def test_operator_is_symmetric_read_only_and_sized(self):
+        _, basis, signal = spectral_fixture(n=20, band=4, t_steps=60, seed=11)
+        filt = train_filter(basis, signal, sample_mask(20, 0.7, seed=3, noise_variance=0.3)).filter
+        op = filter_operator(filt, basis)
+        assert op.n_nodes == 20 and op.matrix.shape == (20, 20)
+        assert np.array_equal(op.matrix, op.matrix.T)
+        with pytest.raises(ValueError, match="read-only"):
+            op.matrix[0, 0] = 1.0
 
 
 class TestMae:
@@ -178,7 +217,7 @@ class TestTrainFilter:
         total = 0.0
         for t in range(x.shape[1]):
             x_in = np.where(model.observed, x[:, t], previous)
-            total += mae(x[:, t], graph_convolve(basis, result.filter.gains, x_in))
+            total += mae(x[:, t], seed_graph_convolve(basis, result.filter.gains, x_in))
             previous = x[:, t]
         assert result.mae_trace.shape == (1,)
         assert result.mae_trace[0] == pytest.approx(total / x.shape[1], rel=1e-12)
@@ -209,7 +248,7 @@ class TestDenoise:
         model = sample_mask(10, 1.0, seed=5, noise_variance=0.0)
         col = signal.values[:, 0]
         obs = observe(col, model, t=0)
-        out = denoise(identity_filter(basis), basis, obs, fill=np.zeros(10))
+        out = denoise(filter_operator(identity_filter(basis), basis), obs, fill=np.zeros(10))
         assert np.max(np.abs(out - col)) < 1e-9
 
     def test_single_observed_node_returns_finite_vector(self):
@@ -222,7 +261,7 @@ class TestDenoise:
         observed[3] = True
         model = ObservationModel(observed=observed, noise_variance=0.2, seed=6)
         obs = observe(rng.normal(size=8), model, t=1)
-        out = denoise(identity_filter(basis), basis, obs, fill=np.full(8, 2.0))
+        out = denoise(filter_operator(identity_filter(basis), basis), obs, fill=np.full(8, 2.0))
         assert out.shape == (8,) and np.all(np.isfinite(out))
 
     def test_trained_filter_beats_unfiltered_on_average(self):
@@ -230,24 +269,33 @@ class TestDenoise:
         train_sig = TimeVaryingSignal(signal.values[:, :300])
         held = signal.values[:, 300:400]
         model = sample_mask(30, 0.7, seed=7, noise_variance=0.5)
-        filt = train_filter(basis, train_sig, model).filter
+        op = filter_operator(train_filter(basis, train_sig, model).filter, basis)
         fill = train_sig.values.mean(axis=1)
         filtered, unfiltered = 0.0, 0.0
         for k in range(100):
             col = held[:, k]
             obs = observe(col, model, 20_000 + k)
             x_in = np.where(obs.observed, obs.values, fill)
-            filtered += mae(col, denoise(filt, basis, obs, fill))
+            filtered += mae(col, denoise(op, obs, fill))
             unfiltered += mae(col, x_in)
         assert filtered / 100 < unfiltered / 100
 
     def test_basis_mismatch_rejected(self):
         _, basis_a, _ = spectral_fixture(n=8, band=2, t_steps=2, seed=15)
         _, basis_b, _ = spectral_fixture(n=8, band=2, t_steps=2, seed=16)
-        model = sample_mask(8, 1.0, seed=7, noise_variance=0.0)
-        obs = observe(np.zeros(8), model, t=0)
         with pytest.raises(ValueError, match="basis"):
-            denoise(identity_filter(basis_a), basis_b, obs, fill=np.zeros(8))
+            filter_operator(identity_filter(basis_a), basis_b)
+
+    def test_equals_the_reference_filter_of_the_filled_input(self):
+        _, basis, signal = spectral_fixture(n=20, band=4, t_steps=60, seed=11)
+        model = sample_mask(20, 0.7, seed=3, noise_variance=0.3)
+        filt = train_filter(basis, signal, model).filter
+        op = filter_operator(filt, basis)
+        fill = signal.values[:, 0]
+        for t in range(1, 20):
+            obs = observe(signal.values[:, t], model, t)
+            want = seed_graph_convolve(basis, filt.gains, np.where(obs.observed, obs.values, fill))
+            assert np.linalg.norm(denoise(op, obs, fill) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestFilterSerialization:
