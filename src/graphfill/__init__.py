@@ -36,8 +36,8 @@ from .signals import (
     split,
 )
 from .spectral import (
+    BandOperator,
     FilterDivergenceError,
-    FilterOperator,
     SpectralFilter,
     TrainConfig,
     denoise,

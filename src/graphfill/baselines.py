@@ -12,42 +12,27 @@ frequency by the inverse energy the mask leaves in that frequency
 node observed it reduces exactly to the unnormalized update.
 
 Every baseline's estimate is a plain array: a step takes one and returns
-the next. An adaptive filter's fixed part is an :class:`AdaptiveFilter`,
+the next. An adaptive filter's fixed part is a ``spectral.BandOperator``,
 built and checked once by its init: the band vectors U_B and one step
 size per in-band frequency, so that a step applies
 ``U_B diag(scale) U_B^T`` through U_B in O(n B) and never forms it.
 """
-from dataclasses import dataclass
-
 import numpy as np
 
-from .graphs import ObservedLayout, _frozen, neighbors  # noqa: F401 (``baselines.neighbors`` stays importable)
+from .graphs import ObservedLayout, neighbors  # noqa: F401 (``baselines.neighbors`` stays importable)
 from .signals import Observation
+from .spectral import BandOperator, graph_convolve  # by name: a wrapper on spectral.graph_convolve sees no LMS step
 
 NORMALIZATION_EPS = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class AdaptiveFilter:
-    """Read-only band vectors ``U_B`` (n x B) and per-frequency step sizes ``scale`` of one LMS filter."""
-    band_vectors: np.ndarray
-    scale: np.ndarray
-
-    def __post_init__(self):
-        u, scale = _frozen(self.band_vectors), _frozen(self.scale)
-        if u.ndim != 2 or scale.shape != u.shape[1:]:
-            raise ValueError(f"expected one scale per band vector, got {scale.shape} for band vectors {u.shape}")
-        if not np.all(scale >= 0.0):
-            raise ValueError("step sizes (scale) must be >= 0")
-        object.__setattr__(self, "band_vectors", u)
-        object.__setattr__(self, "scale", scale)
-
-
-def _band_vectors(basis, band_size: int) -> np.ndarray:
-    """The ``band_size`` lowest-frequency eigenvectors, checked to span an orthogonal projector."""
+def _band_vectors(basis, band_size: int, mu: float) -> np.ndarray:
+    """The ``band_size`` lowest-frequency eigenvectors, checked to span an orthogonal projector; ``mu`` must be >= 0."""
     n = basis.n_nodes
     if not (1 <= band_size <= n):
         raise ValueError(f"band_size must be in [1, {n}]")
+    if not mu >= 0.0:  # NaN fails too; GNLMS scales mu by positive factors, so every step size is >= 0
+        raise ValueError("step sizes (mu) must be >= 0")
     u_band = basis.eigenvectors[:, :band_size]
     # U U^T is symmetric by construction, and idempotent exactly when U's columns are orthonormal.
     if np.max(np.abs(u_band.T @ u_band - np.eye(band_size)), initial=0.0) > 1e-8:
@@ -68,12 +53,12 @@ def bandlimit_for_energy(basis, signal_values: np.ndarray, fraction: float = 0.9
     return int(np.searchsorted(cum, fraction - 1e-12) + 1)
 
 
-def glms_init(basis, band_size: int, mu: float) -> AdaptiveFilter:
+def glms_init(basis, band_size: int, mu: float) -> BandOperator:
     """The band projector ``U_B U_B^T`` with step size ``mu`` at every in-band frequency."""
-    return AdaptiveFilter(_band_vectors(basis, band_size), np.full(band_size, float(mu)))
+    return BandOperator(_band_vectors(basis, band_size, mu), np.full(band_size, float(mu)))
 
 
-def gnlms_init(basis, band_size: int, mu: float, observed: np.ndarray) -> AdaptiveFilter:
+def gnlms_init(basis, band_size: int, mu: float, observed: np.ndarray) -> BandOperator:
     """Normalized variant: the band projector with each frequency's step size ``mu`` scaled by its inverse mask energy.
 
     For in-band frequency k the scale is ``1 / max(q_k, eps)`` with
@@ -81,27 +66,26 @@ def gnlms_init(basis, band_size: int, mu: float, observed: np.ndarray) -> Adapti
     in that frequency (1 when every node is observed).
     """
     observed = np.asarray(observed, dtype=bool)
-    u_band = _band_vectors(basis, band_size)
+    u_band = _band_vectors(basis, band_size, mu)
     q = np.sum(u_band[observed, :] ** 2, axis=0)
     norm = 1.0 / np.maximum(q, NORMALIZATION_EPS)
-    return AdaptiveFilter(u_band, mu * norm)
+    return BandOperator(u_band, mu * norm)
 
 
-def _lms_step(filt: AdaptiveFilter, estimate: np.ndarray, obs: Observation) -> np.ndarray:
+def _lms_step(filt: BandOperator, estimate: np.ndarray, obs: Observation) -> np.ndarray:
     """``estimate + U_B (scale * (U_B^T masked innovation))``, as a new array."""
-    u = filt.band_vectors
-    return estimate + u @ (filt.scale * (u.T @ np.where(obs.observed, obs.values - estimate, 0.0)))
+    return estimate + graph_convolve(filt, np.where(obs.observed, obs.values - estimate, 0.0))
 
 
 # GLMS and GNLMS differ only in the step sizes their init builds. The step
 # keeps two names so that each filter's calls can be told apart by name
 # (a wrapper installed on ``baselines.glms_step`` sees only GLMS steps).
-def glms_step(filt: AdaptiveFilter, estimate: np.ndarray, obs: Observation) -> np.ndarray:
+def glms_step(filt: BandOperator, estimate: np.ndarray, obs: Observation) -> np.ndarray:
     """One least-mean-squares correction along the band projector."""
     return _lms_step(filt, estimate, obs)
 
 
-def gnlms_step(filt: AdaptiveFilter, estimate: np.ndarray, obs: Observation) -> np.ndarray:
+def gnlms_step(filt: BandOperator, estimate: np.ndarray, obs: Observation) -> np.ndarray:
     """Same correction with the innovation rescaled per frequency."""
     return _lms_step(filt, estimate, obs)
 

@@ -264,10 +264,10 @@ def _start_estimates(ctx, methods, x0) -> dict:
 def _method_step(name, ctx, cfg, model, layout, train_result, backend, transcript):
     """Method ``name``'s ``step(estimate, obs) -> (next estimate, tokens)`` in a repeat with mask ``model``.
 
-    Each method's fixed part is built here, once: the primary's filter operator (which checks the filter
-    against the basis) and a baseline's band factors. No step writes into the estimate it is given, so
-    methods may share one. Each step looks ``bl.<fn>`` (and the primary step ``denoise``, ``build_task`` and
-    ``predict_batch``) up at call time, so wrappers installed on the modules see every call.
+    Each method's fixed part is built here, once, as a ``spectral.BandOperator``: the primary's filter (checked
+    against the basis) or a baseline's band. No step writes into the estimate it is given, so methods may share
+    one. Each step looks ``bl.<fn>`` (and the primary step ``denoise``, ``build_task`` and ``predict_batch``) up
+    at call time, so wrappers installed on the modules see every call.
     """
     if name == PRIMARY_METHOD:
         op = filter_operator(train_result.filter, ctx.basis)

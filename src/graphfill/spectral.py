@@ -6,10 +6,10 @@ closed form: per-frequency least squares over the training split, with the
 run's observation noise integrated out exactly and missing nodes filled as
 the online loop fills them. The gains are frozen after training.
 
-A run builds H once per repeat with :func:`filter_operator`, which also
-checks that the filter was trained on the basis it is applied with; each
-online step then costs one n x n matrix-vector product
-(:func:`graph_convolve`) instead of two with U.
+A run builds the filter's :class:`BandOperator` once per repeat with
+:func:`filter_operator`, which checks the filter's basis and keeps the
+gains above rounding; each online step then costs two products with the
+kept n x r vectors (:func:`graph_convolve`). The LMS baselines share it.
 """
 import json
 from dataclasses import dataclass
@@ -78,21 +78,40 @@ class TrainResult:
 
 
 @dataclass(frozen=True, eq=False)
-class FilterOperator:
-    """A trained filter as one read-only node-domain matrix ``H = U diag(h) U^T``, from :func:`filter_operator`."""
-    matrix: np.ndarray
+class BandOperator:
+    """The read-only operator ``V diag(scale) V^T`` kept as its factors: n x r vectors V and r signed scales."""
+    vectors: np.ndarray
+    scale: np.ndarray
+
+    def __post_init__(self):
+        v, scale = _frozen(self.vectors), _frozen(self.scale)
+        if v.ndim != 2 or scale.shape != v.shape[1:]:
+            raise ValueError(f"expected one scale per vector, got {scale.shape} for vectors {v.shape}")
+        if not np.all(np.isfinite(scale)):
+            raise ValueError("scale must be finite")
+        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def n_nodes(self) -> int:
-        return self.matrix.shape[0]
+        return self.vectors.shape[0]
 
 
-def filter_operator(filt: SpectralFilter, basis: GftBasis) -> FilterOperator:
-    """Build ``U diag(h) U^T`` for ``filt`` on ``basis``, the basis it was trained against.
+def gain_truncation(gains: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Kept gains (``|h_k| > n * eps * max |h|``, ``matrix_rank``'s tolerance), max dropped |h_k| (or 0), max |h|."""
+    magnitude = np.abs(gains)
+    top = float(magnitude.max(initial=0.0))
+    keep = magnitude > gains.size * np.finfo(np.float64).eps * top
+    return keep, float(magnitude[~keep].max(initial=0.0)), top
 
-    With the gains split by sign, ``H = A A^T - B B^T`` for ``A = U_+ sqrt(h_+)`` and ``B = U_- sqrt(-h_-)``:
-    each product is a symmetric rank-k update (numpy's matmul sends ``A @ A.T`` to BLAS syrk), so H comes out
-    exactly symmetric at about half the cost of a general product. Frequencies with gain 0 drop out.
+
+def filter_operator(filt: SpectralFilter, basis: GftBasis) -> BandOperator:
+    """``filt`` on ``basis``, the basis it was trained against, as ``U_r diag(h_r) U_r^T`` over the kept gains.
+
+    The frequencies whose gain is rounding-level against the largest (see :func:`gain_truncation`) drop
+    out. U is orthonormal, so the dropped part has spectral norm ``||H - H_r||_2 = max over dropped k of
+    |h_k| <= n * eps * max |h|``: no larger than the rounding a dense n x n product with H already carries.
+    All-zero gains keep no frequency, and the operator maps every signal to zeros.
 
     Raises:
         ValueError: if the filter was trained against another basis, or its gains do not match the basis's size.
@@ -102,22 +121,13 @@ def filter_operator(filt: SpectralFilter, basis: GftBasis) -> FilterOperator:
     n = basis.n_nodes
     if filt.gains.shape != (n,):
         raise ValueError(f"expected {n} gains, got {filt.gains.shape[0]}")
-    u, h = basis.eigenvectors, filt.gains
-    a = u[:, h > 0.0]  # fancy indexing copies, so scaling in place leaves U as it is
-    a *= np.sqrt(h[h > 0.0])
-    matrix = a @ a.T
-    del a  # before B's copy is made
-    if np.any(h < 0.0):
-        b = u[:, h < 0.0]
-        b *= np.sqrt(-h[h < 0.0])
-        matrix -= b @ b.T
-    matrix.setflags(write=False)
-    return FilterOperator(matrix)
+    keep = gain_truncation(filt.gains)[0]
+    return BandOperator(basis.eigenvectors[:, keep], filt.gains[keep])
 
 
-def graph_convolve(op: FilterOperator, x: np.ndarray) -> np.ndarray:
-    """Filter a node signal: ``H x``, one matrix-vector product."""
-    return op.matrix @ x
+def graph_convolve(op: BandOperator, x: np.ndarray) -> np.ndarray:
+    """Apply ``op`` to a node signal: ``V (scale * (V^T x))``, two products with the n x r vectors."""
+    return op.vectors @ (op.scale * (op.vectors.T @ x))
 
 
 def mae(x_g: np.ndarray, x_tilde: np.ndarray) -> float:
@@ -167,7 +177,7 @@ def train_filter(basis: GftBasis, train_signal: TimeVaryingSignal, obs_model: Ob
     return TrainResult(filter=filt, mae_trace=np.array([fitted_mae]), stop_reason="closed-form")
 
 
-def denoise(op: FilterOperator, obs: Observation, fill: np.ndarray) -> np.ndarray:
+def denoise(op: BandOperator, obs: Observation, fill: np.ndarray) -> np.ndarray:
     """Fill missing entries of an observation, then apply the trained filter's operator ``op``.
 
     ``fill`` supplies the values used at unobserved nodes (the online loop
@@ -177,12 +187,16 @@ def denoise(op: FilterOperator, obs: Observation, fill: np.ndarray) -> np.ndarra
 
 
 def save_filter_json(path, result: TrainResult) -> None:
-    """Export gains plus training metadata as JSON."""
+    """Export gains plus training metadata as JSON, with the operator's rank and truncation."""
+    keep, truncation_error, max_abs_gain = gain_truncation(result.filter.gains)
     payload = {
         "basis_ref": result.filter.basis_ref,
         "gains": [float(g) for g in result.filter.gains],
         "final_mae": float(result.mae_trace[-1]),
         "stop_reason": result.stop_reason,
+        "rank": int(np.count_nonzero(keep)),
+        "truncation_error": truncation_error,
+        "max_abs_gain": max_abs_gain,
     }
     with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2)

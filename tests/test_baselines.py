@@ -7,7 +7,6 @@ from helpers import random_connected_graph, spectral_fixture
 
 from graphfill import baselines
 from graphfill.baselines import (
-    AdaptiveFilter,
     bandlimit_for_energy,
     glms_init,
     glms_step,
@@ -18,6 +17,7 @@ from graphfill.baselines import (
 )
 from graphfill.graphs import build_graph, gft, laplacian, neighbors, observed_layout
 from graphfill.signals import Observation, ObservationModel, observe, sample_mask
+from graphfill.spectral import BandOperator
 
 
 def fixed_signal_fixture(n=20, band=4, seed=31):
@@ -49,9 +49,9 @@ class TestBandProjector:
         _, basis, _ = spectral_fixture(n=18, band=4, t_steps=2, seed=1)
         filt = glms_init(basis, 6, mu=0.5)
         u_band = basis.eigenvectors[:, :6]
-        assert np.array_equal(filt.band_vectors, u_band)  # the GLMS operator is U_B (0.5 I) U_B^T
+        assert np.array_equal(filt.vectors, u_band)  # the GLMS operator is U_B (0.5 I) U_B^T
         assert np.array_equal(filt.scale, np.full(6, 0.5))
-        b = filt.band_vectors @ filt.band_vectors.T
+        b = filt.vectors @ filt.vectors.T
         assert np.max(np.abs(b - b.T)) < 1e-8
         assert np.max(np.abs(b @ b - b)) < 1e-8
 
@@ -63,23 +63,20 @@ class TestBandProjector:
             gnlms_init(basis, 2, mu=0.5, observed=np.ones(2, dtype=bool))
 
     def test_filter_rejects_negative_step_size(self):
-        with pytest.raises(ValueError, match="step sizes"):
-            AdaptiveFilter(np.eye(2), np.array([0.5, -0.1]))
-        with pytest.raises(ValueError, match="step sizes"):
-            AdaptiveFilter(np.eye(2), np.array([0.5, np.nan]))
         _, basis, _ = fixed_signal_fixture()
-        with pytest.raises(ValueError, match="step sizes"):
-            glms_init(basis, 4, mu=-0.1)
-        with pytest.raises(ValueError, match="one scale per band vector"):
-            AdaptiveFilter(np.eye(2), np.array([0.5]))
+        for mu in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="step sizes"):
+                glms_init(basis, 4, mu=mu)
+            with pytest.raises(ValueError, match="step sizes"):
+                gnlms_init(basis, 4, mu=mu, observed=np.ones(20, dtype=bool))
 
     def test_state_operators_read_only(self):
         _, basis, _ = fixed_signal_fixture()
         filters = (glms_init(basis, 4, mu=0.5), gnlms_init(basis, 4, mu=0.5, observed=np.ones(20, dtype=bool)))
         for filt in filters:
-            assert filt.band_vectors.shape == (20, 4) and filt.scale.shape == (4,)  # no n x n operator
+            assert filt.vectors.shape == (20, 4) and filt.scale.shape == (4,)  # no n x n operator
             with pytest.raises(ValueError, match="read-only"):
-                filt.band_vectors[0] = 1.0
+                filt.vectors[0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 filt.scale[0] = 1.0
 
@@ -148,7 +145,7 @@ class TestGlmsStep:
         n = 6
         x_hat = np.array([1.0, 2.0, -3.0, 0.5, 4.0, -1.5])
         o = np.array([2.0, 0.0, 1.0, -0.5, 3.0, 2.5])
-        out = glms_step(AdaptiveFilter(np.eye(n), np.ones(n)), x_hat, full_observation(n, o))
+        out = glms_step(BandOperator(np.eye(n), np.ones(n)), x_hat, full_observation(n, o))
         assert np.array_equal(out, o)
 
     def test_converges_on_noiseless_bandlimited_signal(self):
@@ -168,7 +165,7 @@ class TestGnlmsStep:
         _, basis, x_g = fixed_signal_fixture()
         glms_filt = glms_init(basis, 4, mu=0.5)
         gnlms_filt = gnlms_init(basis, 4, mu=0.5, observed=np.ones(20, dtype=bool))
-        assert np.array_equal(gnlms_filt.band_vectors, glms_filt.band_vectors)
+        assert np.array_equal(gnlms_filt.vectors, glms_filt.vectors)
         assert np.allclose(gnlms_filt.scale, glms_filt.scale, atol=1e-9)
         obs = full_observation(20, x_g)
         a = glms_step(glms_filt, np.zeros(20), obs)

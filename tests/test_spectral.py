@@ -9,11 +9,13 @@ from graphfill import signals, spectral
 from graphfill.graphs import gft, laplacian
 from graphfill.signals import TimeVaryingSignal, observe, sample_mask
 from graphfill.spectral import (
+    BandOperator,
     FilterDivergenceError,
     SpectralFilter,
     TrainConfig,
     denoise,
     filter_operator,
+    gain_truncation,
     graph_convolve,
     mae,
     save_filter_json,
@@ -93,7 +95,7 @@ class TestGraphConvolve:
 
     @pytest.mark.parametrize("n", [12, 200])
     def test_operator_matches_the_two_product_reference(self, n):
-        # Mixed-sign gains, a zero gain and gains of very different sizes exercise both halves of the split.
+        # Mixed-sign gains of very different sizes, all kept, and a zero gain, which drops out.
         rng = np.random.default_rng(n)
         basis = gft(laplacian(random_connected_graph(n, rng, p=0.1)))
         h = rng.normal(size=n) * 10.0 ** rng.integers(-3, 2, size=n)
@@ -106,20 +108,72 @@ class TestGraphConvolve:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0, 0.0])
     def test_single_signed_gains(self, sign):
+        # All-zero gains keep no frequency: the operator has rank 0 and maps every signal to zeros.
         _, basis, _ = spectral_fixture(n=15, band=3, t_steps=2, seed=18)
         h = sign * np.linspace(0.5, 2.0, 15)
         op = filter_operator(SpectralFilter(h, basis.ref()), basis)
-        dense = basis.eigenvectors @ np.diag(h) @ basis.eigenvectors.T
-        assert np.max(np.abs(op.matrix - dense)) < 1e-12
+        assert op.vectors.shape == (15, 15 if sign else 0) and np.array_equal(op.scale, h[h != 0.0])
+        x = np.random.default_rng(18).normal(size=15)
+        out, want = graph_convolve(op, x), seed_graph_convolve(basis, h, x)
+        assert out.shape == (15,) and np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_mixed_sign_full_rank_gains_keep_every_frequency(self):
+        rng = np.random.default_rng(19)
+        basis = gft(laplacian(random_connected_graph(40, rng, p=0.1)))
+        h = rng.choice([-1.0, 1.0], size=40) * rng.uniform(0.1, 3.0, size=40)
+        op = filter_operator(SpectralFilter(h, basis.ref()), basis)
+        assert np.array_equal(op.vectors, basis.eigenvectors) and np.array_equal(op.scale, h)
+        for _ in range(5):
+            x = rng.normal(size=40)
+            want = seed_graph_convolve(basis, h, x)
+            assert np.linalg.norm(graph_convolve(op, x) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_rounding_tail_is_dropped_within_its_stated_bound(self):
+        rng = np.random.default_rng(20)
+        basis = gft(laplacian(random_connected_graph(40, rng, p=0.1)))
+        h = rng.uniform(-1e-14, 1e-14, size=40)  # below 40 * eps * 2 = 1.8e-14, so every tail gain drops
+        h[:4] = [2.0, -1.5, 0.9, 1e-3]
+        keep, truncation_error, max_abs_gain = gain_truncation(h)
+        assert np.flatnonzero(keep).tolist() == [0, 1, 2, 3]
+        assert (truncation_error, max_abs_gain) == (np.abs(h[4:]).max(), 2.0)
+        op = filter_operator(SpectralFilter(h, basis.ref()), basis)
+        assert op.vectors.shape == (40, 4)
+        for _ in range(5):
+            x = rng.normal(size=40) * 10.0 ** rng.integers(-2, 3)
+            want = seed_graph_convolve(basis, h, x)
+            err = np.linalg.norm(graph_convolve(op, x) - want)
+            assert err <= truncation_error * np.linalg.norm(x) + 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_band_limited_training_keeps_its_band(self, seed):
+        # Out of band the training targets are rounding, so are the fitted gains, and the operator keeps the band.
+        _, basis, signal = spectral_fixture(n=30, band=4, t_steps=80, seed=seed)
+        filt = train_filter(basis, signal, sample_mask(30, 0.7, seed=seed, noise_variance=0.3)).filter
+        op = filter_operator(filt, basis)
+        assert op.vectors.shape == (30, 4) and np.array_equal(op.vectors, basis.eigenvectors[:, :4])
+        x = signal.values[:, -1] + np.random.default_rng(seed).normal(size=30)
+        want = seed_graph_convolve(basis, filt.gains, x)
+        assert np.linalg.norm(graph_convolve(op, x) - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_operator_is_symmetric_read_only_and_sized(self):
         _, basis, signal = spectral_fixture(n=20, band=4, t_steps=60, seed=11)
         filt = train_filter(basis, signal, sample_mask(20, 0.7, seed=3, noise_variance=0.3)).filter
         op = filter_operator(filt, basis)
-        assert op.n_nodes == 20 and op.matrix.shape == (20, 20)
-        assert np.array_equal(op.matrix, op.matrix.T)
+        assert op.n_nodes == 20 and op.vectors.shape == (20, 4) and op.scale.shape == (4,)
+        x, y = np.random.default_rng(11).normal(size=(2, 20))
+        assert abs(y @ graph_convolve(op, x) - graph_convolve(op, y) @ x) < 1e-12
         with pytest.raises(ValueError, match="read-only"):
-            op.matrix[0, 0] = 1.0
+            op.vectors[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            op.scale[0] = 1.0
+
+    def test_band_operator_takes_signed_finite_scales_one_per_vector(self):
+        assert np.array_equal(BandOperator(np.eye(2), np.array([0.5, -0.1])).scale, [0.5, -0.1])
+        for scale in ([0.5, np.nan], [0.5, np.inf]):
+            with pytest.raises(ValueError, match="scale must be finite"):
+                BandOperator(np.eye(2), np.array(scale))
+        with pytest.raises(ValueError, match="one scale per vector"):
+            BandOperator(np.eye(2), np.array([0.5]))
 
 
 class TestMae:
@@ -306,7 +360,12 @@ class TestFilterSerialization:
         path = tmp_path / "filter.json"
         save_filter_json(path, result)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert set(payload) == {"basis_ref", "gains", "final_mae", "stop_reason"}
+        assert set(payload) == {"basis_ref", "gains", "final_mae", "stop_reason", "rank", "truncation_error",
+                                "max_abs_gain"}
+        keep, truncation_error, max_abs_gain = gain_truncation(result.filter.gains)
+        assert (payload["rank"], payload["truncation_error"], payload["max_abs_gain"]) == (3, truncation_error,
+                                                                                           max_abs_gain)
+        assert payload["max_abs_gain"] == np.abs(result.filter.gains).max() and 0.0 < truncation_error < 1e-13
         assert (payload["final_mae"], payload["stop_reason"]) == (result.mae_trace[0], "closed-form")
         loaded = SpectralFilter(gains=np.asarray(payload["gains"]), basis_ref=payload["basis_ref"])
         assert loaded.basis_ref == result.filter.basis_ref
