@@ -447,17 +447,20 @@ def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> Rep
             raise ValueError(f"seed {seed} is not repeat {repeat}'s seed {_repeat_seed(cfg, repeat)}")
         if not methods or not set(methods) <= {PRIMARY_METHOD, *cfg.baselines}:
             raise ValueError(f"methods {list(methods)} are not among the config's {[PRIMARY_METHOD, *cfg.baselines]}")
-    if PRIMARY_METHOD in methods:
-        backend = bind_backend(cfg.predictor, backend)
-    ctx = prepare_run(cfg)
-    with _naming(checkpoint_path):
-        if not 0 <= k_next <= ctx.test_signal.n_steps:
-            raise ValueError(f"k_next {k_next} is outside [0, {ctx.test_signal.n_steps}]")
-        for key, shape in (("estimates", (ctx.graph.n_nodes,)), ("scores", (4, k_next))):
-            state[key] = {m: np.asarray(state[key].get(m), dtype=np.float64) for m in methods}
-            if any(a.shape != shape or not np.isfinite(a).all() for a in state[key].values()):
-                raise ValueError(f"{key} must be finite numbers of shape {shape} for every method")
-    return run_repeat(ctx, cfg, repeat, methods, backend=backend, resume=state)
+    bound = bind_backend(cfg.predictor, backend) if PRIMARY_METHOD in methods else backend
+    try:
+        ctx = prepare_run(cfg)
+        with _naming(checkpoint_path):
+            if not 0 <= k_next <= ctx.test_signal.n_steps:
+                raise ValueError(f"k_next {k_next} is outside [0, {ctx.test_signal.n_steps}]")
+            for key, shape in (("estimates", (ctx.graph.n_nodes,)), ("scores", (4, k_next))):
+                state[key] = {m: np.asarray(state[key].get(m), dtype=np.float64) for m in methods}
+                if any(a.shape != shape or not np.isfinite(a).all() for a in state[key].values()):
+                    raise ValueError(f"{key} must be finite numbers of shape {shape} for every method")
+        return run_repeat(ctx, cfg, repeat, methods, backend=bound, resume=state)
+    finally:
+        if bound is not backend:  # the remote client bound for this replay
+            bound.close()
 
 
 @dataclass(eq=False)
@@ -470,17 +473,20 @@ class RunExecution:
 def execute_run(cfg: RunConfig, backend=None, with_primary: bool = True) -> RunExecution:
     """Run every repeat and assemble the report; with ``output_dir`` set, checkpoints and artifacts go there."""
     methods = (PRIMARY_METHOD, *cfg.baselines) if with_primary else cfg.baselines
-    if with_primary:
-        backend = bind_backend(cfg.predictor, backend)
-    elif not methods:
+    if not methods:
         raise ValueError("no baselines selected (set 'baselines' in the config or --baselines)")
-    ctx = prepare_run(cfg)
-    if cfg.output_dir:  # an earlier run's states, and the artifacts this run may not overwrite, are not this run's
-        for pattern in ("checkpoints/repeat*_step*.json", "checkpoints/repeat*_aborted.json",
-                        "filter_repeat*.json", "transcript.jsonl"):
-            for path in glob.glob(os.path.join(glob.escape(cfg.output_dir), pattern)):
-                os.remove(path)
-    results = [run_repeat(ctx, cfg, r, methods, backend=backend) for r in range(cfg.repeats)]
+    bound = bind_backend(cfg.predictor, backend) if with_primary else backend
+    try:
+        ctx = prepare_run(cfg)
+        if cfg.output_dir:  # an earlier run's states, and the artifacts this run may not overwrite, are not this run's
+            for pattern in ("checkpoints/repeat*_step*.json", "checkpoints/repeat*_aborted.json",
+                            "filter_repeat*.json", "transcript.jsonl"):
+                for path in glob.glob(os.path.join(glob.escape(cfg.output_dir), pattern)):
+                    os.remove(path)
+        results = [run_repeat(ctx, cfg, r, methods, backend=bound) for r in range(cfg.repeats)]
+    finally:
+        if bound is not backend:  # the remote client bound for this run: no socket outlives it
+            bound.close()
     execution = RunExecution(report=_assemble_report(ctx, cfg, results, methods[0]), repeats=results, context=ctx)
     if cfg.output_dir:
         _write_artifacts(cfg, execution)

@@ -1,4 +1,5 @@
 """Tests for the prediction backends, batching, retry, and the wire client."""
+import base64
 import json
 import os
 import select
@@ -17,6 +18,7 @@ from graphfill import predictors
 from graphfill.predictors import (
     PredictorConfig,
     TransportError,
+    bind_backend,
     mock_predict,
     predict_batch,
     remote_complete,
@@ -167,6 +169,22 @@ class TestRetrySemantics:
         assert {(r.prompt, r.completion) for r in results} == {(results[0].prompt, "1.0 2.0 3.0")}
         assert [r.backend_latency for r in results] == [2000.0 / 3] * 3
 
+    @pytest.mark.parametrize("status, retry_after, pauses", [
+        (429, 5.0, [2.0]), (503, 0.5, [0.5]), (500, 5.0, []), (429, None, []), (None, None, []),
+    ])
+    def test_pause_only_where_the_server_asks_for_one(self, monkeypatch, status, retry_after, pauses):
+        slept = []
+        monkeypatch.setattr(predictors, "time", types.SimpleNamespace(perf_counter=time.perf_counter,
+                                                                      sleep=slept.append))
+
+        def backend(system_text, user_text, tasks):
+            raise TransportError("busy", status, retry_after)
+
+        cfg = PredictorConfig(backend="mock", max_retries=1, request_timeout=2.0)
+        (result,) = predict_batch([task_for()], cfg, backend=backend)
+        assert result.fallback and result.attempts == 2
+        assert slept == pauses  # between the two attempts, capped at the timeout; none after the last
+
     def test_transport_failure_leaves_no_completion(self):
         backend = ScriptedBackend(["1.0 2.0", TransportError])  # a wrong count, then a dead endpoint
         cfg = PredictorConfig(backend="mock", max_retries=1, max_concurrency=1)
@@ -255,27 +273,46 @@ class TestConfigValidation:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    """Chat-completions stub. It speaks HTTP/1.1, so a client that kept
-    connections alive could reuse them; ``connections`` counts accepted ones."""
+    """Chat-completions stub. It speaks HTTP/1.1 and keeps connections alive;
+    ``connections`` counts accepted ones and ``open_connections`` those not
+    yet closed. Like Python's ``http.server`` in general, it writes a
+    response's headers and body in two sends, with Nagle's algorithm on."""
 
     protocol_version = "HTTP/1.1"
     behavior = "echo"
+    retry_after = None  # the Retry-After header a rate-limited reply carries
     seen = []
     connections = 0
+    open_connections = 0
+    lock = threading.Lock()
 
     def setup(self):
         super().setup()
-        type(self).connections += 1
+        with self.lock:
+            type(self).connections += 1
+            type(self).open_connections += 1
+
+    def finish(self):
+        super().finish()
+        with self.lock:
+            type(self).open_connections -= 1
+
+    def do_CONNECT(self):
+        type(self).seen.append((self.path, None, self.headers))
+        self._send(403, b"")
+        self.close_connection = True
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
         type(self).seen.append((self.path, body, self.headers))
         behavior = type(self).behavior
-        if behavior == "echo":
+        if behavior in ("echo", "close-idle"):
             self._send(200, json.dumps({"choices": [{"message": {"content": "42.0"}}]}).encode())
+            # close-idle: drop the connection after answering, without announcing it
+            self.close_connection = behavior == "close-idle"
         elif behavior == "rate-limit":
-            self._send(429, b"")
+            self._send(429, b"", {"Retry-After": type(self).retry_after} if type(self).retry_after else {})
         elif behavior == "http500":
             self._send(500, b'{"error": "upstream exploded"}' + b"x" * 300)
         elif behavior == "malformed":
@@ -296,15 +333,25 @@ class _StubHandler(BaseHTTPRequestHandler):
                 self._send(200, b"")
             self.close_connection = True
 
-    def _send(self, status, data):
+    def _send(self, status, data, headers=None):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
     def log_message(self, *args):
         pass
+
+
+def wait_for_no_open_connection(timeout=2.0):
+    """True once the stub has closed every connection; the server sees a client's close a little later."""
+    deadline = time.monotonic() + timeout
+    while _StubHandler.open_connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return _StubHandler.open_connections == 0
 
 
 @pytest.fixture
@@ -315,6 +362,7 @@ def stub_server(monkeypatch):
     thread.start()
     _StubHandler.seen = []
     _StubHandler.connections = 0
+    _StubHandler.retry_after = None
     yield server, f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
@@ -342,18 +390,30 @@ class TestRemoteComplete:
         _, url = stub_server
         _StubHandler.behavior = "echo"
         cfg = PredictorConfig(backend="remote", endpoint_url=url)
-        for _ in range(4):
+        for _ in range(4):  # a bare call owns its connection and closes it
             assert remote_complete("s", "u", cfg) == "42.0"
         assert len(_StubHandler.seen) == 4
         assert _StubHandler.connections == 4
+        assert wait_for_no_open_connection()
 
     def test_http_429_is_transport_error_without_internal_retry(self, stub_server):
         _, url = stub_server
         _StubHandler.behavior = "rate-limit"
+        _StubHandler.retry_after = "5"
         cfg = PredictorConfig(backend="remote", endpoint_url=url)
-        with pytest.raises(TransportError, match="429"):
+        with pytest.raises(TransportError, match="429") as info:
             remote_complete("s", "u", cfg)
+        assert (info.value.status, info.value.retry_after) == (429, 5.0)
         assert len(_StubHandler.seen) == 1
+
+    @pytest.mark.parametrize("retry_after", [None, "Wed, 21 Oct 2026 07:28:00 GMT", "-1", "nan"])
+    def test_retry_after_that_is_not_seconds_is_not_kept(self, stub_server, retry_after):
+        _, url = stub_server
+        _StubHandler.behavior = "rate-limit"
+        _StubHandler.retry_after = retry_after
+        with pytest.raises(TransportError) as info:
+            remote_complete("s", "u", PredictorConfig(backend="remote", endpoint_url=url))
+        assert (info.value.status, info.value.retry_after) == (429, None)
 
     def test_http_500_carries_status_and_body_excerpt(self, stub_server):
         _, url = stub_server
@@ -413,6 +473,95 @@ class TestRemoteComplete:
         assert all(r.backend_latency > 0.0 for r in results)
 
 
+class TestKeepAlive:
+    """A bound remote backend reuses its connections, at most ``max_concurrency`` of them."""
+
+    def test_calls_share_at_most_max_concurrency_connections(self, stub_server):
+        _, url = stub_server
+        _StubHandler.behavior = "echo"
+        cfg = PredictorConfig(backend="remote", endpoint_url=url, max_concurrency=2)
+        backend = bind_backend(cfg)
+        try:
+            for t in range(3):
+                results = predict_batch([task_for(node=i, t=t) for i in range(5)], cfg, backend=backend)
+                assert [r.value for r in results] == [42.0] * 5
+        finally:
+            backend.close()
+        assert len(_StubHandler.seen) == 15
+        assert 1 <= _StubHandler.connections <= 2
+        assert wait_for_no_open_connection()
+
+    def test_a_dropped_idle_connection_is_replaced_without_an_error(self, stub_server):
+        _, url = stub_server
+        _StubHandler.behavior = "close-idle"
+        backend = bind_backend(PredictorConfig(backend="remote", endpoint_url=url))
+        try:
+            assert backend("s", "u", []) == "42.0"
+            assert wait_for_no_open_connection()  # the server has closed the connection the client keeps
+            _StubHandler.behavior = "echo"
+            _StubHandler.seen = []
+            assert backend("s", "u", []) == "42.0"
+        finally:
+            backend.close()
+        assert len(_StubHandler.seen) == 1
+        assert _StubHandler.connections == 2
+
+    def test_reused_connections_do_not_stall(self, stub_server):
+        # The stub sends headers and body apart, with Nagle on. Without quickack a reused connection waits
+        # about 40 ms for the client's delayed ACK before the body comes, so 30 calls would take 1.2 s.
+        _, url = stub_server
+        _StubHandler.behavior = "echo"
+        backend = bind_backend(PredictorConfig(backend="remote", endpoint_url=url))
+        try:
+            start = time.perf_counter()
+            for _ in range(30):
+                assert backend("s", "u", []) == "42.0"
+            elapsed = time.perf_counter() - start
+        finally:
+            backend.close()
+        assert _StubHandler.connections == 1
+        assert elapsed < 0.6
+
+    def test_rate_limited_attempt_waits_for_retry_after(self, stub_server):
+        _, url = stub_server
+        _StubHandler.behavior = "rate-limit"
+        _StubHandler.retry_after = "5"
+        cfg = PredictorConfig(backend="remote", endpoint_url=url, max_retries=1, request_timeout=0.3)
+        start = time.perf_counter()
+        (result,) = predict_batch([task_for(previous=3.5)], cfg)
+        elapsed = time.perf_counter() - start
+        assert result.fallback and result.value == 3.5
+        assert len(_StubHandler.seen) == 2
+        assert 0.3 <= elapsed < 2.0  # Retry-After, capped at request_timeout
+        assert wait_for_no_open_connection()
+
+    @pytest.mark.parametrize("scheme, no_proxy", [("http", "example.invalid"), ("http", "127.0.0.1"),
+                                                  ("https", "example.invalid")])
+    def test_proxy_from_the_environment(self, stub_server, monkeypatch, scheme, no_proxy):
+        server, _ = stub_server
+        origin = f"127.0.0.1:{server.server_address[1]}"
+        _StubHandler.behavior = "echo"
+        for name in ("http_proxy", "https_proxy", "no_proxy", "HTTP_PROXY", "HTTPS_PROXY", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv(f"{scheme}_proxy", f"http://user:p%40ss@{origin}")  # the stub is the proxy too
+        monkeypatch.setenv("no_proxy", no_proxy)
+        cfg = PredictorConfig(backend="remote", endpoint_url=f"{scheme}://{origin}/v1")
+        if scheme == "https":  # the stub refuses the tunnel; what it was asked is what matters
+            with pytest.raises(TransportError, match="request to .* failed"):
+                remote_complete("s", "u", cfg)
+        else:
+            assert remote_complete("s", "u", cfg) == "42.0"
+        ((target, _, headers),) = _StubHandler.seen
+        proxied = no_proxy != "127.0.0.1"
+        if scheme == "https":
+            assert target == origin  # CONNECT's target
+        else:
+            assert target == (f"http://{origin}/v1/chat/completions" if proxied else "/v1/chat/completions")
+        credentials = "Basic " + base64.b64encode(b"user:p@ss").decode("ascii")
+        assert headers.get("Proxy-Authorization") == (credentials if proxied else None)
+        assert wait_for_no_open_connection()
+
+
 class TestValidateOncePerRun:
     def test_direct_remote_batch_without_credentials_raises(self, monkeypatch):
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
@@ -444,6 +593,8 @@ class TestValidateOncePerRun:
         assert checked == [cfg.predictor]
         assert len(report.per_t_mae) == 10
         assert len(_StubHandler.seen) >= 10  # at least one request per step
+        assert _StubHandler.connections <= 2  # the steps share the run's connections
+        assert wait_for_no_open_connection()  # and the run closed them
 
 
 def test_importing_the_package_does_not_import_requests():
