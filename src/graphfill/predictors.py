@@ -12,6 +12,7 @@ import http.client
 import json
 import math
 import os
+import re
 import socket
 import threading
 import time
@@ -28,6 +29,9 @@ from .prompts import prompt_lengths, round_fixed
 
 API_KEY_ENV = "OPENAI_API_KEY"
 ENDPOINT_ENV = "OPENAI_BASE_URL"
+_MAX_LINE = 65536  # bytes per response line, and
+_MAX_HEADERS = 100  # lines per header block, as http.client caps them
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only
 
 
 class TransportError(RuntimeError):
@@ -73,17 +77,50 @@ class PredictorConfig:
 
 
 def validate_predictor_config(cfg: PredictorConfig) -> None:
-    """Fail fast on unusable remote configuration, before any network call."""
+    """Fail fast on unusable remote configuration, before any network call.
+
+    Besides a missing endpoint or key, this rejects an endpoint or a key
+    that could not go on the wire as it is (see :func:`_wire_settings`).
+    """
     if cfg.backend == "remote":
-        endpoint = cfg.resolved_endpoint()
-        if not endpoint:
+        if not cfg.resolved_endpoint():
             raise ValueError(
                 f"remote backend needs an endpoint URL (config endpoint_url or ${ENDPOINT_ENV})"
             )
-        if urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
-            raise ValueError(f"remote endpoint {endpoint!r} must be an http:// or https:// URL")
+        _wire_settings(cfg)
         if not os.environ.get(API_KEY_ENV):
             raise ValueError(f"remote backend needs credentials in ${API_KEY_ENV}")
+
+
+def _wire_settings(cfg: PredictorConfig):
+    """The endpoint's ``urlsplit`` parts and the API key ("" when unset) that a remote client sends.
+
+    Both go into the request head verbatim, so each is checked here, as
+    ``http.client`` checked them on every request: the endpoint must be an
+    http(s) URL of visible ASCII characters with a valid port, and the key
+    printable ASCII (no CR, LF or other control character).
+
+    Raises:
+        ValueError: naming ``endpoint_url`` or ``$OPENAI_BASE_URL``, or
+            ``$OPENAI_API_KEY``; the key itself is never shown.
+    """
+    endpoint = cfg.resolved_endpoint()
+    field = "endpoint_url" if cfg.endpoint_url else f"${ENDPOINT_ENV}"
+    if re.search(r"[^\x21-\x7e]", endpoint):
+        raise ValueError(f"remote endpoint {endpoint!r} ({field}) has whitespace, a control character or "
+                         "a non-ASCII character; percent-encode it")
+    parts = urllib.parse.urlsplit(endpoint)
+    if parts.scheme not in ("http", "https"):
+        raise ValueError(f"remote endpoint {endpoint!r} must be an http:// or https:// URL")
+    try:
+        parts.port
+    except ValueError as exc:
+        raise ValueError(f"remote endpoint {endpoint!r} ({field}): {exc}") from None
+    api_key = os.environ.get(API_KEY_ENV, "")
+    if re.search(r"[^\x20-\x7e]", api_key):
+        raise ValueError(f"${API_KEY_ENV} has a control character (such as a line break) or a non-ASCII "
+                         "character, so it cannot be sent in a header")
+    return parts, api_key
 
 
 @dataclass(frozen=True)
@@ -138,7 +175,7 @@ def _mock_backend(system_text: str, user_text: str, tasks) -> str:
     return "\n".join(f"{mock_predict(task):.{task.precision}f}" for task in tasks)
 
 
-def _retry_after(value: str | None) -> float | None:
+def _retry_after(value: bytes | None) -> float | None:
     """A ``Retry-After`` header in seconds; None when absent or not a number (an HTTP date is not read)."""
     try:
         seconds = float(value)
@@ -147,35 +184,186 @@ def _retry_after(value: str | None) -> float | None:
     return seconds if 0.0 <= seconds < math.inf else None
 
 
-class RemoteBackend:
+class BoundBackend:
+    """A run's bound backend: the call ``predict_batch`` makes, and the worker pool it runs a step's groups on.
+
+    :func:`bind_backend` builds one per run; a caller-supplied callable ``call`` is wrapped in one, and
+    :meth:`close` never closes it. The pool of ``cfg.max_concurrency`` workers starts at the first dispatch
+    with two groups or more and lasts until :meth:`close`, so the steps of a run share its threads.
+    """
+
+    def __init__(self, cfg: PredictorConfig, call=None):
+        self.cfg = cfg
+        self._call = call
+        self._pool = None
+        self._lock = threading.Lock()
+
+    def __call__(self, system_text: str, user_text: str, tasks) -> str:
+        return self._call(system_text, user_text, tasks)
+
+    def map(self, fn, items: list) -> list:
+        """``[fn(item) for item in items]``, at most ``max_concurrency`` at once, in input order."""
+        if len(items) < 2 or self.cfg.max_concurrency < 2:
+            return [fn(item) for item in items]
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(self.cfg.max_concurrency, thread_name_prefix="graphfill-predict")
+            pool = self._pool
+        return list(pool.map(fn, items))
+
+    def close(self) -> None:
+        """Stop the pool once its running calls return; a later dispatch starts a new one."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
+
+
+class _Connection:
+    """One keep-alive connection: its socket, and a buffered reader over it for the responses."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.fp = sock.makefile("rb")
+
+    def send(self, wire: bytes) -> bytes:
+        """Send one whole request; the first line of the response, b"" when the server had closed the connection."""
+        self.sock.sendall(wire)
+        # A server that writes its headers and its body in two sends without TCP_NODELAY (Python's
+        # http.server does) holds the body under Nagle until the headers are acknowledged. On a reused
+        # connection Linux delays that ACK by about 40 ms; quickack, which the kernel clears again by
+        # itself, makes this reply's ACK immediate.
+        if _QUICKACK is not None:
+            self.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+        return _read_line(self.fp, "status line")
+
+    def close(self) -> None:
+        self.fp.close()
+        self.sock.close()
+
+
+def _read_line(fp, what: str) -> bytes:
+    line = fp.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _read_fields(fp) -> dict:
+    """Header (or trailer) fields up to the blank line, by lowercased name; a repeated name's values joined by ", "."""
+    fields = {}
+    for _ in range(_MAX_HEADERS):  # the blank line counts towards the cap, as in http.client
+        line = _read_line(fp, "header line")
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, _, value = line.partition(b":")
+        name, value = name.strip().lower(), value.strip()
+        fields[name] = fields[name] + b", " + value if name in fields else value
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def _read_chunked(fp) -> bytes:
+    chunks = []
+    while True:
+        line = _read_line(fp, "chunk size")
+        try:
+            size = int(line.partition(b";")[0], 16)  # a chunk extension after ";" is ignored
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise http.client.HTTPException(f"bad chunk size line {line[:40]!r}")
+        if size == 0:
+            _read_fields(fp)  # the trailer, not kept
+            return b"".join(chunks)
+        chunk = fp.read(size + 2)  # the data and its CRLF
+        if len(chunk) < size + 2:
+            raise http.client.IncompleteRead(b"".join(chunks) + chunk)
+        chunks.append(chunk[:size])
+
+
+def _read_response(fp, line: bytes):
+    """The response whose first line is ``line``: ``(status, headers, body, will_close)``.
+
+    Any 1xx response before it is skipped. The body is framed as RFC 9112 §6.3 says: none for 204 and
+    304, else ``chunked`` when it is the last transfer coding, else ``Content-Length``, else up to the
+    close. ``Connection: close``, or HTTP/1.0 without ``keep-alive``, or a close-delimited body sets
+    ``will_close``.
+
+    Raises:
+        http.client.HTTPException: on an empty or malformed status line, a line or header count over
+            http.client's caps, a bad ``Content-Length`` or chunk size, or a short body.
+    """
+    while True:
+        if not line:
+            raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        if not (version.startswith(b"HTTP/1.") and len(code) == 3 and code.isdigit() and int(code) >= 100
+                and rest[3:4] in (b" ", b"\r", b"\n", b"")):
+            raise http.client.BadStatusLine(line.decode("latin-1"))
+        status = int(code)
+        headers = _read_fields(fp)
+        if status >= 200:
+            break
+        line = _read_line(fp, "status line")
+    tokens = {token.strip() for token in headers.get(b"connection", b"").lower().split(b",")}
+    will_close = b"close" in tokens or (version == b"HTTP/1.0" and b"keep-alive" not in tokens)
+    coding = headers.get(b"transfer-encoding")
+    length = headers.get(b"content-length")
+    if status in (204, 304):
+        body = b""
+    elif coding is not None and coding.lower().rpartition(b",")[2].strip() == b"chunked":
+        body = _read_chunked(fp)
+    elif coding is None and length is not None:
+        if not length.isdigit():
+            raise http.client.HTTPException(f"bad Content-Length {length[:40]!r}")
+        body = fp.read(int(length))
+        if len(body) < int(length):
+            raise http.client.IncompleteRead(body, int(length) - len(body))
+    else:
+        body, will_close = fp.read(), True
+    return status, headers, body, will_close
+
+
+class RemoteBackend(BoundBackend):
     """A run's chat-completions client: keep-alive connections to one endpoint.
 
-    :func:`bind_backend` builds one per run. The endpoint, the headers (the
-    API key read once) and the proxy decision are worked out here; no
-    connection opens before the first call. Idle connections wait on a LIFO
-    stack of at most ``cfg.max_concurrency``. Each call takes one, or opens
-    one, and gives it back unless the server announced a close or the
-    exchange failed; a failed connection is closed, never reused. Whoever
-    bound the backend calls :meth:`close` when the run ends.
+    :func:`bind_backend` builds one per run. The endpoint, the request head
+    (the API key read once), the fixed parts of the JSON body and the proxy
+    decision are worked out here; no connection opens and no worker starts
+    before the first call. Each request is one ``sendall`` of head and body,
+    and the response is read by a small HTTP/1.1 reader (no compression, no
+    HTTP/2). ``http.client`` only opens connections, TLS and proxy tunnel
+    included. Idle connections wait on a LIFO stack of at most
+    ``cfg.max_concurrency``. Each call takes one, or opens one, and gives it
+    back unless the server announced a close or the exchange failed; a
+    failed connection is closed, never reused. Whoever bound the backend
+    calls :meth:`close` when the run ends.
 
     Proxies follow urllib's environment rules (``http_proxy``,
     ``https_proxy``, ``no_proxy``): an HTTPS endpoint is reached through a
     ``CONNECT`` tunnel, and an HTTP endpoint by sending the absolute URL to
     the proxy.
+
+    Raises:
+        ValueError: when the endpoint or the API key cannot go on the wire
+            as it is (see :func:`validate_predictor_config`).
     """
 
     def __init__(self, cfg: PredictorConfig):
-        self.cfg = cfg
-        self.url = cfg.resolved_endpoint().rstrip("/") + "/chat/completions"
-        parts = urllib.parse.urlsplit(self.url)
+        super().__init__(cfg)
+        parts, api_key = _wire_settings(cfg)
+        parts = parts._replace(path=parts.path.rstrip("/") + "/chat/completions", fragment="")
+        self.url = urllib.parse.urlunsplit(parts)
         origin = parts.netloc.rpartition("@")[2]
-        self._headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(API_KEY_ENV, "")
+        default_port = 443 if parts.scheme == "https" else 80
+        host = origin.rpartition(":")[0] if parts.port == default_port or origin.endswith(":") else origin
+        target = urllib.parse.urlunsplit(("", "", parts.path, parts.query, ""))
+        headers = ["Accept-Encoding: identity", "Content-Type: application/json"]
         if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
+            headers.append(f"Authorization: Bearer {api_key}")
         self._connection_class = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
         self._address, self._tunnel, self._tunnel_headers = origin, None, None
-        self._target = urllib.parse.urlunsplit(("", "", parts.path, parts.query, ""))
         proxy = getproxies().get(parts.scheme)
         if proxy and not proxy_bypass(origin):
             proxy = urllib.parse.urlsplit(proxy if "//" in proxy else "//" + proxy)
@@ -186,108 +374,111 @@ class RemoteBackend:
             self._address = proxy.netloc.rpartition("@")[2]
             if parts.scheme == "https":
                 self._tunnel, self._tunnel_headers = origin, auth
-            else:
-                self._target = self.url
-                self._headers.update(auth)
+            else:  # the absolute form, whose Host is the URL's authority, as http.client sends it
+                target, host = self.url, parts.netloc
+                headers += [f"{name}: {value}" for name, value in auth.items()]
+        head = [f"POST {target} HTTP/1.1", f"Host: {host}", *headers, "Content-Length: "]
+        self._head = "\r\n".join(head).encode("ascii")
+        self._body_parts = (
+            f'{{"model": {json.dumps(cfg.model_name)}, "temperature": {json.dumps(cfg.temperature)}, '
+            '"messages": [{"role": "system", "content": ',
+            '}, {"role": "user", "content": ',
+            "}]}",
+        )
         self._idle = []
-        self._lock = threading.Lock()
 
     def __call__(self, system_text: str, user_text: str, tasks) -> str:
         del tasks
         return remote_complete(system_text, user_text, self.cfg, self)  # looked up per attempt, so wrappers see it
 
-    def post(self, body: bytes) -> bytes:
-        """POST ``body`` to the endpoint; the whole response body of a 2xx reply.
+    def post(self, system_text: str, user_text: str) -> bytes:
+        """POST the chat request for the two messages; the whole response body of a 2xx reply.
 
-        A request that fails on a reused connection before any response byte
-        arrives (the server dropped the idle connection) is sent once more, on
-        a fresh connection.
+        The body is what ``json.dumps`` gives for ``{"model", "temperature",
+        "messages": [system, user]}``. A request whose reused connection
+        yields no response line (the server dropped the idle connection) is
+        sent once more, on a fresh connection.
 
         Raises:
-            TransportError: on timeout, connection failure, or a status
-                outside 2xx (with ``status`` and ``retry_after`` set).
+            TransportError: on timeout, connection failure, a response the
+                reader rejects, or a status outside 2xx (with ``status`` and
+                ``retry_after`` set).
         """
+        start, middle, end = self._body_parts
+        body = (start + json.dumps(system_text) + middle + json.dumps(user_text) + end).encode("ascii")
+        wire = b"%b%d\r\n\r\n%b" % (self._head, len(body), body)
         with self._lock:
             conn = self._idle.pop() if self._idle else None
-        reused = conn is not None
         try:
-            try:
-                if conn is None:
-                    conn = self._connect()
-                resp = self._exchange(conn, body)
-            except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
-                if not reused:
-                    raise
-                conn.close()
+            line = b""
+            if conn is not None:
+                try:
+                    line = conn.send(wire)
+                except (ConnectionResetError, BrokenPipeError):
+                    pass
+                if not line:
+                    conn.close()
+                    conn = None
+            if conn is None:
                 conn = self._connect()
-                resp = self._exchange(conn, body)
-            data = resp.read()
+                line = conn.send(wire)
+            status, headers, data, will_close = _read_response(conn.fp, line)
         except (OSError, http.client.HTTPException) as exc:
             if conn is not None:
                 conn.close()
             raise TransportError(f"request to {self.url} failed: {exc}") from exc
         with self._lock:
-            keep = not resp.will_close and len(self._idle) < self.cfg.max_concurrency
+            keep = not will_close and len(self._idle) < self.cfg.max_concurrency
             if keep:
                 self._idle.append(conn)
         if not keep:
             conn.close()
-        if not 200 <= resp.status < 300:
+        if not 200 <= status < 300:
             excerpt = data[:200].decode("utf-8", "replace")
-            raise TransportError(f"HTTP {resp.status} from {self.url}: {excerpt}", resp.status,
-                                 _retry_after(resp.getheader("Retry-After")))
+            raise TransportError(f"HTTP {status} from {self.url}: {excerpt}", status,
+                                 _retry_after(headers.get(b"retry-after")))
         return data
 
     def close(self) -> None:
-        """Close the idle connections; a later call opens a new one."""
+        """Stop the pool, then close the idle connections; a later call opens a new one."""
+        super().close()
         with self._lock:
             idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()
 
-    def _connect(self):
+    def _connect(self) -> _Connection:
         conn = self._connection_class(self._address, timeout=self.cfg.request_timeout)
         if self._tunnel is not None:
             conn.set_tunnel(self._tunnel, headers=self._tunnel_headers)
-        return conn
-
-    def _exchange(self, conn, body: bytes):
-        conn.request("POST", self._target, body, self._headers)
-        # A server that writes its headers and its body in two sends without TCP_NODELAY (Python's
-        # http.server does) holds the body under Nagle until the headers are acknowledged. On a reused
-        # connection Linux delays that ACK by about 40 ms; quickack, which the kernel clears again by
-        # itself, makes this reply's ACK immediate.
-        quickack = getattr(socket, "TCP_QUICKACK", None)
-        if quickack is not None:
-            conn.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
-        return conn.getresponse()
+        try:
+            conn.connect()
+        except BaseException:
+            conn.close()
+            raise
+        return _Connection(conn.sock)
 
 
 def remote_complete(system_text: str, user_text: str, cfg: PredictorConfig, client: RemoteBackend | None = None) -> str:
     """One chat-completions call; returns the first choice's text content.
 
     ``client`` is the run's :class:`RemoteBackend`, whose idle connection the
-    call may reuse. Without one the call opens its own connection and closes
-    it before returning.
+    call may reuse; the request then carries the client's model and
+    temperature. Without one the call opens its own connection and closes it
+    before returning.
 
     Raises:
         TransportError: on timeout, connection failure, HTTP status outside
             2xx, or a response body without ``choices[0].message.content``.
             Retrying lives upstream in :func:`predict_batch`.
+        ValueError: without ``client``, when ``cfg``'s endpoint or the API
+            key cannot be sent.
     """
-    body = {
-        "model": cfg.model_name,
-        "temperature": cfg.temperature,
-        "messages": [
-            {"role": "system", "content": system_text},
-            {"role": "user", "content": user_text},
-        ],
-    }
     own = client is None
     if own:
         client = RemoteBackend(cfg)
     try:
-        data = client.post(json.dumps(body).encode())
+        data = client.post(system_text, user_text)
     finally:
         if own:
             client.close()
@@ -306,18 +497,25 @@ def estimate_tokens(text: str) -> int:
 
 
 def bind_backend(cfg: PredictorConfig, backend=None):
-    """The callable ``predict_batch`` dispatches to, or None for the built-in mock.
+    """The :class:`BoundBackend` ``predict_batch`` dispatches to, or None for the built-in mock.
 
-    ``backend`` when given; otherwise None for the mock, which is pure
-    Python and runs inline and untimed (a pool would only add overhead,
-    and timing would make mock transcripts nondeterministic), or a new
-    :class:`RemoteBackend` once ``validate_predictor_config`` accepts
-    ``cfg``. A run binds once and passes the result to every step, so the
-    check runs once and the steps share its connections. A result that is
-    not the ``backend`` passed in is a remote client the caller must close.
+    A ``backend`` that is already bound is returned as it is. Any other
+    callable ``backend`` is wrapped in a new :class:`BoundBackend`, whose
+    :meth:`~BoundBackend.close` stops only its pool. Without one, the result
+    is None for the mock, which is pure Python and runs inline and untimed
+    (a pool would only add overhead, and timing would make mock transcripts
+    nondeterministic), or a new :class:`RemoteBackend` once
+    ``validate_predictor_config`` accepts ``cfg``. A run binds once and
+    passes the result to every step, so the check runs once and the steps
+    share its connections and its workers. A result that is not the
+    ``backend`` passed in is the caller's to close.
     """
-    if backend is not None or cfg.backend == "mock":
+    if backend is None and cfg.backend == "mock":
+        return None
+    if isinstance(backend, BoundBackend):
         return backend
+    if backend is not None:
+        return BoundBackend(cfg, backend)
     validate_predictor_config(cfg)
     return RemoteBackend(cfg)
 
@@ -374,10 +572,11 @@ def predict_batch(tasks, cfg: PredictorConfig, backend=None) -> list:
             bound applies to the remote backend and to a caller-supplied
             one; the built-in mock runs inline.
         backend: Optional callable ``(system_text, user_text, tasks) -> str``
-            overriding the configured backend (used by tests and stubs, and
-            by a run, which passes the one :func:`bind_backend` returned).
-            Without one, a remote configuration is bound for this batch and
-            its connections are closed before returning.
+            overriding the configured backend (used by tests and stubs), or
+            what :func:`bind_backend` returned, which a run passes to every
+            step so that the steps share its workers and connections. Any
+            other backend, or a remote configuration, is bound for this batch
+            alone, and its workers and connections stop before returning.
 
     Each task consumes at most ``max_retries + 1`` backend calls; a task
     still failing after that yields its previous value, flagged as a
@@ -394,12 +593,11 @@ def predict_batch(tasks, cfg: PredictorConfig, backend=None) -> list:
     bound = bind_backend(cfg, backend)
     try:
         groups = prompt_groups(tasks, cfg.multi_task_prompt)
-        if bound is not None and len(groups) > 1 and cfg.max_concurrency > 1:  # remote or caller-supplied: may wait
-            with ThreadPoolExecutor(max_workers=min(cfg.max_concurrency, len(groups))) as pool:
-                outs = list(pool.map(lambda group: _attempt_group(group, cfg, bound), groups))
+        if bound is None:  # the built-in mock, inline
+            outs = [_attempt_group(group, cfg, None) for group in groups]
         else:
-            outs = [_attempt_group(group, cfg, bound) for group in groups]
+            outs = bound.map(lambda group: _attempt_group(group, cfg, bound), groups)
     finally:
-        if bound is not backend:  # a remote client bound for this batch alone
+        if bound is not backend:  # bound for this batch alone
             bound.close()
     return [result for out in outs for result in out]

@@ -151,6 +151,25 @@ class TestRun:
         assert rc != 0
         assert "credentials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("endpoint, key, named", [
+        ("http://127.0.0.1:9/v 1", "sk-secret", "(endpoint_url)"),
+        ("http://127.0.0.1:9/v1", "sk-secret\nX-Injected: 1", "$OPENAI_API_KEY"),
+    ])
+    def test_remote_endpoint_or_key_that_cannot_be_sent_fails_before_set_up(self, tmp_path, capsys, monkeypatch,
+                                                                            endpoint, key, named):
+        import graphfill.runner as runner
+
+        def no_set_up(*args, **kwargs):
+            raise AssertionError("set-up ran")
+
+        monkeypatch.setenv("OPENAI_API_KEY", key)
+        monkeypatch.setattr(runner, "prepare_run", no_set_up)
+        cfg_path = run_config_file(tmp_path, predictor={"backend": "remote", "endpoint_url": endpoint})
+        assert main(["run", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "sk-secret" not in err and "Traceback" not in err
+
     def test_malformed_edge_list_cell_named_error(self, tmp_path, capsys):
         cfg_path = run_config_file(tmp_path)
         edge_path = json.loads(Path(cfg_path).read_text())["graph"]["edge_list"]
