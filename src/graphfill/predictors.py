@@ -8,6 +8,7 @@ concurrency, parses the completion, retries failures up to a cap, and
 falls back to temporal persistence when the cap is exhausted.
 """
 import base64
+import contextlib
 import http.client
 import json
 import math
@@ -72,51 +73,46 @@ class PredictorConfig:
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
 
-    def resolved_endpoint(self) -> str:
-        return self.endpoint_url or os.environ.get(ENDPOINT_ENV, "")
-
-
-def validate_predictor_config(cfg: PredictorConfig) -> None:
-    """Fail fast on unusable remote configuration, before any network call.
-
-    Besides a missing endpoint or key, this rejects an endpoint or a key
-    that could not go on the wire as it is (see :func:`_wire_settings`).
-    """
-    if cfg.backend == "remote":
-        if not cfg.resolved_endpoint():
-            raise ValueError(
-                f"remote backend needs an endpoint URL (config endpoint_url or ${ENDPOINT_ENV})"
-            )
-        _wire_settings(cfg)
-        if not os.environ.get(API_KEY_ENV):
-            raise ValueError(f"remote backend needs credentials in ${API_KEY_ENV}")
-
 
 def _wire_settings(cfg: PredictorConfig):
-    """The endpoint's ``urlsplit`` parts and the API key ("" when unset) that a remote client sends.
+    """The endpoint's ``urlsplit`` parts and the API key that a remote client sends: the one check of both.
 
     Both go into the request head verbatim, so each is checked here, as
     ``http.client`` checked them on every request: the endpoint must be an
-    http(s) URL of visible ASCII characters with a valid port, and the key
-    printable ASCII (no CR, LF or other control character).
+    http(s) URL of visible ASCII characters with a host, a valid port and
+    no user information (a name or password before ``@``, which would be
+    shown in every transport error), and the key must be set and printable
+    ASCII (no CR, LF or other control character).
 
     Raises:
         ValueError: naming ``endpoint_url`` or ``$OPENAI_BASE_URL``, or
-            ``$OPENAI_API_KEY``; the key itself is never shown.
+            ``$OPENAI_API_KEY``; neither the key nor a password is shown.
     """
-    endpoint = cfg.resolved_endpoint()
+    endpoint = cfg.endpoint_url or os.environ.get(ENDPOINT_ENV, "")
     field = "endpoint_url" if cfg.endpoint_url else f"${ENDPOINT_ENV}"
+    if not endpoint:
+        raise ValueError(f"remote backend needs an endpoint URL (config endpoint_url or ${ENDPOINT_ENV})")
+    try:
+        parts = urllib.parse.urlsplit(endpoint)
+    except ValueError as exc:  # such as an unclosed "[" of an IPv6 host
+        raise ValueError(f"remote endpoint ({field}) is not a URL: {exc}") from None
+    if "@" in parts.netloc:
+        raise ValueError(f"remote endpoint ({field}) has user information (a name or password before '@'); "
+                         f"remove it: the credentials go in ${API_KEY_ENV}")
     if re.search(r"[^\x21-\x7e]", endpoint):
         raise ValueError(f"remote endpoint {endpoint!r} ({field}) has whitespace, a control character or "
                          "a non-ASCII character; percent-encode it")
-    parts = urllib.parse.urlsplit(endpoint)
     if parts.scheme not in ("http", "https"):
         raise ValueError(f"remote endpoint {endpoint!r} must be an http:// or https:// URL")
     try:
         parts.port
     except ValueError as exc:
         raise ValueError(f"remote endpoint {endpoint!r} ({field}): {exc}") from None
+    if not parts.hostname:
+        raise ValueError(f"remote endpoint {endpoint!r} ({field}) has no host")
     api_key = os.environ.get(API_KEY_ENV, "")
+    if not api_key:
+        raise ValueError(f"remote backend needs credentials in ${API_KEY_ENV}")
     if re.search(r"[^\x20-\x7e]", api_key):
         raise ValueError(f"${API_KEY_ENV} has a control character (such as a line break) or a non-ASCII "
                          "character, so it cannot be sent in a header")
@@ -130,6 +126,8 @@ class PredictionResult:
     ``prompt`` is the user text sent for the task's group and
     ``completion`` the group's last completion; each is None when it was
     not received (no call made, or the last attempt hit a transport error).
+    ``tokens`` is the group's token estimate, the prompt's and the final
+    completion's, on the group's first result; the others hold 0.
     """
     node: int
     t: int
@@ -139,6 +137,7 @@ class PredictionResult:
     fallback: bool = False
     prompt: str | None = None
     completion: str | None = None
+    tokens: int = 0
 
 
 def mock_predict(task: NodeTask) -> float:
@@ -185,18 +184,17 @@ def _retry_after(value: bytes | None) -> float | None:
 
 
 class BoundBackend:
-    """A run's bound backend: the call ``predict_batch`` makes, and the worker pool it runs a step's groups on.
+    """The call ``predict_batch`` makes, and the pool of ``cfg.max_concurrency`` workers that runs a step's groups.
 
-    :func:`bind_backend` builds one per run; a caller-supplied callable ``call`` is wrapped in one, and
-    :meth:`close` never closes it. The pool of ``cfg.max_concurrency`` workers starts at the first dispatch
-    with two groups or more and lasts until :meth:`close`, so the steps of a run share its threads.
+    Built by :func:`bind_backend`, which closes it when its ``with`` block ends; a caller-supplied callable
+    ``call`` is wrapped in one and never closed. The workers start at the first dispatch with two groups or more,
+    so the steps of a run share its threads.
     """
 
     def __init__(self, cfg: PredictorConfig, call=None):
         self.cfg = cfg
         self._call = call
-        self._pool = None
-        self._lock = threading.Lock()
+        self._pool = ThreadPoolExecutor(cfg.max_concurrency, thread_name_prefix="graphfill-predict")
 
     def __call__(self, system_text: str, user_text: str, tasks) -> str:
         return self._call(system_text, user_text, tasks)
@@ -205,18 +203,11 @@ class BoundBackend:
         """``[fn(item) for item in items]``, at most ``max_concurrency`` at once, in input order."""
         if len(items) < 2 or self.cfg.max_concurrency < 2:
             return [fn(item) for item in items]
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(self.cfg.max_concurrency, thread_name_prefix="graphfill-predict")
-            pool = self._pool
-        return list(pool.map(fn, items))
+        return list(self._pool.map(fn, items))
 
     def close(self) -> None:
-        """Stop the pool once its running calls return; a later dispatch starts a new one."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
+        """Stop the workers once their running calls return."""
+        self._pool.shutdown()
 
 
 class _Connection:
@@ -326,19 +317,20 @@ def _read_response(fp, line: bytes):
 
 
 class RemoteBackend(BoundBackend):
-    """A run's chat-completions client: keep-alive connections to one endpoint.
+    """A chat-completions client: keep-alive connections to one endpoint.
 
-    :func:`bind_backend` builds one per run. The endpoint, the request head
-    (the API key read once), the fixed parts of the JSON body and the proxy
-    decision are worked out here; no connection opens and no worker starts
-    before the first call. Each request is one ``sendall`` of head and body,
+    :func:`bind_backend` builds one per run. The endpoint and the API key
+    are checked and read once, by :func:`_wire_settings`, and the request
+    head, the fixed parts of the JSON body and the proxy decision are
+    worked out here; no connection opens and no worker starts before the
+    first call. Each request is one ``sendall`` of head and body,
     and the response is read by a small HTTP/1.1 reader (no compression, no
     HTTP/2). ``http.client`` only opens connections, TLS and proxy tunnel
     included. Idle connections wait on a LIFO stack of at most
     ``cfg.max_concurrency``. Each call takes one, or opens one, and gives it
     back unless the server announced a close or the exchange failed; a
-    failed connection is closed, never reused. Whoever bound the backend
-    calls :meth:`close` when the run ends.
+    failed connection is closed, never reused. :meth:`close` ends the
+    client's life.
 
     Proxies follow urllib's environment rules (``http_proxy``,
     ``https_proxy``, ``no_proxy``): an HTTPS endpoint is reached through a
@@ -346,22 +338,20 @@ class RemoteBackend(BoundBackend):
     the proxy.
 
     Raises:
-        ValueError: when the endpoint or the API key cannot go on the wire
-            as it is (see :func:`validate_predictor_config`).
+        ValueError: when the endpoint or the API key is missing or cannot
+            go on the wire as it is (see :func:`_wire_settings`).
     """
 
     def __init__(self, cfg: PredictorConfig):
-        super().__init__(cfg)
         parts, api_key = _wire_settings(cfg)
+        super().__init__(cfg)
         parts = parts._replace(path=parts.path.rstrip("/") + "/chat/completions", fragment="")
         self.url = urllib.parse.urlunsplit(parts)
-        origin = parts.netloc.rpartition("@")[2]
+        origin = parts.netloc
         default_port = 443 if parts.scheme == "https" else 80
         host = origin.rpartition(":")[0] if parts.port == default_port or origin.endswith(":") else origin
         target = urllib.parse.urlunsplit(("", "", parts.path, parts.query, ""))
-        headers = ["Accept-Encoding: identity", "Content-Type: application/json"]
-        if api_key:
-            headers.append(f"Authorization: Bearer {api_key}")
+        headers = ["Accept-Encoding: identity", "Content-Type: application/json", f"Authorization: Bearer {api_key}"]
         self._connection_class = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
         self._address, self._tunnel, self._tunnel_headers = origin, None, None
         proxy = getproxies().get(parts.scheme)
@@ -375,7 +365,7 @@ class RemoteBackend(BoundBackend):
             if parts.scheme == "https":
                 self._tunnel, self._tunnel_headers = origin, auth
             else:  # the absolute form, whose Host is the URL's authority, as http.client sends it
-                target, host = self.url, parts.netloc
+                target, host = self.url, origin
                 headers += [f"{name}: {value}" for name, value in auth.items()]
         head = [f"POST {target} HTTP/1.1", f"Host: {host}", *headers, "Content-Length: "]
         self._head = "\r\n".join(head).encode("ascii")
@@ -386,6 +376,7 @@ class RemoteBackend(BoundBackend):
             "}]}",
         )
         self._idle = []
+        self._lock = threading.Lock()
 
     def __call__(self, system_text: str, user_text: str, tasks) -> str:
         del tasks
@@ -440,7 +431,7 @@ class RemoteBackend(BoundBackend):
         return data
 
     def close(self) -> None:
-        """Stop the pool, then close the idle connections; a later call opens a new one."""
+        """Stop the workers, then close the idle connections."""
         super().close()
         with self._lock:
             idle, self._idle = self._idle, []
@@ -464,24 +455,18 @@ def remote_complete(system_text: str, user_text: str, cfg: PredictorConfig, clie
 
     ``client`` is the run's :class:`RemoteBackend`, whose idle connection the
     call may reuse; the request then carries the client's model and
-    temperature. Without one the call opens its own connection and closes it
-    before returning.
+    temperature. Without one the call builds a client for ``cfg`` and
+    closes it before returning.
 
     Raises:
         TransportError: on timeout, connection failure, HTTP status outside
             2xx, or a response body without ``choices[0].message.content``.
             Retrying lives upstream in :func:`predict_batch`.
         ValueError: without ``client``, when ``cfg``'s endpoint or the API
-            key cannot be sent.
+            key is missing or cannot be sent.
     """
-    own = client is None
-    if own:
-        client = RemoteBackend(cfg)
-    try:
+    with contextlib.closing(RemoteBackend(cfg)) if client is None else contextlib.nullcontext(client) as client:
         data = client.post(system_text, user_text)
-    finally:
-        if own:
-            client.close()
     try:
         content = json.loads(data)["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -496,37 +481,35 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
+@contextlib.contextmanager
 def bind_backend(cfg: PredictorConfig, backend=None):
-    """The :class:`BoundBackend` ``predict_batch`` dispatches to, or None for the built-in mock.
+    """Yield the :class:`BoundBackend` ``predict_batch`` dispatches to (None: the mock); close only what it built.
 
-    A ``backend`` that is already bound is returned as it is. Any other
-    callable ``backend`` is wrapped in a new :class:`BoundBackend`, whose
-    :meth:`~BoundBackend.close` stops only its pool. Without one, the result
-    is None for the mock, which is pure Python and runs inline and untimed
-    (a pool would only add overhead, and timing would make mock transcripts
-    nondeterministic), or a new :class:`RemoteBackend` once
-    ``validate_predictor_config`` accepts ``cfg``. A run binds once and
-    passes the result to every step, so the check runs once and the steps
-    share its connections and its workers. A result that is not the
-    ``backend`` passed in is the caller's to close.
+    An already bound ``backend`` is yielded as it is and never closed. Any
+    other callable ``backend`` is wrapped in a new :class:`BoundBackend`,
+    and only the wrapper's workers stop on exit. Without one, the mock
+    yields None: it is pure Python and runs inline and untimed (a pool would
+    only add overhead, and timing would make mock transcripts
+    nondeterministic). A remote ``cfg`` builds a :class:`RemoteBackend`,
+    which checks the endpoint and the key before anything else. A run binds
+    once and passes the result to every step, so the check runs once and
+    the steps share its connections and its workers.
     """
-    if backend is None and cfg.backend == "mock":
-        return None
-    if isinstance(backend, BoundBackend):
-        return backend
-    if backend is not None:
-        return BoundBackend(cfg, backend)
-    validate_predictor_config(cfg)
-    return RemoteBackend(cfg)
+    if isinstance(backend, BoundBackend) or (backend is None and cfg.backend == "mock"):
+        yield backend
+        return
+    with contextlib.closing(RemoteBackend(cfg) if backend is None else BoundBackend(cfg, backend)) as bound:
+        yield bound
 
 
 def _attempt_group(tasks, cfg: PredictorConfig, backend) -> list:
     """Up to ``max_retries + 1`` attempts at one prompt covering ``tasks``.
 
-    ``backend`` is what :func:`bind_backend` returned (None: the built-in
+    ``backend`` is what :func:`bind_backend` yielded (None: the built-in
     mock, untimed). The parsed count must match ``len(tasks)``; once every
     attempt has failed, each task keeps its previous value, flagged as a
-    fallback. One result per task, backend time split evenly across them.
+    fallback. One result per task, backend time split evenly across them;
+    the group's prompt and final completion count once, on its first result.
     After an HTTP 429 or 503 with ``Retry-After``, the next attempt waits
     that long, at most ``request_timeout``; every other failure is retried
     at once. The wait is not backend time.
@@ -557,9 +540,11 @@ def _attempt_group(tasks, cfg: PredictorConfig, backend) -> list:
     if fallback:
         values = [task.previous for task in tasks]
     latency = elapsed_ms / len(tasks)
+    tokens = estimate_tokens(pair.user_text) + estimate_tokens(completion or "")
     return [
-        PredictionResult(task.node, task.t, value, attempts, latency, fallback, pair.user_text, completion)
-        for task, value in zip(tasks, values)
+        PredictionResult(task.node, task.t, value, attempts, latency, fallback, pair.user_text, completion,
+                         0 if i else tokens)
+        for i, (task, value) in enumerate(zip(tasks, values))
     ]
 
 
@@ -573,7 +558,7 @@ def predict_batch(tasks, cfg: PredictorConfig, backend=None) -> list:
             one; the built-in mock runs inline.
         backend: Optional callable ``(system_text, user_text, tasks) -> str``
             overriding the configured backend (used by tests and stubs), or
-            what :func:`bind_backend` returned, which a run passes to every
+            what :func:`bind_backend` yielded, which a run passes to every
             step so that the steps share its workers and connections. Any
             other backend, or a remote configuration, is bound for this batch
             alone, and its workers and connections stop before returning.
@@ -590,14 +575,10 @@ def predict_batch(tasks, cfg: PredictorConfig, backend=None) -> list:
     if any(task.t != t0 for task in tasks):
         raise ValueError("all tasks in a batch must share the same time index")
 
-    bound = bind_backend(cfg, backend)
-    try:
+    with bind_backend(cfg, backend) as bound:
         groups = prompt_groups(tasks, cfg.multi_task_prompt)
         if bound is None:  # the built-in mock, inline
             outs = [_attempt_group(group, cfg, None) for group in groups]
         else:
             outs = bound.map(lambda group: _attempt_group(group, cfg, bound), groups)
-    finally:
-        if bound is not backend:  # bound for this batch alone
-            bound.close()
     return [result for out in outs for result in out]

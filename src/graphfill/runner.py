@@ -24,7 +24,7 @@ from .files import atomic_write
 from .graphs import Graph, GftBasis, gft, knn_graph, laplacian, load_coordinates_csv, load_edge_list_csv
 from .graphs import _reject_infinite, observed_layout
 from .metrics import RunReport, aggregate, emit_report, rmse  # noqa: F401 (runner.mae, runner.rmse stay importable)
-from .predictors import PredictionResult, PredictorConfig, bind_backend, estimate_tokens, mock_step, predict_batch
+from .predictors import PredictionResult, PredictorConfig, bind_backend, mock_step, predict_batch
 from .prompts import build_task
 from .signals import ObservationModel, TimeVaryingSignal, load_signal_csv, observe, sample_mask, split
 from .spectral import TrainConfig, TrainResult, denoise, filter_operator, mae  # noqa: F401
@@ -69,6 +69,8 @@ class ObservationConfig:
         _reject_infinite(self)
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError("ratio must be in (0, 1]")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.noise_variance >= 0.0:
             raise ValueError("noise_variance must be >= 0")
 
@@ -105,6 +107,9 @@ class RunConfig:
         unknown = set(self.baselines) - set(BASELINES)
         if unknown:
             raise ValueError(f"unknown baselines: {sorted(unknown)}")
+        repeated = {name for name in self.baselines if self.baselines.count(name) > 1}
+        if repeated:
+            raise ValueError(f"baselines listed more than once: {sorted(repeated)}")
         object.__setattr__(self, "baselines", tuple(self.baselines))
 
     def to_dict(self) -> dict:
@@ -312,30 +317,19 @@ def _step_estimate(op, cfg, layout, x_prev, obs, backend, transcript):
 
 
 def _account(records, transcript) -> int:
-    """Token estimate of one step's records; appends one transcript line per record when logging.
-
-    Each group's user prompt and final completion count once: the records
-    of a multi-task group are adjacent and share one prompt, and distinct
-    groups cover distinct nodes, so their prompts differ.
-    """
-    tokens = 0
-    prompt = None
-    for r in records:
-        if r.prompt is not None and r.prompt != prompt:
-            tokens += estimate_tokens(r.prompt) + estimate_tokens(r.completion or "")
-        prompt = r.prompt
-        if transcript is not None:
-            transcript.append({
-                "t": r.t,
-                "node": r.node,
-                "prompt": r.prompt,
-                "completion": r.completion,
-                "parsed": r.value,
-                "attempts": r.attempts,
-                "fallback": r.fallback,
-                "latency_ms": r.backend_latency,
-            })
-    return tokens
+    """One step's token estimate, the sum of its records' ``tokens``; logs a transcript line per record when asked."""
+    if transcript is not None:
+        transcript.extend({
+            "t": r.t,
+            "node": r.node,
+            "prompt": r.prompt,
+            "completion": r.completion,
+            "parsed": r.value,
+            "attempts": r.attempts,
+            "fallback": r.fallback,
+            "latency_ms": r.backend_latency,
+        } for r in records)
+    return sum(r.tokens for r in records)
 
 
 def _step_scores(col, est, missing) -> np.ndarray:
@@ -354,7 +348,7 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, r: int, methods: tuple, backend=
                resume: dict | None = None) -> RepeatResult:
     """Walk repeat ``r``'s test horizon sequentially, feeding each step's observation to every method.
 
-    ``backend`` is what :func:`bind_backend` returned (None: the built-in mock). The filter is trained when
+    ``backend`` is what :func:`bind_backend` yielded (None: the built-in mock). The filter is trained when
     the primary method is among ``methods``. The walk starts from ``resume``, a state read by
     :func:`replay_from_checkpoint`, or else from step 0 with every method at :func:`init_estimate`,
     projected into the band for GLMS and GNLMS. With ``output_dir`` set, it checkpoints there, and a
@@ -447,8 +441,8 @@ def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> Rep
             raise ValueError(f"seed {seed} is not repeat {repeat}'s seed {_repeat_seed(cfg, repeat)}")
         if not methods or not set(methods) <= {PRIMARY_METHOD, *cfg.baselines}:
             raise ValueError(f"methods {list(methods)} are not among the config's {[PRIMARY_METHOD, *cfg.baselines]}")
-    bound = bind_backend(cfg.predictor, backend) if PRIMARY_METHOD in methods else backend
-    try:
+    primary = PRIMARY_METHOD in methods  # only the primary method calls a backend
+    with bind_backend(cfg.predictor, backend) if primary else contextlib.nullcontext(backend) as bound:
         ctx = prepare_run(cfg)
         with _naming(checkpoint_path):
             if not 0 <= k_next <= ctx.test_signal.n_steps:
@@ -458,9 +452,6 @@ def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> Rep
                 if any(a.shape != shape or not np.isfinite(a).all() for a in state[key].values()):
                     raise ValueError(f"{key} must be finite numbers of shape {shape} for every method")
         return run_repeat(ctx, cfg, repeat, methods, backend=bound, resume=state)
-    finally:
-        if bound is not backend:  # the remote client bound for this replay
-            bound.close()
 
 
 @dataclass(eq=False)
@@ -475,8 +466,7 @@ def execute_run(cfg: RunConfig, backend=None, with_primary: bool = True) -> RunE
     methods = (PRIMARY_METHOD, *cfg.baselines) if with_primary else cfg.baselines
     if not methods:
         raise ValueError("no baselines selected (set 'baselines' in the config or --baselines)")
-    bound = bind_backend(cfg.predictor, backend) if with_primary else backend
-    try:
+    with bind_backend(cfg.predictor, backend) if with_primary else contextlib.nullcontext(backend) as bound:
         ctx = prepare_run(cfg)
         if cfg.output_dir:  # an earlier run's states, and the artifacts this run may not overwrite, are not this run's
             for pattern in ("checkpoints/repeat*_step*.json", "checkpoints/repeat*_aborted.json",
@@ -484,9 +474,6 @@ def execute_run(cfg: RunConfig, backend=None, with_primary: bool = True) -> RunE
                 for path in glob.glob(os.path.join(glob.escape(cfg.output_dir), pattern)):
                     os.remove(path)
         results = [run_repeat(ctx, cfg, r, methods, backend=bound) for r in range(cfg.repeats)]
-    finally:
-        if bound is not backend:  # the remote client bound for this run: no socket outlives it
-            bound.close()
     execution = RunExecution(report=_assemble_report(ctx, cfg, results, methods[0]), repeats=results, context=ctx)
     if cfg.output_dir:
         _write_artifacts(cfg, execution)

@@ -269,11 +269,13 @@ class TestRun:
             ({"train": {"learning_rate": float("inf")}}, [], "train.learning_rate must be finite, got inf"),
             ({"baseline_step_size": float("inf")}, [], "baseline_step_size must be finite, got inf"),
             ({"graph": {**KNN, "bandwidth": float("inf")}}, [], "graph.bandwidth must be finite, got inf"),
+            ({}, ["--seed", "-5"], "observation.seed must be >= 0, got -5"),
+            ({}, ["--baselines", "last_value,glms,last_value"], "baselines listed more than once: ['last_value']"),
         ],
         ids=["ratio-above-1", "ratio-0", "ratio-nan", "noise-negative", "noise-nan", "learning_rate-nan", "tol-nan",
              "temperature-nan", "request_timeout-nan", "k-0", "bandwidth-nan", "bandwidth-negative", "bandwidth-0",
              "noise-inf", "ratio-minus-inf", "request_timeout-inf", "learning_rate-inf", "baseline_step_size-inf",
-             "bandwidth-inf"],
+             "bandwidth-inf", "seed-negative", "baselines-repeated"],
     )
     def test_config_value_out_of_range_named_before_setup(self, tmp_path, capsys, monkeypatch, overrides, flags,
                                                          message):

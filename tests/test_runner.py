@@ -827,6 +827,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown baselines"):
             base_config(edge_path, signal_path, baselines=["gcn"])
 
+    def test_repeated_baseline_rejected(self, fixture_paths):
+        edge_path, signal_path = fixture_paths
+        with pytest.raises(ValueError, match=re.escape("baselines listed more than once: ['glms', 'last_value']")):
+            base_config(edge_path, signal_path, baselines=["last_value", "glms", "last_value", "glms", "gnlms"])
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("observation.seed must be >= 0, got -1")):
+            RunConfig.from_dict({"observation": {"seed": -1}})
+
     def test_signal_graph_size_mismatch(self, tmp_path):
         edge_path, _, _, _ = write_run_fixture(tmp_path, n=10, t_steps=20)
         bad_signal = tmp_path / "bad.csv"
