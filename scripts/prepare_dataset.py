@@ -13,6 +13,7 @@ Example:
 """
 import argparse
 import csv
+import math
 import sys
 
 
@@ -28,12 +29,14 @@ def prepare(in_path, out_path, drop_header=False, drop_leading=0, transpose=Fals
             parsed = []
             for c, cell in enumerate(cells):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
-                    raise ValueError(
-                        f"{in_path}: row {r + 1}, column {c + 1 + drop_leading}: "
-                        f"cannot parse {cell.strip()!r} as a number"
-                    ) from None
+                    value = None
+                if value is None or not math.isfinite(value):  # 'nan' and 'inf' parse, but no signal holds them
+                    what = "cannot parse {!r} as a number" if value is None else "{!r} is not a finite number"
+                    raise ValueError(f"{in_path}: row {r + 1}, column {c + 1 + drop_leading}: "
+                                     + what.format(cell.strip()))
+                parsed.append(value)
             if rows and len(parsed) != len(rows[0]):
                 raise ValueError(f"{in_path}: row {r + 1} has {len(parsed)} values, expected {len(rows[0])}")
             rows.append(parsed)
@@ -48,13 +51,24 @@ def prepare(in_path, out_path, drop_header=False, drop_leading=0, transpose=Fals
     return len(rows), len(rows[0])
 
 
+def _column_count(text: str) -> int:
+    """A count of columns to drop: an integer >= 0 (a negative one would keep only the last columns)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("input", help="raw CSV export")
     parser.add_argument("output", help="clean numeric CSV (nodes as rows)")
     parser.add_argument("--drop-header", action="store_true", help="skip the first row")
     parser.add_argument(
-        "--drop-leading-columns", type=int, default=0, metavar="N",
+        "--drop-leading-columns", type=_column_count, default=0, metavar="N",
         help="drop the first N columns (timestamps, station ids)",
     )
     parser.add_argument(

@@ -32,6 +32,14 @@ def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _adopted(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is a read-only float64 array that owns its memory (as ``gft`` hands over ``eigh``'s
+    outputs), else a read-only copy. Adopting spares a second n x n array: 32 MB at n = 2000."""
+    if a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable:
+        return a
+    return _frozen(a)
+
+
 def _reject_infinite(section) -> None:
     """Raise a ValueError naming the first float field of config ``section`` that is +inf or -inf."""
     for name, value in vars(section).items():
@@ -46,18 +54,24 @@ def _max_asymmetry(a: np.ndarray) -> float:
                default=0.0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
-    """Undirected weighted graph with a dense adjacency matrix.
+    """Undirected weighted graph, kept as its edges in CSR form.
 
-    Invariants (checked at construction): adjacency is square, finite,
-    symmetric, has a zero diagonal, and all entries are >= 0. The node
-    count is its row count.
+    ``Graph(adjacency)`` checks a dense matrix: it must be square, finite,
+    symmetric, have a zero diagonal, and all entries must be >= 0. The node
+    count is its row count. Only the nonzero entries are kept, as read-only
+    arrays: row i's neighbors are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending, with edge weights ``weights`` at the same positions. Each edge
+    is stored from both ends.
     """
-    adjacency: np.ndarray
+    n_nodes: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=np.float64)
+    def __init__(self, adjacency):
+        a = np.asarray(adjacency, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -68,11 +82,27 @@ class Graph:
             raise ValueError("adjacency diagonal must be zero (no self-loops)")
         if np.any(a < 0.0):
             raise ValueError("adjacency entries must be nonnegative")
-        object.__setattr__(self, "adjacency", _frozen(a))
+        n = a.shape[0]
+        rows, cols = np.nonzero(a)  # row-major, so each row's columns ascend
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        object.__setattr__(self, "n_nodes", n)
+        object.__setattr__(self, "indptr", _frozen(indptr, np.int64))
+        object.__setattr__(self, "indices", _frozen(cols, np.int64))
+        object.__setattr__(self, "weights", _frozen(a[rows, cols]))
 
     @property
-    def n_nodes(self) -> int:
-        return self.adjacency.shape[0]
+    def adjacency(self) -> np.ndarray:
+        """The dense n x n adjacency matrix, read-only, built anew on each access: O(n^2) time and memory."""
+        a = np.zeros((self.n_nodes, self.n_nodes))
+        a[_edge_rows(self), self.indices] = self.weights
+        a.setflags(write=False)
+        return a
+
+
+def _edge_rows(g: Graph) -> np.ndarray:
+    """The row of each of ``g``'s stored edges, aligned with ``g.indices``: ascending."""
+    return np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
 
 
 def observed_layout(g: Graph, observed: np.ndarray) -> ObservedLayout:
@@ -85,11 +115,13 @@ def observed_layout(g: Graph, observed: np.ndarray) -> ObservedLayout:
     """
     observed = np.asarray(observed, dtype=bool)
     missing = np.flatnonzero(~observed)
-    linked = (g.adjacency[missing] != 0.0) & observed  # missing node x its observed neighbors
-    per_node = linked.sum(axis=1)
+    rows = _edge_rows(g)
+    linked = ~observed[rows] & observed[g.indices]  # edges from a missing node to an observed one
+    i, j = rows[linked], g.indices[linked]  # in CSR order, so i ascends and each row's neighbors ascend
+    per_node = np.bincount(i, minlength=g.n_nodes)[missing]
     nodes, counts, isolated = missing[per_node > 0], per_node[per_node > 0], missing[per_node == 0]
     index = np.full((nodes.size, 1 + counts.max(initial=0)), g.n_nodes)
-    r, j = np.nonzero(linked[per_node > 0])  # row-major, so each row's neighbors ascend
+    r = np.searchsorted(nodes, i)
     index[r, 1 + np.arange(r.size) - (np.cumsum(counts) - counts)[r]] = j
     # Distinct values by bincount, not np.unique: its first call imports numpy.ma (13 ms on a 2-core VM), which
     # would land in set-up on a path that calls np.unique nowhere else.
@@ -120,8 +152,8 @@ class GftBasis:
             raise ValueError("eigenvectors must be NxN and eigenvalues length N")
         if np.any(np.diff(lam) < 0):
             raise ValueError("eigenvalues must be nondecreasing")
-        object.__setattr__(self, "eigenvectors", _frozen(u))
-        object.__setattr__(self, "eigenvalues", _frozen(lam))
+        object.__setattr__(self, "eigenvectors", _adopted(u))
+        object.__setattr__(self, "eigenvalues", _adopted(lam))
 
     @property
     def n_nodes(self) -> int:
@@ -173,9 +205,17 @@ def build_graph(n: int, edges) -> Graph:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian L = D - A with D = diag(row sums of A)."""
-    a = g.adjacency
-    return np.diag(a.sum(axis=1)) - a
+    """Combinatorial Laplacian L = D - A with D = diag(row sums of A), built from the edges.
+
+    The only n x n array it makes is L, and L is byte-identical to ``np.diag(A.sum(axis=1)) - A``. Off the
+    diagonal, 0 - w = -w. Rounding is symmetric under negation and numpy sums each row of L in the order it
+    sums A's, so L's row sum with a zero diagonal is exactly minus A's; ``0.0 -`` takes it back and keeps an
+    isolated node's degree +0.0, where unary minus would give -0.0.
+    """
+    l_matrix = np.zeros((g.n_nodes, g.n_nodes))
+    l_matrix[_edge_rows(g), g.indices] = -g.weights
+    np.fill_diagonal(l_matrix, 0.0 - l_matrix.sum(axis=1))
+    return l_matrix
 
 
 def gft(l_matrix: np.ndarray) -> GftBasis:
@@ -199,6 +239,8 @@ def gft(l_matrix: np.ndarray) -> GftBasis:
         raise ValueError("Laplacian must be symmetric within 1e-10")
     lam, u = np.linalg.eigh(l_matrix)
     u *= np.where(_largest_entry_is_negative(u), -1.0, 1.0)
+    for a in (u, lam):
+        a.setflags(write=False)  # the basis adopts them, uncopied
     return GftBasis(eigenvectors=u, eigenvalues=lam)
 
 
@@ -226,7 +268,7 @@ def neighbors(g: Graph, i: int) -> list:
     """Indices j with A[i, j] != 0, ascending."""
     if not (0 <= i < g.n_nodes):
         raise ValueError(f"node index {i} out of range for n={g.n_nodes}")
-    return np.flatnonzero(g.adjacency[i]).tolist()
+    return g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
 
 
 def _haversine(lat1, lon1, cos1, lat2, lon2, cos2) -> float:

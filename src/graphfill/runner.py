@@ -199,7 +199,7 @@ def prepare_run(cfg: RunConfig) -> RunContext:
         if not cfg.graph.coordinates:
             raise ValueError("graph.coordinates path is required for source 'knn'")
         g = knn_graph(load_coordinates_csv(cfg.graph.coordinates, n), cfg.graph.k, cfg.graph.bandwidth)
-    derived["graph_weighted"] = bool(np.any((g.adjacency != 0) & (g.adjacency != 1)))
+    derived["graph_weighted"] = bool(np.any(g.weights != 1.0))
     basis = gft(laplacian(g))
     derived["basis_ref"] = basis.ref()
     derived["n_nodes"] = n

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from graphfill.graphs import EARTH_RADIUS_KM, Graph, ObservedLayout, build_graph, gft, laplacian
+from graphfill.graphs import EARTH_RADIUS_KM, Graph, ObservedLayout, build_graph, gft, knn_graph, laplacian
 from graphfill.prompts import NodeTask
 from graphfill.signals import TimeVaryingSignal
 
@@ -72,16 +72,39 @@ def write_run_fixture(
     signal = bandlimited_signal(basis, band, t_steps, rng, scale=2.0, amp_max=amp_max)
     edge_path = str(tmp_path / "edges.csv")
     signal_path = str(tmp_path / "signal.csv")
+    a = g.adjacency  # built on each access: read it once
     with open(edge_path, "w", encoding="utf-8") as fh:
         fh.write("src,dst,weight\n")
         for i in range(n):
             for j in range(i + 1, n):
-                if g.adjacency[i, j]:
-                    fh.write(f"{i},{j},{float(g.adjacency[i, j])!r}\n")
+                if a[i, j]:
+                    fh.write(f"{i},{j},{float(a[i, j])!r}\n")
     with open(signal_path, "w", encoding="utf-8") as fh:
         for row in signal.values:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     return edge_path, signal_path, g, signal
+
+
+def write_knn_run_fixture(tmp_path, n: int = 12, k: int = 3, band: int = 3, t_steps: int = 96, seed: int = 77):
+    """Write ``node_id,lat,lon`` and signal CSVs for a synthetic run on a kNN graph; returns the two paths."""
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(-5, 5, size=(n, 2))
+    coord_path, signal_path = tmp_path / "coords.csv", tmp_path / "signal.csv"
+    with open(coord_path, "w", encoding="utf-8") as fh:
+        fh.write("node_id,lat,lon\n")
+        for i, (lat, lon) in enumerate(coords):
+            fh.write(f"{i},{float(lat)!r},{float(lon)!r}\n")
+    basis = gft(laplacian(knn_graph([tuple(map(float, c)) for c in coords], k=k)))
+    signal = bandlimited_signal(basis, band, t_steps, rng)
+    with open(signal_path, "w", encoding="utf-8") as fh:
+        for row in signal.values:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    return str(coord_path), str(signal_path)
+
+
+def seed_laplacian(a) -> np.ndarray:
+    """Reference for ``graphs.laplacian``: the dense rule ``diag(A 1) - A`` on the adjacency matrix."""
+    return np.diag(a.sum(axis=1)) - a
 
 
 def seed_haversine_km(p: tuple, q: tuple) -> float:
@@ -109,9 +132,9 @@ def seed_observed_layout(g: Graph, observed) -> ObservedLayout:
     return ObservedLayout(nodes, isolated, index, counts, np.unique(index)[:-1], groups, digits)
 
 
-def seed_build_task(node: int, t: int, previous: float, processed, g: Graph, observed, precision: int = 1) -> NodeTask:
-    """Reference for ``prompts.build_task``: the task read from ``g``'s adjacency row and the mask, not a layout."""
-    values = [float(processed[j]) for j in np.flatnonzero(g.adjacency[node]).tolist() if observed[j]]
+def seed_build_task(node: int, t: int, previous: float, processed, adjacency, observed, precision: int = 1) -> NodeTask:
+    """Reference for ``prompts.build_task``: the task read from a dense ``adjacency`` row and the mask, not a layout."""
+    values = [float(processed[j]) for j in np.flatnonzero(adjacency[node]).tolist() if observed[j]]
     return NodeTask(node=node, t=t, previous=previous, neighbor_values=tuple(values), precision=precision)
 
 

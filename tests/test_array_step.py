@@ -79,7 +79,8 @@ def test_array_step_equals_text_path(step):
 
     values, tokens = mock_step(layout, t, previous[layout.nodes], processed, precision, multi_task_prompt)
     # The reference tasks come from the adjacency and the mask, not from the layout the array step reads.
-    tasks = [seed_build_task(i, t, float(previous[i]), processed, g, model.observed, precision)
+    a = g.adjacency
+    tasks = [seed_build_task(i, t, float(previous[i]), processed, a, model.observed, precision)
              for i in layout.nodes.tolist()]
     built = [build_task(layout, r, t, float(previous[i]), processed, precision) for r, i in enumerate(layout.nodes)]
     assert [repr(task) for task in built] == [repr(task) for task in tasks]
@@ -99,7 +100,7 @@ def test_rounding_edge_cases(value, precision):
     model = ObservationModel(np.array([False, True]), 0.0, 0)
     processed = np.array([0.0, value])
     values, tokens = mock_step(observed_layout(g, model.observed), 7, np.array([value]), processed, precision, False)
-    task = seed_build_task(0, 7, value, processed, g, model.observed, precision)
+    task = seed_build_task(0, 7, value, processed, g.adjacency, model.observed, precision)
     assert hexes(values) == hexes([round(value, precision)]) == hexes([mock_predict(task)])
     assert tokens == rendered_tokens([task], False)
 
@@ -125,11 +126,11 @@ def test_long_rows_sum_left_to_right():
     rng = np.random.default_rng(5)
     g = build_graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
     model = ObservationModel(np.arange(12) > 0, 0.0, 0)
-    layout = observed_layout(g, model.observed)
+    layout, a = observed_layout(g, model.observed), g.adjacency
     for _ in range(50):
         previous, processed = rng.uniform(-1e4, 1e4, 12), rng.uniform(-1e4, 1e4, 12)
         values, _ = mock_step(layout, 0, previous[layout.nodes], processed, 17, False)
-        assert hexes(values) == hexes([mock_predict(seed_build_task(0, 0, previous[0], processed, g, model.observed, 17))])
+        assert hexes(values) == hexes([mock_predict(seed_build_task(0, 0, previous[0], processed, a, model.observed, 17))])
 
 
 def check_helpers(values, precision):

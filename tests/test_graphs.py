@@ -9,7 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import seed_basis_ref, seed_haversine_km, seed_knn_candidates, seed_observed_layout, seed_sign_flips
+from helpers import (
+    seed_basis_ref,
+    seed_haversine_km,
+    seed_knn_candidates,
+    seed_laplacian,
+    seed_observed_layout,
+    seed_sign_flips,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +111,26 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = 5.0
 
+    def test_keeps_the_edges_from_both_ends_in_csr_form(self):
+        g = build_graph(4, [(2, 0, 1.5), (0, 1), (1, 3, 0.25)])
+        assert g.n_nodes == 4
+        assert g.indptr.tolist() == [0, 2, 4, 5, 6]
+        assert g.indices.tolist() == [1, 2, 0, 3, 0, 1]  # each row's neighbors ascend
+        assert g.weights.tolist() == [1.0, 1.5, 1.0, 0.25, 1.5, 0.25]
+        assert not any(a.flags.writeable for a in (g.indptr, g.indices, g.weights))
+        with pytest.raises(AttributeError):
+            g.weights = np.ones(6)
+
+    def test_adjacency_is_built_anew_from_the_edges(self):
+        a = np.zeros((5, 5))
+        a[0, 3] = a[3, 0] = 0.5
+        a[1, 2] = a[2, 1] = 3.0
+        g = Graph(a)
+        first, second = g.adjacency, g.adjacency
+        assert first.tobytes() == a.tobytes() and first is not second and not np.shares_memory(first, second)
+        a[0, 3] = 9.0  # the caller's matrix is not kept
+        assert g.adjacency[0, 3] == 0.5
+
     def test_invariants_on_random_graphs(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -128,6 +155,26 @@ class TestLaplacian:
     def test_weighted_pair(self):
         g = build_graph(2, [(0, 1, 2.0)])
         assert np.array_equal(laplacian(g), np.array([[2, -2], [-2, 2]], dtype=float))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 40, 130, 300])  # past numpy's 8-wide and 128-element summation blocks
+    def test_bytes_equal_the_dense_rule(self, n):
+        rng = np.random.default_rng(n)
+        edges = [(i, j, float(rng.uniform(0.01, 3.0) * 10.0 ** rng.integers(-4, 5)))
+                 for i in range(n - 1) for j in range(i + 1, n - 1) if rng.random() < 0.3]  # node n - 1 is isolated
+        edges += [(j, i, 2.0 * w) for i, j, w in edges[::5]]  # a repeated pair, either way round: the last weight wins
+        a = np.zeros((n, n))
+        for i, j, w in edges:
+            a[i, j] = a[j, i] = w
+        g = build_graph(n, edges)
+        assert g.adjacency.tobytes() == a.tobytes()
+        lap = laplacian(g)
+        assert lap.tobytes() == seed_laplacian(a).tobytes()
+        assert math.copysign(1.0, lap[n - 1, n - 1]) == 1.0  # an isolated node's degree is +0.0, not -0.0
+
+    def test_knn_bytes_equal_the_dense_rule(self):
+        pts = [tuple(p) for p in np.random.default_rng(29).uniform(-60.0, 60.0, size=(300, 2)).tolist()]
+        g = knn_graph(pts, 8)
+        assert laplacian(g).tobytes() == seed_laplacian(g.adjacency).tobytes()
 
     def test_row_sums_and_psd_on_random_graphs(self):
         rng = np.random.default_rng(11)
@@ -251,6 +298,19 @@ class TestGft:
         assert a.ref() == a.ref()
         assert a.ref() != b.ref()
 
+    def test_adopts_eighs_outputs_and_copies_a_writeable_input(self):
+        basis = gft(laplacian(random_connected_graph(12, np.random.default_rng(4))))
+        for a in (basis.eigenvectors, basis.eigenvalues):
+            assert a.flags.owndata and not a.flags.writeable
+        adopted = GftBasis(basis.eigenvectors, basis.eigenvalues)
+        assert adopted.eigenvectors is basis.eigenvectors and adopted.eigenvalues is basis.eigenvalues
+        u, lam = basis.eigenvectors.copy(), basis.eigenvalues.copy()
+        copied = GftBasis(u, lam)
+        assert not np.shares_memory(copied.eigenvectors, u) and not np.shares_memory(copied.eigenvalues, lam)
+        view = u[:, :]
+        view.setflags(write=False)  # read-only, but u can still change it
+        assert GftBasis(view, lam).eigenvectors is not view
+
     def test_basis_ref_is_the_digest_of_the_c_order_bytes(self):
         basis = gft(laplacian(random_connected_graph(30, np.random.default_rng(8))))
         assert basis.ref() == seed_basis_ref(basis)
@@ -295,8 +355,9 @@ class TestNeighbors:
             edges = [(i, j, float(rng.uniform(0.01, 3.0)))
                      for i in range(n - 1) for j in range(i + 1, n - 1) if rng.random() < 0.3]
             g = build_graph(n, edges)  # node n - 1 is isolated
+            a = g.adjacency
             for i in range(n):
-                expected = [int(j) for j in np.flatnonzero(g.adjacency[i]) if j != i]
+                expected = [int(j) for j in np.flatnonzero(a[i]) if j != i]
                 assert neighbors(g, i) == expected
             assert neighbors(g, n - 1) == []
 
@@ -331,6 +392,8 @@ def test_observed_layout_equals_seed_layout(graph_and_mask):
     for a, b in zip(layout_arrays(got), layout_arrays(want)):
         assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist())
         assert not a.flags.writeable
+    a = g.adjacency
+    assert [neighbors(g, i) for i in range(g.n_nodes)] == [np.flatnonzero(row).tolist() for row in a]
 
 
 def brute_force_knn(pts, k):
@@ -385,11 +448,12 @@ class TestKnnGraph:
         perm = list(rng.permutation(8))
         g1 = knn_graph(pts, k=2, bandwidth=100.0)
         g2 = knn_graph([pts[p] for p in perm], k=2, bandwidth=100.0)
-        relabeled = np.zeros_like(g1.adjacency)
+        a1, a2 = g1.adjacency, g2.adjacency
+        relabeled = np.zeros_like(a1)
         for a in range(8):
             for b in range(8):
-                relabeled[a, b] = g2.adjacency[perm.index(a), perm.index(b)]
-        assert np.allclose(relabeled, g1.adjacency, atol=1e-12)
+                relabeled[a, b] = a2[perm.index(a), perm.index(b)]
+        assert np.allclose(relabeled, a1, atol=1e-12)
 
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError, match="k="):

@@ -958,28 +958,27 @@ class TestRunLongPool:
         assert threading.current_thread() not in threads
         assert not any(thread.is_alive() for thread in threads)
 
-    def test_concurrent_first_dispatches_start_one_pool(self):
-        threads = set()
+    def test_concurrent_callers_share_the_bound_pool(self):
+        threads, started = set(), threading.Barrier(8)
+        cfg = PredictorConfig(backend="mock", max_concurrency=3)
 
         def backend(system_text, user_text, tasks):
             threads.add(threading.current_thread())
             return "1.0"
 
-        cfg = PredictorConfig(backend="mock", max_concurrency=3)
-        interval = sys.getswitchinterval()
+        def call(bound):
+            started.wait(timeout=5)  # all eight dispatch at once
+            predict_batch([task_for(node=i) for i in range(6)], cfg, bound)
+
         with bind_backend(cfg, backend) as bound:
-            callers = [threading.Thread(target=predict_batch, args=([task_for(node=i) for i in range(6)], cfg, bound))
-                       for _ in range(8)]
-            sys.setswitchinterval(1e-6)
-            try:
-                for caller in callers:
-                    caller.start()
-                for caller in callers:
-                    caller.join(timeout=10)
-            finally:
-                sys.setswitchinterval(interval)
+            callers = [threading.Thread(target=call, args=(bound,)) for _ in range(8)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=10)
         assert not any(caller.is_alive() for caller in callers)
-        assert 1 <= len(threads) <= 3  # a second pool would bring workers of its own
+        assert 1 <= len(threads) <= 3  # a pool per dispatch would bring up to 3 workers for each caller
+        assert all(thread.name.startswith("graphfill-predict") for thread in threads)
 
     def test_caller_backend_calls_overlap(self):
         barrier = threading.Barrier(2)

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from graphfill.signals import load_signal_csv
 
@@ -38,4 +39,27 @@ def test_non_numeric_cell_fails_with_location(tmp_path):
     out = tmp_path / "clean.csv"
     proc = run_script(str(raw), str(out))
     assert proc.returncode == 2
-    assert "row 2, column 2" in proc.stderr
+    assert f"{raw}: row 2, column 2: cannot parse 'n/a' as a number" in proc.stderr
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN ", "-Infinity"])
+def test_non_finite_cell_fails_with_location(tmp_path, cell):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(f"ts,a,b\n0,1.0,2.0\n1,3.0,{cell}\n")
+    out = tmp_path / "clean.csv"
+    proc = run_script(str(raw), str(out), "--drop-header", "--drop-leading-columns", "1")
+    assert proc.returncode == 2
+    assert f"{raw}: row 3, column 3: {cell.strip()!r} is not a finite number" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["-1", "-3"])
+def test_negative_leading_column_count_rejected(tmp_path, count):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("ts,a,b\n0,1.0,2.0\n")
+    out = tmp_path / "clean.csv"
+    proc = run_script(str(raw), str(out), "--drop-header", "--drop-leading-columns", count)
+    assert proc.returncode == 2
+    assert f"argument --drop-leading-columns: must be >= 0, got {count}" in proc.stderr
+    assert not out.exists()
+

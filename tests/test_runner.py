@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import write_run_fixture
+from helpers import write_knn_run_fixture, write_run_fixture
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -672,6 +672,22 @@ class TestBenchmarkHooks:
         execution = execute_run(cfg)
         assert any(e["prompt"] for e in execution.repeats[0].transcript)
 
+    @pytest.mark.parametrize("source", ["edges", "knn"])
+    def test_run_never_reads_the_dense_adjacency(self, fixture_paths, tmp_path, monkeypatch, source):
+        def dense(g):
+            raise AssertionError("a run read Graph.adjacency, an n x n matrix built on request")
+
+        if source == "edges":
+            cfg = base_config(*fixture_paths, baselines=ALL_BASELINES, transcript=True)
+        else:
+            coordinates, signal_path = write_knn_run_fixture(tmp_path, n=30, t_steps=200)
+            cfg = base_config(None, signal_path, graph={"source": "knn", "coordinates": coordinates, "k": 3},
+                              baselines=ALL_BASELINES, transcript=True)
+        monkeypatch.setattr(graphs.Graph, "adjacency", property(dense))
+        execution = execute_run(cfg)
+        assert any(e["prompt"] for e in execution.repeats[0].transcript)
+        assert set(execution.repeats[0].scores) >= set(ALL_BASELINES)
+
 
 class TestStepScores:
     @pytest.mark.parametrize("n", [1, 7, 129, 1000])  # past numpy's 8-wide and 128-element summation blocks
@@ -1032,29 +1048,12 @@ def test_config_round_trips_through_json(cfg):
 
 class TestKnnGraphSource:
     def test_run_with_knn_weighted_graph(self, tmp_path):
-        rng = np.random.default_rng(77)
         n = 12
-        coords = rng.uniform(-5, 5, size=(n, 2))
-        coord_path = tmp_path / "coords.csv"
-        with open(coord_path, "w", encoding="utf-8") as fh:
-            fh.write("node_id,lat,lon\n")
-            for i, (lat, lon) in enumerate(coords):
-                fh.write(f"{i},{float(lat)!r},{float(lon)!r}\n")
-        from graphfill.graphs import gft, knn_graph, laplacian
-
-        g = knn_graph([tuple(map(float, c)) for c in coords], k=3)
-        basis = gft(laplacian(g))
-        from helpers import bandlimited_signal
-
-        signal = bandlimited_signal(basis, 3, 96, rng)
-        signal_path = tmp_path / "signal.csv"
-        with open(signal_path, "w", encoding="utf-8") as fh:
-            for row in signal.values:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        coord_path, signal_path = write_knn_run_fixture(tmp_path, n=n)
         cfg = RunConfig.from_dict(
             {
-                "graph": {"source": "knn", "coordinates": str(coord_path), "k": 3},
-                "signal": {"path": str(signal_path), "layout": "nodes-as-rows"},
+                "graph": {"source": "knn", "coordinates": coord_path, "k": 3},
+                "signal": {"path": signal_path, "layout": "nodes-as-rows"},
                 "t_split": 24,
                 "observation": {"ratio": 0.7, "seed": 4, "noise_variance": 0.2},
                 "train": {"learning_rate": 0.1, "max_iters": 300, "tol": 0.0, "patience": 30,
