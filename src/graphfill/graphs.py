@@ -1,21 +1,21 @@
 """Graph topology, Laplacian, Fourier basis, and neighborhood queries.
 
-Graphs are undirected with nonnegative (possibly non-binary) edge weights.
+Graphs are undirected with positive (possibly non-binary) edge weights.
 All constructed objects are immutable; arrays are returned read-only.
 """
+import array
 import collections
 import csv
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0088
-# Elements per row block of the kNN screen and the symmetry checks (bounds each
-# temporary to 128 KB), and of the sign normalisation in ``gft`` (2 MB).
+# Elements per row block of the kNN screen (bounds each temporary to 128 KB).
 _SCREEN_BLOCK_ELEMENTS = 1 << 14
-_SIGN_BLOCK_ELEMENTS = 1 << 18
 # The kNN screen keeps every j whose squared chord distance is within this
 # absolute slack of the row's k-th smallest. The screen's 2 - 2 p_i . p_j
 # (unit vectors from sin and cos, a 3-term dot product, one subtraction) is
@@ -47,49 +47,67 @@ def _reject_infinite(section) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _max_asymmetry(a: np.ndarray) -> float:
-    """``max |a - a.T|`` of a finite square matrix, from the upper triangle's row blocks: no n x n temporary."""
-    rows = max(1, _SCREEN_BLOCK_ELEMENTS // max(1, a.shape[0]))
-    return max((float(np.abs(a[i:i + rows, i:] - a[i:, i:i + rows].T).max()) for i in range(0, a.shape[0], rows)),
-               default=0.0)
+class _EdgeError(ValueError):
+    """An edge that ``Graph`` rejects; ``edge`` is its position in the constructor's input."""
+
+    def __init__(self, message: str, edge: int):
+        super().__init__(message)
+        self.edge = edge
+
+
+# What ``Graph`` rejects in an edge, in the order it checks.
+_EDGE_FAULTS = ("edge ({i}, {j}) out of range for n={n}", "self-loop at node {i} is not allowed",
+                "edge ({i}, {j}) has non-finite weight {w}", "edge ({i}, {j}) has nonpositive weight {w}")
+
+
+def _node_indices(values, n: int) -> np.ndarray:
+    """``values`` as an int64 array, each one outside [0, n) as -1. A Python int past int64's range is compared
+    before any conversion, so it still reads as out of range; an index in range that is not an integer raises
+    a TypeError."""
+    a = np.asarray(values)
+    if a.dtype.kind != "i":  # empty, floats, or an int past int64 that makes numpy pick float64 or object
+        a = np.array([operator.index(v) if 0 <= v < n else -1 for v in values], dtype=np.int64)
+    return np.where((a >= 0) & (a < n), a, -1).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Graph:
     """Undirected weighted graph, kept as its edges in CSR form.
 
-    ``Graph(adjacency)`` checks a dense matrix: it must be square, finite,
-    symmetric, have a zero diagonal, and all entries must be >= 0. The node
-    count is its row count. Only the nonzero entries are kept, as read-only
-    arrays: row i's neighbors are ``indices[indptr[i]:indptr[i + 1]]``,
-    ascending, with edge weights ``weights`` at the same positions. Each edge
-    is stored from both ends.
+    ``Graph(n, i, j, w)`` builds an n-node graph (n >= 1) with an edge between nodes ``i[k]`` and ``j[k]``
+    (0-based, either orientation) of weight ``w[k]``, for each k. Each edge must join two distinct nodes in
+    [0, n) with a finite positive weight; the first edge in input order that does not raises a ValueError
+    naming it. A repeated pair keeps its last weight. The edges are kept as read-only arrays: row i's neighbors
+    are ``indices[indptr[i]:indptr[i + 1]]``, ascending, with edge weights ``weights`` at the same positions.
+    Each edge is stored from both ends.
     """
     n_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
 
-    def __init__(self, adjacency):
-        a = np.asarray(adjacency, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("adjacency entries must be finite")
-        if _max_asymmetry(a) > 0.0:
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0.0):
-            raise ValueError("adjacency diagonal must be zero (no self-loops)")
-        if np.any(a < 0.0):
-            raise ValueError("adjacency entries must be nonnegative")
-        n = a.shape[0]
-        rows, cols = np.nonzero(a)  # row-major, so each row's columns ascend
+    def __init__(self, n: int, i, j, w):
+        if n < 1:
+            raise ValueError("n must be positive")
+        src, dst, w_in = _node_indices(i, n), _node_indices(j, n), np.asarray(w, dtype=np.float64)
+        faults = np.stack([(src < 0) | (dst < 0), src == dst, ~np.isfinite(w_in), w_in <= 0.0])
+        bad = np.flatnonzero(faults.any(axis=0))
+        if bad.size:
+            e = int(bad[0])
+            fault = _EDGE_FAULTS[int(faults[:, e].argmax())]
+            raise _EdgeError(fault.format(i=i[e], j=j[e], n=n, w=float(w_in[e])), e)
+        key = np.stack([src * n + dst, dst * n + src], axis=1).ravel()  # edge k from both ends, at 2k and 2k + 1
+        order = np.argsort(key, kind="stable")  # by row, then column; a repeated pair in input order
+        key = key[order]
+        last = np.ones(key.size, dtype=bool)  # the last of each run of one pair
+        last[:-1] = key[1:] != key[:-1]
+        key, weights = key[last], w_in[order[last] // 2]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+        for name, a in (("indptr", indptr), ("indices", key % n), ("weights", weights)):
+            a.setflags(write=False)  # each is a new array that only the graph holds
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "n_nodes", n)
-        object.__setattr__(self, "indptr", _frozen(indptr, np.int64))
-        object.__setattr__(self, "indices", _frozen(cols, np.int64))
-        object.__setattr__(self, "weights", _frozen(a[rows, cols]))
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -183,25 +201,11 @@ def build_graph(n: int, edges) -> Graph:
 
     Raises:
         ValueError: on self-loops, out-of-range indices, or weights that
-            are not finite or are <= 0.
+            are not finite or are <= 0, naming the first such edge.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    a = np.zeros((n, n), dtype=np.float64)
-    for edge in edges:
-        i, j, w = (*edge, 1.0) if len(edge) == 2 else edge
-        w = float(w)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        if i == j:
-            raise ValueError(f"self-loop at node {i} is not allowed")
-        if not math.isfinite(w):
-            raise ValueError(f"edge ({i}, {j}) has non-finite weight {w}")
-        if w <= 0.0:
-            raise ValueError(f"edge ({i}, {j}) has nonpositive weight {w}")
-        a[i, j] = w
-        a[j, i] = w
-    return Graph(a)
+    edges = [(*edge, 1.0) if len(edge) == 2 else edge for edge in edges]
+    i, j, w = zip(*edges, strict=True) if edges else ((), (), ())
+    return Graph(n, i, j, w)
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -211,15 +215,23 @@ def laplacian(g: Graph) -> np.ndarray:
     diagonal, 0 - w = -w. Rounding is symmetric under negation and numpy sums each row of L in the order it
     sums A's, so L's row sum with a zero diagonal is exactly minus A's; ``0.0 -`` takes it back and keeps an
     isolated node's degree +0.0, where unary minus would give -0.0.
+
+    Raises:
+        ValueError: naming the first node whose degree overflows to inf, though each of its weights is finite.
     """
     l_matrix = np.zeros((g.n_nodes, g.n_nodes))
     l_matrix[_edge_rows(g), g.indices] = -g.weights
-    np.fill_diagonal(l_matrix, 0.0 - l_matrix.sum(axis=1))
+    with np.errstate(over="ignore"):  # an overflowed degree is named below
+        degree = 0.0 - l_matrix.sum(axis=1)
+    overflowed = np.flatnonzero(np.isinf(degree))
+    if overflowed.size:
+        raise ValueError(f"node {overflowed[0]} has degree inf: the sum of its edge weights overflows")
+    np.fill_diagonal(l_matrix, degree)
     return l_matrix
 
 
-def gft(l_matrix: np.ndarray) -> GftBasis:
-    """Eigendecompose a symmetric Laplacian into a graph Fourier basis.
+def gft(g: Graph) -> GftBasis:
+    """Eigendecompose the Laplacian of ``g`` into a graph Fourier basis.
 
     Eigenpairs come out sorted ascending. Sign convention: each
     eigenvector is flipped so its largest-magnitude entry (first such
@@ -227,17 +239,10 @@ def gft(l_matrix: np.ndarray) -> GftBasis:
     simple spectra.
 
     Raises:
-        ValueError: if the input is not finite, or not symmetric within 1e-10.
+        ValueError: if a node's degree overflows (see ``laplacian``).
         np.linalg.LinAlgError: if the decomposition fails to converge.
     """
-    l_matrix = np.asarray(l_matrix, dtype=np.float64)
-    if l_matrix.ndim != 2 or l_matrix.shape[0] != l_matrix.shape[1]:
-        raise ValueError("Laplacian must be a square matrix")
-    if not np.all(np.isfinite(l_matrix)):
-        raise ValueError("Laplacian entries must be finite")
-    if _max_asymmetry(l_matrix) > 1e-10:
-        raise ValueError("Laplacian must be symmetric within 1e-10")
-    lam, u = np.linalg.eigh(l_matrix)
+    lam, u = np.linalg.eigh(laplacian(g))
     u *= np.where(_largest_entry_is_negative(u), -1.0, 1.0)
     for a in (u, lam):
         a.setflags(write=False)  # the basis adopts them, uncopied
@@ -247,20 +252,14 @@ def gft(l_matrix: np.ndarray) -> GftBasis:
 def _largest_entry_is_negative(u: np.ndarray) -> np.ndarray:
     """Per column of ``u``: is its largest-magnitude entry (the first such on ties) negative?
 
-    Walks row blocks, so no temporary is the size of ``u``. A later block takes a column only with a strictly
-    larger magnitude, and ``argmax`` picks the first row within a block, so ties go to the first row.
+    Decided from each column's largest and smallest entry, so no temporary is bigger than a column: the sign
+    is that of the side with the larger magnitude. Only a column whose two sides tie (a zero column among them)
+    is searched for its first largest-magnitude row.
     """
-    n_rows, n_cols = u.shape
-    cols = np.arange(n_cols)
-    top, negative = np.full(n_cols, -1.0), np.zeros(n_cols, dtype=bool)
-    rows = max(1, _SIGN_BLOCK_ELEMENTS // max(1, n_cols))
-    for start in range(0, n_rows, rows):
-        block = u[start:start + rows]
-        at = np.abs(block).argmax(axis=0)
-        entry = block[at, cols]
-        magnitude = np.abs(entry)
-        take = magnitude > top
-        top[take], negative[take] = magnitude[take], entry[take] < 0
+    top, bottom = u.max(axis=0), u.min(axis=0)
+    negative = -bottom > top
+    for k in np.flatnonzero(-bottom == top):
+        negative[k] = u[np.abs(u[:, k]).argmax(), k] < 0
     return negative
 
 
@@ -310,10 +309,10 @@ def knn_graph(coords, k: int, bandwidth: float | None = None) -> Graph:
     # (Unlike a bare np.unique(x), this call does not import numpy.ma on numpy 2.4; a test checks it.)
     pairs, at = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_inverse=True)
     lo, hi = np.divmod(pairs, n)
-    km = np.array([_haversine(*rad[a], *rad[b]) for a, b in zip(lo.tolist(), hi.tolist())])[at]
-    ranked = np.lexsort((j, km, i))  # by node, then distance, then neighbor index
-    pick = ranked[(np.searchsorted(i, np.arange(n))[:, None] + np.arange(k)).ravel()]  # each node's first k
-    i, j, d = i[pick], j[pick], km[pick]
+    km = np.array([_haversine(*rad[a], *rad[b]) for a, b in zip(lo.tolist(), hi.tolist())])
+    ranked = np.lexsort((j, km[at], i))  # by node, then distance, then neighbor index
+    pick = at[ranked[(np.searchsorted(i, np.arange(n))[:, None] + np.arange(k)).ravel()]]  # each node's first k
+    d = km[pick]
 
     if bandwidth is None:
         # The median as np.median takes it, the middle value or the mean of the two, without its numpy.ma import.
@@ -322,14 +321,10 @@ def knn_graph(coords, k: int, bandwidth: float | None = None) -> Graph:
         med = float(np.partition(d, kth)[kth].mean())
         bandwidth = med if med > 0.0 else 1.0
 
-    w = np.array([math.exp(-x**2 / (2.0 * bandwidth**2)) for x in d.tolist()])
-    if np.any(w <= 0.0):  # exp underflowed: name the first such pair, as build_graph would
-        bad = w <= 0.0
-        edge = min(zip(np.minimum(i, j)[bad].tolist(), np.maximum(i, j)[bad].tolist()))
-        raise ValueError(f"edge {edge} has nonpositive weight {w[bad][0]}")
-    a = np.zeros((n, n), dtype=np.float64)
-    a[i, j] = a[j, i] = w  # a pair picked from both ends gets the same weight twice
-    return Graph(a)
+    # Each pair once, picked from one end or both, in (lo, hi) order: an underflowed weight names the least such pair.
+    chosen = np.flatnonzero(np.bincount(pick, minlength=pairs.size))
+    w = np.array([math.exp(-x**2 / (2.0 * bandwidth**2)) for x in km[chosen].tolist()])
+    return Graph(n, lo[chosen], hi[chosen], w)
 
 
 def _knn_candidates(rad: np.ndarray, k: int) -> tuple:
@@ -398,25 +393,22 @@ def _cell(path, r: int, c: int, row, parse, what: str):
 def load_edge_list_csv(path, n: int) -> Graph:
     """Load an ``n``-node graph from a CSV edge list ``src,dst[,weight]`` (0-based).
 
-    An optional header row is skipped, and a node no edge names is isolated. An edge that ``build_graph``
-    rejects, an index outside [0, n) among them, raises its error, prefixed with the file and row.
+    An optional header row is skipped, and a node no edge names is isolated. An edge that ``Graph`` rejects, an
+    index outside [0, n) among them, raises its error, prefixed with the file and row.
     """
-    edges = []
+    # Node indices stay Python ints until ``Graph`` has range-checked them: one past int64 is still out of range.
+    rows, src, dst, weight = array.array("q"), [], [], array.array("d")
     for r, row in _data_rows(path):
         if len(row) not in (2, 3):
             raise ValueError(f"{path}: row {r + 1}: expected 2 or 3 columns, got {len(row)}")
-        i, j = _cell(path, r, 0, row, int, "a node index"), _cell(path, r, 1, row, int, "a node index")
-        edges.append((r, (i, j, _cell(path, r, 2, row, float, "a weight")) if len(row) == 3 else (i, j)))
-    taken = [None]  # build_graph checks each edge as it takes it, so the row taken last is the one it rejects
-
-    def take():
-        for r, edge in edges:
-            taken[0] = r
-            yield edge
+        rows.append(r)
+        src.append(_cell(path, r, 0, row, int, "a node index"))
+        dst.append(_cell(path, r, 1, row, int, "a node index"))
+        weight.append(_cell(path, r, 2, row, float, "a weight") if len(row) == 3 else 1.0)
     try:
-        return build_graph(n, take())
+        return Graph(n, src, dst, weight)
     except ValueError as exc:
-        row = "" if taken[0] is None else f"row {taken[0] + 1}: "
+        row = f"row {rows[exc.edge] + 1}: " if isinstance(exc, _EdgeError) else ""
         raise ValueError(f"{path}: {row}{exc}") from None
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import baselines as bl
 from .files import atomic_write
-from .graphs import Graph, GftBasis, gft, knn_graph, laplacian, load_coordinates_csv, load_edge_list_csv
-from .graphs import _reject_infinite, observed_layout
+from .graphs import Graph, GftBasis, gft, knn_graph, load_coordinates_csv, load_edge_list_csv
+from .graphs import _reject_infinite, laplacian, observed_layout  # noqa: F401 (runner.laplacian stays importable)
 from .metrics import RunReport, aggregate, emit_report, rmse  # noqa: F401 (runner.mae, runner.rmse stay importable)
 from .predictors import PredictionResult, PredictorConfig, bind_backend, mock_step, predict_batch
 from .prompts import build_task
@@ -200,7 +200,7 @@ def prepare_run(cfg: RunConfig) -> RunContext:
             raise ValueError("graph.coordinates path is required for source 'knn'")
         g = knn_graph(load_coordinates_csv(cfg.graph.coordinates, n), cfg.graph.k, cfg.graph.bandwidth)
     derived["graph_weighted"] = bool(np.any(g.weights != 1.0))
-    basis = gft(laplacian(g))
+    basis = gft(g)
     derived["basis_ref"] = basis.ref()
     derived["n_nodes"] = n
     derived["n_steps"] = train_signal.n_steps + test_signal.n_steps

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from graphfill.graphs import EARTH_RADIUS_KM, Graph, ObservedLayout, build_graph, gft, knn_graph, laplacian
+from graphfill.graphs import EARTH_RADIUS_KM, Graph, ObservedLayout, build_graph, gft, knn_graph
 from graphfill.prompts import NodeTask
 from graphfill.signals import TimeVaryingSignal
 
@@ -48,7 +48,7 @@ def spectral_fixture(n: int = 30, band: int = 5, t_steps: int = 500, seed: int =
     """Connected graph, its Fourier basis, and a bandlimited signal on it."""
     rng = np.random.default_rng(seed)
     g = random_connected_graph(n, rng)
-    basis = gft(laplacian(g))
+    basis = gft(g)
     signal = bandlimited_signal(basis, band, t_steps, rng)
     return g, basis, signal
 
@@ -68,7 +68,7 @@ def write_run_fixture(
     """
     rng = np.random.default_rng(seed)
     g = random_connected_graph(n, rng)
-    basis = gft(laplacian(g))
+    basis = gft(g)
     signal = bandlimited_signal(basis, band, t_steps, rng, scale=2.0, amp_max=amp_max)
     edge_path = str(tmp_path / "edges.csv")
     signal_path = str(tmp_path / "signal.csv")
@@ -94,12 +94,33 @@ def write_knn_run_fixture(tmp_path, n: int = 12, k: int = 3, band: int = 3, t_st
         fh.write("node_id,lat,lon\n")
         for i, (lat, lon) in enumerate(coords):
             fh.write(f"{i},{float(lat)!r},{float(lon)!r}\n")
-    basis = gft(laplacian(knn_graph([tuple(map(float, c)) for c in coords], k=k)))
+    basis = gft(knn_graph([tuple(map(float, c)) for c in coords], k=k))
     signal = bandlimited_signal(basis, band, t_steps, rng)
     with open(signal_path, "w", encoding="utf-8") as fh:
         for row in signal.values:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     return str(coord_path), str(signal_path)
+
+
+def seed_build_graph(n: int, edges) -> np.ndarray:
+    """Reference for ``Graph``'s checks and edge rule: the dense adjacency filled edge by edge, each edge checked
+    as it is taken, so the first bad edge raises."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    a = np.zeros((n, n), dtype=np.float64)
+    for edge in edges:
+        i, j, w = (*edge, 1.0) if len(edge) == 2 else edge
+        w = float(w)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        if i == j:
+            raise ValueError(f"self-loop at node {i} is not allowed")
+        if not math.isfinite(w):
+            raise ValueError(f"edge ({i}, {j}) has non-finite weight {w}")
+        if w <= 0.0:
+            raise ValueError(f"edge ({i}, {j}) has nonpositive weight {w}")
+        a[i, j] = a[j, i] = w
+    return a
 
 
 def seed_laplacian(a) -> np.ndarray:

@@ -310,7 +310,7 @@ class TestRun:
         def no_graph(*args, **kwargs):
             raise AssertionError("a graph was built before graph.n_nodes was checked")
 
-        monkeypatch.setattr(graphs, "build_graph", no_graph)
+        monkeypatch.setattr(graphs, "Graph", no_graph)
         payload = json.loads(Path(P3_CONFIG).read_text())
         payload["graph"].update(edge_list=str(DATA / "p3" / "edges.csv"), n_nodes=10**6)
         payload["signal"]["path"] = str(DATA / "p3" / "signal.csv")
@@ -319,6 +319,17 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "error: graph.n_nodes is 1000000 but the signal has 3 nodes" in err and "Traceback" not in err
+
+    def test_degree_overflow_exits_2_naming_the_node(self, tmp_path, capsys):
+        payload = json.loads(Path(P3_CONFIG).read_text())
+        (tmp_path / "edges.csv").write_text("0,1,1e308\n1,2,1e308\n")
+        payload["graph"]["edge_list"] = str(tmp_path / "edges.csv")
+        payload["signal"]["path"] = str(DATA / "p3" / "signal.csv")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: node 1 has degree inf: the sum of its edge weights overflows" in err and "Traceback" not in err
 
     def test_readme_lists_every_override_flag(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

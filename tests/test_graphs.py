@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import (
+    random_connected_graph,
     seed_basis_ref,
+    seed_build_graph,
     seed_haversine_km,
     seed_knn_candidates,
     seed_laplacian,
@@ -24,7 +26,6 @@ import graphfill
 from graphfill import graphs
 from graphfill.graphs import (
     GftBasis,
-    Graph,
     build_graph,
     gft,
     knn_graph,
@@ -34,19 +35,6 @@ from graphfill.graphs import (
     neighbors,
     observed_layout,
 )
-
-
-def random_connected_graph(n: int, rng: np.random.Generator, p: float = 0.25) -> Graph:
-    """Erdos-Renyi edges plus a random spanning chain to force connectivity."""
-    edges = set()
-    order = rng.permutation(n)
-    for a, b in zip(order[:-1], order[1:]):
-        edges.add((min(a, b), max(a, b)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.add((i, j))
-    return build_graph(n, sorted(edges))
 
 
 class TestBuildGraph:
@@ -73,9 +61,14 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="self-loop"):
             build_graph(3, [(1, 1)])
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            build_graph(3, [(0, 3)])
+    @pytest.mark.parametrize("j", [3, -1, 10**20, 2**64 - 1])  # past int64 too: compared before any conversion
+    def test_out_of_range_rejected(self, j):
+        with pytest.raises(ValueError, match=re.escape(f"edge (0, {j}) out of range for n=3")):
+            build_graph(3, [(0, j)])
+
+    def test_non_integer_index_rejected_not_truncated(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build_graph(3, [(0, 1), (0, 1.5)])
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="weight"):
@@ -86,25 +79,22 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=re.escape(f"edge (0, 1) has non-finite weight {w}")):
             build_graph(3, [(0, 1, 1.0), (0, 1, w)])
 
-    @pytest.mark.parametrize("w", [math.inf, math.nan])
-    def test_non_finite_adjacency_rejected_before_symmetry(self, w):
-        a = np.zeros((2, 2))
-        a[0, 1] = a[1, 0] = w  # symmetric, so only the finiteness check can reject it
-        with pytest.raises(ValueError, match="finite"):
-            Graph(a)
+    @pytest.mark.parametrize("shift", range(4))
+    def test_first_failing_edge_in_input_order_is_named(self, shift):
+        # One edge of each fault, after a good one, in each rotation; an edge with two faults is named by the first.
+        faulty = [((2, 5, 0.0), "edge (2, 5) out of range for n=3"), ((1, 1, math.nan), "self-loop at node 1"),
+                  ((0, 2, -math.inf), "edge (0, 2) has non-finite weight -inf"),
+                  ((2, 1, -0.0), "edge (2, 1) has nonpositive weight -0.0")]
+        faulty = faulty[shift:] + faulty[:shift]
+        with pytest.raises(ValueError, match=re.escape(faulty[0][1])):
+            build_graph(3, [(0, 1, 1.0)] + [edge for edge, _ in faulty])
 
-    @pytest.mark.parametrize("i, j", [(0, 1), (299, 0), (150, 200), (299, 298)])
-    def test_one_asymmetric_pair_rejected_in_any_row_block(self, i, j):
-        # At n = 300 the symmetry check walks several row blocks; each pair must be seen from either side.
-        a = np.zeros((300, 300))
-        a[i, j] = 1.0
-        with pytest.raises(ValueError, match="adjacency must be symmetric"):
-            Graph(a)
-
-    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
-    def test_non_square_adjacency_rejected(self, shape):
-        with pytest.raises(ValueError, match=re.escape(f"adjacency must be square, got shape {shape}")):
-            Graph(np.zeros(shape))
+    def test_keeps_no_array_of_the_caller(self):
+        i, j, w = np.array([2, 0]), np.array([0, 1]), np.array([1.5, 0.5])
+        g = graphs.Graph(3, i, j, w)
+        i[0], w[:] = 1, 9.0
+        assert g.indices.tolist() == [1, 2, 0, 0] and g.weights.tolist() == [0.5, 1.5, 0.5, 1.5]
+        assert not any(np.shares_memory(a, b) for a in (g.indices, g.weights) for b in (i, j, w))
 
     def test_adjacency_read_only(self):
         g = build_graph(2, [(0, 1)])
@@ -125,11 +115,9 @@ class TestBuildGraph:
         a = np.zeros((5, 5))
         a[0, 3] = a[3, 0] = 0.5
         a[1, 2] = a[2, 1] = 3.0
-        g = Graph(a)
+        g = build_graph(5, [(3, 0, 0.5), (1, 2, 3.0)])
         first, second = g.adjacency, g.adjacency
         assert first.tobytes() == a.tobytes() and first is not second and not np.shares_memory(first, second)
-        a[0, 3] = 9.0  # the caller's matrix is not kept
-        assert g.adjacency[0, 3] == 0.5
 
     def test_invariants_on_random_graphs(self):
         rng = np.random.default_rng(7)
@@ -176,6 +164,12 @@ class TestLaplacian:
         g = knn_graph(pts, 8)
         assert laplacian(g).tobytes() == seed_laplacian(g.adjacency).tobytes()
 
+    def test_degree_overflow_names_the_node(self):
+        g = build_graph(3, [(1, 0, 1e308), (1, 2, 1e308)])  # each weight is finite, node 1's degree is not
+        for build in (laplacian, gft):
+            with pytest.raises(ValueError, match=re.escape("node 1 has degree inf: the sum of its edge weights")):
+                build(g)
+
     def test_row_sums_and_psd_on_random_graphs(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -190,7 +184,7 @@ class TestLaplacian:
 
 class TestGft:
     def test_p2_closed_form(self):
-        basis = gft(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        basis = gft(build_graph(2, [(0, 1)]))
         assert np.allclose(basis.eigenvalues, [0.0, 2.0], atol=1e-12)
         r = 1.0 / math.sqrt(2.0)
         assert np.allclose(basis.eigenvectors[:, 0], [r, r], atol=1e-12)
@@ -198,14 +192,14 @@ class TestGft:
 
     def test_k3_spectrum(self):
         g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
-        basis = gft(laplacian(g))
+        basis = gft(g)
         assert np.allclose(basis.eigenvalues, [0.0, 3.0, 3.0], atol=1e-10)
 
     def test_reconstruction_oracle_random_graph(self):
         rng = np.random.default_rng(42)
         g = random_connected_graph(20, rng)
         lap = laplacian(g)
-        basis = gft(lap)
+        basis = gft(g)
         rebuilt = basis.eigenvectors @ np.diag(basis.eigenvalues) @ basis.eigenvectors.T
         assert np.max(np.abs(rebuilt - lap)) < 1e-8
 
@@ -213,7 +207,7 @@ class TestGft:
         rng = np.random.default_rng(3)
         for _ in range(10):
             g = random_connected_graph(int(rng.integers(2, 25)), rng)
-            basis = gft(laplacian(g))
+            basis = gft(g)
             n = basis.n_nodes
             assert np.max(np.abs(basis.eigenvectors.T @ basis.eigenvectors - np.eye(n))) < 1e-8
             assert abs(basis.eigenvalues[0]) < 1e-8
@@ -223,16 +217,15 @@ class TestGft:
     def test_constant_eigenvector_on_connected_graph(self):
         rng = np.random.default_rng(5)
         g = random_connected_graph(12, rng)
-        basis = gft(laplacian(g))
+        basis = gft(g)
         ones = np.ones(12) / math.sqrt(12)
         assert np.allclose(basis.eigenvectors[:, 0], ones, atol=1e-8)
 
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(9)
         g = random_connected_graph(10, rng)
-        lap = laplacian(g)
-        a = gft(lap)
-        b = gft(lap)
+        a = gft(g)
+        b = gft(g)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
         for k in range(10):
             col = a.eigenvectors[:, k]
@@ -253,14 +246,13 @@ class TestGft:
                 if expected[pivot, k] < 0:
                     expected[:, k] = -expected[:, k]
             monkeypatch.setattr(np.linalg, "eigh", lambda a, u=u: (np.arange(a.shape[0], dtype=float), u.copy()))
-            got = gft(np.eye(n)).eigenvectors
+            got = gft(build_graph(n, [])).eigenvectors
             assert got.tobytes() == expected.tobytes()
             assert not np.array_equal(got, u)
 
-    @pytest.mark.parametrize("block_elements", [1, 120, 1 << 18])
-    def test_sign_flips_equal_the_whole_matrix_rule(self, monkeypatch, block_elements):
-        # Row blocks of 1 row, of 3 rows at n = 40 (ties straddle block edges) and one block: ties go to the first row.
-        monkeypatch.setattr(graphs, "_SIGN_BLOCK_ELEMENTS", block_elements)
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray, lambda u: np.repeat(u, 2, 1)[:, ::2]])
+    def test_sign_flips_equal_the_whole_matrix_rule(self, layout):
+        # In any memory layout, with the largest magnitude once or twice, of one sign or both: ties go to the first row.
         rng = np.random.default_rng(72)
         for n in (1, 2, 7, 40, 41):
             u = rng.normal(size=(n, n))
@@ -268,38 +260,19 @@ class TestGft:
                 p, q = rng.choice(n, size=2)
                 u[p, k] = np.abs(u[:, k]).max() * rng.choice([-1.0, 1.0])
                 u[q, k] = -u[p, k] if rng.random() < 0.5 else u[p, k]
-            assert np.array_equal(graphs._largest_entry_is_negative(u), seed_sign_flips(u))
-        lap = laplacian(random_connected_graph(40, rng))
-        raw = np.linalg.eigh(lap)[1]
-        assert gft(lap).eigenvectors.tobytes() == (raw * np.where(seed_sign_flips(raw), -1.0, 1.0)).tobytes()
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            gft(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    @pytest.mark.parametrize("i, j", [(299, 0), (0, 299), (150, 200), (201, 150), (298, 299)])
-    def test_symmetry_tolerance_holds_in_every_row_block(self, i, j):
-        l_matrix = laplacian(random_connected_graph(300, np.random.default_rng(3), p=0.02)).copy()
-        l_matrix[i, j] += 5e-11
-        assert gft(l_matrix).n_nodes == 300
-        l_matrix[i, j] += 2e-10
-        with pytest.raises(ValueError, match=re.escape("Laplacian must be symmetric within 1e-10")):
-            gft(l_matrix)
-
-    @pytest.mark.parametrize("w", [np.inf, np.nan])
-    def test_non_finite_rejected(self, w):
-        # Without the check, inf gives NaN eigenvalues (with a RuntimeWarning) and NaN passes the symmetry test.
-        with pytest.raises(ValueError, match="finite"):
-            gft(np.array([[w, -w], [-w, w]]))
+            assert np.array_equal(graphs._largest_entry_is_negative(layout(u)), seed_sign_flips(u))
+        g = random_connected_graph(40, rng)
+        raw = np.linalg.eigh(laplacian(g))[1]
+        assert gft(g).eigenvectors.tobytes() == (raw * np.where(seed_sign_flips(raw), -1.0, 1.0)).tobytes()
 
     def test_basis_ref_distinguishes_bases(self):
-        a = gft(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        b = gft(np.array([[2.0, -2.0], [-2.0, 2.0]]))
+        a = gft(build_graph(2, [(0, 1)]))
+        b = gft(build_graph(2, [(0, 1, 2.0)]))
         assert a.ref() == a.ref()
         assert a.ref() != b.ref()
 
     def test_adopts_eighs_outputs_and_copies_a_writeable_input(self):
-        basis = gft(laplacian(random_connected_graph(12, np.random.default_rng(4))))
+        basis = gft(random_connected_graph(12, np.random.default_rng(4)))
         for a in (basis.eigenvectors, basis.eigenvalues):
             assert a.flags.owndata and not a.flags.writeable
         adopted = GftBasis(basis.eigenvectors, basis.eigenvalues)
@@ -312,7 +285,7 @@ class TestGft:
         assert GftBasis(view, lam).eigenvectors is not view
 
     def test_basis_ref_is_the_digest_of_the_c_order_bytes(self):
-        basis = gft(laplacian(random_connected_graph(30, np.random.default_rng(8))))
+        basis = gft(random_connected_graph(30, np.random.default_rng(8)))
         assert basis.ref() == seed_basis_ref(basis)
         fortran = GftBasis(np.asfortranarray(basis.eigenvectors), basis.eigenvalues)
         assert fortran.eigenvectors.flags.f_contiguous and fortran.ref() == basis.ref()
@@ -377,6 +350,33 @@ def graphs_and_masks(draw):
     density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
     edges = [(i, j, draw(st.floats(1e-3, 5.0))) for i, j in pairs if draw(st.floats(0.0, 1.0)) < density]
     return build_graph(n, edges), np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+@st.composite
+def edge_lists(draw):
+    """An edge list over n nodes with repeated pairs in either orientation, and now and then a bad edge."""
+    n = draw(st.integers(-1, 12))
+    node = st.integers(0, max(n, 1) - 1) | st.sampled_from([-1, max(n, 1), 10**20])
+    weight = st.floats(1e-3, 5.0) | st.sampled_from([0.0, -1.0, math.inf, math.nan, 1e308])
+    edge = st.tuples(node, node) | st.tuples(node, node, weight)
+    return n, draw(st.lists(edge, max_size=30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+def test_graph_equals_the_per_edge_rule(n_and_edges):
+    # The vectorised checks name the edge, and the stable sort keeps the weight, that the per-edge loop did.
+    n, edges = n_and_edges
+    try:
+        expected = seed_build_graph(n, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            build_graph(n, edges)
+        assert str(info.value) == str(exc)
+        return
+    g = build_graph(n, edges)
+    assert g.adjacency.tobytes() == expected.tobytes()
+    assert all(np.all(np.diff(g.indices[g.indptr[r]:g.indptr[r + 1]]) > 0) for r in range(n))
 
 
 def layout_arrays(layout):
@@ -708,12 +708,31 @@ def test_edge_list_with_non_finite_weight_names_the_row(tmp_path, weight):
     assert str(info.value) == f"{path}: row 3: edge (1, 2) has non-finite weight {float(weight)}"
 
 
-def test_edge_list_with_an_edge_out_of_range_names_the_row(tmp_path):
+@pytest.mark.parametrize("text, expected", [
+    ("0,1\n1,5\n", "row 2: edge (1, 5) out of range for n=3"),
+    ("src,dst\n0,1\n0,99999999999999999999\n", "row 3: edge (0, 99999999999999999999) out of range for n=3"),
+])
+def test_edge_list_with_an_edge_out_of_range_names_the_row(tmp_path, text, expected):
     path = tmp_path / "edges.csv"
-    path.write_text("0,1\n1,5\n")
+    path.write_text(text)
     with pytest.raises(ValueError) as info:
         load_edge_list_csv(path, n=3)
-    assert str(info.value) == f"{path}: row 2: edge (1, 5) out of range for n=3"
+    assert str(info.value) == f"{path}: {expected}"
+
+
+@pytest.mark.parametrize("bad, expected", [
+    ("0,3", "edge (0, 3) out of range for n=3"),
+    ("2,2", "self-loop at node 2 is not allowed"),
+    ("1,2,nan", "edge (1, 2) has non-finite weight nan"),
+    ("2,0,-1", "edge (2, 0) has nonpositive weight -1.0"),
+])
+def test_edge_list_names_the_row_of_its_first_bad_edge(tmp_path, bad, expected):
+    # A header and blank rows are skipped, so the failing edge's position differs from its row number.
+    path = tmp_path / "edges.csv"
+    path.write_text(f"src,dst,weight\n\n0,1\n1,2,2.5\n\n{bad}\n0,7\n1,1\n")
+    with pytest.raises(ValueError) as info:
+        load_edge_list_csv(path, 3)
+    assert str(info.value) == f"{path}: row 6: {expected}"
 
 
 def test_coordinates_duplicate_id_names_the_row(tmp_path):

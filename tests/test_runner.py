@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from graphfill import baselines as bl
 from graphfill import files, graphs, prompts, runner, spectral
 from graphfill.metrics import rmse
-from graphfill.graphs import build_graph, gft, laplacian, observed_layout
+from graphfill.graphs import build_graph, gft, observed_layout
 from graphfill.predictors import PredictorConfig, TransportError, estimate_tokens
 from graphfill.runner import (
     RunConfig,
@@ -614,7 +614,7 @@ class TestArrayPath:
     def test_non_finite_mock_value_takes_the_text_path(self):
         # Node 1's two observed neighbors sum past the largest float: "inf" does not parse, so it falls back.
         g = build_graph(3, [(0, 1), (1, 2)])
-        basis = gft(laplacian(g))
+        basis = gft(g)
         model = ObservationModel(np.array([True, False, True]), 0.0, 0)
         obs = Observation(5, np.array([1.5e308, np.nan, 1.5e308]), model.observed)
         cfg = RunConfig(predictor=PredictorConfig(max_retries=0))
@@ -870,13 +870,13 @@ class TestConfigValidation:
         """A run config over a 3-node, 3-step signal and an edge list without ``n_nodes``; no graph above 3 nodes."""
         from graphfill import graphs
 
-        build_graph = graphs.build_graph
+        graph = graphs.Graph
 
-        def small_graph(n, edges):
-            assert n <= 3, f"an adjacency of {n} nodes was asked for"
-            return build_graph(n, edges)
+        def small_graph(n, *edges):
+            assert n <= 3, f"a graph of {n} nodes was asked for"
+            return graph(n, *edges)
 
-        monkeypatch.setattr(graphs, "build_graph", small_graph)
+        monkeypatch.setattr(graphs, "Graph", small_graph)
         edges, signal = tmp_path / "edges.csv", tmp_path / "signal.csv"
         signal.write_text("1,2,3\n4,5,6\n7,8,9\n")
 

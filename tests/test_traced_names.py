@@ -62,6 +62,6 @@ def test_traced_child_run_records_every_layer(tmp_path):
     result = json.loads(result_path.read_text())
     assert (proc.returncode, result["error"]) == (0, None), result["error"]
     layer = load_tracing().layer_metrics(result["spans"], result["run_s"])
-    for name in ("signals.observe_calls", "spectral.convolve_calls", "prompts.render_calls", "predictors.tasks",
-                 "baselines.steps"):
+    for name in ("graphs.build_s", "graphs.gft_s", "signals.observe_calls", "spectral.convolve_calls",
+                 "prompts.render_calls", "predictors.tasks", "baselines.steps"):
         assert layer[name] > 0, name
