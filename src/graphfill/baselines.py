@@ -103,9 +103,10 @@ def neighbor_mean_step(estimate: np.ndarray, obs: Observation, layout: ObservedL
     adopt the observation.
     """
     out = np.where(obs.observed, obs.values, np.asarray(estimate, dtype=np.float64))
-    # One 2-D mean per neighbor count: numpy sums each row exactly as it
-    # sums a 1-D array of the same values, so every mean is bit-identical
-    # to np.mean over that node's neighbor list.
+    # One 2-D sum per neighbor count c, over c: numpy sums each row exactly
+    # as it sums a 1-D array of the same values, and np.mean is that sum
+    # divided by c, so every mean is bit-identical to np.mean over that
+    # node's neighbor list.
     for nodes, index in layout.groups:
-        out[nodes] = obs.values[index].mean(axis=1)
+        out[nodes] = obs.values[index].sum(axis=1) / index.shape[1]
     return out

@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,15 +114,26 @@ def _noise_label(report: RunReport) -> str:
     return str(obs.get("noise_variance", "?"))
 
 
+def _noise_order(label: str) -> tuple:
+    """Sort key of a noise column: finite numbers ascending by value, then any other label."""
+    try:
+        value = float(label)
+    except ValueError:
+        value = math.nan
+    return (0, value, label) if math.isfinite(value) else (1, 0.0, label)
+
+
 def render_markdown_table(reports, metric: str = "rmse") -> str:
     """Methods-by-noise-variance table over one or more reports.
 
     Rows are methods, columns are the noise variances found in the
-    reports' config snapshots; cells are ``mean ± std``.
+    reports' config snapshots, ascending by value, with a label that is
+    not a finite number (``?`` when a snapshot has none) last; cells are
+    ``mean ± std``.
     """
     if metric not in ("rmse", "mae"):
         raise ValueError("metric must be 'rmse' or 'mae'")
-    variances = sorted({_noise_label(r) for r in reports}, key=lambda s: (len(s), s))
+    variances = sorted({_noise_label(r) for r in reports}, key=_noise_order)
     methods = []
     cells = {}
     for report in reports:

@@ -153,8 +153,12 @@ def mock_predict(task: NodeTask) -> float:
     return round(value, task.precision)
 
 
-def mock_step(layout, t: int, previous, processed, precision: int, multi_task_prompt: bool):
-    """The mock ``(values, tokens)`` :func:`predict_batch` gives ``layout.nodes`` at ``t``; None if not finite."""
+def mock_step(layout, previous, processed, precision: int):
+    """The mock's values :func:`predict_batch` gives ``layout.nodes``, whose previous values are ``previous``.
+
+    ``processed`` is the step's processed observation. Returns None when a value is not finite; such a step takes
+    the text path. The prompts these values answer are counted a block of steps at a time by :func:`mock_tokens`.
+    """
     # Column 0 and the padding read 0.0: each row sums from 0.0 left to right, as sum() does. An overflowing
     # sum is as silent as sum()'s, and its value is sent down the text path.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -162,11 +166,16 @@ def mock_step(layout, t: int, previous, processed, precision: int, multi_task_pr
         raw = 0.5 * previous + 0.5 * (sums / layout.counts)
     if not np.isfinite(raw).all():
         return None
-    values = round_fixed(raw, precision)
-    header, contexts, answers = prompt_lengths(layout, t, previous, processed, values, precision)
-    if multi_task_prompt and values.size:  # one prompt; the completion puts one answer per line
-        contexts, answers = contexts.sum(keepdims=True), answers.sum(keepdims=True) + values.size - 1
-    return values, int(((header + contexts + 3) // 4).sum() + ((answers + 3) // 4).sum())  # ceil(length / 4)
+    return round_fixed(raw, precision)
+
+
+def mock_tokens(layout, t, previous, neighbor_values, answers, precision: int, multi_task_prompt: bool) -> int:
+    """The token estimate :func:`predict_batch` gives a block of mock steps, a row a step as :func:`prompt_lengths`."""
+    header, contexts, widths = prompt_lengths(layout, t, previous, neighbor_values, answers, precision)
+    if multi_task_prompt and layout.nodes.size:  # one prompt a step; the completion puts one answer per line
+        contexts = contexts.sum(axis=1, keepdims=True)
+        widths = widths.sum(axis=1, keepdims=True) + layout.nodes.size - 1
+    return int(((header + contexts + 3) // 4).sum() + ((widths + 3) // 4).sum())  # ceil(length / 4)
 
 
 def _mock_backend(system_text: str, user_text: str, tasks) -> str:

@@ -110,15 +110,24 @@ def prompt_groups(tasks, multi_task_prompt: bool) -> list:
     return [tasks] if multi_task_prompt and tasks else [[task] for task in tasks]
 
 
-def prompt_lengths(layout, t: int, previous, processed, answers, precision: int) -> tuple:
-    """Lengths of :func:`render_user_prompt`'s header and ``layout.nodes``' contexts, and the answers' widths."""
-    k, m = layout.neighbors.size, previous.size
-    widths = fixed_widths(np.concatenate((processed[layout.neighbors], previous, answers)), precision)
-    listed = np.zeros(processed.size + 1, dtype=np.int64)  # the sentinel n prints nothing
-    listed[layout.neighbors] = widths[:k]
-    fixed = len(_CONTEXT.format(t=t, node="", previous="", neighbors="")) + 2 * (layout.counts - 1) + layout.digits
-    contexts = fixed + widths[k:k + m] + listed[layout.index].sum(axis=1)
-    return len(_USER_HEADER.format(p=precision)), contexts, widths[k + m:]
+def prompt_lengths(layout, t, previous, neighbor_values, answers, precision: int) -> tuple:
+    """Lengths of :func:`render_user_prompt`'s header and of ``layout.nodes``' contexts, and the answers' widths.
+
+    Each row is one step of a block: ``t`` holds its time index, ``previous`` and ``answers`` the values at
+    ``layout.nodes`` and ``neighbor_values`` the processed observation at ``layout.neighbors``. Returns the
+    header's length and the (steps, nodes) context lengths and answer widths.
+    """
+    t = np.asarray(t)
+    steps, k, m = t.size, layout.neighbors.size, layout.nodes.size
+    values = np.concatenate((neighbor_values, previous, answers), axis=1)
+    widths = fixed_widths(values.ravel(), precision).reshape(steps, k + 2 * m)
+    listed = np.zeros((steps, k + 1), dtype=np.int64)  # slot k, the padding's, prints nothing
+    listed[:, :k] = widths[:, :k]
+    slots = np.searchsorted(layout.neighbors, layout.index)  # neighbors ascend; the padding n maps to k
+    fixed = np.array([len(_CONTEXT.format(t=v, node="", previous="", neighbors="")) for v in t.tolist()],
+                     dtype=np.int64)
+    contexts = fixed[:, None] + (2 * (layout.counts - 1) + layout.digits) + widths[:, k:k + m]
+    return len(_USER_HEADER.format(p=precision)), contexts + listed[:, slots].sum(axis=2), widths[:, k + m:]
 
 
 def fixed_widths(values: np.ndarray, precision: int) -> np.ndarray:

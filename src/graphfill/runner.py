@@ -24,7 +24,7 @@ from .files import atomic_write
 from .graphs import Graph, GftBasis, gft, knn_graph, load_coordinates_csv, load_edge_list_csv
 from .graphs import _reject_infinite, laplacian, observed_layout  # noqa: F401 (runner.laplacian stays importable)
 from .metrics import RunReport, aggregate, emit_report, rmse  # noqa: F401 (runner.mae, runner.rmse stay importable)
-from .predictors import PredictionResult, PredictorConfig, bind_backend, mock_step, predict_batch
+from .predictors import PredictionResult, PredictorConfig, bind_backend, mock_step, mock_tokens, predict_batch
 from .prompts import build_task
 from .signals import ObservationModel, TimeVaryingSignal, load_signal_csv, observe, sample_mask, split
 from .spectral import TrainConfig, TrainResult, denoise, filter_operator, mae  # noqa: F401
@@ -32,6 +32,10 @@ from .spectral import save_filter_json, train_filter
 
 PRIMARY_METHOD = "graphfill"
 BASELINES = ("glms", "gnlms", "last_value", "neighbor_mean")
+# Elements of a block's (methods, steps, n) estimates: the steps whose bookkeeping is settled in one pass. It bounds
+# what the bookkeeping holds whatever the horizon.
+BUDGET = 1 << 15
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -266,7 +270,7 @@ def _start_estimates(ctx, methods, x0) -> dict:
     return starts
 
 
-def _method_step(name, ctx, cfg, model, layout, train_result, backend, transcript):
+def _method_step(name, ctx, cfg, model, layout, train_result, backend, transcript, block):
     """Method ``name``'s ``step(estimate, obs) -> (next estimate, tokens)`` in a repeat with mask ``model``.
 
     Each method's fixed part is built here, once, as a ``spectral.BandOperator``: the primary's filter (checked
@@ -276,7 +280,7 @@ def _method_step(name, ctx, cfg, model, layout, train_result, backend, transcrip
     """
     if name == PRIMARY_METHOD:
         op = filter_operator(train_result.filter, ctx.basis)
-        return lambda x, obs: _step_estimate(op, cfg, layout, x, obs, backend, transcript)
+        return lambda x, obs: _step_estimate(op, cfg, layout, x, obs, backend, transcript, block)
     band, mu = ctx.derived.get("baseline_band_size"), cfg.baseline_step_size
     if name == "glms":
         filt = bl.glms_init(ctx.basis, band, mu)
@@ -289,21 +293,23 @@ def _method_step(name, ctx, cfg, model, layout, train_result, backend, transcrip
     return lambda x, obs: (bl.neighbor_mean_step(x, obs, layout), 0)
 
 
-def _step_estimate(op, cfg, layout, x_prev, obs, backend, transcript):
+def _step_estimate(op, cfg, layout, x_prev, obs, backend, transcript, block):
     """Advance the primary estimate by one test step with filter operator ``op``; returns (x_hat, tokens).
 
     ``layout`` is ``observed_layout(graph, obs.observed)``, the only source of each missing node's observed
     neighbors on both paths. The step is array-shaped when no text is sent or logged (``backend`` None, the
-    built-in mock, and no transcript).
+    built-in mock, and no transcript): it takes the mock's values and records its prompts' token inputs in
+    ``block``, which counts them, so it returns 0 tokens. The text path returns its records' tokens.
     """
     o_tilde = denoise(op, obs, x_prev)
     x_hat = np.where(obs.observed, o_tilde, x_prev)
     if backend is None and transcript is None:
-        answered = mock_step(layout, obs.t, x_prev[layout.nodes], o_tilde, cfg.precision,
-                             cfg.predictor.multi_task_prompt)
+        previous = x_prev[layout.nodes]
+        answered = mock_step(layout, previous, o_tilde, cfg.precision)
         if answered is not None:
-            x_hat[layout.nodes] = answered[0]
-            return x_hat, answered[1]
+            x_hat[layout.nodes] = answered
+            block.record_prompts(obs.t, previous, o_tilde[layout.neighbors], answered)
+            return x_hat, 0
 
     # Text path: a task per layout row; a missing node without an observed neighbor persists without a call.
     records = [PredictionResult(i, obs.t, float(x_prev[i]), 0, fallback=True) for i in layout.isolated.tolist()]
@@ -332,16 +338,79 @@ def _account(records, transcript) -> int:
     return sum(r.tokens for r in records)
 
 
-def _step_scores(col, est, missing) -> np.ndarray:
-    """Per row of ``est`` (methods, n): mae, rmse, and both over the missing nodes (0 when none is missing)."""
-    out = np.zeros((4, est.shape[0]))
-    d = col - est
-    # A C-contiguous row sums as a 1-D array does (take() keeps rows so; d[:, missing] is column-major), and
-    # np.mean is that sum over the count: each entry equals mae/rmse bit for bit.
-    for row, part in ((0, d), (2, d.take(missing, axis=1))) if missing.size else ((0, d),):
-        out[row] = np.abs(part).sum(axis=1) / part.shape[1]
-        out[row + 1] = np.sqrt((part * part).sum(axis=1) / part.shape[1])
-    return out
+def _block_scores(truth, estimates, missing) -> np.ndarray:
+    """(methods, 4, steps): each method's mae, rmse, and both over the missing nodes (0 when none is missing).
+
+    ``estimates`` is (methods, steps, n) and ``truth`` the steps' (n, steps) ground truth.
+    """
+    methods, steps, n = estimates.shape
+    # One C-contiguous row of n per (method, step), and one of the missing nodes after take(): such a row sums as a
+    # 1-D array does, and np.mean is that sum over the count, so each entry equals mae/rmse bit for bit. The rows
+    # are made absolute, then squared, in place: |x| * |x| is x * x exactly.
+    d = np.empty((methods * steps, n))
+    np.subtract(truth.T, estimates, out=d.reshape(methods, steps, n))
+    out = np.zeros((4, methods * steps))
+    for row, part in ((2, d.take(missing, axis=1)), (0, d)) if missing.size else ((0, d),):
+        np.abs(part, out=part)
+        out[row] = part.sum(axis=1) / part.shape[1]
+        np.multiply(part, part, out=part)
+        out[row + 1] = np.sqrt(part.sum(axis=1) / part.shape[1])
+    return out.reshape(4, methods, steps).transpose(1, 0, 2)
+
+
+class _Block:
+    """A repeat's bookkeeping from step ``start`` on: its score ``table``, ``trajectory`` and mock tokens.
+
+    Steps are recorded a block of up to ``size`` rows at a time, ``BUDGET // (methods * n)`` and at least 1.
+    Step k's row, ``k - k0``, holds every method's estimate (the walk writes them) and, on the mock array path,
+    the inputs of its prompts' token count (:meth:`record_prompts`). :meth:`settle` settles the rows of the steps
+    before ``k_next`` in one pass and starts the next block, so the row of a step that raised is never read.
+    """
+
+    def __init__(self, ctx, cfg, layout, methods, missing, start):
+        n, n_steps = ctx.graph.n_nodes, ctx.test_signal.n_steps
+        self.size = max(1, BUDGET // (len(methods) * n))
+        self.estimates = np.empty((len(methods), self.size, n))
+        self.t = np.empty(self.size, dtype=np.int64)
+        self.previous = np.empty((self.size, layout.nodes.size))
+        self.answers = np.empty((self.size, layout.nodes.size))
+        self.neighbor_values = np.empty((self.size, layout.neighbors.size))
+        self.prompted = np.zeros(self.size, dtype=bool)
+        self.table = np.zeros((len(methods), 4, n_steps))
+        self.trajectory = np.zeros((n, n_steps - start))
+        self.truth, self.layout, self.missing = ctx.test_signal.values, layout, missing
+        self.precision, self.multi_task_prompt = cfg.precision, cfg.predictor.multi_task_prompt
+        self.start = self.k0 = start
+        self.row = 0
+
+    def begin(self, k) -> int:
+        """Start step ``k``'s row; returns it."""
+        self.row = k - self.k0
+        self.prompted[self.row] = False
+        return self.row
+
+    def record_prompts(self, t, previous, neighbor_values, answers):
+        """Record the current step's mock prompts: :func:`mock_tokens`' row of inputs."""
+        row = self.row
+        self.t[row], self.previous[row], self.answers[row] = t, previous, answers
+        self.neighbor_values[row] = neighbor_values
+        self.prompted[row] = True
+
+    def settle(self, k_next) -> int:
+        """Score the block's steps before ``k_next``, copy the lead method's estimates into the trajectory and
+        return the steps' mock tokens."""
+        k0, rows = self.k0, k_next - self.k0
+        if not rows:
+            return 0
+        self.table[:, :, k0:k_next] = _block_scores(self.truth[:, k0:k_next], self.estimates[:, :rows], self.missing)
+        self.trajectory[:, k0 - self.start:k_next - self.start] = self.estimates[0, :rows].T
+        sent = np.flatnonzero(self.prompted[:rows])
+        tokens = 0
+        if sent.size:
+            tokens = mock_tokens(self.layout, self.t[sent], self.previous[sent], self.neighbor_values[sent],
+                                 self.answers[sent], self.precision, self.multi_task_prompt)
+        self.k0 = k_next
+        return tokens
 
 
 def run_repeat(ctx: RunContext, cfg: RunConfig, r: int, methods: tuple, backend=None,
@@ -353,44 +422,52 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, r: int, methods: tuple, backend=
     :func:`replay_from_checkpoint`, or else from step 0 with every method at :func:`init_estimate`,
     projected into the band for GLMS and GNLMS. With ``output_dir`` set, it checkpoints there, and a
     repeat that completes removes its ``repeat<r>_aborted.json``.
+
+    A step is the recurrence: it observes, updates every method's estimate and, on the mock array path, takes
+    the mock's values. Its bookkeeping (every method's scores, the lead method's trajectory column and the mock's
+    token estimate) is settled a block of steps at a time (:class:`_Block`): when the block fills, before a
+    checkpoint or an abort state is written, and at the end. The text path counts its tokens in the step.
     """
     model, train_result = mask_and_train(ctx, cfg, r, train=PRIMARY_METHOD in methods)
     layout = observed_layout(ctx.graph, model.observed)
     n_steps = ctx.test_signal.n_steps
     transcript = [] if cfg.transcript else None
-    steps = [_method_step(name, ctx, cfg, model, layout, train_result, backend, transcript) for name in methods]
     state = resume or {"k_next": 0, "tokens": 0, "scores": dict.fromkeys(methods, np.zeros((4, 0))),
                        "estimates": _start_estimates(ctx, methods, init_estimate(ctx.train_signal, model))}
     start, tokens, estimates = state["k_next"], state["tokens"], state["estimates"]
-    table = np.zeros((len(methods), 4, n_steps))
-    table[:, :, :start] = [state["scores"][name] for name in methods]
-    scores = dict(zip(methods, table))
-    trajectory = np.zeros((ctx.graph.n_nodes, n_steps - start))
-    missing = np.flatnonzero(~model.observed)
+    block = _Block(ctx, cfg, layout, methods, np.flatnonzero(~model.observed), start)
+    block.table[:, :, :start] = [state["scores"][name] for name in methods]
+    steps = [_method_step(name, ctx, cfg, model, layout, train_result, backend, transcript, block) for name in methods]
     checkpoint_dir = os.path.join(cfg.output_dir, "checkpoints") if cfg.output_dir else None
+    scores = dict(zip(methods, block.table))
 
     k_next = start
     try:
         for k in range(start, n_steps):
-            col = ctx.test_signal.values[:, k]
-            obs = observe(col, model, ctx.test_signal.t0 + k)
+            obs = observe(ctx.test_signal.values[:, k], model, ctx.test_signal.t0 + k)
+            row = block.begin(k)
             step_estimates, step_tokens = zip(*(step(estimates[name], obs) for name, step in zip(methods, steps)))
-            table[:, :, k] = _step_scores(col, np.array(step_estimates), missing).T
-            # The state (estimates, tokens, k_next) advances as one, after the step is scored.
+            for j, x in enumerate(step_estimates):
+                block.estimates[j, row] = x
+            # The state (estimates, tokens, k_next) advances as one, after the step is recorded.
             estimates, tokens, k_next = dict(zip(methods, step_estimates)), tokens + sum(step_tokens), k + 1
-            trajectory[:, k - start] = estimates[methods[0]]
-            if checkpoint_dir is not None and k_next % cfg.checkpoint_every == 0 and k_next < n_steps:
+            checkpoint = checkpoint_dir is not None and k_next % cfg.checkpoint_every == 0 and k_next < n_steps
+            if checkpoint or row + 1 == block.size:
+                tokens += block.settle(k_next)
+            if checkpoint:
                 _write_state(checkpoint_dir, f"step{k_next:06d}", r, model.seed, k_next, tokens, estimates, scores)
     except BaseException:
         # Persist the state after the last completed step, so an aborted run can be inspected or resumed.
         if checkpoint_dir is not None:
+            tokens += block.settle(k_next)
             _write_state(checkpoint_dir, "aborted", r, model.seed, k_next, tokens, estimates, scores)
         raise
+    tokens += block.settle(k_next)
     if checkpoint_dir is not None:  # a finished repeat leaves no abort state, also when it resumed from one
         with contextlib.suppress(FileNotFoundError):
             os.remove(_state_path(checkpoint_dir, r, "aborted"))
 
-    return RepeatResult(model=model, train_result=train_result, trajectory=trajectory, scores=scores,
+    return RepeatResult(model=model, train_result=train_result, trajectory=block.trajectory, scores=scores,
                         token_estimate=tokens, transcript=transcript if transcript is not None else [])
 
 
@@ -493,6 +570,7 @@ def _assemble_report(ctx, cfg, results, lead: str) -> RunReport:
     snapshot["derived"]["train_stop_reasons"] = [
         r.train_result.stop_reason for r in results if r.train_result is not None
     ]
+    snapshot["derived"]["environment"] = _environment()
     return RunReport(
         method=lead,
         per_t_mae=np.mean([r.scores[lead][0] for r in results], axis=0),
@@ -506,6 +584,19 @@ def _assemble_report(ctx, cfg, results, lead: str) -> RunReport:
         transcript_path=os.path.join(cfg.output_dir, "transcript.jsonl") if cfg.output_dir and cfg.transcript else None,
         token_estimate=sum(r.token_estimate for r in results),
     )
+
+
+def _environment() -> dict:
+    """What a run's bits depend on besides its inputs: numpy, the BLAS it was built with and the BLAS thread variables.
+
+    A variable that is not set reads None, as does a BLAS field a numpy before 1.26 does not report.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
+        blas = {}
+    return {"numpy": np.__version__, "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES}}
 
 
 def _write_artifacts(cfg: RunConfig, execution: RunExecution) -> None:

@@ -6,7 +6,7 @@ from helpers import seed_build_task
 from hypothesis import strategies as st
 
 from graphfill.graphs import build_graph, neighbors, observed_layout
-from graphfill.predictors import PredictorConfig, estimate_tokens, mock_predict, mock_step, predict_batch
+from graphfill.predictors import PredictorConfig, estimate_tokens, mock_predict, mock_step, mock_tokens, predict_batch
 from graphfill.prompts import build_task, fixed_widths, prompt_groups, render_user_prompt, round_fixed
 from graphfill.signals import ObservationModel
 
@@ -61,6 +61,13 @@ def rendered_tokens(tasks, multi_task_prompt):
     )
 
 
+def block_tokens(layout, ts, previous, processed, answers, precision, multi_task_prompt):
+    """``mock_tokens`` of a block of steps at times ``ts``; ``previous`` and ``processed`` hold a row of n per step."""
+    rows = np.asarray(previous, dtype=np.float64)[:, layout.nodes], np.asarray(processed)[:, layout.neighbors]
+    return mock_tokens(layout, np.array(ts), rows[0], rows[1], np.asarray(answers, dtype=np.float64),
+                       precision, multi_task_prompt)
+
+
 def hexes(values):
     return [float(v).hex() for v in values]  # tells -0.0 from 0.0
 
@@ -77,7 +84,8 @@ def test_array_step_equals_text_path(step):
     for node in layout.isolated.tolist():
         assert not any(model.observed[j] for j in neighbors(g, node))
 
-    values, tokens = mock_step(layout, t, previous[layout.nodes], processed, precision, multi_task_prompt)
+    values = mock_step(layout, previous[layout.nodes], processed, precision)
+    tokens = block_tokens(layout, [t], [previous], [processed], [values], precision, multi_task_prompt)
     # The reference tasks come from the adjacency and the mask, not from the layout the array step reads.
     a = g.adjacency
     tasks = [seed_build_task(i, t, float(previous[i]), processed, a, model.observed, precision)
@@ -92,6 +100,26 @@ def test_array_step_equals_text_path(step):
         assert not any(r.fallback for r in sent)
 
 
+@settings(max_examples=100, deadline=None)
+@given(steps(), st.data())
+@pytest.mark.parametrize("multi_task_prompt", [False, True])
+@pytest.mark.parametrize("first_t", [98, 998])  # the time index gains a digit inside the block
+def test_block_tokens_equal_text_path(first_t, multi_task_prompt, step, data):
+    g, model, previous, processed, _, precision, _ = step
+    layout = observed_layout(g, model.observed)
+    ts = list(range(first_t, first_t + 4))
+    rows = [(previous, processed)] + [
+        tuple(np.array(data.draw(st.lists(VALUES, min_size=g.n_nodes, max_size=g.n_nodes))) for _ in range(2))
+        for _ in ts[1:]]
+    answers = [mock_step(layout, prev[layout.nodes], proc, precision) for prev, proc in rows]
+    tokens = block_tokens(layout, ts, *zip(*rows), answers, precision, multi_task_prompt)
+    a = g.adjacency
+    assert tokens == sum(
+        rendered_tokens([seed_build_task(i, t, float(prev[i]), proc, a, model.observed, precision)
+                         for i in layout.nodes.tolist()], multi_task_prompt)
+        for t, (prev, proc) in zip(ts, rows))
+
+
 @pytest.mark.parametrize("precision", [0, 1, 2, 3])
 @pytest.mark.parametrize("value", [-0.04, 9.96, 99.95, 0.25, 2.675, -2.675])
 def test_rounding_edge_cases(value, precision):
@@ -99,7 +127,9 @@ def test_rounding_edge_cases(value, precision):
     g = build_graph(2, [(0, 1)])
     model = ObservationModel(np.array([False, True]), 0.0, 0)
     processed = np.array([0.0, value])
-    values, tokens = mock_step(observed_layout(g, model.observed), 7, np.array([value]), processed, precision, False)
+    layout = observed_layout(g, model.observed)
+    values = mock_step(layout, np.array([value]), processed, precision)
+    tokens = block_tokens(layout, [7], [[value, 0.0]], [processed], [values], precision, False)
     task = seed_build_task(0, 7, value, processed, g.adjacency, model.observed, precision)
     assert hexes(values) == hexes([round(value, precision)]) == hexes([mock_predict(task)])
     assert tokens == rendered_tokens([task], False)
@@ -108,8 +138,9 @@ def test_rounding_edge_cases(value, precision):
 def test_no_missing_node_has_no_tokens():
     g = build_graph(2, [(0, 1)])
     layout = observed_layout(g, np.array([True, True]))
-    values, tokens = mock_step(layout, 0, np.zeros(0), np.zeros(2), 1, True)
-    assert (values.tolist(), tokens) == ([], 0)
+    values = mock_step(layout, np.zeros(0), np.zeros(2), 1)
+    zeros = np.zeros((2, 2))
+    assert (values.tolist(), block_tokens(layout, [0, 1], zeros, zeros, np.zeros((2, 0)), 1, True)) == ([], 0)
 
 
 def test_layout_is_read_only():
@@ -129,7 +160,7 @@ def test_long_rows_sum_left_to_right():
     layout, a = observed_layout(g, model.observed), g.adjacency
     for _ in range(50):
         previous, processed = rng.uniform(-1e4, 1e4, 12), rng.uniform(-1e4, 1e4, 12)
-        values, _ = mock_step(layout, 0, previous[layout.nodes], processed, 17, False)
+        values = mock_step(layout, previous[layout.nodes], processed, 17)
         assert hexes(values) == hexes([mock_predict(seed_build_task(0, 0, previous[0], processed, a, model.observed, 17))])
 
 

@@ -1,11 +1,14 @@
-"""Memory guard for set-up: while the Laplacian is decomposed, no dense adjacency is held beside it, and no graph
-loader needs more memory than ``eigh``."""
+"""Memory guards. Set-up: while the Laplacian is decomposed, no dense adjacency is held beside it, and no graph
+loader needs more memory than ``eigh``. The online loop: its bookkeeping holds a bounded block of steps, not the
+horizon."""
 import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import write_knn_run_fixture, write_run_fixture
 
+from graphfill import baselines as bl
+from graphfill import runner
 from graphfill.runner import RunConfig, prepare_run
 
 N = 300
@@ -21,9 +24,9 @@ MATRIX_BYTES = N * N * 8  # one n x n float64 array
 BOUNDS = {"knn": (1.5, 3.0), "er": (2.0, 3.5)}
 
 
-def fixture_config(tmp_path, source):
+def fixture_config(tmp_path, source, test_steps=20):
     if source == "knn":
-        coordinates, signal_path = write_knn_run_fixture(tmp_path, n=N, k=8, band=5, t_steps=40)
+        coordinates, signal_path = write_knn_run_fixture(tmp_path, n=N, k=8, band=5, t_steps=20 + test_steps)
         graph = {"source": "knn", "coordinates": coordinates, "k": 8}
     else:
         edge_list, signal_path, _, _ = write_run_fixture(tmp_path, n=N, band=5, t_steps=40)
@@ -56,3 +59,49 @@ def test_prepare_run_holds_no_dense_adjacency(tmp_path, monkeypatch, source):
     assert ctx.graph.n_nodes == N and len(at_eigh) == 1
     assert at_eigh[0] < at_eigh_matrices * MATRIX_BYTES, f"{at_eigh[0] / MATRIX_BYTES:.2f} n x n matrices alive at eigh"
     assert peak < peak_matrices * MATRIX_BYTES, f"set-up peaked at {peak / MATRIX_BYTES:.2f} n x n matrices"
+
+
+# Bound on the walk's traced peak, in elements of a block's estimates, beyond what is alive when it starts, the
+# methods' fixed parts (built after training: the primary's filter and the baselines' bands) and its results (the
+# trajectory and the score rows, which hold the horizon by design). Within it: the block and its token rows, and
+# what settling it makes (the difference rows, and the token count's widths). It does not grow with the horizon;
+# a buffer of the whole horizon's estimates (5 methods x n x steps: 9 blocks at 200 steps) exceeds it.
+WALK_BLOCKS = 4
+
+
+@pytest.mark.parametrize("test_steps", [200, 800])
+def test_run_repeat_holds_a_block_not_the_horizon(tmp_path, monkeypatch, test_steps):
+    cfg = fixture_config(tmp_path, "knn", test_steps)
+    ctx = prepare_run(cfg)
+    at_start, fixed_parts = [], []
+
+    def reset_after(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            tracemalloc.reset_peak()
+            at_start.append(tracemalloc.get_traced_memory()[0])
+            return out
+        return wrapped
+
+    def kept(fn):
+        def wrapped(*args, **kwargs):
+            op = fn(*args, **kwargs)
+            fixed_parts.append(op.vectors.nbytes + op.scale.nbytes)
+            return op
+        return wrapped
+
+    monkeypatch.setattr(runner, "mask_and_train", reset_after(runner.mask_and_train))
+    for module, name in ((runner, "filter_operator"), (bl, "glms_init"), (bl, "gnlms_init")):
+        monkeypatch.setattr(module, name, kept(getattr(module, name)))
+    methods = (runner.PRIMARY_METHOD, *cfg.baselines)
+    tracemalloc.start()
+    try:
+        result = runner.run_repeat(ctx, cfg, 0, methods)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.trajectory.shape == (N, test_steps) and result.token_estimate > 0 and len(fixed_parts) == 3
+    results = result.trajectory.nbytes + sum(rows.nbytes for rows in result.scores.values())
+    walk = peak - at_start[0] - sum(fixed_parts) - results
+    block = runner.BUDGET * 8
+    assert walk < WALK_BLOCKS * block, f"the walk held {walk / block:.2f} blocks beyond its results"

@@ -122,6 +122,17 @@ class TestEmitReport:
         assert "1.0" in header and "1.5" in header
 
 
+    def test_markdown_orders_variance_columns_by_value(self):
+        a = golden_report()
+        reports = []
+        for variance in [0.1, 0.2, 1.0, 0.05, 10.0, 1e-05, None]:
+            payload = a.to_dict()
+            payload["config_snapshot"] = {"observation": {} if variance is None else {"noise_variance": variance}}
+            reports.append(RunReport.from_dict(payload))
+        header = render_markdown_table(reports, "rmse").splitlines()[0]
+        assert header == "| Method (RMSE) | 1e-05 | 0.05 | 0.1 | 0.2 | 1.0 | 10.0 | ? |"
+
+
 def test_to_dict_keys_are_the_field_names_in_order():
     assert list(golden_report().to_dict()) == [f.name for f in dataclasses.fields(RunReport)]
 

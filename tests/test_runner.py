@@ -560,6 +560,20 @@ class TestArtifacts:
         assert report.config_snapshot["observation"]["ratio"] == 0.7
         assert "basis_ref" in report.config_snapshot["derived"]
 
+    def test_report_records_the_numeric_environment(self, fixture_paths, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "")
+        out = tmp_path / "out"
+        execute_run(base_config(*fixture_paths, baselines=[], output_dir=str(out)))
+        derived = json.loads((out / "report.json").read_text())["config_snapshot"]["derived"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert derived["environment"] == {
+            "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": ""},
+        }
+
 
 class TestTokenEstimate:
     # The transcript of a logged run gives the exchanges; an unlogged run takes the array path.
@@ -621,7 +635,7 @@ class TestArrayPath:
         x_prev = np.full(3, 0.25)
         identity = filter_operator(SpectralFilter(np.ones(3), basis.ref()), basis)
         layout = observed_layout(g, model.observed)
-        x_hat, tokens = runner._step_estimate(identity, cfg, layout, x_prev, obs, None, None)
+        x_hat, tokens = runner._step_estimate(identity, cfg, layout, x_prev, obs, None, None, None)  # no block read
         assert x_hat[1] == 0.25
         assert tokens > 0  # the text path sent the prompt
 
@@ -689,21 +703,82 @@ class TestBenchmarkHooks:
         assert set(execution.repeats[0].scores) >= set(ALL_BASELINES)
 
 
-class TestStepScores:
+class TestBlockScores:
     @pytest.mark.parametrize("n", [1, 7, 129, 1000])  # past numpy's 8-wide and 128-element summation blocks
     @pytest.mark.parametrize("methods", [1, 2, 3, 4, 5])
-    def test_one_pass_rows_equal_per_method_scores(self, n, methods):
-        rng = np.random.default_rng(n * 10 + methods)
-        col = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)  # mixed magnitudes show a changed sum order
-        est = col + rng.normal(size=(methods, n)) * 10.0 ** rng.integers(-3, 4, size=(methods, n))
+    @pytest.mark.parametrize("steps", [1, 2, 13])
+    def test_each_row_equals_its_one_method_score(self, n, methods, steps):
+        rng = np.random.default_rng(n * 100 + methods * 10 + steps)
+        scale = 10.0 ** rng.integers(-3, 4, size=(n, steps))  # mixed magnitudes show a changed sum order
+        truth = rng.normal(size=(n, steps)) * scale
+        est = truth.T + rng.normal(size=(methods, steps, n)) * 10.0 ** rng.integers(-3, 4, size=(methods, steps, n))
         for missing in (np.flatnonzero(rng.random(n) < 0.4), np.arange(n), np.zeros(0, dtype=np.int64)):
-            rows = runner._step_scores(col, est, missing)
-            assert rows.shape == (4, methods)
-            for j, e in enumerate(est):
-                m = missing  # an empty missing set scores 0
-                on_missing = (mae(col[m], e[m]), rmse(col[m], e[m])) if m.size else (0.0, 0.0)
+            scores = runner._block_scores(truth, est, missing)
+            assert scores.shape == (methods, 4, steps)
+            for j, k in np.ndindex(methods, steps):
+                col, e, m = truth[:, k], est[j, k], missing
+                on_missing = (mae(col[m], e[m]), rmse(col[m], e[m])) if m.size else (0.0, 0.0)  # none missing: 0
                 expected = [mae(col, e), rmse(col, e), *on_missing]
-                assert [float(v).hex() for v in rows[:, j]] == [float(v).hex() for v in expected]
+                assert [float(v).hex() for v in scores[j, :, k]] == [float(v).hex() for v in expected]
+
+
+class TestBlockedBookkeeping:
+    """A run that settles its bookkeeping B = 7 steps at a time equals one that settles every step (B = 1)."""
+
+    ABORT_AT = 45  # inside the block of steps 40 to 46: a block fills after 7 steps or ends at a checkpoint
+
+    @pytest.mark.parametrize("multi_task_prompt, transcript", [(False, False), (True, False), (False, True)])
+    def test_checkpoints_abort_state_and_replay_equal_the_unblocked_run(self, fixture_paths, tmp_path, monkeypatch,
+                                                                         multi_task_prompt, transcript):
+        # 100 steps and checkpoint_every 10 are no multiples of 7. The last baseline raises at ABORT_AT, after the
+        # primary method took the step's mock values and recorded its prompts.
+        step, settle, runs = bl.neighbor_mean_step, runner._Block.settle, {}
+
+        def raising(estimate, obs, layout):
+            if obs.t == 100 + self.ABORT_AT:
+                raise KeyError("baseline fell over")
+            return step(estimate, obs, layout)
+
+        def settling(block, k_next):
+            settled.append(k_next)
+            return settle(block, k_next)
+
+        monkeypatch.setattr(runner._Block, "settle", settling)
+        for size in (1, 7):
+            monkeypatch.setattr(runner, "BUDGET", size * 5 * 30)  # five methods, n = 30
+            out, settled = tmp_path / f"block{size}", []
+            cfg = base_config(*fixture_paths, baselines=ALL_BASELINES, output_dir=str(out / "full"),
+                              checkpoint_every=10, transcript=transcript,
+                              predictor={"backend": "mock", "multi_task_prompt": multi_task_prompt})
+            full = execute_run(cfg).repeats[0]
+            if size == 7:
+                assert settled[:5] == [7, 10, 17, 20, 27] and settled[-2:] == [97, 100]
+            aborting = dataclasses.replace(cfg, output_dir=str(out / "aborting"))
+            with monkeypatch.context() as patch:
+                patch.setattr(bl, "neighbor_mean_step", raising)
+                with pytest.raises(KeyError):
+                    execute_run(aborting)
+            runs[size] = out, full, aborting
+
+        (unblocked, reference, _), (blocked, full, aborting) = runs[1], runs[7]
+        assert full.token_estimate == reference.token_estimate > 0
+        assert full.trajectory.tobytes() == reference.trajectory.tobytes()
+        for name, rows in reference.scores.items():
+            assert full.scores[name].tobytes() == rows.tobytes(), name
+        states = sorted(p.relative_to(blocked) for p in blocked.glob("*/checkpoints/*.json"))
+        assert states == sorted(p.relative_to(unblocked) for p in unblocked.glob("*/checkpoints/*.json"))
+        assert len(states) == 9 + 5  # steps 10..90 of the full run; 10..40 and the abort state of the other
+        for path in states:
+            assert (blocked / path).read_bytes() == (unblocked / path).read_bytes(), path
+        abort_state = blocked / "aborting" / "checkpoints" / "repeat0_aborted.json"
+        assert read_checkpoint(abort_state)["k_next"] == self.ABORT_AT
+        step30 = blocked / "full" / "checkpoints" / "repeat0_step000030.json"
+        for state, k in ((abort_state, self.ABORT_AT), (step30, 30)):
+            resumed = replay_from_checkpoint(aborting, str(state))
+            for name, rows in full.scores.items():
+                assert resumed.scores[name].tobytes() == rows.tobytes(), name
+            assert resumed.token_estimate == full.token_estimate
+            assert resumed.trajectory.tobytes() == full.trajectory[:, k:].tobytes()
 
 
 class TestBaselinesOnly:
