@@ -19,7 +19,7 @@ size per in-band frequency, so that a step applies
 """
 import numpy as np
 
-from .graphs import ObservedLayout, neighbors  # noqa: F401 (``baselines.neighbors`` stays importable)
+from .graphs import ObservedLayout, neighbors, slot_sums  # noqa: F401 (``baselines.neighbors`` stays importable)
 from .signals import Observation
 from .spectral import BandOperator, graph_convolve  # by name: a wrapper on spectral.graph_convolve sees no LMS step
 
@@ -96,17 +96,11 @@ def last_value_step(estimate: np.ndarray, obs: Observation) -> np.ndarray:
 
 
 def neighbor_mean_step(estimate: np.ndarray, obs: Observation, layout: ObservedLayout) -> np.ndarray:
-    """Missing nodes take the mean of observed-neighbor values.
+    """Missing nodes take the mean of observed-neighbor values, ``sum(values) / len(values)`` summed left to right.
 
-    ``layout`` is ``observed_layout(g, obs.observed)``. Falls back to the
-    previous estimate for nodes with no observed neighbor; observed nodes
-    adopt the observation.
+    ``layout`` is ``observed_layout(g, obs.observed)``. Falls back to the previous estimate for nodes with no
+    observed neighbor; observed nodes adopt the observation.
     """
     out = np.where(obs.observed, obs.values, np.asarray(estimate, dtype=np.float64))
-    # One 2-D sum per neighbor count c, over c: numpy sums each row exactly
-    # as it sums a 1-D array of the same values, and np.mean is that sum
-    # divided by c, so every mean is bit-identical to np.mean over that
-    # node's neighbor list.
-    for nodes, index in layout.groups:
-        out[nodes] = obs.values[index].sum(axis=1) / index.shape[1]
+    out[layout.nodes] = slot_sums(layout, obs.values.take(layout.neighbors)) / layout.counts
     return out

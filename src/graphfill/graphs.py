@@ -23,7 +23,7 @@ _SCREEN_BLOCK_ELEMENTS = 1 << 14
 # moves a distance by at most about 5e-15 in these units; the slack exceeds
 # twice the first bound plus the second.
 _SCREEN_SLACK = 1e-13
-ObservedLayout = collections.namedtuple("ObservedLayout", "nodes isolated index counts neighbors groups digits")
+ObservedLayout = collections.namedtuple("ObservedLayout", "nodes isolated slots counts neighbors digits")
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -32,12 +32,12 @@ def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
-def _adopted(a: np.ndarray) -> np.ndarray:
-    """``a`` itself if it is a read-only float64 array that owns its memory (as ``gft`` hands over ``eigh``'s
+def _adopted(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """``a`` itself if it is a read-only ``dtype`` array that owns its memory (as ``gft`` hands over ``eigh``'s
     outputs), else a read-only copy. Adopting spares a second n x n array: 32 MB at n = 2000."""
-    if a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable:
+    if a.dtype == dtype and a.flags.owndata and not a.flags.writeable:
         return a
-    return _frozen(a)
+    return _frozen(a, dtype)
 
 
 def _reject_infinite(section) -> None:
@@ -126,10 +126,10 @@ def _edge_rows(g: Graph) -> np.ndarray:
 def observed_layout(g: Graph, observed: np.ndarray) -> ObservedLayout:
     """Each missing node's observed neighbors in ``g`` under mask ``observed``, as read-only arrays.
 
-    ``nodes`` (with an observed neighbor) and ``isolated`` (without) ascend. Row r of ``index`` is n, then
-    the ``counts[r]`` observed neighbors of ``nodes[r]``, then n as padding; ``neighbors`` are the nodes
-    it names. ``groups`` pairs the nodes with c observed neighbors with their (m, c) neighbor indices.
-    ``digits`` holds the number of decimal digits of each of ``nodes``.
+    ``nodes`` (with an observed neighbor) and ``isolated`` (without) ascend; ``counts`` and ``digits`` hold each
+    node's number of observed neighbors and of decimal digits, and ``neighbors`` the k observed nodes next to one
+    of them, ascending. ``slots`` is (1 + max count, m): [s, r] is the position in ``neighbors`` of ``nodes[r]``'s
+    s-th observed neighbor (1 <= s <= counts[r]); row 0 and the padding hold k, the position of an appended 0.0.
     """
     observed = np.asarray(observed, dtype=bool)
     missing = np.flatnonzero(~observed)
@@ -138,18 +138,24 @@ def observed_layout(g: Graph, observed: np.ndarray) -> ObservedLayout:
     i, j = rows[linked], g.indices[linked]  # in CSR order, so i ascends and each row's neighbors ascend
     per_node = np.bincount(i, minlength=g.n_nodes)[missing]
     nodes, counts, isolated = missing[per_node > 0], per_node[per_node > 0], missing[per_node == 0]
-    index = np.full((nodes.size, 1 + counts.max(initial=0)), g.n_nodes)
+    neighbors = np.flatnonzero(np.bincount(j, minlength=g.n_nodes))
+    slots = np.full((1 + counts.max(initial=0), nodes.size), neighbors.size)
     r = np.searchsorted(nodes, i)
-    index[r, 1 + np.arange(r.size) - (np.cumsum(counts) - counts)[r]] = j
-    # Distinct values by bincount, not np.unique: its first call imports numpy.ma (13 ms on a 2-core VM), which
-    # would land in set-up on a path that calls np.unique nowhere else.
-    groups = tuple((nodes[counts == c], index[counts == c, 1:1 + c]) for c in np.flatnonzero(np.bincount(counts)))
-    neighbors = np.flatnonzero(np.bincount(index.ravel(), minlength=g.n_nodes + 1)[:-1])  # drop n, the padding
+    slots[1 + np.arange(r.size) - (np.cumsum(counts) - counts)[r], r] = np.searchsorted(neighbors, j)
     digits = np.array([len(str(i)) for i in nodes.tolist()], dtype=np.int64)
-    layout = ObservedLayout(nodes, isolated, index, counts, neighbors, groups, digits)
-    for a in (*layout[:5], digits, *sum(groups, ())):
+    layout = ObservedLayout(nodes, isolated, slots, counts, neighbors, digits)
+    for a in layout:
         a.setflags(write=False)
     return layout
+
+
+def slot_sums(layout: ObservedLayout, values: np.ndarray) -> np.ndarray:
+    """Per node of ``layout.nodes``, the sum of ``values`` (one per ``layout.neighbors``) at its observed neighbors,
+    left to right from 0.0 as ``sum()`` sums the node's neighbor list: the table's rows are added one at a time."""
+    table = np.concatenate((values, np.zeros(1))).take(layout.slots)  # row 0 and the padding read the 0.0
+    if table.shape[1] == 1:  # numpy sums a lone column pairwise, 8 entries at a time
+        return np.add.accumulate(table[:, 0])[-1:]
+    return table.sum(axis=0)  # row by row: one vector add over the nodes per slot, in order
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ from urllib.request import getproxies, proxy_bypass  # urllib's proxy environmen
 
 import numpy as np
 
-from .graphs import _reject_infinite
+from .graphs import _reject_infinite, slot_sums
 from .prompts import CompletionParseError, NodeTask, build_prompt, parse_completion, prompt_groups
 from .prompts import prompt_lengths, round_fixed
 
@@ -153,17 +153,14 @@ def mock_predict(task: NodeTask) -> float:
     return round(value, task.precision)
 
 
-def mock_step(layout, previous, processed, precision: int):
+def mock_step(layout, previous, neighbor_values, precision: int):
     """The mock's values :func:`predict_batch` gives ``layout.nodes``, whose previous values are ``previous``.
 
-    ``processed`` is the step's processed observation. Returns None when a value is not finite; such a step takes
-    the text path. The prompts these values answer are counted a block of steps at a time by :func:`mock_tokens`.
+    ``neighbor_values`` is the step's processed observation at ``layout.neighbors``. Returns None when a value is
+    not finite; such a step takes the text path. :func:`mock_tokens` counts their prompts a block of steps at a time.
     """
-    # Column 0 and the padding read 0.0: each row sums from 0.0 left to right, as sum() does. An overflowing
-    # sum is as silent as sum()'s, and its value is sent down the text path.
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = np.cumsum(np.append(processed, 0.0)[layout.index], axis=1)[:, -1]
-        raw = 0.5 * previous + 0.5 * (sums / layout.counts)
+        raw = 0.5 * previous + 0.5 * (slot_sums(layout, neighbor_values) / layout.counts)
     if not np.isfinite(raw).all():
         return None
     return round_fixed(raw, precision)

@@ -71,7 +71,7 @@ def build_task(layout, r: int, t: int, previous: float, processed: np.ndarray, p
     ``layout`` is the repeat's ``observed_layout``; the neighbor values are ``processed`` at the node's
     observed neighbors, ascending by node index.
     """
-    vals = processed[layout.index[r, 1:1 + layout.counts[r]]].tolist()
+    vals = processed[layout.neighbors[layout.slots[1:1 + layout.counts[r], r]]].tolist()
     return NodeTask(node=int(layout.nodes[r]), t=t, previous=previous, neighbor_values=vals, precision=precision)
 
 
@@ -119,15 +119,13 @@ def prompt_lengths(layout, t, previous, neighbor_values, answers, precision: int
     """
     t = np.asarray(t)
     steps, k, m = t.size, layout.neighbors.size, layout.nodes.size
-    values = np.concatenate((neighbor_values, previous, answers), axis=1)
-    widths = fixed_widths(values.ravel(), precision).reshape(steps, k + 2 * m)
-    listed = np.zeros((steps, k + 1), dtype=np.int64)  # slot k, the padding's, prints nothing
-    listed[:, :k] = widths[:, :k]
-    slots = np.searchsorted(layout.neighbors, layout.index)  # neighbors ascend; the padding n maps to k
-    fixed = np.array([len(_CONTEXT.format(t=v, node="", previous="", neighbors="")) for v in t.tolist()],
-                     dtype=np.int64)
+    widths = fixed_widths(np.concatenate((neighbor_values, previous, answers), axis=1), precision)
+    listed = np.concatenate((widths[:, :k], np.zeros((steps, 1), np.int64)), axis=1)  # slot k (padding) prints nothing
+    fixed = np.array([len(_CONTEXT.format(t=v, node="", previous="", neighbors="")) for v in t.tolist()])
     contexts = fixed[:, None] + (2 * (layout.counts - 1) + layout.digits) + widths[:, k:k + m]
-    return len(_USER_HEADER.format(p=precision)), contexts + listed[:, slots].sum(axis=2), widths[:, k + m:]
+    for row in layout.slots[1:]:  # each node's neighbor widths, a slot at a time
+        contexts += listed.take(row, axis=1)
+    return len(_USER_HEADER.format(p=precision)), contexts, widths[:, k + m:]
 
 
 def fixed_widths(values: np.ndarray, precision: int) -> np.ndarray:
@@ -135,17 +133,21 @@ def fixed_widths(values: np.ndarray, precision: int) -> np.ndarray:
 
     The width is the sign (``-0.0`` prints one), the integer digits and ``precision + 1`` for the decimals.
     A value formats when ``floor(|v|) + 1`` is a power of ten from 10 up and the fraction is within half a
-    last digit (plus a margin) of it, or when ``|v| >= 1e15`` or is not finite.
+    last digit (plus a margin) of it, or when ``|v|`` is that close to ``1e15`` or past it, or is not finite.
+    Besides the widths, one array the size of ``values`` is alive at a time.
     """
-    a = np.abs(values)
-    i = np.searchsorted(_POWERS, a, side="right")
-    width = np.signbit(values) + 1 + i + (precision + 1 if precision else 0)
-    whole = np.floor(a)
-    with np.errstate(invalid="ignore"):  # inf - inf; such a value formats anyway, as does any with i = 15
-        carry = (whole + 1 == _POWERS.take(i, mode="clip")) & (a - whole >= 1.0 - 0.5 * 10.0 ** -precision - 1e-9)
-    redo = np.flatnonzero(carry | ~(a < _POWERS[-1]))
+    # Each power of ten P from 10 up, after P - 1 + the fraction from which rounding may carry (one rounding: the
+    # fraction less 1 is exact). |v| has twice its integer digits less one of these at or below it, one more in a
+    # carry's window, and an odd count near or past 1e15 (left out) or for NaN.
+    edges = np.repeat(_POWERS, 2)[:-1]
+    edges[::2] += (1.0 - 0.5 * 10.0 ** -precision - 1e-9) - 1.0
+    width = np.searchsorted(edges, np.abs(values), side="right")
+    redo = np.flatnonzero(width & 1)
+    width >>= 1
+    width += np.signbit(values)
+    width += precision + 2 if precision else 1
     if redo.size:
-        width[redo] = [len(f"{v:.{precision}f}") for v in values[redo].tolist()]
+        width.flat[redo] = [len(f"{v:.{precision}f}") for v in values.flat[redo].tolist()]
     return width
 
 

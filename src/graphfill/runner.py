@@ -304,11 +304,11 @@ def _step_estimate(op, cfg, layout, x_prev, obs, backend, transcript, block):
     o_tilde = denoise(op, obs, x_prev)
     x_hat = np.where(obs.observed, o_tilde, x_prev)
     if backend is None and transcript is None:
-        previous = x_prev[layout.nodes]
-        answered = mock_step(layout, previous, o_tilde, cfg.precision)
+        previous, neighbor_values = x_prev[layout.nodes], o_tilde[layout.neighbors]
+        answered = mock_step(layout, previous, neighbor_values, cfg.precision)
         if answered is not None:
             x_hat[layout.nodes] = answered
-            block.record_prompts(obs.t, previous, o_tilde[layout.neighbors], answered)
+            block.record_prompts(obs.t, previous, neighbor_values, answered)
             return x_hat, 0
 
     # Text path: a task per layout row; a missing node without an observed neighbor persists without a call.

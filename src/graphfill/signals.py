@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _frozen
+from .graphs import _adopted, _frozen
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +63,8 @@ class ObservationModel:
 class Observation:
     """One time step of masked, noisy node values.
 
-    ``observed`` is the authoritative missing-value flag; ``values`` holds
-    NaN at unobserved positions.
+    ``observed`` is the authoritative missing-value flag; ``values`` holds NaN at unobserved positions. A
+    read-only array that owns its memory is adopted, any other input copied read-only.
     """
     t: int
     values: np.ndarray
@@ -75,8 +75,8 @@ class Observation:
         obs = np.asarray(self.observed, dtype=bool)
         if v.shape != obs.shape or v.ndim != 1:
             raise ValueError("values and observed must be 1-D vectors of equal length")
-        object.__setattr__(self, "values", _frozen(v))
-        object.__setattr__(self, "observed", _frozen(obs, dtype=bool))
+        object.__setattr__(self, "values", _adopted(v))
+        object.__setattr__(self, "observed", _adopted(obs, dtype=bool))
 
 
 def load_signal_csv(path, layout: str) -> TimeVaryingSignal:
@@ -178,4 +178,5 @@ def observe(x_g: np.ndarray, model: ObservationModel, t: int) -> Observation:
     rng = np.random.default_rng((model.seed, int(t)))
     noisy = x_g + rng.normal(0.0, np.sqrt(model.noise_variance), size=model.n_nodes)
     values = np.where(model.observed, noisy, np.nan)
+    values.setflags(write=False)  # the observation adopts it, and the model's frozen mask, uncopied
     return Observation(t=int(t), values=values, observed=model.observed)

@@ -144,13 +144,14 @@ def seed_observed_layout(g: Graph, observed) -> ObservedLayout:
     rows = {i: [j for j in lists[i] if flags[j]] for i in missing}
     nodes = np.array([i for i in missing if rows[i]], dtype=np.int64)
     counts = np.array([len(rows[i]) for i in nodes.tolist()], dtype=np.int64)
-    index = np.full((nodes.size, 1 + max(counts.tolist(), default=0)), g.n_nodes)
+    neighbors = np.array(sorted({j for i in nodes.tolist() for j in rows[i]}), dtype=np.int64)
+    position = {j: p for p, j in enumerate(neighbors.tolist())}
+    slots = np.full((1 + max(counts.tolist(), default=0), nodes.size), neighbors.size)
     for r, i in enumerate(nodes.tolist()):
-        index[r, 1:1 + len(rows[i])] = rows[i]
+        slots[1:1 + len(rows[i]), r] = [position[j] for j in rows[i]]
     isolated = np.array([i for i in missing if not rows[i]], dtype=np.int64)
-    groups = tuple((nodes[counts == c], index[counts == c, 1:1 + c]) for c in np.unique(counts).tolist())
     digits = np.array([len(str(i)) for i in nodes.tolist()], dtype=np.int64)
-    return ObservedLayout(nodes, isolated, index, counts, np.unique(index)[:-1], groups, digits)
+    return ObservedLayout(nodes, isolated, slots, counts, neighbors, digits)
 
 
 def seed_build_task(node: int, t: int, previous: float, processed, adjacency, observed, precision: int = 1) -> NodeTask:

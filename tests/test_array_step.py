@@ -1,14 +1,16 @@
 """Property tests: the array-shaped mock step equals the rendered text path, value for value and token for token."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from helpers import seed_build_task
+from helpers import seed_build_task, write_knn_run_fixture
 from hypothesis import strategies as st
 
-from graphfill.graphs import build_graph, neighbors, observed_layout
+from graphfill.graphs import build_graph, knn_graph, load_coordinates_csv, neighbors, observed_layout
 from graphfill.predictors import PredictorConfig, estimate_tokens, mock_predict, mock_step, mock_tokens, predict_batch
 from graphfill.prompts import build_task, fixed_widths, prompt_groups, render_user_prompt, round_fixed
-from graphfill.signals import ObservationModel
+from graphfill.signals import ObservationModel, load_signal_csv, sample_mask
 
 # Negative values, values that round to -0.0, carries (9.96 -> 10.0, 99.95) and half-even ties.
 SPECIAL = [-0.04, -0.0, 0.0, 0.05, -0.05, 0.25, -0.25, 2.675, -2.675, 9.96, 99.95, -99.95, 0.5, 1.5, 1e6]
@@ -79,12 +81,14 @@ def test_array_step_equals_text_path(step):
     layout = observed_layout(g, model.observed)
     missing = np.flatnonzero(~model.observed).tolist()
     assert sorted(layout.nodes.tolist() + layout.isolated.tolist()) == missing
-    for node, count, row in zip(layout.nodes.tolist(), layout.counts.tolist(), layout.index.tolist()):
-        assert row[1:1 + count] == [j for j in neighbors(g, node) if model.observed[j]]
+    k = layout.neighbors.size
+    for node, count, column in zip(layout.nodes.tolist(), layout.counts.tolist(), layout.slots.T.tolist()):
+        assert layout.neighbors[column[1:1 + count]].tolist() == [j for j in neighbors(g, node) if model.observed[j]]
+        assert column[0] == k and column[1 + count:] == [k] * (len(column) - 1 - count)
     for node in layout.isolated.tolist():
         assert not any(model.observed[j] for j in neighbors(g, node))
 
-    values = mock_step(layout, previous[layout.nodes], processed, precision)
+    values = mock_step(layout, previous[layout.nodes], processed[layout.neighbors], precision)
     tokens = block_tokens(layout, [t], [previous], [processed], [values], precision, multi_task_prompt)
     # The reference tasks come from the adjacency and the mask, not from the layout the array step reads.
     a = g.adjacency
@@ -111,7 +115,7 @@ def test_block_tokens_equal_text_path(first_t, multi_task_prompt, step, data):
     rows = [(previous, processed)] + [
         tuple(np.array(data.draw(st.lists(VALUES, min_size=g.n_nodes, max_size=g.n_nodes))) for _ in range(2))
         for _ in ts[1:]]
-    answers = [mock_step(layout, prev[layout.nodes], proc, precision) for prev, proc in rows]
+    answers = [mock_step(layout, prev[layout.nodes], proc[layout.neighbors], precision) for prev, proc in rows]
     tokens = block_tokens(layout, ts, *zip(*rows), answers, precision, multi_task_prompt)
     a = g.adjacency
     assert tokens == sum(
@@ -128,7 +132,7 @@ def test_rounding_edge_cases(value, precision):
     model = ObservationModel(np.array([False, True]), 0.0, 0)
     processed = np.array([0.0, value])
     layout = observed_layout(g, model.observed)
-    values = mock_step(layout, np.array([value]), processed, precision)
+    values = mock_step(layout, np.array([value]), processed[layout.neighbors], precision)
     tokens = block_tokens(layout, [7], [[value, 0.0]], [processed], [values], precision, False)
     task = seed_build_task(0, 7, value, processed, g.adjacency, model.observed, precision)
     assert hexes(values) == hexes([round(value, precision)]) == hexes([mock_predict(task)])
@@ -138,7 +142,7 @@ def test_rounding_edge_cases(value, precision):
 def test_no_missing_node_has_no_tokens():
     g = build_graph(2, [(0, 1)])
     layout = observed_layout(g, np.array([True, True]))
-    values = mock_step(layout, np.zeros(0), np.zeros(2), 1)
+    values = mock_step(layout, np.zeros(0), np.zeros(0), 1)
     zeros = np.zeros((2, 2))
     assert (values.tolist(), block_tokens(layout, [0, 1], zeros, zeros, np.zeros((2, 0)), 1, True)) == ([], 0)
 
@@ -146,9 +150,9 @@ def test_no_missing_node_has_no_tokens():
 def test_layout_is_read_only():
     g = build_graph(3, [(0, 1), (1, 2)])
     layout = observed_layout(g, np.array([True, False, True]))
-    assert layout.nodes.tolist() == [1] and layout.index.tolist() == [[3, 0, 2]]
+    assert layout.nodes.tolist() == [1] and layout.slots.tolist() == [[2], [0], [1]]
     with pytest.raises(ValueError):
-        layout.index[0, 0] = 0
+        layout.slots[0, 0] = 0
     assert observed_layout(g, np.array([False, False, True])).isolated.tolist() == [0]
 
 
@@ -160,8 +164,29 @@ def test_long_rows_sum_left_to_right():
     layout, a = observed_layout(g, model.observed), g.adjacency
     for _ in range(50):
         previous, processed = rng.uniform(-1e4, 1e4, 12), rng.uniform(-1e4, 1e4, 12)
-        values = mock_step(layout, previous[layout.nodes], processed, 17)
+        values = mock_step(layout, previous[layout.nodes], processed[layout.neighbors], 17)
         assert hexes(values) == hexes([mock_predict(seed_build_task(0, 0, previous[0], processed, a, model.observed, 17))])
+
+
+def test_prompts_and_tokens_equal_recorded_values(tmp_path):
+    # A kNN fixture with rows of up to 11 observed neighbors. The digest of eleven steps' rendered prompts and the
+    # block's token counts (precision 0 and 2, a prompt per task and one per step) were recorded from the
+    # node-major neighbor index that the slot table replaced.
+    coordinates, signal_path = write_knn_run_fixture(tmp_path, n=60, k=8, band=5, t_steps=12)
+    g = knn_graph(load_coordinates_csv(coordinates, 60), 8)
+    x = load_signal_csv(signal_path, "nodes-as-rows").values
+    layout = observed_layout(g, sample_mask(60, 0.8, seed=4).observed)
+    assert layout.counts.max() == 11
+    digest = hashlib.sha256()
+    for t in range(1, 12):
+        tasks = [build_task(layout, r, 95 + t, float(x[i, t - 1]), x[:, t], 2) for r, i in enumerate(layout.nodes)]
+        digest.update(render_user_prompt(tasks).encode())
+    assert digest.hexdigest()[:16] == "2b5d713e1e51cb95"
+    previous, neighbor_values = x[layout.nodes, :-1].T, x[layout.neighbors, 1:].T
+    answers = np.round(x[layout.nodes, 1:].T, 2)
+    tokens = [mock_tokens(layout, np.arange(96, 107), previous, neighbor_values, answers, precision, multi_task_prompt)
+              for precision in (0, 2) for multi_task_prompt in (False, True)]
+    assert tokens == [8219, 3189, 9114, 4102]
 
 
 def check_helpers(values, precision):

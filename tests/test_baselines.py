@@ -235,12 +235,13 @@ class TestNaiveBaselines:
         assert np.array_equal(a, b)
 
     def test_neighbor_mean_matches_list_mean_reference(self):
+        # The mean sums left to right, as sum() does; np.mean sums 8 or more values pairwise.
         def reference(estimate, obs, g):
             out = np.where(obs.observed, obs.values, estimate)
             for i in np.flatnonzero(~obs.observed):
-                vals = [obs.values[j] for j in neighbors(g, int(i)) if obs.observed[j]]
+                vals = [float(obs.values[j]) for j in neighbors(g, int(i)) if obs.observed[j]]
                 if vals:
-                    out[i] = float(np.mean(vals))
+                    out[i] = sum(vals) / len(vals)
             return out
 
         rng = np.random.default_rng(41)
@@ -258,6 +259,30 @@ class TestNaiveBaselines:
             prev = rng.normal(size=n)
             out = neighbor_mean_step(prev, obs, observed_layout(g, obs.observed))
             assert [v.hex() for v in out.tolist()] == [v.hex() for v in reference(prev, obs, g).tolist()]
+
+    def test_neighbor_mean_sums_left_to_right_for_1_to_20_neighbors(self):
+        # Missing hub c (c = 1..20) has c observed leaves of its own, so every count from 1 to 20 is a row.
+        rng = np.random.default_rng(7)
+        hubs = list(range(1, 21))
+        edges, leaf = [], len(hubs)
+        for c in hubs:
+            edges += [(c - 1, leaf + i) for i in range(c)]
+            leaf += c
+        g = build_graph(leaf, edges)
+        observed = np.arange(leaf) >= len(hubs)
+        differs = set()
+        for t in range(30):
+            values = np.where(observed, rng.uniform(-1e3, 1e3, leaf) * 10.0 ** rng.integers(-3, 4, leaf), np.nan)
+            obs = Observation(t=t, values=values, observed=observed)
+            layout = observed_layout(g, obs.observed)
+            assert layout.counts.tolist() == hubs
+            out = neighbor_mean_step(np.zeros(leaf), obs, layout)
+            for c in hubs:
+                vals = [float(values[j]) for j in neighbors(g, c - 1)]
+                assert out[c - 1].hex() == (sum(vals) / len(vals)).hex(), c
+                if out[c - 1] != np.mean(vals):
+                    differs.add(c)
+        assert differs and min(differs) >= 8  # the reference is not np.mean's
 
 
 @pytest.mark.parametrize("step", [

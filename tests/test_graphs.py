@@ -34,6 +34,7 @@ from graphfill.graphs import (
     load_edge_list_csv,
     neighbors,
     observed_layout,
+    slot_sums,
 )
 
 
@@ -379,21 +380,65 @@ def test_graph_equals_the_per_edge_rule(n_and_edges):
     assert all(np.all(np.diff(g.indices[g.indptr[r]:g.indptr[r + 1]]) > 0) for r in range(n))
 
 
-def layout_arrays(layout):
-    return [*layout[:5], layout.digits, *sum(layout.groups, ())]
-
-
 @settings(max_examples=300, deadline=None)
 @given(graphs_and_masks())
 def test_observed_layout_equals_seed_layout(graph_and_mask):
     g, observed = graph_and_mask
     got, want = observed_layout(g, observed), seed_observed_layout(g, observed)
-    assert len(got.groups) == len(want.groups)
-    for a, b in zip(layout_arrays(got), layout_arrays(want)):
+    assert got._fields == want._fields
+    for a, b in zip(got, want):
         assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist())
         assert not a.flags.writeable
     a = g.adjacency
     assert [neighbors(g, i) for i in range(g.n_nodes)] == [np.flatnonzero(row).tolist() for row in a]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_masks(), st.data())
+def test_slots_list_observed_neighbors_in_order_and_sum_left_to_right(graph_and_mask, data):
+    g, observed = graph_and_mask
+    layout = observed_layout(g, observed)
+    k = layout.neighbors.size
+    assert layout.slots.shape == (1 + layout.counts.max(initial=0), layout.nodes.size)
+    # Magnitudes far apart, so that a sum taken in another order shows in the last bits.
+    values = np.array(data.draw(st.lists(st.floats(-1e6, 1e6) | st.floats(-1e-6, 1e-6), min_size=k, max_size=k)))
+    sums = slot_sums(layout, values)
+    for r, node in enumerate(layout.nodes.tolist()):
+        count, column = int(layout.counts[r]), layout.slots[:, r].tolist()
+        assert layout.neighbors[column[1:1 + count]].tolist() == [j for j in neighbors(g, node) if observed[j]]
+        assert column[0] == k and column[1 + count:] == [k] * (len(column) - 1 - count)
+        assert sums[r].hex() == sum(values[column[1:1 + count]].tolist()).hex()
+
+
+class TestSlotTableEdges:
+    def test_no_missing_node(self):
+        layout = observed_layout(build_graph(3, [(0, 1), (1, 2)]), np.ones(3, dtype=bool))
+        assert layout.slots.shape == (1, 0) and layout.nodes.size == layout.neighbors.size == layout.isolated.size == 0
+        assert slot_sums(layout, np.zeros(0)).shape == (0,)
+
+    def test_every_missing_node_isolated(self):
+        # Each missing node's only neighbor is missing too.
+        layout = observed_layout(build_graph(5, [(0, 1), (2, 3), (3, 4)]), np.array([False, False, True, True, True]))
+        assert layout.isolated.tolist() == [0, 1] and layout.slots.shape == (1, 0) and layout.neighbors.size == 0
+        assert slot_sums(layout, np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("with_second_node", [False, True])
+    def test_one_node_at_the_maximum_count(self, with_second_node):
+        # Hub 0 has 11 observed neighbors; node 12, when present, has 2, so its column is padded. The hub alone
+        # is a lone column, which numpy would sum pairwise.
+        edges = [(0, j) for j in range(1, 12)] + ([(12, 1), (12, 11)] if with_second_node else [])
+        n = 13 if with_second_node else 12
+        observed = np.arange(n) % 12 != 0
+        layout = observed_layout(build_graph(n, edges), observed)
+        assert layout.neighbors.tolist() == list(range(1, 12)) and layout.slots.shape == (12, layout.nodes.size)
+        assert layout.slots[:, 0].tolist() == [11, *range(11)]
+        if with_second_node:
+            assert layout.slots[:, 1].tolist() == [11, 0, 10] + [11] * 9
+        values = np.array([1e16] + [1.0] * 10)  # left to right each 1.0 rounds away; numpy's 8-way blocks keep 8
+        sums = slot_sums(layout, values)
+        assert (sums[0], np.sum(values)) == (1e16, 1e16 + 8)
+        if with_second_node:
+            assert sums[1] == values[0] + values[10]
 
 
 def brute_force_knn(pts, k):

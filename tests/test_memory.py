@@ -1,6 +1,6 @@
 """Memory guards. Set-up: while the Laplacian is decomposed, no dense adjacency is held beside it, and no graph
 loader needs more memory than ``eigh``. The online loop: its bookkeeping holds a bounded block of steps, not the
-horizon."""
+horizon, and the token count's widths hold one temporary the size of their input."""
 import tracemalloc
 
 import numpy as np
@@ -9,6 +9,7 @@ from helpers import write_knn_run_fixture, write_run_fixture
 
 from graphfill import baselines as bl
 from graphfill import runner
+from graphfill.prompts import fixed_widths
 from graphfill.runner import RunConfig, prepare_run
 
 N = 300
@@ -105,3 +106,18 @@ def test_run_repeat_holds_a_block_not_the_horizon(tmp_path, monkeypatch, test_st
     walk = peak - at_start[0] - sum(fixed_parts) - results
     block = runner.BUDGET * 8
     assert walk < WALK_BLOCKS * block, f"the walk held {walk / block:.2f} blocks beyond its results"
+
+
+@pytest.mark.parametrize("precision", [0, 1, 3])
+def test_fixed_widths_holds_its_widths_and_one_temporary(precision):
+    # The widths and one array the size of the input, at 8 bytes an entry each, plus the few that format.
+    values = np.random.default_rng(1).normal(0.0, 100.0, 100_000)
+    values[::97] = 9.96  # carries into a new digit at precision 0 and 1
+    tracemalloc.start()
+    try:
+        widths = fixed_widths(values, precision)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert widths.tolist()[:2] == [len(f"{v:.{precision}f}") for v in values[:2].tolist()]
+    assert peak < 2.25 * values.nbytes, f"fixed_widths peaked at {peak / values.nbytes:.2f} inputs"

@@ -271,6 +271,13 @@ class TestObserve:
             assert np.array_equal(np.isnan(obs.values), ~model.observed)
             assert np.array_equal(obs.observed, model.observed)
 
+    def test_observation_adopts_the_frozen_mask_and_its_fresh_values(self):
+        model = sample_mask(12, 0.5, seed=3, noise_variance=0.3)
+        obs = observe(np.arange(12.0), model, t=5)
+        assert obs.observed is model.observed
+        assert obs.values.flags.owndata and not obs.values.flags.writeable
+        assert obs.values.tobytes() == observe(np.arange(12.0), model, t=5).values.tobytes()
+
 
 class TestInvariants:
     def test_signal_rejects_nan(self):
@@ -284,3 +291,16 @@ class TestInvariants:
     def test_observation_shape_mismatch(self):
         with pytest.raises(ValueError):
             Observation(t=0, values=np.zeros(3), observed=np.ones(2, dtype=bool))
+
+    def test_observation_copies_what_it_cannot_adopt(self):
+        # A writeable array, a view and a list are copied read-only; a read-only array that owns its memory is kept.
+        values, mask = np.arange(4.0), np.array([True, False, True, True])
+        inputs = ((values, mask), (np.repeat(values, 2)[::2], mask[:]), (values.tolist(), mask.tolist()))
+        for given_values, given_mask in inputs:
+            obs = Observation(t=0, values=given_values, observed=given_mask)
+            assert not np.shares_memory(obs.values, values) and not np.shares_memory(obs.observed, mask)
+            assert not obs.values.flags.writeable and not obs.observed.flags.writeable
+            assert obs.values.tolist() == [0.0, 1.0, 2.0, 3.0] and obs.observed.tolist() == mask.tolist()
+        frozen = np.arange(4.0)
+        frozen.setflags(write=False)
+        assert Observation(t=0, values=frozen, observed=mask).values is frozen

@@ -6,6 +6,8 @@ of them makes every traced benchmark run fail with an AttributeError; the first 
 first. The tracer's notes also read arguments and results (a path in ``emit_report``'s third argument,
 ``train_filter(...).mae_trace.size``, ``build_prompt(...).system_text``); the second test runs one traced
 child on a small mock run, so a change to a wrapped function's argument order or result type fails here too.
+The third runs one untraced child: its step clock stamps the first ``runner.observe`` call of each time index,
+and ``step_ms_p50`` is read from those stamps, so a walk that batches or skips that call fails here.
 """
 import importlib
 import importlib.util
@@ -42,7 +44,8 @@ def test_name_resolves_on_the_package(module, attr):
     assert callable(getattr(getattr(graphfill, module), attr))
 
 
-def test_traced_child_run_records_every_layer(tmp_path):
+def run_child(tmp_path, traced, transcript):
+    """One ``perfbench/child.py`` run of a 20-step mock run on the small fixture; returns its result."""
     edge_path, signal_path, _, _ = write_run_fixture(tmp_path, n=12, t_steps=40)
     cfg_path, result_path = tmp_path / "config.json", tmp_path / "result.json"
     cfg_path.write_text(json.dumps({
@@ -51,17 +54,32 @@ def test_traced_child_run_records_every_layer(tmp_path):
         "t_split": 20,
         "observation": {"ratio": 0.7, "seed": 3, "noise_variance": 0.1},
         "baselines": list(runner.BASELINES),
-        "transcript": True,
+        "transcript": transcript,
         "output_dir": str(tmp_path / "run"),
     }))
     src_dir = Path(graphfill.__file__).resolve().parent.parent
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), str(src_dir), str(cfg_path),
-                           str(result_path), "1"], env=env, capture_output=True, text=True, timeout=120)
+                           str(result_path), "1" if traced else "0"], env=env, capture_output=True, text=True,
+                          timeout=120)
     assert result_path.exists(), proc.stderr
     result = json.loads(result_path.read_text())
     assert (proc.returncode, result["error"]) == (0, None), result["error"]
+    return result
+
+
+def test_traced_child_run_records_every_layer(tmp_path):
+    result = run_child(tmp_path, traced=True, transcript=True)
     layer = load_tracing().layer_metrics(result["spans"], result["run_s"])
     for name in ("graphs.build_s", "graphs.gft_s", "signals.observe_calls", "spectral.convolve_calls",
                  "prompts.render_calls", "predictors.tasks", "baselines.steps"):
         assert layer[name] > 0, name
+
+
+def test_untraced_child_run_stamps_one_start_per_step(tmp_path):
+    # The mock array path, as the benchmark runs it: 20 test steps, each stamped once, in order, within the run.
+    result = run_child(tmp_path, traced=False, transcript=False)
+    starts = result["step_starts"]
+    assert len(starts) == 20
+    assert all(0.0 < a < b < result["run_s"] for a, b in zip(starts, starts[1:]))
+    assert result["spans"] is None
