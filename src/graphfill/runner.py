@@ -271,12 +271,12 @@ def _start_estimates(ctx, methods, x0) -> dict:
 
 
 def _method_step(name, ctx, cfg, model, layout, train_result, backend, transcript, block):
-    """Method ``name``'s ``step(estimate, obs) -> (next estimate, tokens)`` in a repeat with mask ``model``.
+    """Method ``name``'s ``step(estimate, obs) -> next estimate`` in a repeat with mask ``model``.
 
     Each method's fixed part is built here, once, as a ``spectral.BandOperator``: the primary's filter (checked
-    against the basis) or a baseline's band. No step writes into the estimate it is given, so methods may share
-    one. Each step looks ``bl.<fn>`` (and the primary step ``denoise``, ``build_task`` and ``predict_batch``) up
-    at call time, so wrappers installed on the modules see every call.
+    against the basis) or a baseline's band. No step writes into the estimate it is given. Each step looks
+    ``bl.<fn>`` (and the primary step ``denoise``, ``build_task`` and ``predict_batch``) up at call time, so
+    wrappers installed on the modules see every call.
     """
     if name == PRIMARY_METHOD:
         op = filter_operator(train_result.filter, ctx.basis)
@@ -284,32 +284,31 @@ def _method_step(name, ctx, cfg, model, layout, train_result, backend, transcrip
     band, mu = ctx.derived.get("baseline_band_size"), cfg.baseline_step_size
     if name == "glms":
         filt = bl.glms_init(ctx.basis, band, mu)
-        return lambda x, obs: (bl.glms_step(filt, x, obs), 0)
+        return lambda x, obs: bl.glms_step(filt, x, obs)
     if name == "gnlms":
         filt = bl.gnlms_init(ctx.basis, band, mu, model.observed)
-        return lambda x, obs: (bl.gnlms_step(filt, x, obs), 0)
+        return lambda x, obs: bl.gnlms_step(filt, x, obs)
     if name == "last_value":
-        return lambda x, obs: (bl.last_value_step(x, obs), 0)
-    return lambda x, obs: (bl.neighbor_mean_step(x, obs, layout), 0)
+        return lambda x, obs: bl.last_value_step(x, obs)
+    return lambda x, obs: bl.neighbor_mean_step(x, obs, layout)
 
 
 def _step_estimate(op, cfg, layout, x_prev, obs, backend, transcript, block):
-    """Advance the primary estimate by one test step with filter operator ``op``; returns (x_hat, tokens).
+    """Advance the primary estimate by one test step with filter operator ``op``; returns x_hat.
 
     ``layout`` is ``observed_layout(graph, obs.observed)``, the only source of each missing node's observed
     neighbors on both paths. The step is array-shaped when no text is sent or logged (``backend`` None, the
-    built-in mock, and no transcript): it takes the mock's values and records its prompts' token inputs in
-    ``block``, which counts them, so it returns 0 tokens. The text path returns its records' tokens.
+    built-in mock, and no transcript): it takes the mock's values and flags its row of ``block``, whose
+    :meth:`_Block.settle` counts those prompts from the rows. The text path writes its records' tokens in the row.
     """
     o_tilde = denoise(op, obs, x_prev)
     x_hat = np.where(obs.observed, o_tilde, x_prev)
     if backend is None and transcript is None:
-        previous, neighbor_values = x_prev[layout.nodes], o_tilde[layout.neighbors]
-        answered = mock_step(layout, previous, neighbor_values, cfg.precision)
+        answered = mock_step(layout, x_prev[layout.nodes], o_tilde[layout.neighbors], cfg.precision)
         if answered is not None:
             x_hat[layout.nodes] = answered
-            block.record_prompts(obs.t, previous, neighbor_values, answered)
-            return x_hat, 0
+            block.prompted[block.row] = True
+            return x_hat
 
     # Text path: a task per layout row; a missing node without an observed neighbor persists without a call.
     records = [PredictionResult(i, obs.t, float(x_prev[i]), 0, fallback=True) for i in layout.isolated.tolist()]
@@ -319,7 +318,8 @@ def _step_estimate(op, cfg, layout, x_prev, obs, backend, transcript, block):
         records += predict_batch(tasks, cfg.predictor, backend=backend)
     for record in records:
         x_hat[record.node] = record.value
-    return x_hat, _account(records, transcript)
+    block.tokens[block.row] = _account(records, transcript)
+    return x_hat
 
 
 def _account(records, transcript) -> int:
@@ -359,58 +359,56 @@ def _block_scores(truth, estimates, missing) -> np.ndarray:
 
 
 class _Block:
-    """A repeat's bookkeeping from step ``start`` on: its score ``table``, ``trajectory`` and mock tokens.
+    """A repeat's state: every method's estimates, its score ``table``, the lead method's ``trajectory`` and tokens.
 
-    Steps are recorded a block of up to ``size`` rows at a time, ``BUDGET // (methods * n)`` and at least 1.
-    Step k's row, ``k - k0``, holds every method's estimate (the walk writes them) and, on the mock array path,
-    the inputs of its prompts' token count (:meth:`record_prompts`). :meth:`settle` settles the rows of the steps
-    before ``k_next`` in one pass and starts the next block, so the row of a step that raised is never read.
+    Steps are walked a block of up to ``size`` at a time, ``BUDGET // (methods * n)`` and at least 1. Row 0 of
+    ``estimates`` holds every method's estimate after step ``k_next - 1``: the start, the resumed state or the last
+    settled row. Step k reads row ``k - k_next`` and writes the next row, with the text path's ``tokens`` or the
+    mock array path's ``prompted`` flag. :meth:`settle` settles the rows of the steps before its ``k_next`` in one
+    pass and carries the last of them to row 0, so the row of a step that raised is never read.
     """
 
-    def __init__(self, ctx, cfg, layout, methods, missing, start):
-        n, n_steps = ctx.graph.n_nodes, ctx.test_signal.n_steps
+    def __init__(self, ctx, cfg, layout, methods, missing, state):
+        n, n_steps, start = ctx.graph.n_nodes, ctx.test_signal.n_steps, state["k_next"]
         self.size = max(1, BUDGET // (len(methods) * n))
-        self.estimates = np.empty((len(methods), self.size, n))
-        self.t = np.empty(self.size, dtype=np.int64)
-        self.previous = np.empty((self.size, layout.nodes.size))
-        self.answers = np.empty((self.size, layout.nodes.size))
-        self.neighbor_values = np.empty((self.size, layout.neighbors.size))
-        self.prompted = np.zeros(self.size, dtype=bool)
+        self.estimates = np.empty((len(methods), 1 + self.size, n))
+        self.estimates[:, 0] = [state["estimates"][name] for name in methods]
+        self.prompted = np.zeros(1 + self.size, dtype=bool)
+        self.tokens = np.zeros(1 + self.size, dtype=np.int64)
         self.table = np.zeros((len(methods), 4, n_steps))
+        self.table[:, :, :start] = [state["scores"][name] for name in methods]
         self.trajectory = np.zeros((n, n_steps - start))
-        self.truth, self.layout, self.missing = ctx.test_signal.values, layout, missing
+        self.truth, self.t0, self.layout, self.missing = ctx.test_signal.values, ctx.test_signal.t0, layout, missing
         self.precision, self.multi_task_prompt = cfg.precision, cfg.predictor.multi_task_prompt
-        self.start = self.k0 = start
-        self.row = 0
+        # settle() reads the mock's inputs from the primary's rows; a replayed checkpoint's JSON orders the methods.
+        self.primary = methods.index(PRIMARY_METHOD) if PRIMARY_METHOD in methods else None
+        self.start, self.k_next, self.token_total = start, start, state["tokens"]
 
     def begin(self, k) -> int:
         """Start step ``k``'s row; returns it."""
-        self.row = k - self.k0
-        self.prompted[self.row] = False
+        self.row = k - self.k_next + 1
+        self.prompted[self.row], self.tokens[self.row] = False, 0
         return self.row
 
-    def record_prompts(self, t, previous, neighbor_values, answers):
-        """Record the current step's mock prompts: :func:`mock_tokens`' row of inputs."""
-        row = self.row
-        self.t[row], self.previous[row], self.answers[row] = t, previous, answers
-        self.neighbor_values[row] = neighbor_values
-        self.prompted[row] = True
-
-    def settle(self, k_next) -> int:
-        """Score the block's steps before ``k_next``, copy the lead method's estimates into the trajectory and
-        return the steps' mock tokens."""
-        k0, rows = self.k0, k_next - self.k0
+    def settle(self, k_next):
+        """Score the steps before ``k_next``, copy the lead method's rows into the trajectory, add the steps' tokens
+        and carry the last row to row 0. A prompted step's :func:`mock_tokens` inputs are the primary's row before
+        and its own at ``layout.nodes``, and its own at ``layout.neighbors`` (observed: the filter output)."""
+        k0, rows = self.k_next, k_next - self.k_next
         if not rows:
-            return 0
-        self.table[:, :, k0:k_next] = _block_scores(self.truth[:, k0:k_next], self.estimates[:, :rows], self.missing)
-        self.trajectory[:, k0 - self.start:k_next - self.start] = self.estimates[0, :rows].T
-        sent = np.flatnonzero(self.prompted[:rows])
-        tokens = 0
+            return
+        steps = self.estimates[:, 1:1 + rows]
+        self.table[:, :, k0:k_next] = _block_scores(self.truth[:, k0:k_next], steps, self.missing)
+        self.trajectory[:, k0 - self.start:k_next - self.start] = steps[0].T
+        self.token_total += int(self.tokens[1:1 + rows].sum())
+        sent = 1 + np.flatnonzero(self.prompted[1:1 + rows])
         if sent.size:
-            tokens = mock_tokens(self.layout, self.t[sent], self.previous[sent], self.neighbor_values[sent],
-                                 self.answers[sent], self.precision, self.multi_task_prompt)
-        self.k0 = k_next
-        return tokens
+            x, nodes = self.estimates[self.primary], self.layout.nodes
+            self.token_total += mock_tokens(self.layout, self.t0 + k0 - 1 + sent, x[sent[:, None] - 1, nodes],
+                                            x[sent[:, None], self.layout.neighbors], x[sent[:, None], nodes],
+                                            self.precision, self.multi_task_prompt)
+        self.estimates[:, 0] = self.estimates[:, rows]
+        self.k_next = k_next
 
 
 def run_repeat(ctx: RunContext, cfg: RunConfig, r: int, methods: tuple, backend=None,
@@ -423,10 +421,10 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, r: int, methods: tuple, backend=
     projected into the band for GLMS and GNLMS. With ``output_dir`` set, it checkpoints there, and a
     repeat that completes removes its ``repeat<r>_aborted.json``.
 
-    A step is the recurrence: it observes, updates every method's estimate and, on the mock array path, takes
-    the mock's values. Its bookkeeping (every method's scores, the lead method's trajectory column and the mock's
-    token estimate) is settled a block of steps at a time (:class:`_Block`): when the block fills, before a
-    checkpoint or an abort state is written, and at the end. The text path counts its tokens in the step.
+    A step is the recurrence: it observes and writes every method's next estimate into the block (:class:`_Block`),
+    the repeat's one state. Its bookkeeping (every method's scores, the lead method's trajectory column and the
+    step's tokens) is settled a block of steps at a time: when the block fills, before a checkpoint or an abort
+    state is written, and at the end.
     """
     model, train_result = mask_and_train(ctx, cfg, r, train=PRIMARY_METHOD in methods)
     layout = observed_layout(ctx.graph, model.observed)
@@ -434,53 +432,49 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, r: int, methods: tuple, backend=
     transcript = [] if cfg.transcript else None
     state = resume or {"k_next": 0, "tokens": 0, "scores": dict.fromkeys(methods, np.zeros((4, 0))),
                        "estimates": _start_estimates(ctx, methods, init_estimate(ctx.train_signal, model))}
-    start, tokens, estimates = state["k_next"], state["tokens"], state["estimates"]
-    block = _Block(ctx, cfg, layout, methods, np.flatnonzero(~model.observed), start)
-    block.table[:, :, :start] = [state["scores"][name] for name in methods]
+    block = _Block(ctx, cfg, layout, methods, np.flatnonzero(~model.observed), state)
     steps = [_method_step(name, ctx, cfg, model, layout, train_result, backend, transcript, block) for name in methods]
     checkpoint_dir = os.path.join(cfg.output_dir, "checkpoints") if cfg.output_dir else None
-    scores = dict(zip(methods, block.table))
 
-    k_next = start
+    k_next = block.k_next
     try:
-        for k in range(start, n_steps):
+        for k in range(k_next, n_steps):
             obs = observe(ctx.test_signal.values[:, k], model, ctx.test_signal.t0 + k)
             row = block.begin(k)
-            step_estimates, step_tokens = zip(*(step(estimates[name], obs) for name, step in zip(methods, steps)))
-            for j, x in enumerate(step_estimates):
-                block.estimates[j, row] = x
-            # The state (estimates, tokens, k_next) advances as one, after the step is recorded.
-            estimates, tokens, k_next = dict(zip(methods, step_estimates)), tokens + sum(step_tokens), k + 1
+            for j, step in enumerate(steps):
+                block.estimates[j, row] = step(block.estimates[j, row - 1], obs)
+            k_next = k + 1
             checkpoint = checkpoint_dir is not None and k_next % cfg.checkpoint_every == 0 and k_next < n_steps
-            if checkpoint or row + 1 == block.size:
-                tokens += block.settle(k_next)
+            if checkpoint or row == block.size:
+                block.settle(k_next)
             if checkpoint:
-                _write_state(checkpoint_dir, f"step{k_next:06d}", r, model.seed, k_next, tokens, estimates, scores)
+                _write_state(checkpoint_dir, f"step{k_next:06d}", r, model.seed, methods, block)
     except BaseException:
         # Persist the state after the last completed step, so an aborted run can be inspected or resumed.
         if checkpoint_dir is not None:
-            tokens += block.settle(k_next)
-            _write_state(checkpoint_dir, "aborted", r, model.seed, k_next, tokens, estimates, scores)
+            block.settle(k_next)
+            _write_state(checkpoint_dir, "aborted", r, model.seed, methods, block)
         raise
-    tokens += block.settle(k_next)
+    block.settle(k_next)
     if checkpoint_dir is not None:  # a finished repeat leaves no abort state, also when it resumed from one
         with contextlib.suppress(FileNotFoundError):
             os.remove(_state_path(checkpoint_dir, r, "aborted"))
 
-    return RepeatResult(model=model, train_result=train_result, trajectory=block.trajectory, scores=scores,
-                        token_estimate=tokens, transcript=transcript if transcript is not None else [])
+    return RepeatResult(model=model, train_result=train_result, trajectory=block.trajectory,
+                        scores=dict(zip(methods, block.table)), token_estimate=block.token_total,
+                        transcript=transcript if transcript is not None else [])
 
 
 def _state_path(checkpoint_dir, repeat_index, name) -> str:
     return os.path.join(checkpoint_dir, f"repeat{repeat_index}_{name}.json")
 
 
-def _write_state(checkpoint_dir, name, repeat_index, seed, k_next, tokens, estimates, scores):
-    """Write ``repeat<i>_<name>.json`` through a temporary file, so a crash never leaves it truncated."""
+def _write_state(checkpoint_dir, name, repeat_index, seed, methods, block):
+    """Write settled ``block`` to ``repeat<i>_<name>.json`` through a temporary file, so a crash never truncates it."""
     os.makedirs(checkpoint_dir, exist_ok=True)
-    payload = {"repeat": repeat_index, "seed": seed, "k_next": k_next, "tokens": tokens,
-               "estimates": {m: x.tolist() for m, x in estimates.items()},
-               "scores": {m: s[:, :k_next].tolist() for m, s in scores.items()}}
+    payload = {"repeat": repeat_index, "seed": seed, "k_next": block.k_next, "tokens": block.token_total,
+               "estimates": {m: x.tolist() for m, x in zip(methods, block.estimates[:, 0])},
+               "scores": {m: s[:, :block.k_next].tolist() for m, s in zip(methods, block.table)}}
     with atomic_write(_state_path(checkpoint_dir, repeat_index, name)) as fh:
         fh.write(json.dumps(payload) + "\n")
 

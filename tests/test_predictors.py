@@ -8,6 +8,7 @@ import re
 import select
 import socket
 import subprocess
+import struct
 import sys
 import threading
 import time
@@ -85,6 +86,13 @@ class TestRetrySemantics:
         assert result.value == 58.9
         assert result.attempts == 3
         assert not result.fallback
+
+    def test_overflowing_numeral_is_retried_then_falls_back(self):
+        backend = ScriptedBackend(["1" * 400])
+        cfg = PredictorConfig(backend="mock", max_retries=1, max_concurrency=1)
+        (result,) = predict_batch([task_for(previous=9.25)], cfg, backend=backend)
+        assert result.fallback and result.value == 9.25
+        assert result.attempts == backend.calls == 2
 
     def test_always_failing_yields_flagged_fallback(self):
         backend = ScriptedBackend(["garbage"])
@@ -694,7 +702,9 @@ class RawServer:
     """An HTTP server on a raw socket: it records each request's bytes and answers with scripted bytes.
 
     ``replies`` holds one ``(bytes, close)`` per request, the last one repeating; after a reply with
-    ``close`` the server closes that connection. Each connection has its own thread.
+    ``close`` the server closes that connection. With ``close`` "reset" it waits for :attr:`reset`, then resets
+    the connection (an RST: SO_LINGER with a zero timeout) and sets :attr:`was_reset`. Each connection has its
+    own thread.
     """
 
     def __init__(self, replies, host="127.0.0.1"):
@@ -708,6 +718,7 @@ class RawServer:
         self._sock.settimeout(0.05)
         self.port = self._sock.getsockname()[1]
         self._stop = threading.Event()
+        self.reset, self.was_reset = threading.Event(), threading.Event()
         self._threads = [threading.Thread(target=self._accept, daemon=True)]
         self._threads[0].start()
 
@@ -744,6 +755,11 @@ class RawServer:
                         reply, close = self.replies[min(len(self.requests), len(self.replies)) - 1]
                     buf = buf[length:]
                     conn.sendall(reply)
+                    if close == "reset":
+                        self.reset.wait(5.0)
+                        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                        conn.close()
+                        self.was_reset.set()
                     if close:
                         return
             except OSError:  # the client gave up on the connection
@@ -821,6 +837,20 @@ class TestResponseReader:
         assert two_calls(f"http://127.0.0.1:{server.port}/v1") == ["42.0", "42.0"]
         assert len(server.requests) == 2
         assert server.connections == connections
+
+    def test_a_reset_idle_connection_is_resent_once_and_is_no_attempt(self, raw_server):
+        # The server resets the kept connection while it is idle: the next send on it fails with a reset (or a
+        # broken pipe), and the request goes once more on a fresh connection. With no retry, an attempt lost
+        # to the reset would fall back.
+        server = raw_server([(ok_reply(), "reset"), (ok_reply(), False)])
+        cfg = PredictorConfig(backend="remote", endpoint_url=f"http://127.0.0.1:{server.port}/v1", max_retries=0)
+        with bind_backend(cfg) as backend:
+            assert backend("s", "u", []) == "42.0"
+            server.reset.set()
+            assert server.was_reset.wait(5.0)
+            (result,) = predict_batch([task_for()], cfg, backend=backend)
+        assert (result.value, result.attempts, result.fallback) == (42.0, 1, False)
+        assert len(server.requests) == 2 and server.connections == 2
 
     def test_http_error_keeps_the_connection_and_reads_retry_after(self, raw_server):
         busy = b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 3\r\nContent-Length: 4\r\n\r\nbusy"

@@ -142,6 +142,12 @@ class TestParseCompletion:
         with pytest.raises(CompletionParseError):
             parse_completion("NaN", 1)
 
+    def test_numeral_past_the_largest_float_fails(self):
+        # 400 digits parse as a number, whose float() overflows to inf.
+        with pytest.raises(CompletionParseError, match="non-finite numeric '9{400}' in completion") as err:
+            parse_completion("Prediction: " + "9" * 400, 1)
+        assert (err.value.found, err.value.expected) == (1, 1)
+
     def test_count_mismatch_reports_found(self):
         with pytest.raises(CompletionParseError) as err:
             parse_completion("1.0 and 2.0", 1)

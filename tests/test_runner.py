@@ -312,6 +312,23 @@ class TestCheckpointReplay:
             assert resumed.scores[name].tobytes() == rows.tobytes()
         assert resumed.token_estimate == original.token_estimate
 
+    def test_replay_of_a_checkpoint_listing_a_baseline_first_reads_the_primary_rows(self, fixture_paths, tmp_path):
+        # The mock's prompt inputs are read back from the primary's rows, wherever the checkpoint lists it.
+        cfg = base_config(*fixture_paths, baselines=ALL_BASELINES, output_dir=str(tmp_path / "run"),
+                          checkpoint_every=25)
+        original = execute_run(cfg).repeats[0]
+        state = read_checkpoint(tmp_path / "run" / "checkpoints" / "repeat0_step000050.json")
+        order = ["glms", "graphfill", "gnlms", "last_value", "neighbor_mean"]
+        for key in ("estimates", "scores"):
+            state[key] = {name: state[key][name] for name in order}
+        path = tmp_path / "reordered.json"
+        path.write_text(json.dumps(state), encoding="utf-8")
+        resumed = replay_from_checkpoint(cfg, str(path))
+        assert list(resumed.scores) == order
+        assert resumed.token_estimate == original.token_estimate > state["tokens"] > 0
+        for name, rows in original.scores.items():
+            assert resumed.scores[name].tobytes() == rows.tobytes(), name
+
     def test_resume_of_a_repeat_aborted_by_the_backend_matches_the_uninterrupted_run(self, fixture_paths, tmp_path):
         edge_path, signal_path = fixture_paths
         cfg = base_config(edge_path, signal_path, baselines=ALL_BASELINES, repeats=2)
@@ -632,12 +649,16 @@ class TestArrayPath:
         model = ObservationModel(np.array([True, False, True]), 0.0, 0)
         obs = Observation(5, np.array([1.5e308, np.nan, 1.5e308]), model.observed)
         cfg = RunConfig(predictor=PredictorConfig(max_retries=0))
-        x_prev = np.full(3, 0.25)
         identity = filter_operator(SpectralFilter(np.ones(3), basis.ref()), basis)
         layout = observed_layout(g, model.observed)
-        x_hat, tokens = runner._step_estimate(identity, cfg, layout, x_prev, obs, None, None, None)  # no block read
+        ctx = runner.RunContext(g, basis, None, TimeVaryingSignal(np.zeros((3, 1)), t0=5), {})
+        state = {"k_next": 0, "tokens": 0, "estimates": {"graphfill": np.full(3, 0.25)},
+                 "scores": {"graphfill": np.zeros((4, 0))}}
+        block = runner._Block(ctx, cfg, layout, ("graphfill",), np.array([1]), state)
+        row = block.begin(0)
+        x_hat = runner._step_estimate(identity, cfg, layout, block.estimates[0, row - 1], obs, None, None, block)
         assert x_hat[1] == 0.25
-        assert tokens > 0  # the text path sent the prompt
+        assert not block.prompted[row] and block.tokens[row] > 0  # the text path sent the prompt and counted it
 
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"

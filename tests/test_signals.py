@@ -41,6 +41,16 @@ class TestLoadSignalCsv:
         with pytest.raises(ValueError, match="row 2, column 2"):
             load_signal_csv(path, "nodes-as-rows")
 
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e309"])
+    @pytest.mark.parametrize("layout, where", [("nodes-as-rows", "node 1, step 2"),
+                                               ("nodes-as-columns", "node 2, step 1")])
+    def test_non_finite_cell_names_node_and_step(self, tmp_path, cell, layout, where):
+        # float() parses each of these cells, so the error comes from the check of the loaded values.
+        path = tmp_path / "sig.csv"
+        path.write_text(f"1,2,3\n4,5,{cell}\n")
+        with pytest.raises(ValueError, match=f"sig.csv: non-finite value at {where}$"):
+            load_signal_csv(path, layout)
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("1,2,3\n4,5\n")
