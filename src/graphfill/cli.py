@@ -30,9 +30,12 @@ OVERRIDES = {
 
 def _load_with_overrides(args) -> RunConfig:
     with open(args.config, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # also a JSONDecodeError
+            raise ValueError(f"{args.config}: {exc}") from None
     if not isinstance(payload, dict):
-        raise ValueError("config must be an object")
+        raise ValueError(f"{args.config}: config must be an object")
     for path, _ in OVERRIDES.values():
         value = getattr(args, path)
         if value is None:

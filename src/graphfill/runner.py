@@ -235,12 +235,10 @@ def init_estimate(train_signal: TimeVaryingSignal, obs_model: ObservationModel) 
 class RepeatResult:
     """``scores``: method -> (4, horizon) per-step mae, rmse, and both over the missing nodes.
 
-    ``trajectory`` holds the lead method's estimate at each step walked. Without the primary
-    method, ``train_result`` is None.
+    Without the primary method, ``train_result`` is None.
     """
     model: ObservationModel
     train_result: TrainResult | None
-    trajectory: np.ndarray
     scores: dict
     token_estimate: int
     transcript: list
@@ -359,7 +357,7 @@ def _block_scores(truth, estimates, missing) -> np.ndarray:
 
 
 class _Block:
-    """A repeat's state: every method's estimates, its score ``table``, the lead method's ``trajectory`` and tokens.
+    """A repeat's state: every method's estimates, its score ``table`` and tokens.
 
     Steps are walked a block of up to ``size`` at a time, ``BUDGET // (methods * n)`` and at least 1. Row 0 of
     ``estimates`` holds every method's estimate after step ``k_next - 1``: the start, the resumed state or the last
@@ -369,20 +367,19 @@ class _Block:
     """
 
     def __init__(self, ctx, cfg, layout, methods, missing, state):
-        n, n_steps, start = ctx.graph.n_nodes, ctx.test_signal.n_steps, state["k_next"]
+        n, n_steps, k_next = ctx.graph.n_nodes, ctx.test_signal.n_steps, state["k_next"]
         self.size = max(1, BUDGET // (len(methods) * n))
         self.estimates = np.empty((len(methods), 1 + self.size, n))
         self.estimates[:, 0] = [state["estimates"][name] for name in methods]
         self.prompted = np.zeros(1 + self.size, dtype=bool)
         self.tokens = np.zeros(1 + self.size, dtype=np.int64)
         self.table = np.zeros((len(methods), 4, n_steps))
-        self.table[:, :, :start] = [state["scores"][name] for name in methods]
-        self.trajectory = np.zeros((n, n_steps - start))
+        self.table[:, :, :k_next] = [state["scores"][name] for name in methods]
         self.truth, self.t0, self.layout, self.missing = ctx.test_signal.values, ctx.test_signal.t0, layout, missing
         self.precision, self.multi_task_prompt = cfg.precision, cfg.predictor.multi_task_prompt
         # settle() reads the mock's inputs from the primary's rows; a replayed checkpoint's JSON orders the methods.
         self.primary = methods.index(PRIMARY_METHOD) if PRIMARY_METHOD in methods else None
-        self.start, self.k_next, self.token_total = start, start, state["tokens"]
+        self.k_next, self.token_total = k_next, state["tokens"]
 
     def begin(self, k) -> int:
         """Start step ``k``'s row; returns it."""
@@ -391,15 +388,14 @@ class _Block:
         return self.row
 
     def settle(self, k_next):
-        """Score the steps before ``k_next``, copy the lead method's rows into the trajectory, add the steps' tokens
-        and carry the last row to row 0. A prompted step's :func:`mock_tokens` inputs are the primary's row before
-        and its own at ``layout.nodes``, and its own at ``layout.neighbors`` (observed: the filter output)."""
+        """Score the steps before ``k_next``, add their tokens and carry the last row to row 0. A prompted step's
+        :func:`mock_tokens` inputs are the primary's row before and its own at ``layout.nodes``, and its own at
+        ``layout.neighbors`` (observed: the filter output)."""
         k0, rows = self.k_next, k_next - self.k_next
         if not rows:
             return
-        steps = self.estimates[:, 1:1 + rows]
-        self.table[:, :, k0:k_next] = _block_scores(self.truth[:, k0:k_next], steps, self.missing)
-        self.trajectory[:, k0 - self.start:k_next - self.start] = steps[0].T
+        self.table[:, :, k0:k_next] = _block_scores(self.truth[:, k0:k_next], self.estimates[:, 1:1 + rows],
+                                                    self.missing)
         self.token_total += int(self.tokens[1:1 + rows].sum())
         sent = 1 + np.flatnonzero(self.prompted[1:1 + rows])
         if sent.size:
@@ -418,13 +414,14 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, r: int, methods: tuple, backend=
     ``backend`` is what :func:`bind_backend` yielded (None: the built-in mock). The filter is trained when
     the primary method is among ``methods``. The walk starts from ``resume``, a state read by
     :func:`replay_from_checkpoint`, or else from step 0 with every method at :func:`init_estimate`,
-    projected into the band for GLMS and GNLMS. With ``output_dir`` set, it checkpoints there, and a
-    repeat that completes removes its ``repeat<r>_aborted.json``.
+    projected into the band for GLMS and GNLMS.
 
     A step is the recurrence: it observes and writes every method's next estimate into the block (:class:`_Block`),
-    the repeat's one state. Its bookkeeping (every method's scores, the lead method's trajectory column and the
-    step's tokens) is settled a block of steps at a time: when the block fills, before a checkpoint or an abort
-    state is written, and at the end.
+    the repeat's one state. Its bookkeeping (every method's scores and the step's tokens) is settled a block of
+    steps at a time: when the block fills, before the state is written, and at the end. With ``output_dir`` set,
+    ``checkpoints/repeat<r>.json`` always holds the state after the last settled step: it is rewritten every
+    ``checkpoint_every`` steps, when the repeat aborts and when it completes, so a repeat has finished exactly
+    when the file's ``k_next`` is the horizon.
     """
     model, train_result = mask_and_train(ctx, cfg, r, train=PRIMARY_METHOD in methods)
     layout = observed_layout(ctx.graph, model.observed)
@@ -448,34 +445,28 @@ def run_repeat(ctx: RunContext, cfg: RunConfig, r: int, methods: tuple, backend=
             if checkpoint or row == block.size:
                 block.settle(k_next)
             if checkpoint:
-                _write_state(checkpoint_dir, f"step{k_next:06d}", r, model.seed, methods, block)
-    except BaseException:
-        # Persist the state after the last completed step, so an aborted run can be inspected or resumed.
+                _write_state(checkpoint_dir, r, model.seed, methods, block)
+    finally:
+        # On an abort too: the state after the last completed step, so an aborted run can be inspected or resumed.
+        block.settle(k_next)
         if checkpoint_dir is not None:
-            block.settle(k_next)
-            _write_state(checkpoint_dir, "aborted", r, model.seed, methods, block)
-        raise
-    block.settle(k_next)
-    if checkpoint_dir is not None:  # a finished repeat leaves no abort state, also when it resumed from one
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(_state_path(checkpoint_dir, r, "aborted"))
+            _write_state(checkpoint_dir, r, model.seed, methods, block)
 
-    return RepeatResult(model=model, train_result=train_result, trajectory=block.trajectory,
-                        scores=dict(zip(methods, block.table)), token_estimate=block.token_total,
-                        transcript=transcript if transcript is not None else [])
+    return RepeatResult(model=model, train_result=train_result, scores=dict(zip(methods, block.table)),
+                        token_estimate=block.token_total, transcript=transcript if transcript is not None else [])
 
 
-def _state_path(checkpoint_dir, repeat_index, name) -> str:
-    return os.path.join(checkpoint_dir, f"repeat{repeat_index}_{name}.json")
+def _state_path(checkpoint_dir, repeat_index) -> str:
+    return os.path.join(checkpoint_dir, f"repeat{repeat_index}.json")
 
 
-def _write_state(checkpoint_dir, name, repeat_index, seed, methods, block):
-    """Write settled ``block`` to ``repeat<i>_<name>.json`` through a temporary file, so a crash never truncates it."""
+def _write_state(checkpoint_dir, repeat_index, seed, methods, block):
+    """Write settled ``block`` over ``repeat<i>.json`` through a temporary file, so a crash never truncates it."""
     os.makedirs(checkpoint_dir, exist_ok=True)
     payload = {"repeat": repeat_index, "seed": seed, "k_next": block.k_next, "tokens": block.token_total,
                "estimates": {m: x.tolist() for m, x in zip(methods, block.estimates[:, 0])},
                "scores": {m: s[:, :block.k_next].tolist() for m, s in zip(methods, block.table)}}
-    with atomic_write(_state_path(checkpoint_dir, repeat_index, name)) as fh:
+    with atomic_write(_state_path(checkpoint_dir, repeat_index)) as fh:
         fh.write(json.dumps(payload) + "\n")
 
 
@@ -495,9 +486,9 @@ def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> Rep
 
     Observations are keyed by (seed, t) and training is deterministic, so the result's ``scores`` and
     ``token_estimate`` cover the whole horizon and equal the uninterrupted repeat's under the mock
-    backend; its ``trajectory`` covers the steps walked. A checkpoint that is not JSON, or does not fit
+    backend. A finished repeat's state walks no step. A checkpoint that is not JSON, or does not fit
     ``cfg``'s run, raises a ValueError naming ``checkpoint_path``. What the config alone can check (the
-    checkpoint's keys, repeat, seed and methods, and the backend) is checked before the graph is built.
+    checkpoint's keys, repeat, seed, tokens and methods, and the backend) is checked before the graph is built.
     """
     with _naming(checkpoint_path):
         with open(checkpoint_path, encoding="utf-8") as fh:
@@ -505,6 +496,8 @@ def replay_from_checkpoint(cfg: RunConfig, checkpoint_path, backend=None) -> Rep
         state = {key: state[key] for key in ("repeat", "seed", "k_next", "tokens", "estimates", "scores")}
         if any(type(state[key]) is not int for key in ("repeat", "seed", "k_next", "tokens")):
             raise ValueError("repeat, seed, k_next and tokens must be integers")
+        if state["tokens"] < 0:
+            raise ValueError(f"tokens {state['tokens']} is negative")
         repeat, seed, k_next, methods = state["repeat"], state["seed"], state["k_next"], tuple(state["estimates"])
         if not 0 <= repeat < cfg.repeats:
             raise ValueError(f"repeat {repeat} is outside [0, {cfg.repeats})")
@@ -540,8 +533,7 @@ def execute_run(cfg: RunConfig, backend=None, with_primary: bool = True) -> RunE
     with bind_backend(cfg.predictor, backend) if with_primary else contextlib.nullcontext(backend) as bound:
         ctx = prepare_run(cfg)
         if cfg.output_dir:  # an earlier run's states, and the artifacts this run may not overwrite, are not this run's
-            for pattern in ("checkpoints/repeat*_step*.json", "checkpoints/repeat*_aborted.json",
-                            "filter_repeat*.json", "transcript.jsonl"):
+            for pattern in ("checkpoints/repeat*.json", "filter_repeat*.json", "transcript.jsonl"):
                 for path in glob.glob(os.path.join(glob.escape(cfg.output_dir), pattern)):
                     os.remove(path)
         results = [run_repeat(ctx, cfg, r, methods, backend=bound) for r in range(cfg.repeats)]

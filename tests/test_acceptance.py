@@ -5,7 +5,6 @@ reproducible at desk scale, so acceptance is property-based on the mock
 and stub paths, plus one optional live smoke test gated behind
 credentials (set GRAPHFILL_LIVE_SMOKE=1, OPENAI_API_KEY, and an endpoint).
 """
-import glob
 import json
 import os
 import time
@@ -15,6 +14,7 @@ import numpy as np
 import pytest
 from helpers import random_connected_graph, spectral_fixture, write_run_fixture
 
+from graphfill import baselines, runner
 from graphfill.baselines import glms_init, glms_step, gnlms_init, gnlms_step
 from graphfill.graphs import gft, laplacian
 from graphfill.predictors import PredictorConfig, predict_batch
@@ -163,7 +163,7 @@ def test_criterion_6_end_to_end_ordering(run_fixture):
         assert time.perf_counter() - start < 60.0
 
 
-def test_criterion_7_determinism_and_replay(run_fixture, tmp_path):
+def test_criterion_7_determinism_and_replay(run_fixture, tmp_path, monkeypatch):
     with criterion(7, "bit-identical reports and checkpoint replay"):
         _, edge_path, signal_path = run_fixture
         cfg = ordering_config(edge_path, signal_path)
@@ -171,19 +171,29 @@ def test_criterion_7_determinism_and_replay(run_fixture, tmp_path):
         b = execute_run(cfg).report.to_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-        out = str(tmp_path / "ckpt-run")
-        cfg_ckpt = ordering_config(
-            edge_path, signal_path, baselines=[], output_dir=out, checkpoint_every=40
-        )
+        cfg_ckpt = ordering_config(edge_path, signal_path, baselines=["neighbor_mean"],
+                                   output_dir=str(tmp_path / "ckpt-run"), checkpoint_every=40)
         execution = execute_run(cfg_ckpt)
-        original = execution.repeats[0].trajectory
-        ckpts = sorted(glob.glob(os.path.join(out, "checkpoints", "*.json")))
-        assert ckpts
-        with open(ckpts[-1], encoding="utf-8") as fh:
-            k_next = json.load(fh)["k_next"]
-        resumed = replay_from_checkpoint(cfg_ckpt, ckpts[-1])
-        assert np.array_equal(resumed.trajectory, original[:, k_next:])
+        final = tmp_path / "ckpt-run" / "checkpoints" / "repeat0.json"
+        # The same run, aborted by its baseline at step 90, resumes from its state file to the same final state.
+        aborting = ordering_config(edge_path, signal_path, baselines=["neighbor_mean"],
+                                   output_dir=str(tmp_path / "aborted-run"), checkpoint_every=40)
+        step = baselines.neighbor_mean_step
+
+        def raising_at_step_90(estimate, obs, layout):
+            if obs.t == 100 + 90:
+                raise KeyError("baseline fell over")
+            return step(estimate, obs, layout)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(baselines, "neighbor_mean_step", raising_at_step_90)
+            with pytest.raises(KeyError):
+                execute_run(aborting)
+        state = tmp_path / "aborted-run" / "checkpoints" / "repeat0.json"
+        assert json.loads(state.read_text())["k_next"] == 90
+        resumed = replay_from_checkpoint(aborting, str(state))
         assert resumed.scores["graphfill"].tobytes() == execution.repeats[0].scores["graphfill"].tobytes()
+        assert state.read_bytes() == final.read_bytes()
 
 
 def test_criterion_8_baseline_convergence():
@@ -208,7 +218,7 @@ def test_criterion_8_baseline_convergence():
         assert gnlms_iters <= glms_iters
 
 
-def test_criterion_9_degenerate_correctness(run_fixture):
+def test_criterion_9_degenerate_correctness(run_fixture, monkeypatch):
     with criterion(9, "zero noise, full observation, identity filter reconstructs exactly"):
         _, edge_path, signal_path = run_fixture
         cfg = ordering_config(
@@ -218,10 +228,16 @@ def test_criterion_9_degenerate_correctness(run_fixture):
             train={"learning_rate": 0.0, "max_iters": 1},
             baselines=[],
         )
+        settled, settle = [], runner._Block.settle
+
+        def recording(block, k_next):  # keeps the primary's estimate after each step
+            settled.extend(block.estimates[0, 1:1 + k_next - block.k_next].copy())
+            return settle(block, k_next)
+
+        monkeypatch.setattr(runner._Block, "settle", recording)
         execution = execute_run(cfg)
-        trajectory = execution.repeats[0].trajectory
         truth = execution.context.test_signal.values
-        assert np.max(np.abs(trajectory - truth)) < 1e-9
+        assert np.max(np.abs(np.array(settled).T - truth)) < 1e-9
 
 
 LIVE_SMOKE_READY = bool(

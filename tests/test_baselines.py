@@ -101,6 +101,10 @@ class TestBandProjector:
         f = bandlimit_for_energy(basis, signal.values, 0.9)
         assert 1 <= f <= 5  # all energy sits in the lowest 5 frequencies
 
+    def test_bandlimit_of_an_all_zero_signal_is_one(self):
+        _, basis, signal = spectral_fixture(n=12, band=3, t_steps=10, seed=3)
+        assert bandlimit_for_energy(basis, np.zeros_like(signal.values), 0.9) == 1
+
     def test_bandlimit_full_fraction_covers_all_energy(self):
         _, basis, signal = spectral_fixture(n=12, band=3, t_steps=10, seed=3)
         f = bandlimit_for_energy(basis, signal.values, 1.0)

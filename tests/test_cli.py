@@ -209,6 +209,17 @@ class TestRun:
 
 
     @pytest.mark.parametrize(
+        "text, message",
+        [('{"t_split": ', "Expecting value: line 1 column 13 (char 12)"), ("[]", "config must be an object")],
+        ids=["truncated", "not-an-object"],
+    )
+    def test_malformed_config_file_exits_2_naming_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
         "overrides, message",
         [
             ({"observaton": {"ratio": 0.5}}, "unknown config key 'observaton'"),

@@ -500,9 +500,10 @@ class TestKnnGraph:
                 relabeled[a, b] = a2[perm.index(a), perm.index(b)]
         assert np.allclose(relabeled, a1, atol=1e-12)
 
-    def test_k_too_large_rejected(self):
-        with pytest.raises(ValueError, match="k="):
-            knn_graph([(0.0, 0.0), (1.0, 1.0)], k=2, bandwidth=1.0)
+    @pytest.mark.parametrize("k, message", [(2, "k=2 requires at least k+1=3 points, got 2"), (0, "k must be positive")])
+    def test_k_out_of_range_rejected(self, k, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            knn_graph([(0.0, 0.0), (1.0, 1.0)], k=k, bandwidth=1.0)
 
     @pytest.mark.parametrize("bandwidth", [float("nan"), 0.0, -1.0])
     def test_bandwidth_not_positive_rejected(self, bandwidth):

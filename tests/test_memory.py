@@ -64,7 +64,7 @@ def test_prepare_run_holds_no_dense_adjacency(tmp_path, monkeypatch, source):
 
 # Bound on the walk's traced peak, in elements of a block's estimates, beyond what is alive when it starts, the
 # methods' fixed parts (built after training: the primary's filter and the baselines' bands) and its results (the
-# trajectory and the score rows, which hold the horizon by design). Within it: the block and its token rows, and
+# score rows, which hold the horizon by design). Within it: the block and its token rows, and
 # what settling it makes (the difference rows, and the token count's widths). It does not grow with the horizon;
 # a buffer of the whole horizon's estimates (5 methods x n x steps: 9 blocks at 200 steps) exceeds it.
 WALK_BLOCKS = 4
@@ -101,8 +101,8 @@ def test_run_repeat_holds_a_block_not_the_horizon(tmp_path, monkeypatch, test_st
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.trajectory.shape == (N, test_steps) and result.token_estimate > 0 and len(fixed_parts) == 3
-    results = result.trajectory.nbytes + sum(rows.nbytes for rows in result.scores.values())
+    assert result.token_estimate > 0 and len(fixed_parts) == 3
+    results = sum(rows.nbytes for rows in result.scores.values())
     walk = peak - at_start[0] - sum(fixed_parts) - results
     block = runner.BUDGET * 8
     assert walk < WALK_BLOCKS * block, f"the walk held {walk / block:.2f} blocks beyond its results"

@@ -335,6 +335,12 @@ class TestConfigValidation:
                 check(cfg)
             assert "s3cret" not in str(info.value)
 
+    def test_endpoint_that_does_not_split_as_a_url_fails_fast(self, monkeypatch):
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        cfg = PredictorConfig(backend="remote", endpoint_url="http://[::1")  # an unclosed IPv6 host
+        with pytest.raises(ValueError, match=re.escape("remote endpoint (endpoint_url) is not a URL: ")):
+            bind(cfg)
+
     @pytest.mark.parametrize("endpoint", ["http:///v1", "http://", "https://:8080/v1", "http://?q=1"])
     def test_endpoint_without_a_host_fails_fast(self, monkeypatch, endpoint):
         monkeypatch.setenv("OPENAI_API_KEY", "k")
@@ -851,6 +857,18 @@ class TestResponseReader:
             (result,) = predict_batch([task_for()], cfg, backend=backend)
         assert (result.value, result.attempts, result.fallback) == (42.0, 1, False)
         assert len(server.requests) == 2 and server.connections == 2
+
+    def test_a_204_is_a_malformed_body_retried_then_fallen_back(self, raw_server):
+        # A 204 has no body, so no completion: the connection stays open, the request is retried, then falls back.
+        server = raw_server([(b"HTTP/1.1 204 No Content\r\n\r\n", False)])
+        url = f"http://127.0.0.1:{server.port}/v1"
+        cfg = PredictorConfig(backend="remote", endpoint_url=url, max_retries=1)
+        with bind_backend(cfg) as backend:
+            with pytest.raises(TransportError, match=re.escape(f"malformed response body from {url}/chat/completions")):
+                backend("s", "u", [])
+            (result,) = predict_batch([task_for(previous=9.25)], cfg, backend=backend)
+        assert (result.value, result.attempts, result.fallback) == (9.25, 2, True)
+        assert len(server.requests) == 3 and server.connections == 1
 
     def test_http_error_keeps_the_connection_and_reads_retry_after(self, raw_server):
         busy = b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 3\r\nContent-Length: 4\r\n\r\nbusy"

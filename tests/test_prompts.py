@@ -1,4 +1,5 @@
 """Tests for task construction, prompt rendering, and completion parsing."""
+import re
 from pathlib import Path
 
 import numpy as np
@@ -138,9 +139,11 @@ class TestParseCompletion:
     def test_prose_wrapped_number(self):
         assert parse_completion("Prediction: 58.9", 1) == [58.9]
 
-    def test_nan_fails(self):
-        with pytest.raises(CompletionParseError):
+    def test_nan_is_no_numeral_so_the_count_mismatches(self):
+        message = re.escape("expected 1 numeric value(s), found 0 in 'NaN'")
+        with pytest.raises(CompletionParseError, match=message) as err:
             parse_completion("NaN", 1)
+        assert (err.value.found, err.value.expected) == (0, 1)
 
     def test_numeral_past_the_largest_float_fails(self):
         # 400 digits parse as a number, whose float() overflows to inf.

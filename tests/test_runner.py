@@ -85,7 +85,7 @@ class TestInitEstimate:
 
 
 class TestDegenerateLosslessRun:
-    def test_perfect_reconstruction(self, fixture_paths):
+    def test_perfect_reconstruction(self, fixture_paths, monkeypatch):
         edge_path, signal_path = fixture_paths
         cfg = base_config(
             edge_path,
@@ -94,10 +94,10 @@ class TestDegenerateLosslessRun:
             train={"learning_rate": 0.0, "max_iters": 1},
             baselines=[],
         )
+        settled = record_estimates(monkeypatch)
         execution = execute_run(cfg)
-        trajectory = execution.repeats[0].trajectory
         truth = execution.context.test_signal.values
-        assert np.max(np.abs(trajectory - truth)) < 1e-9
+        assert np.max(np.abs(np.array(settled)[:, 0].T - truth)) < 1e-9
 
 
 class TestOnlineLoopInvariants:
@@ -109,9 +109,10 @@ class TestOnlineLoopInvariants:
             assert set(vars(g)) == {f.name for f in dataclasses.fields(g)}
         assert not hasattr(g, "observed_layout")
 
-    def test_observed_node_passthrough(self, fixture_paths):
+    def test_observed_node_passthrough(self, fixture_paths, monkeypatch):
         edge_path, signal_path = fixture_paths
         cfg = base_config(edge_path, signal_path, baselines=[])
+        settled = record_estimates(monkeypatch)
         execution = execute_run(cfg)
         ctx = execution.context
         rep = execution.repeats[0]
@@ -122,7 +123,7 @@ class TestOnlineLoopInvariants:
             t_abs = ctx.test_signal.t0 + k
             obs = observe(ctx.test_signal.values[:, k], model, t_abs)
             o_tilde = denoise(op, obs, x_prev)
-            x_hat = rep.trajectory[:, k]
+            x_hat = settled[k][0]
             assert np.array_equal(x_hat[model.observed], o_tilde[model.observed])
             x_prev = x_hat
 
@@ -183,12 +184,11 @@ class TestDeterminismAndRepeats:
 
 @pytest.fixture(scope="module")
 def checkpointed_run(fixture_paths, tmp_path_factory):
-    """The config of a run with two baselines, and the path of its checkpoint at step 25."""
+    """The config of a run with two baselines, and the path of its state after an abort at step 25."""
     edge_path, signal_path = fixture_paths
     out = str(tmp_path_factory.mktemp("checkpointed"))
     cfg = base_config(edge_path, signal_path, output_dir=out, checkpoint_every=25)
-    execute_run(cfg)
-    return cfg, os.path.join(out, "checkpoints", "repeat0_step000025.json")
+    return cfg, abort_at(cfg, 25)
 
 
 class HalfWrite:
@@ -208,13 +208,17 @@ class HalfWrite:
         self.fh.close()
 
 
-def failing_open(name):
-    """``open`` that hands out a :class:`HalfWrite` for the temporary file of ``name``."""
-    real_open = open
+def failing_open(name, opens=None):
+    """``open`` that hands out a :class:`HalfWrite` for the temporary file of ``name``: at each of its ``opens``
+    (counted from 1), or at every one."""
+    real_open, opened = open, []
 
     def opener(file, *args, **kwargs):
         fh = real_open(file, *args, **kwargs)
-        return HalfWrite(fh) if os.path.basename(file) == name + ".tmp" else fh
+        if os.path.basename(file) != name + ".tmp":
+            return fh
+        opened.append(file)
+        return HalfWrite(fh) if opens is None or len(opened) in opens else fh
 
     return opener
 
@@ -237,6 +241,51 @@ def read_checkpoint(path):
         return json.load(fh)
 
 
+TEST_STEPS = 100  # the fixture's test horizon
+
+
+def abort_at(cfg, k, repeat=0, **run_kwargs):
+    """Run ``cfg`` until its ``neighbor_mean`` baseline raises at test step ``k`` of repeat ``repeat``; returns the
+    repeat's state file, which then holds the state after step ``k - 1``."""
+    step, calls = bl.neighbor_mean_step, []
+
+    def raising(estimate, obs, layout):
+        calls.append(obs.t)
+        if len(calls) == repeat * TEST_STEPS + k + 1:
+            raise KeyError("baseline fell over")
+        return step(estimate, obs, layout)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bl, "neighbor_mean_step", raising)
+        with pytest.raises(KeyError):
+            execute_run(cfg, **run_kwargs)
+    return os.path.join(cfg.output_dir, "checkpoints", f"repeat{repeat}.json")
+
+
+def record_writes(monkeypatch):
+    """Keep each state a run writes, as its file's bytes right after the write."""
+    written, write = [], runner._write_state
+
+    def recording(checkpoint_dir, repeat_index, *args):
+        write(checkpoint_dir, repeat_index, *args)
+        written.append(Path(runner._state_path(checkpoint_dir, repeat_index)).read_bytes())
+
+    monkeypatch.setattr(runner, "_write_state", recording)
+    return written
+
+
+def record_estimates(monkeypatch):
+    """Keep every method's estimate after each settled step: one (methods, n) array a step, in order."""
+    rows, settle = [], runner._Block.settle
+
+    def recording(block, k_next):
+        rows.extend(block.estimates[:, 1:1 + k_next - block.k_next].transpose(1, 0, 2).copy())
+        return settle(block, k_next)
+
+    monkeypatch.setattr(runner._Block, "settle", recording)
+    return rows
+
+
 ALL_BASELINES = ["glms", "gnlms", "last_value", "neighbor_mean"]
 ESTIMATES_OF_N = "estimates must be finite numbers of shape (30,) for every method"
 SCORES_OF_25 = "scores must be finite numbers of shape (4, 25) for every method"
@@ -249,64 +298,45 @@ class TestAbortPersistence:
         cfg = base_config(edge_path, signal_path, baselines=[], output_dir=out)
         with pytest.raises(KeyError):
             execute_run(cfg, backend=EchoBackend(fail_at=31))
-        aborted = glob.glob(os.path.join(out, "checkpoints", "*aborted.json"))
-        assert len(aborted) == 1
-        payload = read_checkpoint(aborted[0])
-        assert payload["k_next"] >= 1
+        ckpt_dir = os.path.join(out, "checkpoints")
+        assert os.listdir(ckpt_dir) == ["repeat0.json"]
+        path = os.path.join(ckpt_dir, "repeat0.json")
+        payload = read_checkpoint(path)
+        assert 1 <= payload["k_next"] < TEST_STEPS
         assert np.shape(payload["scores"]["graphfill"]) == (4, payload["k_next"])
-        # The persisted state is a valid resume point.
-        tail = replay_from_checkpoint(cfg, aborted[0]).trajectory
-        assert tail.shape[1] == 100 - payload["k_next"]
-
+        # The persisted state is a valid resume point: the resumed repeat finishes and says so in the same file.
+        resumed = replay_from_checkpoint(cfg, path)
+        assert resumed.scores["graphfill"].shape == (4, TEST_STEPS)
+        assert read_checkpoint(path)["k_next"] == TEST_STEPS
 
     def test_aborted_state_is_the_last_completed_step(self, fixture_paths, tmp_path, monkeypatch):
         # The primary method has advanced (and spent tokens) when the last baseline raises at step 30:
         # the aborted state must still be the state after step 29, as the periodic checkpoint wrote it.
         edge_path, signal_path = fixture_paths
-        out = str(tmp_path / "aborting")
-        cfg = base_config(edge_path, signal_path, output_dir=out, checkpoint_every=30)
-        step = bl.neighbor_mean_step
-
-        def raising_at_step_30(estimate, obs, layout):
-            if obs.t == 100 + 30:
-                raise KeyError("baseline fell over")
-            return step(estimate, obs, layout)
-
-        monkeypatch.setattr(bl, "neighbor_mean_step", raising_at_step_30)
-        with pytest.raises(KeyError):
-            execute_run(cfg)
-        ckpt_dir = tmp_path / "aborting" / "checkpoints"
-        assert sorted(p.name for p in ckpt_dir.iterdir()) == ["repeat0_aborted.json", "repeat0_step000030.json"]
-        assert read_checkpoint(ckpt_dir / "repeat0_step000030.json")["tokens"] > 0
-        assert (ckpt_dir / "repeat0_aborted.json").read_bytes() == (ckpt_dir / "repeat0_step000030.json").read_bytes()
+        cfg = base_config(edge_path, signal_path, output_dir=str(tmp_path / "aborting"), checkpoint_every=30)
+        written = record_writes(monkeypatch)
+        path = abort_at(cfg, 30)
+        assert os.listdir(os.path.dirname(path)) == ["repeat0.json"]
+        assert len(written) == 2 and written[0] == written[1]  # the checkpoint after step 29, then the abort
+        state = read_checkpoint(path)
+        assert state["k_next"] == 30 and state["tokens"] > 0
 
 
 class TestCheckpointReplay:
-    def test_replay_matches_original_trajectory(self, fixture_paths, tmp_path):
+    def test_replay_resumes_every_baseline(self, fixture_paths, tmp_path, monkeypatch):
         edge_path, signal_path = fixture_paths
-        out = str(tmp_path / "run")
-        cfg = base_config(edge_path, signal_path, baselines=[], output_dir=out, checkpoint_every=25)
-        execution = execute_run(cfg)
-        original = execution.repeats[0].trajectory
-        ckpts = sorted(glob.glob(os.path.join(out, "checkpoints", "*.json")))
-        assert len(ckpts) == 3  # steps 25, 50, 75 of a 100-step horizon
-        assert read_checkpoint(ckpts[1])["k_next"] == 50
-        resumed = replay_from_checkpoint(cfg, ckpts[1])
-        assert np.array_equal(resumed.trajectory, original[:, 50:])
-        assert resumed.scores["graphfill"].tobytes() == execution.repeats[0].scores["graphfill"].tobytes()
-
-    def test_replay_resumes_every_baseline(self, fixture_paths, tmp_path):
-        edge_path, signal_path = fixture_paths
-        out = str(tmp_path / "run")
-        cfg = base_config(edge_path, signal_path, baselines=ALL_BASELINES, output_dir=out, checkpoint_every=25)
+        cfg = base_config(edge_path, signal_path, baselines=ALL_BASELINES, output_dir=str(tmp_path / "full"),
+                          checkpoint_every=25)
+        settled = record_estimates(monkeypatch)
         execution = execute_run(cfg)
         original, truth = execution.repeats[0], execution.context.test_signal.values
-        primary_mae = [mae(col, x) for col, x in zip(truth.T, original.trajectory.T)]
-        assert primary_mae == original.scores["graphfill"][0].tolist()
-        path = os.path.join(out, "checkpoints", "repeat0_step000050.json")
+        for j, (name, rows) in enumerate(original.scores.items()):  # each method's scores are of its own estimates
+            assert [mae(col, x[j]) for col, x in zip(truth.T, settled, strict=True)] == rows[0].tolist(), name
+        aborting = dataclasses.replace(cfg, output_dir=str(tmp_path / "aborting"))
+        path = abort_at(aborting, 50)
         assert list(read_checkpoint(path)["estimates"]) == ["graphfill", *ALL_BASELINES]
-        resumed = replay_from_checkpoint(cfg, path)
-        assert np.array_equal(resumed.trajectory, original.trajectory[:, 50:])
+        resumed = replay_from_checkpoint(aborting, path)
+        assert Path(path).read_bytes() == (tmp_path / "full" / "checkpoints" / "repeat0.json").read_bytes()
         assert list(resumed.scores) == ["graphfill", *ALL_BASELINES]
         for name, rows in original.scores.items():
             assert resumed.scores[name].tobytes() == rows.tobytes()
@@ -317,7 +347,7 @@ class TestCheckpointReplay:
         cfg = base_config(*fixture_paths, baselines=ALL_BASELINES, output_dir=str(tmp_path / "run"),
                           checkpoint_every=25)
         original = execute_run(cfg).repeats[0]
-        state = read_checkpoint(tmp_path / "run" / "checkpoints" / "repeat0_step000050.json")
+        state = read_checkpoint(abort_at(cfg, 50))
         order = ["glms", "graphfill", "gnlms", "last_value", "neighbor_mean"]
         for key in ("estimates", "scores"):
             state[key] = {name: state[key][name] for name in order}
@@ -331,19 +361,20 @@ class TestCheckpointReplay:
 
     def test_resume_of_a_repeat_aborted_by_the_backend_matches_the_uninterrupted_run(self, fixture_paths, tmp_path):
         edge_path, signal_path = fixture_paths
-        cfg = base_config(edge_path, signal_path, baselines=ALL_BASELINES, repeats=2)
+        cfg = base_config(edge_path, signal_path, baselines=ALL_BASELINES, repeats=2,
+                          output_dir=str(tmp_path / "full"))
         full = execute_run(cfg, backend=EchoBackend())
         first = EchoBackend()
-        execute_run(dataclasses.replace(cfg, repeats=1), backend=first)  # counts repeat 0's calls
-        out = str(tmp_path / "aborting")
-        aborting = dataclasses.replace(cfg, output_dir=out)
+        execute_run(dataclasses.replace(cfg, repeats=1, output_dir=None), backend=first)  # counts repeat 0's calls
+        aborting = dataclasses.replace(cfg, output_dir=str(tmp_path / "aborting"))
         with pytest.raises(KeyError):
             execute_run(aborting, backend=EchoBackend(fail_at=first.calls + 300))
-        ckpt_dir = os.path.join(out, "checkpoints")
-        aborted = os.path.join(ckpt_dir, "repeat1_aborted.json")
-        assert glob.glob(os.path.join(ckpt_dir, "*aborted.json")) == [aborted]
+        ckpt_dir, full_dir = tmp_path / "aborting" / "checkpoints", tmp_path / "full" / "checkpoints"
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == ["repeat0.json", "repeat1.json"]
+        assert (ckpt_dir / "repeat0.json").read_bytes() == (full_dir / "repeat0.json").read_bytes()  # finished
+        aborted = str(ckpt_dir / "repeat1.json")
         state = read_checkpoint(aborted)
-        assert 0 < state["k_next"] < 100 and state["repeat"] == 1 and state["seed"] == 12
+        assert 0 < state["k_next"] < TEST_STEPS and state["repeat"] == 1 and state["seed"] == 12
 
         resumed = replay_from_checkpoint(aborting, aborted, backend=EchoBackend())
         original = full.repeats[1]
@@ -351,39 +382,40 @@ class TestCheckpointReplay:
         for name, rows in original.scores.items():
             assert resumed.scores[name].tobytes() == rows.tobytes()
         assert resumed.token_estimate == original.token_estimate
-        assert np.array_equal(resumed.trajectory, original.trajectory[:, state["k_next"]:])
+        assert Path(aborted).read_bytes() == (full_dir / "repeat1.json").read_bytes()
         report = runner._assemble_report(full.context, cfg, [full.repeats[0], resumed], "graphfill")
         assert report.to_dict() == full.report.to_dict()
 
     def test_baseline_only_resume_matches_the_uninterrupted_run(self, fixture_paths, tmp_path, monkeypatch):
         edge_path, signal_path = fixture_paths
-        out = str(tmp_path / "run")
-        cfg = base_config(edge_path, signal_path, baselines=ALL_BASELINES, repeats=2, output_dir=out,
-                          checkpoint_every=25)
+        cfg = base_config(edge_path, signal_path, baselines=ALL_BASELINES, repeats=2,
+                          output_dir=str(tmp_path / "full"), checkpoint_every=25)
         full = execute_run(cfg, with_primary=False)
+        aborting = dataclasses.replace(cfg, output_dir=str(tmp_path / "aborting"))
+        path = abort_at(aborting, 50, repeat=1, with_primary=False)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("resuming the baselines must not train or dispatch")
 
         monkeypatch.setattr(runner, "train_filter", forbidden)
         monkeypatch.setattr(runner, "predict_batch", forbidden)
-        resumed = replay_from_checkpoint(cfg, os.path.join(out, "checkpoints", "repeat1_step000050.json"))
+        resumed = replay_from_checkpoint(aborting, path)
         original = full.repeats[1]
         assert resumed.train_result is None and resumed.token_estimate == 0
         for name, rows in original.scores.items():
             assert resumed.scores[name].tobytes() == rows.tobytes()
-        assert np.array_equal(resumed.trajectory, original.trajectory[:, 50:])
+        assert Path(path).read_bytes() == (tmp_path / "full" / "checkpoints" / "repeat1.json").read_bytes()
         report = runner._assemble_report(full.context, cfg, [full.repeats[0], resumed], "glms")
         assert report.to_dict() == full.report.to_dict()
 
     def test_resume_checkpoints_and_its_aborted_state_resumes(self, fixture_paths, tmp_path, monkeypatch):
         edge_path, signal_path = fixture_paths
-        out = tmp_path / "run"
-        cfg = base_config(edge_path, signal_path, output_dir=str(out), checkpoint_every=25)
+        cfg = base_config(edge_path, signal_path, output_dir=str(tmp_path / "full"), checkpoint_every=25)
+        written = record_writes(monkeypatch)
         full = execute_run(cfg).repeats[0]
-        ckpt_dir = out / "checkpoints"
-        step75 = (ckpt_dir / "repeat0_step000075.json").read_bytes()
-        (ckpt_dir / "repeat0_step000075.json").unlink()
+        full_states = written[:]  # steps 25, 50 and 75, then the finished repeat
+        aborting = dataclasses.replace(cfg, output_dir=str(tmp_path / "aborting"))
+        path = abort_at(aborting, 50)
         step = bl.neighbor_mean_step
 
         def raising_at_step_94(estimate, obs, layout):
@@ -391,34 +423,53 @@ class TestCheckpointReplay:
                 raise KeyError("baseline fell over")
             return step(estimate, obs, layout)
 
-        monkeypatch.setattr(bl, "neighbor_mean_step", raising_at_step_94)
-        with pytest.raises(KeyError):
-            replay_from_checkpoint(cfg, str(ckpt_dir / "repeat0_step000050.json"))
-        monkeypatch.undo()
-        assert sorted(p.name for p in ckpt_dir.iterdir()) == [
-            "repeat0_aborted.json", "repeat0_step000025.json", "repeat0_step000050.json", "repeat0_step000075.json"]
-        assert (ckpt_dir / "repeat0_step000075.json").read_bytes() == step75
-        assert read_checkpoint(ckpt_dir / "repeat0_aborted.json")["k_next"] == 94
-        resumed = replay_from_checkpoint(cfg, str(ckpt_dir / "repeat0_aborted.json"))
+        written.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(bl, "neighbor_mean_step", raising_at_step_94)
+            with pytest.raises(KeyError):
+                replay_from_checkpoint(aborting, path)
+        # The resumed repeat checkpointed at step 75 as the full run did, then wrote its abort state.
+        assert len(written) == 2 and written[0] == full_states[2]
+        assert read_checkpoint(path)["k_next"] == 94
+        resumed = replay_from_checkpoint(aborting, path)
         for name, rows in full.scores.items():
             assert resumed.scores[name].tobytes() == rows.tobytes()
         assert resumed.token_estimate == full.token_estimate
-        assert np.array_equal(resumed.trajectory, full.trajectory[:, 94:])
-        # The completed resume removed the abort state it started from; the periodic states stay.
-        assert sorted(p.name for p in ckpt_dir.iterdir()) == [
-            "repeat0_step000025.json", "repeat0_step000050.json", "repeat0_step000075.json"]
+        assert Path(path).read_bytes() == full_states[-1]
+        assert os.listdir(os.path.dirname(path)) == ["repeat0.json"]
 
-    def test_a_completed_repeat_removes_only_its_own_abort_state(self, fixture_paths, tmp_path):
+    def test_a_replay_rewrites_only_its_own_repeats_state(self, fixture_paths, tmp_path):
         edge_path, signal_path = fixture_paths
-        out = tmp_path / "run"
-        cfg = base_config(edge_path, signal_path, output_dir=str(out), repeats=2, checkpoint_every=25)
+        cfg = base_config(edge_path, signal_path, output_dir=str(tmp_path / "full"), repeats=2, checkpoint_every=25)
         execute_run(cfg)
-        ckpt_dir = out / "checkpoints"
-        for r in (0, 1):
-            (ckpt_dir / f"repeat{r}_aborted.json").write_bytes((ckpt_dir / f"repeat{r}_step000050.json").read_bytes())
-        replay_from_checkpoint(cfg, str(ckpt_dir / "repeat0_aborted.json"))
-        assert not (ckpt_dir / "repeat0_aborted.json").exists()
-        assert (ckpt_dir / "repeat1_aborted.json").exists()
+        aborting = dataclasses.replace(cfg, output_dir=str(tmp_path / "aborting"))
+        path = abort_at(aborting, 50, repeat=1)
+        ckpt_dir, full_dir = Path(path).parent, tmp_path / "full" / "checkpoints"
+        finished = (ckpt_dir / "repeat0.json").read_bytes()
+        assert finished == (full_dir / "repeat0.json").read_bytes()
+        replay_from_checkpoint(aborting, path)
+        assert (ckpt_dir / "repeat0.json").read_bytes() == finished
+        assert Path(path).read_bytes() == (full_dir / "repeat1.json").read_bytes()
+
+    def test_a_finished_repeats_state_holds_its_results_and_replays_without_a_step(self, fixture_paths, tmp_path,
+                                                                                   monkeypatch):
+        cfg = base_config(*fixture_paths, baselines=ALL_BASELINES, repeats=2, output_dir=str(tmp_path / "run"),
+                          checkpoint_every=25)
+        repeats = execute_run(cfg).repeats
+        ckpt_dir = tmp_path / "run" / "checkpoints"
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == ["repeat0.json", "repeat1.json"]
+        monkeypatch.setattr(runner, "observe", None)  # a replay that walked a step would call it
+        for r, original in enumerate(repeats):
+            path = ckpt_dir / f"repeat{r}.json"
+            final = path.read_bytes()
+            state = json.loads(final)
+            assert state["k_next"] == TEST_STEPS and state["tokens"] == original.token_estimate > 0
+            resumed = replay_from_checkpoint(cfg, str(path))
+            assert resumed.token_estimate == original.token_estimate
+            for name, rows in original.scores.items():
+                assert np.array(state["scores"][name]).tobytes() == rows.tobytes(), name
+                assert resumed.scores[name].tobytes() == rows.tobytes(), name
+            assert path.read_bytes() == final
 
     def test_remote_config_without_endpoint_fails_before_the_basis(self, checkpointed_run, monkeypatch):
         cfg, path = checkpointed_run
@@ -447,8 +498,9 @@ class TestCheckpointReplay:
         monkeypatch.setattr(runner, "observe", recording_observe)
         t0 = execute_run(cfg).context.test_signal.t0
         assert observed_t == [t0 + k for k in range(100)]
+        path = abort_at(cfg, 75)
         observed_t.clear()
-        replay_from_checkpoint(cfg, os.path.join(out, "checkpoints", "repeat0_step000075.json"))
+        replay_from_checkpoint(cfg, path)
         assert observed_t == [t0 + k for k in range(75, 100)]
 
     @pytest.mark.parametrize(
@@ -457,6 +509,7 @@ class TestCheckpointReplay:
             (None, "Expecting ','"),
             (lambda p: p.pop("tokens"), "checkpoint has no key 'tokens'"),
             (lambda p: p.update(seed="11"), "repeat, seed, k_next and tokens must be integers"),
+            (lambda p: p.update(tokens=-10**9), f"tokens {-10**9} is negative"),
             (lambda p: p.update(repeat=1), "repeat 1 is outside [0, 1)"),
             (lambda p: p.update(repeat=-1), "repeat -1 is outside [0, 1)"),
             (lambda p: p.update(seed=1), "seed 1 is not repeat 0's seed 11"),
@@ -474,8 +527,8 @@ class TestCheckpointReplay:
              "methods ['gcn'] are not among the config's ['graphfill', 'last_value', 'neighbor_mean']"),
             (lambda p: p.update(estimates={}), "methods [] are not among the config's"),
         ],
-        ids=["not-json", "missing-key", "string-seed", "repeat-past-repeats", "repeat-negative", "seed-of-another-run",
-             "k_next-negative", "k_next-past-horizon", "short-estimate",
+        ids=["not-json", "missing-key", "string-seed", "negative-tokens", "repeat-past-repeats", "repeat-negative",
+             "seed-of-another-run", "k_next-negative", "k_next-past-horizon", "short-estimate",
              "short-scores", "null-estimate", "scores-past-k_next", "scores-missing-method", "baseline-not-configured",
              "unknown-method-only", "no-method"],
     )
@@ -494,14 +547,18 @@ class TestCheckpointReplay:
     def test_rerun_clears_the_checkpoints_of_an_earlier_run(self, fixture_paths, tmp_path):
         edge_path, signal_path = fixture_paths
         out = tmp_path / "run[1]"  # glob metacharacters in the path match only themselves
-        cfg = base_config(edge_path, signal_path, output_dir=str(out), checkpoint_every=40)
+        cfg = base_config(edge_path, signal_path, output_dir=str(out), repeats=2, checkpoint_every=40)
         execute_run(cfg)
         ckpt_dir = out / "checkpoints"
-        (ckpt_dir / "repeat0_aborted.json").write_bytes((ckpt_dir / "repeat0_step000040.json").read_bytes())
+        state = (ckpt_dir / "repeat0.json").read_bytes()
+        for name in ("repeat0_aborted.json", "repeat0_step000040.json"):  # names written by earlier versions
+            (ckpt_dir / name).write_bytes(state)
         (ckpt_dir / "notes.json").write_text("{}")
-        assert len(list(ckpt_dir.iterdir())) == 4
-        execute_run(dataclasses.replace(cfg, checkpoint_every=100))
-        assert [p.name for p in ckpt_dir.iterdir()] == ["notes.json"]
+        assert len(list(ckpt_dir.iterdir())) == 5
+        rerun = dataclasses.replace(cfg, repeats=1, observation=dataclasses.replace(cfg.observation, seed=12))
+        execute_run(rerun)
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == ["notes.json", "repeat0.json"]
+        assert read_checkpoint(ckpt_dir / "repeat0.json")["seed"] == 12
 
     def test_rerun_leaves_no_artifact_of_an_earlier_run(self, fixture_paths, tmp_path):
         edge_path, signal_path = fixture_paths
@@ -512,24 +569,26 @@ class TestCheckpointReplay:
         (out / "notes.txt").write_text("kept")
         report = execute_run(dataclasses.replace(cfg, repeats=1, transcript=False)).report
         assert report.transcript_path is None
-        assert sorted(p.name for p in out.iterdir()) == ["config.json", "filter_repeat0.json", "notes.txt",
-                                                         "report.csv", "report.json", "report.md"]
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoints", "config.json", "filter_repeat0.json",
+                                                         "notes.txt", "report.csv", "report.json", "report.md"]
 
-    def test_failed_write_leaves_earlier_checkpoint_intact(self, fixture_paths, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("opens, k_next", [({2, 3}, 25), ({2}, 50)], ids=["abort-write-fails", "abort-written"])
+    def test_failed_write_leaves_earlier_checkpoint_intact(self, fixture_paths, tmp_path, monkeypatch, opens, k_next):
+        # The write at step 50 fails. The abort state written after it replaces the state of step 25, unless its
+        # write fails too.
         edge_path, signal_path = fixture_paths
-        clean = str(tmp_path / "clean")
-        execute_run(base_config(edge_path, signal_path, baselines=[], output_dir=clean, checkpoint_every=25))
+        written = record_writes(monkeypatch)
+        execute_run(base_config(edge_path, signal_path, baselines=[], output_dir=str(tmp_path / "clean"),
+                                checkpoint_every=25))
         out = str(tmp_path / "crashed")
         cfg = base_config(edge_path, signal_path, baselines=[], output_dir=out, checkpoint_every=25)
-        monkeypatch.setattr(files, "open", failing_open("repeat0_step000050.json"), raising=False)
+        monkeypatch.setattr(files, "open", failing_open("repeat0.json", opens), raising=False)
         with pytest.raises(OSError, match="disk full"):
             execute_run(cfg)
         ckpt_dir = os.path.join(out, "checkpoints")
-        assert sorted(os.listdir(ckpt_dir)) == ["repeat0_aborted.json", "repeat0_step000025.json"]
-        name = "repeat0_step000025.json"
-        with open(os.path.join(ckpt_dir, name), "rb") as fh, open(os.path.join(clean, "checkpoints", name), "rb") as ref:
-            assert fh.read() == ref.read()
-        assert read_checkpoint(os.path.join(ckpt_dir, "repeat0_aborted.json"))["k_next"] == 50
+        assert os.listdir(ckpt_dir) == ["repeat0.json"]
+        with open(os.path.join(ckpt_dir, "repeat0.json"), "rb") as fh:
+            assert fh.read() == written[k_next // 25 - 1]  # the clean run's state at k_next
 
 
 class TestArtifacts:
@@ -622,15 +681,16 @@ class TestTokenEstimate:
 
 class TestArrayPath:
     @pytest.mark.parametrize("multi_task_prompt", [False, True])
-    def test_text_and_array_paths_agree(self, fixture_paths, multi_task_prompt):
+    def test_text_and_array_paths_agree(self, fixture_paths, tmp_path, multi_task_prompt):
         edge_path, signal_path = fixture_paths
         cfg = base_config(edge_path, signal_path, baselines=["glms", "gnlms", "last_value", "neighbor_mean"],
                           repeats=2, predictor={"backend": "mock", "multi_task_prompt": multi_task_prompt})
-        text = execute_run(dataclasses.replace(cfg, transcript=True))
-        array = execute_run(cfg)
+        text = execute_run(dataclasses.replace(cfg, transcript=True, output_dir=str(tmp_path / "text")))
+        array = execute_run(dataclasses.replace(cfg, output_dir=str(tmp_path / "array")))
         assert array.report.token_estimate == text.report.token_estimate > 0
-        for a, t in zip(array.repeats, text.repeats, strict=True):
-            assert a.trajectory.tobytes() == t.trajectory.tobytes()
+        for r, (a, t) in enumerate(zip(array.repeats, text.repeats, strict=True)):
+            state = f"checkpoints/repeat{r}.json"  # every method's final estimates, scores and tokens
+            assert (tmp_path / "array" / state).read_bytes() == (tmp_path / "text" / state).read_bytes()
             assert a.token_estimate == t.token_estimate
             assert a.scores.keys() == t.scores.keys()
             for name in a.scores:
@@ -753,18 +813,14 @@ class TestBlockedBookkeeping:
                                                                          multi_task_prompt, transcript):
         # 100 steps and checkpoint_every 10 are no multiples of 7. The last baseline raises at ABORT_AT, after the
         # primary method took the step's mock values and recorded its prompts.
-        step, settle, runs = bl.neighbor_mean_step, runner._Block.settle, {}
-
-        def raising(estimate, obs, layout):
-            if obs.t == 100 + self.ABORT_AT:
-                raise KeyError("baseline fell over")
-            return step(estimate, obs, layout)
+        settle, runs = runner._Block.settle, {}
 
         def settling(block, k_next):
             settled.append(k_next)
             return settle(block, k_next)
 
         monkeypatch.setattr(runner._Block, "settle", settling)
+        written = record_writes(monkeypatch)
         for size in (1, 7):
             monkeypatch.setattr(runner, "BUDGET", size * 5 * 30)  # five methods, n = 30
             out, settled = tmp_path / f"block{size}", []
@@ -775,31 +831,25 @@ class TestBlockedBookkeeping:
             if size == 7:
                 assert settled[:5] == [7, 10, 17, 20, 27] and settled[-2:] == [97, 100]
             aborting = dataclasses.replace(cfg, output_dir=str(out / "aborting"))
-            with monkeypatch.context() as patch:
-                patch.setattr(bl, "neighbor_mean_step", raising)
-                with pytest.raises(KeyError):
-                    execute_run(aborting)
-            runs[size] = out, full, aborting
+            abort_at(aborting, self.ABORT_AT)
+            runs[size] = out, full, aborting, written[:]
+            written.clear()
 
-        (unblocked, reference, _), (blocked, full, aborting) = runs[1], runs[7]
+        (unblocked, reference, _, reference_states), (blocked, full, aborting, states) = runs[1], runs[7]
         assert full.token_estimate == reference.token_estimate > 0
-        assert full.trajectory.tobytes() == reference.trajectory.tobytes()
         for name, rows in reference.scores.items():
             assert full.scores[name].tobytes() == rows.tobytes(), name
-        states = sorted(p.relative_to(blocked) for p in blocked.glob("*/checkpoints/*.json"))
-        assert states == sorted(p.relative_to(unblocked) for p in unblocked.glob("*/checkpoints/*.json"))
-        assert len(states) == 9 + 5  # steps 10..90 of the full run; 10..40 and the abort state of the other
-        for path in states:
+        # Steps 10..90 and the finished repeat of the full run; 10..40 and the abort state of the other.
+        assert len(states) == 10 + 5 and states == reference_states
+        for path in ("full/checkpoints/repeat0.json", "aborting/checkpoints/repeat0.json"):
             assert (blocked / path).read_bytes() == (unblocked / path).read_bytes(), path
-        abort_state = blocked / "aborting" / "checkpoints" / "repeat0_aborted.json"
+        abort_state = blocked / "aborting" / "checkpoints" / "repeat0.json"
         assert read_checkpoint(abort_state)["k_next"] == self.ABORT_AT
-        step30 = blocked / "full" / "checkpoints" / "repeat0_step000030.json"
-        for state, k in ((abort_state, self.ABORT_AT), (step30, 30)):
-            resumed = replay_from_checkpoint(aborting, str(state))
-            for name, rows in full.scores.items():
-                assert resumed.scores[name].tobytes() == rows.tobytes(), name
-            assert resumed.token_estimate == full.token_estimate
-            assert resumed.trajectory.tobytes() == full.trajectory[:, k:].tobytes()
+        resumed = replay_from_checkpoint(aborting, str(abort_state))
+        for name, rows in full.scores.items():
+            assert resumed.scores[name].tobytes() == rows.tobytes(), name
+        assert resumed.token_estimate == full.token_estimate
+        assert abort_state.read_bytes() == (blocked / "full" / "checkpoints" / "repeat0.json").read_bytes()
 
 
 class TestBaselinesOnly:
@@ -809,9 +859,6 @@ class TestBaselinesOnly:
         execution = execute_run(cfg, with_primary=False)
         assert set(execution.report.method_aggregates) == {"glms", "gnlms", "last_value"}
         assert execution.report.method == "glms"
-        rep, truth = execution.repeats[0], execution.context.test_signal.values
-        # The trajectory is the lead method's.
-        assert [mae(col, x) for col, x in zip(truth.T, rep.trajectory.T)] == rep.scores["glms"][0].tolist()
 
     def test_report_carries_lead_baseline_missing_errors(self, fixture_paths):
         edge_path, signal_path = fixture_paths
@@ -850,15 +897,16 @@ class TestBaselinesOnly:
 
         monkeypatch.setattr(runner, "train_filter", forbidden)
         monkeypatch.setattr(runner, "predict_batch", forbidden)
+        written = record_writes(monkeypatch)
         edge_path, signal_path = fixture_paths
         out = tmp_path / "out"
         cfg = base_config(edge_path, signal_path, baselines=["glms"], output_dir=str(out), checkpoint_every=10)
         execution = execute_run(cfg, with_primary=False)
         assert execution.repeats[0].train_result is None
-        checkpoints = sorted((out / "checkpoints").iterdir())
-        assert [path.name for path in checkpoints] == [f"repeat0_step{k:06d}.json" for k in range(10, 100, 10)]
-        for path in checkpoints:
-            state = json.loads(path.read_text())
+        assert [path.name for path in (out / "checkpoints").iterdir()] == ["repeat0.json"]
+        states = [json.loads(state) for state in written]
+        assert [state["k_next"] for state in states] == list(range(10, 101, 10))
+        for state in states:
             assert list(state["estimates"]) == ["glms"] and state["tokens"] == 0
 
     def test_band_sized_once_per_run_and_context_left_unchanged(self, fixture_paths, monkeypatch):
@@ -893,13 +941,14 @@ class TestBaselinesOnly:
         assert "baseline_band_size" not in report.config_snapshot["derived"]
 
     @pytest.mark.parametrize("name", ["glms", "gnlms"])
-    def test_adaptive_estimate_stays_in_its_band_at_every_step(self, fixture_paths, name):
+    def test_adaptive_estimate_stays_in_its_band_at_every_step(self, fixture_paths, monkeypatch, name):
         edge_path, signal_path = fixture_paths
+        settled = record_estimates(monkeypatch)
         execution = execute_run(base_config(edge_path, signal_path, baselines=[name, "last_value"]),
                                 with_primary=False)
         band = execution.report.config_snapshot["derived"]["baseline_band_size"]
         u_band = execution.context.basis.eigenvectors[:, :band]
-        x = execution.repeats[0].trajectory  # the lead method's estimate after each step
+        x = np.array(settled)[:, 0].T  # the lead method's estimate after each step
         outside = np.linalg.norm(x - u_band @ (u_band.T @ x), axis=0)
         assert np.all(outside <= 1e-12 * np.linalg.norm(x, axis=0))
 
@@ -916,6 +965,17 @@ class TestBaselinesOnly:
         # Without an adaptive filter the band is not read (nor sized: a run without GLMS or GNLMS has none).
         starts = runner._start_estimates(types.SimpleNamespace(), (runner.PRIMARY_METHOD, "last_value"), x0)
         assert list(starts) == [runner.PRIMARY_METHOD, "last_value"] and all(x is x0 for x in starts.values())
+
+    def test_an_all_zero_training_split_gives_a_band_of_one_and_runs(self, fixture_paths, tmp_path):
+        edge_path, signal_path = fixture_paths
+        values = np.loadtxt(signal_path, delimiter=",")
+        values[:, :100] = 0.0  # the training split
+        zeroed = tmp_path / "signal.csv"
+        zeroed.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in values))
+        execution = execute_run(base_config(edge_path, str(zeroed), baselines=["glms", "gnlms"]), with_primary=False)
+        assert execution.report.config_snapshot["derived"]["baseline_band_size"] == 1
+        for rows in execution.repeats[0].scores.values():
+            assert rows.shape == (4, TEST_STEPS) and np.isfinite(rows).all()
 
     def test_baseline_only_requires_selection(self, fixture_paths):
         edge_path, signal_path = fixture_paths
@@ -1185,9 +1245,13 @@ class TestMissingNodeWithoutObservedNeighbors:
         )
         model = sample_mask(3, 0.34, 0, 0.0)
         assert model.observed.tolist() == [False, False, True]  # node 0's only neighbor is missing
-        logged = execute_run(dataclasses.replace(cfg, transcript=True))
+        settled = record_estimates(monkeypatch)
+        execute_run(dataclasses.replace(cfg, transcript=True))
+        logged = np.array(settled)[:, 0]
+        settled.clear()
         monkeypatch.setattr(runner, "predict_batch", None)  # the array path sends no text
         execution = execute_run(cfg)
-        assert np.all(np.isfinite(execution.repeats[0].trajectory))
-        assert np.all(execution.repeats[0].trajectory[0] == init_estimate(execution.context.train_signal, model)[0])
-        assert np.array_equal(execution.repeats[0].trajectory, logged.repeats[0].trajectory)
+        estimates = np.array(settled)[:, 0]
+        assert np.all(np.isfinite(estimates))
+        assert np.all(estimates[:, 0] == init_estimate(execution.context.train_signal, model)[0])
+        assert np.array_equal(estimates, logged)
