@@ -236,19 +236,19 @@ def laplacian(g: Graph) -> np.ndarray:
     return l_matrix
 
 
-def gft(g: Graph) -> GftBasis:
-    """Eigendecompose the Laplacian of ``g`` into a graph Fourier basis.
+def gft(l_matrix: np.ndarray) -> GftBasis:
+    """Eigendecompose a graph Laplacian, as :func:`laplacian` builds it, into a graph Fourier basis.
 
     Eigenpairs come out sorted ascending. Sign convention: each
     eigenvector is flipped so its largest-magnitude entry (first such
     entry on ties) is nonnegative, making the basis deterministic for
-    simple spectra.
+    simple spectra. It is only the LAPACK call and the sign rule, so it can
+    run on a worker thread while the caller holds the GIL for other work.
 
     Raises:
-        ValueError: if a node's degree overflows (see ``laplacian``).
         np.linalg.LinAlgError: if the decomposition fails to converge.
     """
-    lam, u = np.linalg.eigh(laplacian(g))
+    lam, u = np.linalg.eigh(l_matrix)
     u *= np.where(_largest_entry_is_negative(u), -1.0, 1.0)
     for a in (u, lam):
         a.setflags(write=False)  # the basis adopts them, uncopied

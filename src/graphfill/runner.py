@@ -15,6 +15,7 @@ import json
 import os
 import types
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +23,12 @@ import numpy as np
 from . import baselines as bl
 from .files import atomic_write
 from .graphs import Graph, GftBasis, gft, knn_graph, load_coordinates_csv, load_edge_list_csv
-from .graphs import _reject_infinite, laplacian, observed_layout  # noqa: F401 (runner.laplacian stays importable)
+from .graphs import _reject_infinite, laplacian, observed_layout
 from .metrics import RunReport, aggregate, emit_report, rmse  # noqa: F401 (runner.mae, runner.rmse stay importable)
 from .predictors import PredictionResult, PredictorConfig, bind_backend, mock_step, mock_tokens, predict_batch
 from .prompts import build_task
-from .signals import ObservationModel, TimeVaryingSignal, load_signal_csv, observe, sample_mask, split
+from .signals import ObservationModel, TimeVaryingSignal, check_t_split, load_signal_csv, observe, sample_mask
+from .signals import signal_shape, split
 from .spectral import TrainConfig, TrainResult, denoise, filter_operator, mae  # noqa: F401
 from .spectral import save_filter_json, train_filter
 
@@ -187,11 +189,17 @@ class RunContext:
 def prepare_run(cfg: RunConfig) -> RunContext:
     """Load and split the signal, build the graph and Fourier basis, and size GLMS and GNLMS's band.
 
-    The signal comes first: a bad ``t_split`` fails before ``eigh``, and its node count is the graph's n,
-    which both graph loaders read their file against.
+    The signal's shape comes first, from :func:`signal_shape`'s scan of its lines: a bad ``t_split`` fails before
+    the graph is built, and its node count is the graph's n, which both graph loaders read their file against.
+    The Laplacian is built on this thread; one worker thread then decomposes it (``gft``: the LAPACK call and
+    the sign rule, which leave the GIL free) while this thread parses the signal, so set-up uses one extra
+    thread. LAPACK still follows ``OPENBLAS_NUM_THREADS``, and the basis's bits depend only on that. The worker
+    is joined before this returns, also when the parse or the decomposition raises; either error propagates
+    as it was raised.
     """
-    train_signal, test_signal = split(load_signal_csv(cfg.signal.path, cfg.signal.layout), cfg.t_split)
-    n = train_signal.n_nodes
+    path, layout = cfg.signal.path, cfg.signal.layout
+    n, n_steps = signal_shape(path, layout)
+    check_t_split(cfg.t_split, n_steps)
     if cfg.graph.n_nodes not in (None, n):
         raise ValueError(f"graph.n_nodes is {cfg.graph.n_nodes} but the signal has {n} nodes")
     derived = {}
@@ -204,7 +212,15 @@ def prepare_run(cfg: RunConfig) -> RunContext:
             raise ValueError("graph.coordinates path is required for source 'knn'")
         g = knn_graph(load_coordinates_csv(cfg.graph.coordinates, n), cfg.graph.k, cfg.graph.bandwidth)
     derived["graph_weighted"] = bool(np.any(g.weights != 1.0))
-    basis = gft(g)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        decomposition = pool.submit(gft, laplacian(g))  # the worker holds L only until eigh returns
+        signal = load_signal_csv(path, layout)
+        if signal.values.shape != (n, n_steps):
+            raise ValueError(f"{path}: parsed as {signal.n_nodes} nodes x {signal.n_steps} steps, but its lines "
+                             f"hold {n} x {n_steps}: a quoted cell may not span lines")
+        train_signal, test_signal = split(signal, cfg.t_split)
+        del signal  # the splits hold copies
+        basis = decomposition.result()
     derived["basis_ref"] = basis.ref()
     derived["n_nodes"] = n
     derived["n_steps"] = train_signal.n_steps + test_signal.n_steps

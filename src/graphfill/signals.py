@@ -6,6 +6,7 @@ entries are flagged out-of-band via ``Observation.observed``; the numeric
 slots under the flag hold NaN purely as a tripwire against accidental use.
 """
 import csv
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -13,10 +14,17 @@ import numpy as np
 
 from .graphs import _adopted, _frozen
 
+# A byte that is not blank in a CSV line: not a comma, a quote or ASCII whitespace (as str.strip() takes it).
+_CONTENT = re.compile(rb'[^,"\t\n\x0b\x0c\r\x1c-\x1f ]')
+
 
 @dataclass(frozen=True, eq=False)
 class TimeVaryingSignal:
-    """N x T matrix of node signals (node-major) with time metadata."""
+    """N x T matrix of node signals (node-major) with time metadata.
+
+    A read-only array that owns its memory (as :func:`load_signal_csv` hands over its parse) is adopted, any
+    other input copied read-only.
+    """
     values: np.ndarray
     t0: int = 0
 
@@ -26,7 +34,7 @@ class TimeVaryingSignal:
             raise ValueError("signal must be a 2-D matrix with N, T >= 1")
         if not np.all(np.isfinite(v)):
             raise ValueError("signal contains non-finite entries")
-        object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "values", _adopted(v))
 
     @property
     def n_nodes(self) -> int:
@@ -79,13 +87,56 @@ class Observation:
         object.__setattr__(self, "observed", _adopted(obs, dtype=bool))
 
 
+def _check_layout(layout: str) -> None:
+    if layout not in ("nodes-as-rows", "nodes-as-columns"):
+        raise ValueError(f"unknown layout {layout!r}")
+
+
+def signal_shape(path, layout: str) -> tuple:
+    """``(nodes, steps)`` of a signal CSV, read from its lines without parsing a number.
+
+    A row is a line that holds something besides commas, quotes and whitespace (the csv reader's rows of blank
+    cells are not rows), and the steps are the first row's cell count; ``nodes-as-columns`` swaps the two. For
+    a file that :func:`load_signal_csv` accepts this is the loaded shape, unless a quoted cell spans lines.
+    The file is scanned as bytes: a line is decoded only when its first byte that is not ASCII blank is not
+    ASCII, so that Unicode whitespace counts as blank, as ``str.strip()`` takes it.
+
+    Raises:
+        ValueError: on an unknown layout or a file with no row.
+        OSError: if the file cannot be read.
+    """
+    _check_layout(layout)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # line ends as the csv reader and loadtxt take them: \r\n, \r or \n
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    rows = cells = start = 0
+    while start < len(data):
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end
+        first = _CONTENT.search(data, start, end)
+        if first is not None and (first.group().isascii() or not _blank(data[start:end])):
+            rows += 1
+            cells = cells or data.count(b",", start, end) + 1
+        start = end + 1
+    if not rows:
+        raise ValueError(f"{path}: empty signal file")
+    return (rows, cells) if layout == "nodes-as-rows" else (cells, rows)
+
+
+def _blank(line: bytes) -> bool:
+    """Is a line with a non-ASCII byte only commas, quotes and (Unicode) whitespace?"""
+    return line.decode("utf-8", "replace").replace(",", "").replace('"', "").isspace()
+
+
 def load_signal_csv(path, layout: str) -> TimeVaryingSignal:
     """Ingest a dense numeric CSV as a time-varying signal.
 
     A plain numeric file is read in one C pass (``np.loadtxt``); any other goes
     through the ``csv`` reader, which also takes quoted cells, rows of blank
     cells and ``1_0`` (as ``float()`` does). Both parse with one correctly
-    rounded string-to-double, so they give the same array.
+    rounded string-to-double, so they give the same array. The signal adopts
+    the parsed array, uncopied for ``nodes-as-rows``.
 
     Args:
         path: CSV file of numbers, no header.
@@ -95,8 +146,7 @@ def load_signal_csv(path, layout: str) -> TimeVaryingSignal:
         ValueError: on an empty file, ragged rows, or any unparsable cell
             (the error names the offending row and column).
     """
-    if layout not in ("nodes-as-rows", "nodes-as-columns"):
-        raise ValueError(f"unknown layout {layout!r}")
+    _check_layout(layout)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file with no data
@@ -105,6 +155,7 @@ def load_signal_csv(path, layout: str) -> TimeVaryingSignal:
         values = np.empty((0, 0))
     if values.size == 0:
         values = _read_csv_cells(path)
+    values.setflags(write=False)  # the signal adopts it
     if layout == "nodes-as-columns":
         values = values.T
     if not np.all(np.isfinite(values)):
@@ -139,10 +190,15 @@ def _read_csv_cells(path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+def check_t_split(t_split: int, n_steps: int) -> None:
+    """Raise a ValueError unless ``t_split`` leaves a train and a test step among ``n_steps``."""
+    if not (1 <= t_split < n_steps):
+        raise ValueError(f"t_split must be in [1, {n_steps - 1}], got {t_split}")
+
+
 def split(signal: TimeVaryingSignal, t_split: int) -> tuple:
     """Split columns into train = [0, t_split) and test = [t_split, T)."""
-    if not (1 <= t_split < signal.n_steps):
-        raise ValueError(f"t_split must be in [1, {signal.n_steps - 1}], got {t_split}")
+    check_t_split(t_split, signal.n_steps)
     train = TimeVaryingSignal(signal.values[:, :t_split], t0=signal.t0)
     test = TimeVaryingSignal(signal.values[:, t_split:], t0=signal.t0 + t_split)
     return train, test

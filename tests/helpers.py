@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from graphfill.graphs import EARTH_RADIUS_KM, Graph, ObservedLayout, build_graph, gft, knn_graph
+from graphfill.graphs import EARTH_RADIUS_KM, Graph, ObservedLayout, build_graph, gft, knn_graph, laplacian
 from graphfill.prompts import NodeTask
 from graphfill.signals import TimeVaryingSignal
 
@@ -48,7 +48,7 @@ def spectral_fixture(n: int = 30, band: int = 5, t_steps: int = 500, seed: int =
     """Connected graph, its Fourier basis, and a bandlimited signal on it."""
     rng = np.random.default_rng(seed)
     g = random_connected_graph(n, rng)
-    basis = gft(g)
+    basis = gft(laplacian(g))
     signal = bandlimited_signal(basis, band, t_steps, rng)
     return g, basis, signal
 
@@ -68,7 +68,7 @@ def write_run_fixture(
     """
     rng = np.random.default_rng(seed)
     g = random_connected_graph(n, rng)
-    basis = gft(g)
+    basis = gft(laplacian(g))
     signal = bandlimited_signal(basis, band, t_steps, rng, scale=2.0, amp_max=amp_max)
     edge_path = str(tmp_path / "edges.csv")
     signal_path = str(tmp_path / "signal.csv")
@@ -94,7 +94,7 @@ def write_knn_run_fixture(tmp_path, n: int = 12, k: int = 3, band: int = 3, t_st
         fh.write("node_id,lat,lon\n")
         for i, (lat, lon) in enumerate(coords):
             fh.write(f"{i},{float(lat)!r},{float(lon)!r}\n")
-    basis = gft(knn_graph([tuple(map(float, c)) for c in coords], k=k))
+    basis = gft(laplacian(knn_graph([tuple(map(float, c)) for c in coords], k=k)))
     signal = bandlimited_signal(basis, band, t_steps, rng)
     with open(signal_path, "w", encoding="utf-8") as fh:
         for row in signal.values:

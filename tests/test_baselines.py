@@ -15,7 +15,7 @@ from graphfill.baselines import (
     last_value_step,
     neighbor_mean_step,
 )
-from graphfill.graphs import build_graph, gft, neighbors, observed_layout
+from graphfill.graphs import build_graph, gft, laplacian, neighbors, observed_layout
 from graphfill.signals import Observation, ObservationModel, observe, sample_mask
 from graphfill.spectral import BandOperator
 
@@ -24,7 +24,7 @@ def fixed_signal_fixture(n=20, band=4, seed=31):
     """Connected graph plus one constant-in-time bandlimited snapshot."""
     rng = np.random.default_rng(seed)
     g = random_connected_graph(n, rng)
-    basis = gft(g)
+    basis = gft(laplacian(g))
     x_g = basis.eigenvectors[:, :band] @ rng.normal(0.0, 2.0, size=band)
     return g, basis, x_g
 

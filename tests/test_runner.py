@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import re
+import threading
 import types
 import typing
 from pathlib import Path
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from graphfill import baselines as bl
 from graphfill import files, graphs, prompts, runner, spectral
 from graphfill.metrics import rmse
-from graphfill.graphs import build_graph, gft, observed_layout
+from graphfill.graphs import build_graph, gft, laplacian, observed_layout
 from graphfill.predictors import PredictorConfig, TransportError, estimate_tokens
 from graphfill.runner import (
     RunConfig,
@@ -27,7 +28,7 @@ from graphfill.runner import (
     prepare_run,
     replay_from_checkpoint,
 )
-from graphfill.signals import Observation, ObservationModel, TimeVaryingSignal, observe, sample_mask
+from graphfill.signals import Observation, ObservationModel, TimeVaryingSignal, load_signal_csv, observe, sample_mask
 from graphfill.spectral import SpectralFilter, denoise, filter_operator, mae
 
 
@@ -705,7 +706,7 @@ class TestArrayPath:
     def test_non_finite_mock_value_takes_the_text_path(self):
         # Node 1's two observed neighbors sum past the largest float: "inf" does not parse, so it falls back.
         g = build_graph(3, [(0, 1), (1, 2)])
-        basis = gft(g)
+        basis = gft(laplacian(g))
         model = ObservationModel(np.array([True, False, True]), 0.0, 0)
         obs = Observation(5, np.array([1.5e308, np.nan, 1.5e308]), model.observed)
         cfg = RunConfig(predictor=PredictorConfig(max_retries=0))
@@ -1200,6 +1201,81 @@ def configs(draw, cls=RunConfig):
 def test_config_round_trips_through_json(cfg):
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
     assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+class TestOverlappedSetUp:
+    """``prepare_run`` decomposes the Laplacian on one worker thread while this thread parses the signal."""
+
+    @pytest.fixture
+    def small_run(self, tmp_path):
+        edge_path, signal_path, _, _ = write_run_fixture(tmp_path, n=12, t_steps=40)
+        cfg = RunConfig.from_dict({"graph": {"source": "edges", "edge_list": edge_path},
+                                   "signal": {"path": signal_path}, "t_split": 20, "baselines": ["glms"]})
+        return Path(signal_path), cfg
+
+    def test_the_decomposition_runs_while_the_signal_is_parsed(self, small_run, monkeypatch):
+        # The parse waits until eigh has started on another thread, so a set-up that ran them in turn would fail.
+        _, cfg = small_run
+        started, eigh, load = threading.Event(), np.linalg.eigh, runner.load_signal_csv
+        eigh_threads = []
+
+        def eigh_started(a):
+            eigh_threads.append(threading.current_thread())
+            started.set()
+            return eigh(a)
+
+        def load_once_eigh_started(*args):
+            assert started.wait(timeout=60), "eigh did not start while the signal was parsed"
+            return load(*args)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_started)
+        monkeypatch.setattr(runner, "load_signal_csv", load_once_eigh_started)
+        before = threading.active_count()
+        ctx = prepare_run(cfg)
+        assert threading.active_count() == before
+        assert eigh_threads and eigh_threads[0] is not threading.current_thread()
+        monkeypatch.undo()
+        assert ctx.basis.ref() == gft(laplacian(ctx.graph)).ref()
+        assert ctx.derived == prepare_run(cfg).derived
+
+    def test_a_bad_cell_still_fails_with_its_row_and_column(self, small_run):
+        signal_path, cfg = small_run
+        lines = signal_path.read_text().splitlines()
+        lines[4] = ",".join(["0.5", "0.5", "x", *lines[4].split(",")[3:]])
+        signal_path.write_text("\n".join(lines) + "\n")
+        before = threading.active_count()
+        message = f"{signal_path}: row 5, column 3: cannot parse 'x' as a number"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            prepare_run(cfg)
+        assert threading.active_count() == before
+
+    def test_a_failed_decomposition_propagates_unwrapped(self, small_run, monkeypatch):
+        _, cfg = small_run
+        failure = np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        def no_convergence(a):
+            raise failure
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            prepare_run(cfg)
+        assert raised.value is failure
+        assert threading.active_count() == before
+
+    def test_a_quoted_cell_across_lines_fails_naming_the_file(self, tmp_path):
+        # The csv reader takes "5<newline>" as one cell, 5.0, so the file parses to 3 x 3; its lines hold 4 rows.
+        edges, signal = tmp_path / "edges.csv", tmp_path / "signal.csv"
+        edges.write_text("0,1\n1,2\n")
+        signal.write_text('1,2,3\n4,"5\n",6\n7,8,9\n')
+        assert load_signal_csv(signal, "nodes-as-rows").values.shape == (3, 3)
+        cfg = RunConfig.from_dict({"graph": {"source": "edges", "edge_list": str(edges)},
+                                   "signal": {"path": str(signal)}, "t_split": 1})
+        before = threading.active_count()
+        message = f"{signal}: parsed as 3 nodes x 3 steps, but its lines hold 4 x 3: a quoted cell may not span lines"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            prepare_run(cfg)
+        assert threading.active_count() == before
 
 
 class TestKnnGraphSource:

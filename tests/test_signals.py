@@ -1,5 +1,6 @@
 """Tests for signal ingestion, splitting, masks, and the observation model."""
 import csv
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from graphfill.signals import (
     load_signal_csv,
     observe,
     sample_mask,
+    signal_shape,
     split,
 )
 
@@ -194,6 +196,48 @@ class TestOnePassRead:
             load_signal_csv(tmp_path / "absent.csv", "nodes-as-rows")
 
 
+class TestSignalShape:
+    """``signal_shape``: the shape ``load_signal_csv`` gives, from the lines alone."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts(), st.sampled_from(["nodes-as-rows", "nodes-as-columns"]))
+    def test_scan_gives_the_loaded_shape(self, text, layout):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sig.csv"
+            path.write_bytes(text.encode("utf-8"))
+            loaded = outcome(load_signal_csv, path, layout)
+            if loaded[0] == "ValueError" and "empty signal file" in loaded[1]:
+                assert outcome(signal_shape, path, layout) == loaded
+            elif loaded[0] != "ValueError":
+                assert signal_shape(path, layout) == loaded[1]
+
+    @pytest.mark.parametrize(
+        "text, shape",
+        [
+            ("1,2,3\r4,5,6\r", (2, 3)),  # \r ends a line, as for the csv reader and loadtxt
+            ("1,2\r\n\r\n3,4\r\n", (2, 2)),
+            ('1,2\n , \n,\n""\n\xa0,\u2003\n3,4\n', (2, 2)),  # blank cells, quotes and Unicode spaces
+            ("\xa01,2\n3,4", (2, 2)),  # a row that starts with a Unicode space
+        ],
+        ids=["cr", "crlf", "blank-lines", "unicode-space-row"],
+    )
+    def test_rows_and_cells(self, tmp_path, text, shape):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert signal_shape(path, "nodes-as-rows") == load_signal_csv(path, "nodes-as-rows").values.shape == shape
+        assert signal_shape(path, "nodes-as-columns") == shape[::-1]
+
+    def test_empty_and_missing_files_fail_as_the_loader_does(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text(" ,\n\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: empty signal file$"):
+            signal_shape(path, "nodes-as-rows")
+        with pytest.raises(FileNotFoundError, match="No such file"):
+            signal_shape(tmp_path / "absent.csv", "nodes-as-rows")
+        with pytest.raises(ValueError, match="unknown layout 'sideways'"):
+            signal_shape(path, "sideways")
+
+
 class TestSplit:
     def test_split_week_of_five_minute_steps(self):
         sig = TimeVaryingSignal(np.zeros((3, 2016)))
@@ -301,6 +345,17 @@ class TestInvariants:
     def test_observation_shape_mismatch(self):
         with pytest.raises(ValueError):
             Observation(t=0, values=np.zeros(3), observed=np.ones(2, dtype=bool))
+
+    def test_signal_adopts_the_loaders_array_and_copies_a_callers(self, tmp_path, monkeypatch):
+        values = np.arange(6.0).reshape(2, 3)
+        signal = TimeVaryingSignal(values)
+        assert not np.shares_memory(signal.values, values) and not signal.values.flags.writeable
+        path = tmp_path / "sig.csv"
+        path.write_text("0,1,2\n3,4,5\n")
+        parsed = np.arange(6.0).reshape(2, 3).copy()  # owns its memory, as loadtxt's result does
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: parsed)
+        assert load_signal_csv(path, "nodes-as-rows").values is parsed
+        assert not parsed.flags.writeable
 
     def test_observation_copies_what_it_cannot_adopt(self):
         # A writeable array, a view and a list are copied read-only; a read-only array that owns its memory is kept.

@@ -6,7 +6,7 @@ import pytest
 from helpers import random_connected_graph, seed_graph_convolve, spectral_fixture
 
 from graphfill import signals, spectral
-from graphfill.graphs import gft
+from graphfill.graphs import gft, laplacian
 from graphfill.signals import TimeVaryingSignal, observe, sample_mask
 from graphfill.spectral import (
     BandOperator,
@@ -51,14 +51,14 @@ class TestGraphConvolve:
     def test_identity_gains(self):
         rng = np.random.default_rng(0)
         g = random_connected_graph(12, rng)
-        basis = gft(g)
+        basis = gft(laplacian(g))
         x = rng.normal(size=12)
         assert np.max(np.abs(convolve(basis, np.ones(12), x) - x)) < 1e-9
 
     def test_dc_only_gain_gives_mean(self):
         rng = np.random.default_rng(1)
         g = random_connected_graph(9, rng)
-        basis = gft(g)
+        basis = gft(laplacian(g))
         h = np.zeros(9)
         h[0] = 1.0
         x = rng.normal(size=9)
@@ -67,7 +67,7 @@ class TestGraphConvolve:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(2)
         g = random_connected_graph(15, rng)
-        basis = gft(g)
+        basis = gft(laplacian(g))
         h = rng.normal(size=15)
         x = rng.normal(size=15)
         oracle = basis.eigenvectors @ np.diag(h) @ basis.eigenvectors.T @ x
@@ -76,7 +76,7 @@ class TestGraphConvolve:
     def test_linearity(self):
         rng = np.random.default_rng(3)
         g = random_connected_graph(10, rng)
-        basis = gft(g)
+        basis = gft(laplacian(g))
         h = rng.normal(size=10)
         x, y = rng.normal(size=10), rng.normal(size=10)
         a, b = 1.7, -0.4
@@ -87,7 +87,7 @@ class TestGraphConvolve:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(4)
         g = random_connected_graph(5, rng)
-        basis = gft(g)
+        basis = gft(laplacian(g))
         with pytest.raises(ValueError):
             convolve(basis, np.ones(5), np.ones(6))
         with pytest.raises(ValueError, match="expected 5 gains, got 6"):
@@ -97,7 +97,7 @@ class TestGraphConvolve:
     def test_operator_matches_the_two_product_reference(self, n):
         # Mixed-sign gains of very different sizes, all kept, and a zero gain, which drops out.
         rng = np.random.default_rng(n)
-        basis = gft(random_connected_graph(n, rng, p=0.1))
+        basis = gft(laplacian(random_connected_graph(n, rng, p=0.1)))
         h = rng.normal(size=n) * 10.0 ** rng.integers(-3, 2, size=n)
         h[n // 2] = 0.0
         op = filter_operator(SpectralFilter(h, basis.ref()), basis)
@@ -119,7 +119,7 @@ class TestGraphConvolve:
 
     def test_mixed_sign_full_rank_gains_keep_every_frequency(self):
         rng = np.random.default_rng(19)
-        basis = gft(random_connected_graph(40, rng, p=0.1))
+        basis = gft(laplacian(random_connected_graph(40, rng, p=0.1)))
         h = rng.choice([-1.0, 1.0], size=40) * rng.uniform(0.1, 3.0, size=40)
         op = filter_operator(SpectralFilter(h, basis.ref()), basis)
         assert np.array_equal(op.vectors, basis.eigenvectors) and np.array_equal(op.scale, h)
@@ -130,7 +130,7 @@ class TestGraphConvolve:
 
     def test_rounding_tail_is_dropped_within_its_stated_bound(self):
         rng = np.random.default_rng(20)
-        basis = gft(random_connected_graph(40, rng, p=0.1))
+        basis = gft(laplacian(random_connected_graph(40, rng, p=0.1)))
         h = rng.uniform(-1e-14, 1e-14, size=40)  # below 40 * eps * 2 = 1.8e-14, so every tail gain drops
         h[:4] = [2.0, -1.5, 0.9, 1e-3]
         keep, truncation_error, max_abs_gain = gain_truncation(h)
@@ -308,7 +308,7 @@ class TestDenoise:
     def test_single_observed_node_returns_finite_vector(self):
         rng = np.random.default_rng(14)
         g = random_connected_graph(8, rng)
-        basis = gft(g)
+        basis = gft(laplacian(g))
         from graphfill.signals import ObservationModel
 
         observed = np.zeros(8, dtype=bool)

@@ -74,6 +74,8 @@ def test_traced_child_run_records_every_layer(tmp_path):
     for name in ("graphs.build_s", "graphs.gft_s", "signals.observe_calls", "spectral.convolve_calls",
                  "prompts.render_calls", "predictors.tasks", "baselines.steps"):
         assert layer[name] > 0, name
+    # prepare_run builds the Laplacian itself and hands it to gft, so both set-up spans are recorded.
+    assert {"runner.laplacian", "runner.gft"} <= {span[2] for span in result["spans"]}
 
 
 def test_untraced_child_run_stamps_one_start_per_step(tmp_path):
