@@ -1238,6 +1238,27 @@ class TestOverlappedSetUp:
         assert ctx.basis.ref() == gft(laplacian(ctx.graph)).ref()
         assert ctx.derived == prepare_run(cfg).derived
 
+    def test_a_decomposition_that_outlasts_the_parse_is_awaited_by_yielding(self, small_run, monkeypatch):
+        # eigh holds until this thread yields, so a set-up that slept in result() instead would fail here.
+        _, cfg = small_run
+        yielded, eigh, sched_yield = threading.Event(), np.linalg.eigh, os.sched_yield
+
+        def eigh_once_yielded(a):
+            assert yielded.wait(timeout=30), "the calling thread did not yield while eigh ran"
+            return eigh(a)
+
+        def noted_yield():
+            yielded.set()
+            sched_yield()
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_once_yielded)
+        monkeypatch.setattr(os, "sched_yield", noted_yield)
+        before = threading.active_count()
+        ctx = prepare_run(cfg)
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        assert ctx.basis.ref() == gft(laplacian(ctx.graph)).ref()
+
     def test_a_bad_cell_still_fails_with_its_row_and_column(self, small_run):
         signal_path, cfg = small_run
         lines = signal_path.read_text().splitlines()
